@@ -11,16 +11,21 @@ yields exact site marginals and a Markov split of log Z at any time.  Paths
 are sampled exactly (not approximately) by drawing the endpoint proportional
 to W(N, .) and walking backwards.
 
-Three layer representations are used:
-  d=1   dense array per layer, site x = -i + 2j at index j;
-  d=2   dense (i+1) x (i+1) grid in rotated coordinates s = x1+x2,
-        t = x1-x2, where the walk factorizes into two independent
-        one-dimensional walks and the reachable cone becomes a full square;
-  d>=3  coordinate lists keyed by packed integers, joined via searchsorted.
+One private driver, ``_transfer``, runs this recursion (forward, rolling or
+keeping every layer, and backward) over a layer geometry chosen from d:
+  d<=2  dense (i+1)^d array per layer in rotated coordinates (x in d=1;
+        s = x1+x2, t = x1-x2 in d=2), where the walk factorizes into
+        independent one-dimensional walks, the reachable cone is a full cube
+        and the neighbour sum is one pairwise logaddexp per axis;
+  d>=3  site lists sorted by packed integer keys, joined via searchsorted.
+The public entry points and the sampler are thin wrappers over the driver
+and the geometry.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -94,12 +99,8 @@ class BetaProfile:
 
 
 # ---------------------------------------------------------------------------
-# Layer tables
+# Layer geometries
 # ---------------------------------------------------------------------------
-
-def _kind_for(d: int) -> str:
-    return "line" if d == 1 else "grid" if d == 2 else "general"
-
 
 def _offsets(d: int) -> np.ndarray:
     out = np.zeros((2 * d, d), dtype=np.int64)
@@ -119,20 +120,149 @@ def _pack_keys(coords: np.ndarray, N: int) -> np.ndarray:
     return key
 
 
+def _pairwise(x: np.ndarray) -> np.ndarray:
+    """logaddexp of neighbouring entries along every axis, last axis first."""
+    for ax in reversed(range(x.ndim)):
+        lead = (slice(None),) * ax
+        x = np.logaddexp(x[lead + (slice(None, -1),)], x[lead + (slice(1, None),)])
+    return x
+
+
+def _padded_pairwise(x: np.ndarray) -> np.ndarray:
+    """``_pairwise`` of x framed by one -inf cell on every side."""
+    p = np.full(tuple(n + 2 for n in x.shape), NEG_INF, dtype=x.dtype)
+    p[(slice(1, -1),) * x.ndim] = x
+    return _pairwise(p)
+
+
+def _gather_logsum(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log sum_r exp(x[maps[r]]), where index len(x) stands for a -inf term."""
+    return np.logaddexp.reduce(np.append(x, NEG_INF)[maps], axis=0)
+
+
+class _DenseGeometry:
+    """d <= 2: layer i is a dense (i+1)^d array in rotated coordinates.
+
+    The coordinates u = x in d = 1 and u = (x1+x2, x1-x2) in d = 2 each move
+    by +-1 at every step, independently, so layer i is the full cube
+    {-i, -i+2, ..., i}^d (entry a of an axis holds -i + 2a) and the neighbour
+    sum splits into one pairwise logaddexp per axis.
+    """
+
+    def __init__(self, d: int):
+        self.d = d
+
+    def shape(self, i: int) -> tuple:
+        return (i + 1,) * self.d
+
+    def coords(self, i: int) -> np.ndarray:
+        u = np.arange(-i, i + 1, 2, dtype=np.int64)
+        if self.d == 1:
+            return u[:, None]
+        s, t = np.meshgrid(u, u, indexing="ij")
+        return np.stack([((s + t) // 2).ravel(), ((s - t) // 2).ravel()], axis=1)
+
+    def sum_into(self, i: int):
+        """Neighbour log-sum of layer i-1 onto layer i."""
+        return _padded_pairwise
+
+    def sum_from(self, i: int):
+        """Neighbour log-sum of layer i back onto layer i-1."""
+        return _pairwise
+
+    def predecessors(self, i: int, idx: np.ndarray) -> np.ndarray:
+        """(n, 2^d) flat indices in layer i-1 of the neighbours of the layer-i
+        sites idx; a neighbour off the layer gets the layer size i^d."""
+        a = np.unravel_index(idx, self.shape(i))
+        cols = []
+        for step in itertools.product((-1, 0), repeat=self.d):
+            b = [ak + sk for ak, sk in zip(a, step)]
+            ok = np.logical_and.reduce([(bk >= 0) & (bk < i) for bk in b])
+            flat = np.ravel_multi_index(b, self.shape(i - 1), mode="clip")
+            cols.append(np.where(ok, flat, i**self.d))
+        return np.stack(cols, axis=1)
+
+
+def _general_expand(coords, N, d):
+    """Coords/keys of the next layer from the current one."""
+    cand = (coords[None, :, :] + _offsets(d)[:, None, :]).reshape(-1, d)
+    ck = _pack_keys(cand, N)
+    uk, idx = np.unique(ck, return_index=True)
+    return cand[idx], uk
+
+
+class _PackedGeometry:
+    """d >= 3: layer i lists its sites, sorted by packed integer key.
+
+    Layer i is the set of neighbours of layer i-1.  Neighbour sums gather
+    through index maps found by ``searchsorted`` on the keys, built once per
+    layer and shared by every profile; a site off the layer maps one past its
+    end, where a -inf sentinel sits.  Without ``keep`` only the two newest
+    layers are held.
+    """
+
+    def __init__(self, d: int, N: int, keep: bool):
+        self.d, self.N, self.keep = d, N, keep
+        self.offs = _offsets(d)
+        origin = np.zeros((1, d), dtype=np.int64)
+        self._coords, self._keys = [origin], [_pack_keys(origin, N)]
+
+    def shape(self, i: int) -> tuple:
+        return (len(self.coords(i)),)
+
+    def coords(self, i: int) -> np.ndarray:
+        while len(self._coords) <= i:
+            ci, ki = _general_expand(self._coords[-1], self.N, self.d)
+            self._coords.append(ci)
+            self._keys.append(ki)
+            if not self.keep and len(self._coords) > 2:
+                self._coords[-3] = self._keys[-3] = None
+        return self._coords[i]
+
+    def _index(self, i: int, sites: np.ndarray) -> np.ndarray:
+        """Positions of sites in layer i; sites off the layer get its size."""
+        self.coords(i)
+        keys, k = self._keys[i], _pack_keys(sites, self.N)
+        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+        return np.where(keys[pos] == k, pos, len(keys))
+
+    def sum_into(self, i: int):
+        ci = self.coords(i)
+        maps = np.stack([self._index(i - 1, ci - o) for o in self.offs])
+        return functools.partial(_gather_logsum, maps)
+
+    def sum_from(self, i: int):
+        ci = self.coords(i - 1)
+        maps = np.stack([self._index(i, ci + o) for o in self.offs])
+        return functools.partial(_gather_logsum, maps)
+
+    def predecessors(self, i: int, idx: np.ndarray) -> np.ndarray:
+        sites = self.coords(i)[idx]
+        return np.stack([self._index(i - 1, sites - o) for o in self.offs], axis=1)
+
+
+def _geometry(d: int, N: int, keep: bool):
+    """The layer geometry of the recursion, chosen here and only here."""
+    return _DenseGeometry(d) if d <= 2 else _PackedGeometry(d, N, keep)
+
+
+# ---------------------------------------------------------------------------
+# The recursion
+# ---------------------------------------------------------------------------
+
 @dataclass
 class LayerTable:
     """All layers of one forward or backward pass, in log-space.
 
-    Layer payloads follow the kernel-native representation documented in the
-    module docstring; ``layer_logw``/``layer_coords`` give a flat view.
+    ``layers[i]`` has the geometry's shape for layer i; ``layer_logw`` and
+    ``layer_coords`` give a flat view with matching site order.
     """
 
     env: Environment
     profile: BetaProfile
     direction: str  # "forward" | "backward"
-    kind: str
+    geometry: object = field(repr=False)
     layers: list = field(repr=False)
-    coords: list | None = field(default=None, repr=False)  # general kind only
 
     @property
     def d(self) -> int:
@@ -143,77 +273,10 @@ class LayerTable:
         return self.profile.N
 
     def layer_logw(self, i: int) -> np.ndarray:
-        w = self.layers[i]
-        return w.ravel() if self.kind == "grid" else w
+        return self.layers[i].ravel()
 
     def layer_coords(self, i: int) -> np.ndarray:
-        if self.kind == "line":
-            return np.arange(-i, i + 1, 2, dtype=np.int64)[:, None]
-        if self.kind == "grid":
-            a = np.arange(i + 1)
-            s = (-i + 2 * a)[:, None] + np.zeros(i + 1, dtype=np.int64)[None, :]
-            t = np.zeros(i + 1, dtype=np.int64)[:, None] + (-i + 2 * a)[None, :]
-            x1, x2 = (s + t) // 2, (s - t) // 2
-            return np.stack([x1.ravel(), x2.ravel()], axis=1)
-        return self.coords[i]
-
-
-def _line_forward_step(prev, g, beta, dtype):
-    pad = np.full(1, NEG_INF, dtype=dtype)
-    nb = np.logaddexp(np.concatenate((pad, prev)), np.concatenate((prev, pad)))
-    drive = beta * g if beta != 0.0 else 0.0
-    return drive + nb - np.log(dtype(2.0))
-
-
-def _line_backward_step(nxt, g, beta, dtype):
-    c = (beta * g if beta != 0.0 else 0.0) + nxt
-    return np.logaddexp(c[:-1], c[1:]) - np.log(dtype(2.0))
-
-
-def _grid_forward_step(prev, g, beta, dtype):
-    i = prev.shape[0]  # prev covers layer i-1 with i cells per axis
-    pp = np.full((i + 2, i + 2), NEG_INF, dtype=dtype)
-    pp[1 : i + 1, 1 : i + 1] = prev
-    nb = np.logaddexp(
-        np.logaddexp(pp[: i + 1, : i + 1], pp[: i + 1, 1:]),
-        np.logaddexp(pp[1:, : i + 1], pp[1:, 1:]),
-    )
-    drive = beta * g if beta != 0.0 else 0.0
-    return drive + nb - np.log(dtype(4.0))
-
-
-def _grid_backward_step(nxt, g, beta, dtype):
-    c = (beta * g if beta != 0.0 else 0.0) + nxt
-    return (
-        np.logaddexp(
-            np.logaddexp(c[:-1, :-1], c[:-1, 1:]),
-            np.logaddexp(c[1:, :-1], c[1:, 1:]),
-        )
-        - np.log(dtype(4.0))
-    )
-
-
-def _grid_layer_coords(i: int) -> np.ndarray:
-    a = -i + 2 * np.arange(i + 1, dtype=np.int64)
-    s, t = np.meshgrid(a, a, indexing="ij")
-    return np.stack([((s + t) // 2).ravel(), ((s - t) // 2).ravel()], axis=1)
-
-
-def _general_expand(coords, keys, N, d):
-    """Coords/keys of the next layer from the current one."""
-    cand = (coords[None, :, :] + _offsets(d)[:, None, :]).reshape(-1, d)
-    ck = _pack_keys(cand, N)
-    uk, idx = np.unique(ck, return_index=True)
-    return cand[idx], uk
-
-
-def _general_gather(src_keys, src_vals, dst_keys, dtype):
-    pos = np.searchsorted(src_keys, dst_keys)
-    pos_c = np.clip(pos, 0, len(src_keys) - 1)
-    hit = src_keys[pos_c] == dst_keys
-    out = np.full(len(dst_keys), NEG_INF, dtype=dtype)
-    out[hit] = src_vals[pos_c[hit]]
-    return out
+        return self.geometry.coords(i)
 
 
 def _check_guard(env: Environment):
@@ -225,107 +288,60 @@ def _check_guard(env: Environment):
         )
 
 
-def _layer_g(env, i, kind, coords_i, dtype):
-    if kind == "line":
-        g = env.values(i, np.arange(-i, i + 1, 2, dtype=np.int64)[:, None])
-    elif kind == "grid":
-        g = env.values(i, _grid_layer_coords(i)).reshape(i + 1, i + 1)
-    else:
-        g = env.values(i, coords_i)
-    return g.astype(dtype, copy=False) if dtype is not np.float64 else g
-
-
-def forward_layers(env: Environment, profile: BetaProfile, dtype=np.float64) -> LayerTable:
-    """Run the full forward recursion and keep every layer."""
-    _check_forward_args(env, profile)
-    _check_guard(env)
-    d, N, kind = env.params.d, profile.N, _kind_for(env.params.d)
-    beta = profile.values
-
-    if kind == "line":
-        layers = [np.zeros(1, dtype=dtype)]
-        for i in range(1, N + 1):
-            g = _layer_g(env, i, kind, None, dtype)
-            layers.append(_line_forward_step(layers[-1], g, beta[i - 1], dtype))
-        return LayerTable(env, profile, "forward", kind, layers)
-
-    if kind == "grid":
-        layers = [np.zeros((1, 1), dtype=dtype)]
-        for i in range(1, N + 1):
-            g = _layer_g(env, i, kind, None, dtype)
-            layers.append(_grid_forward_step(layers[-1], g, beta[i - 1], dtype))
-        return LayerTable(env, profile, "forward", kind, layers)
-
-    coords = [np.zeros((1, d), dtype=np.int64)]
-    keys = [_pack_keys(coords[0], N)]
-    layers = [np.zeros(1, dtype=dtype)]
-    offs = _offsets(d)
-    for i in range(1, N + 1):
-        ci, ki = _general_expand(coords[-1], keys[-1], N, d)
-        acc = np.full(len(ki), NEG_INF, dtype=dtype)
-        for o in offs:
-            src = _pack_keys(ci - o, N)
-            acc = np.logaddexp(acc, _general_gather(keys[-1], layers[-1], src, dtype))
-        g = _layer_g(env, i, kind, ci, dtype)
-        drive = beta[i - 1] * g if beta[i - 1] != 0.0 else 0.0
-        layers.append(drive + acc - np.log(dtype(2.0 * d)))
-        coords.append(ci)
-        keys.append(ki)
-    table = LayerTable(env, profile, "forward", kind, layers, coords=coords)
-    table._keys = keys  # reused by the sampler and backward pass
-    return table
-
-
-def backward_layers(env: Environment, profile: BetaProfile, dtype=np.float64) -> LayerTable:
-    """Conditional partition functions B(i, x) from (i, x) onward, log-space."""
-    _check_forward_args(env, profile)
-    _check_guard(env)
-    d, N, kind = env.params.d, profile.N, _kind_for(env.params.d)
-    beta = profile.values
-
-    if kind == "line":
-        layers = [None] * (N + 1)
-        layers[N] = np.zeros(N + 1, dtype=dtype)
-        for i in range(N, 0, -1):
-            g = _layer_g(env, i, kind, None, dtype)
-            layers[i - 1] = _line_backward_step(layers[i], g, beta[i - 1], dtype)
-        return LayerTable(env, profile, "backward", kind, layers)
-
-    if kind == "grid":
-        layers = [None] * (N + 1)
-        layers[N] = np.zeros((N + 1, N + 1), dtype=dtype)
-        for i in range(N, 0, -1):
-            g = _layer_g(env, i, kind, None, dtype)
-            layers[i - 1] = _grid_backward_step(layers[i], g, beta[i - 1], dtype)
-        return LayerTable(env, profile, "backward", kind, layers)
-
-    coords = [np.zeros((1, d), dtype=np.int64)]
-    keys = [_pack_keys(coords[0], N)]
-    for i in range(1, N + 1):
-        ci, ki = _general_expand(coords[-1], keys[-1], N, d)
-        coords.append(ci)
-        keys.append(ki)
-    layers = [None] * (N + 1)
-    layers[N] = np.zeros(len(keys[N]), dtype=dtype)
-    offs = _offsets(d)
-    for i in range(N, 0, -1):
-        g = _layer_g(env, i, kind, coords[i], dtype)
-        c = (beta[i - 1] * g if beta[i - 1] != 0.0 else 0.0) + layers[i]
-        acc = np.full(len(keys[i - 1]), NEG_INF, dtype=dtype)
-        for o in offs:
-            src = _pack_keys(coords[i - 1] + o, N)
-            acc = np.logaddexp(acc, _general_gather(keys[i], c, src, dtype))
-        layers[i - 1] = acc - np.log(dtype(2.0 * d))
-    table = LayerTable(env, profile, "backward", kind, layers, coords=coords)
-    table._keys = keys
-    return table
-
-
 def _check_forward_args(env: Environment, profile: BetaProfile):
     if profile.N != env.params.N:
         raise ValueError(
             f"profile length {profile.N} does not match environment N={env.params.N}"
         )
+
+
+def _transfer(env, profiles, direction, dtype, keep, geometry=_geometry):
+    """Run one recursion for several profiles over one environment's field.
+
+    forward:  log W(i)   = drive_i + log sum_nbr W(i-1) - log 2d,  i = 1..N
+    backward: log B(i-1) = log sum_nbr exp(drive_i + log B(i)) - log 2d,  i = N..1
+
+    with drive_i = beta_i g(i, .).  Each layer's field is generated once and
+    fed to every profile.  Returns the geometry and, per profile, the layers
+    0..N (``keep``) or a one-element list holding the last layer computed.
+    """
+    for pr in profiles:
+        _check_forward_args(env, pr)
+    _check_guard(env)
+    d, N = env.params.d, env.params.N
+    geom = geometry(d, N, keep)
+    log2d = np.log(dtype(2.0 * d))
+    forward = direction == "forward"
+    start = np.zeros(geom.shape(0 if forward else N), dtype=dtype)
+    runs = [[start] for _ in profiles]
+    for i in range(1, N + 1) if forward else range(N, 0, -1):
+        g = env.values(i, geom.coords(i)).reshape(geom.shape(i))
+        g = g.astype(dtype, copy=False) if dtype is not np.float64 else g
+        nbsum = geom.sum_into(i) if forward else geom.sum_from(i)
+        for run, pr in zip(runs, profiles):
+            beta = pr.values[i - 1]
+            drive = beta * g if beta != 0.0 else 0.0
+            if forward:
+                layer = drive + nbsum(run[-1]) - log2d
+            else:
+                layer = nbsum(drive + run[-1]) - log2d
+            if keep:
+                run.append(layer)
+            else:
+                run[-1] = layer
+    return geom, [run if forward else run[::-1] for run in runs]
+
+
+def forward_layers(env: Environment, profile: BetaProfile, dtype=np.float64) -> LayerTable:
+    """Run the full forward recursion and keep every layer."""
+    geom, (layers,) = _transfer(env, [profile], "forward", dtype, keep=True)
+    return LayerTable(env, profile, "forward", geom, layers)
+
+
+def backward_layers(env: Environment, profile: BetaProfile, dtype=np.float64) -> LayerTable:
+    """Conditional partition functions B(i, x) from (i, x) onward, log-space."""
+    geom, (layers,) = _transfer(env, [profile], "backward", dtype, keep=True)
+    return LayerTable(env, profile, "backward", geom, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -353,45 +369,9 @@ def log_partitions(env: Environment, profiles, dtype=np.float64) -> np.ndarray:
     multi-temperature estimates cheap.
     """
     profiles = list(profiles)
-    for pr in profiles:
-        _check_forward_args(env, pr)
-    _check_guard(env)
-    d, N, kind = env.params.d, profiles[0].N, _kind_for(env.params.d)
-    betas = [pr.values for pr in profiles]
-
-    if kind == "line":
-        cur = [np.zeros(1, dtype=dtype) for _ in profiles]
-        for i in range(1, N + 1):
-            g = _layer_g(env, i, kind, None, dtype)
-            cur = [_line_forward_step(c, g, b[i - 1], dtype) for c, b in zip(cur, betas)]
-        out = [logsumexp(c) for c in cur]
-    elif kind == "grid":
-        cur = [np.zeros((1, 1), dtype=dtype) for _ in profiles]
-        for i in range(1, N + 1):
-            g = _layer_g(env, i, kind, None, dtype)
-            cur = [_grid_forward_step(c, g, b[i - 1], dtype) for c, b in zip(cur, betas)]
-        out = [logsumexp(c) for c in cur]
-    else:
-        coords = np.zeros((1, d), dtype=np.int64)
-        keys = _pack_keys(coords, N)
-        cur = [np.zeros(1, dtype=dtype) for _ in profiles]
-        offs = _offsets(d)
-        for i in range(1, N + 1):
-            ci, ki = _general_expand(coords, keys, N, d)
-            g = _layer_g(env, i, kind, ci, dtype)
-            nxt = []
-            for c, b in zip(cur, betas):
-                acc = np.full(len(ki), NEG_INF, dtype=dtype)
-                for o in offs:
-                    src = _pack_keys(ci - o, N)
-                    acc = np.logaddexp(acc, _general_gather(keys, c, src, dtype))
-                drive = b[i - 1] * g if b[i - 1] != 0.0 else 0.0
-                nxt.append(drive + acc - np.log(dtype(2.0 * d)))
-            cur, coords, keys = nxt, ci, ki
-        out = [logsumexp(c) for c in cur]
-
+    _, runs = _transfer(env, profiles, "forward", dtype, keep=False)
     return np.array(
-        [0.0 if pr.is_zero else float(v) for pr, v in zip(profiles, out)]
+        [0.0 if pr.is_zero else float(logsumexp(run[-1])) for pr, run in zip(profiles, runs)]
     )
 
 
@@ -423,62 +403,23 @@ def _categorical_rows(logits: np.ndarray, rng: np.random.Generator) -> np.ndarra
 def sample_paths(table: LayerTable, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n independent paths exactly from the Gibbs measure of the table.
 
-    Endpoint first, proportional to W(N, .), then each earlier site among
-    the neighbors proportional to W(i-1, .).  Returns (n, N+1, d) int64.
+    Endpoint first, proportional to W(N, .), by one CDF and a binary search
+    per draw; then each earlier site among the neighbors proportional to
+    W(i-1, .).  Returns (n, N+1, d) int64.
     """
     if table.direction != "forward":
         raise ValueError("sampling requires a forward table")
-    N, d, kind = table.N, table.d, table.kind
-    out = np.zeros((n, N + 1, d), dtype=np.int64)
-
-    if kind == "line":
-        w = table.layers[N]
-        j = _categorical_rows(np.broadcast_to(w, (n, w.size)), rng)
-        out[:, N, 0] = -N + 2 * j
-        for i in range(N, 0, -1):
-            prev = table.layers[i - 1]  # length i
-            left = np.where(j >= 1, prev[np.clip(j - 1, 0, i - 1)], NEG_INF)
-            right = np.where(j <= i - 1, prev[np.clip(j, 0, i - 1)], NEG_INF)
-            pick = _categorical_rows(np.stack([left, right], axis=1), rng)
-            j = j - 1 + pick
-            out[:, i - 1, 0] = -(i - 1) + 2 * j
-        return out
-
-    if kind == "grid":
-        w = table.layers[N].ravel()
-        flat = _categorical_rows(np.broadcast_to(w, (n, w.size)), rng)
-        a, b = flat // (N + 1), flat % (N + 1)
-        s, t = -N + 2 * a, -N + 2 * b
-        out[:, N, 0], out[:, N, 1] = (s + t) // 2, (s - t) // 2
-        for i in range(N, 0, -1):
-            prev = table.layers[i - 1]  # (i, i)
-            cand = np.full((n, 4), NEG_INF)
-            for c, (da, db) in enumerate(((-1, -1), (-1, 0), (0, -1), (0, 0))):
-                aa, bb = a + da, b + db
-                ok = (aa >= 0) & (aa <= i - 1) & (bb >= 0) & (bb <= i - 1)
-                cand[ok, c] = prev[aa[ok], bb[ok]]
-            pick = _categorical_rows(cand, rng)
-            a = a + np.where(pick < 2, -1, 0)
-            b = b + np.where(pick % 2 == 0, -1, 0)
-            s, t = -(i - 1) + 2 * a, -(i - 1) + 2 * b
-            out[:, i - 1, 0], out[:, i - 1, 1] = (s + t) // 2, (s - t) // 2
-        return out
-
-    keys = table._keys
-    w = table.layers[N]
-    idx = _categorical_rows(np.broadcast_to(w, (n, w.size)), rng)
-    pos = table.coords[N][idx]
-    out[:, N] = pos
-    offs = _offsets(d)
+    N, geom = table.N, table.geometry
+    out = np.zeros((n, N + 1, table.d), dtype=np.int64)
+    w = table.layer_logw(N)
+    cdf = np.cumsum(np.exp(w - w.max()))
+    idx = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="left")
+    out[:, N] = geom.coords(N)[idx]
     for i in range(N, 0, -1):
-        cand = np.full((n, 2 * d), NEG_INF)
-        nbr = pos[:, None, :] - offs[None, :, :]  # predecessors
-        for c in range(2 * d):
-            ck = _pack_keys(nbr[:, c, :], table.N)
-            cand[:, c] = _general_gather(keys[i - 1], table.layers[i - 1], ck, np.float64)
-        pick = _categorical_rows(cand, rng)
-        pos = nbr[np.arange(n), pick]
-        out[:, i - 1] = pos
+        cand = geom.predecessors(i, idx)
+        pick = _categorical_rows(np.append(table.layer_logw(i - 1), NEG_INF)[cand], rng)
+        idx = cand[np.arange(n), pick]
+        out[:, i - 1] = geom.coords(i - 1)[idx]
     return out
 
 

@@ -1,0 +1,51 @@
+"""Golden metric files: pinned tiny CLI runs must reproduce recorded bytes.
+
+Each case runs ``cli.main`` at a small fixed config and compares the sha256
+of every metric file with a digest recorded before the transfer recursion
+was rebuilt around one driver, so refactors must leave the outputs
+byte-identical.  The digests were taken with Python 3.11.7, numpy 2.4.6 and
+scipy 1.17.1; other versions may round differently.  A change that alters
+output bits on purpose (e.g. a new kernel) updates the digests here and
+says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from polymerlab.cli import main
+
+CASES = {
+    "free_energy_d1": (
+        ["free-energy", "--d", "1", "--n-grid", "16,64", "--beta-grid", "0,0.5,2",
+         "--n-disorder", "4", "--seed", "7"],
+        {"free_energy.csv": "c3af9afca9dff5cac1e1a1213d3ba5b85298420ae4edb7ced04db3fc5108d248"},
+    ),
+    "free_energy_d3": (
+        ["free-energy", "--d", "3", "--n-grid", "4,10", "--beta-grid", "0.5,2",
+         "--n-disorder", "2", "--seed", "7"],
+        {"free_energy.csv": "b85249565483c1dfbeef1fd91961c9a0248783ee2c51a7201a453e0ac504f375"},
+    ),
+    "overlap_d2": (
+        ["overlap", "--d", "2", "--n-grid", "3,16", "--beta-grid", "0,1",
+         "--n-disorder", "2", "--n-pairs", "100", "--seed", "7"],
+        {"overlap.csv": "42a21da93899cec98d2d536b0b3c466de6a8de5cde579e78bb6c6d38f3b9cfaa"},
+    ),
+    "localize_d1": (
+        ["localize", "--d", "1", "--n", "96", "--beta-grid", "0,2", "--delta", "0.25",
+         "--eps", "0.1", "--n-samples", "60", "--blocks", "3", "--seed", "5"],
+        {
+            "localize.jsonl": "22725fa1fa2767f68849c74bbb361c4176646add53714f98a544e02f3775f206",
+            "windows.csv": "c5baff30232e35e6df442b0b8587e199a6964b9a2dcc75a3de84d15ae7d87996",
+            "distinguished.json": "6bec6e22454e38c62e22c3741b883ffefc75a0d4f31fcbda1f81441b1c45e0d9",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_metric_files_match_golden_digests(name, tmp_path):
+    argv, digests = CASES[name]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests}
+    assert got == digests

@@ -7,15 +7,21 @@ from scipy import stats
 from polymerlab.lattice import LatticeParams, gaussian_env, make_partition, zero_env
 from polymerlab.transfer import (
     BetaProfile,
+    LayerTable,
+    _geometry,
+    _PackedGeometry,
+    _transfer,
     backward_layers,
     brute_force_log_partition,
     endpoint_distribution,
     forward_layers,
     gibbs_enumeration,
+    layer_log_marginals,
     log_partition,
     log_partition_excluding_block,
     log_partition_multi,
     log_partitions,
+    logsumexp,
     markov_split_logz,
     sample_path,
     sample_paths,
@@ -86,8 +92,9 @@ class TestLogPartition:
             prof = BetaProfile(rng.uniform(0, 4, size=9))
             assert abs(log_partition(forward_layers(z, prof))) < 1e-12
 
-    def test_sweep_matches_tables(self):
-        env = gaussian_env(8, LatticeParams(d=2, N=10))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sweep_matches_tables(self, d):
+        env = gaussian_env(8, LatticeParams(d=d, N=10))
         profs = [BetaProfile.constant(b, 10) for b in (0.3, 1.1, 2.4)]
         swept = log_partitions(env, profs)
         single = [log_partition(forward_layers(env, pr)) for pr in profs]
@@ -173,18 +180,42 @@ class TestSampling:
         paths = sample_paths(table, 64, np.random.default_rng(0))
         assert all(is_valid_path(p) for p in paths)
 
-    def test_empirical_matches_enumeration_small(self):
-        env = gaussian_env(31, LatticeParams(d=1, N=4))
-        prof = BetaProfile.constant(1.0, 4)
+    @pytest.mark.parametrize("d,n", [(1, 4), (2, 4), (3, 3)])
+    def test_empirical_matches_enumeration_small(self, d, n):
+        env = gaussian_env(31, LatticeParams(d=d, N=n))
+        prof = BetaProfile.constant(1.0, n)
         table = forward_layers(env, prof)
         paths, probs = gibbs_enumeration(env, prof)
-        codes = ((np.diff(paths[:, :, 0], axis=1) == -1) @ (2 ** np.arange(4)))
-        lookup = np.full(16, -1)
-        lookup[codes] = np.arange(len(paths))
+
+        def codes(p):
+            # step k is +e_j (digit 2j) or -e_j (digit 2j+1); one base-2d number per path
+            steps = np.diff(p, axis=1)
+            digits = 2 * np.argmax(steps != 0, axis=2) + (steps.sum(axis=2) < 0)
+            return digits @ (2 * d) ** np.arange(n)
+
+        lookup = np.full((2 * d) ** n, -1)
+        lookup[codes(paths)] = np.arange(len(paths))
         draws = sample_paths(table, 200_000, np.random.default_rng(6))
-        dc = ((np.diff(draws[:, :, 0], axis=1) == -1) @ (2 ** np.arange(4)))
-        emp = np.bincount(lookup[dc], minlength=len(paths)) / 200_000
-        assert 0.5 * np.abs(emp - probs).sum() < 0.01
+        emp = np.bincount(lookup[codes(draws)], minlength=len(paths)) / 200_000
+        # E[TV] <= sqrt(M/n)/2 over M paths and n draws, and TV moves by at
+        # most 1/n per draw, so P(TV > sqrt(M/n)) < exp(-M/2) (McDiarmid)
+        tol = max(0.01, math.sqrt(len(paths) / 200_000))
+        assert 0.5 * np.abs(emp - probs).sum() < tol
+
+    def test_sampler_peak_memory_bound(self):
+        import tracemalloc
+
+        env = gaussian_env(4, LatticeParams(d=2, N=128))
+        table = forward_layers(env, BetaProfile.constant(1.0, 128))
+        tracemalloc.start()
+        try:
+            paths = sample_paths(table, 1000, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the output is 2 MB; an (n, |D_N|) endpoint matrix would be ~270 MB
+        assert paths.shape == (1000, 129, 2)
+        assert peak < 16 * 2**20
 
 
 class TestEndpointDistribution:
@@ -212,7 +243,7 @@ class TestEndpointDistribution:
 
 
 class TestMarkovSplitting:
-    @pytest.mark.parametrize("d,n", [(1, 8), (2, 6)])
+    @pytest.mark.parametrize("d,n", [(1, 8), (2, 6), (3, 4)])
     def test_split_at_every_time(self, d, n):
         rng = np.random.default_rng(d)
         env = gaussian_env(int(rng.integers(0, 2**62)), LatticeParams(d=d, N=n))
@@ -222,6 +253,33 @@ class TestMarkovSplitting:
         lz = log_partition(fwd)
         for i in range(n + 1):
             assert abs(markov_split_logz(fwd, bwd, i) - lz) < 1e-10
+
+
+class TestGeometries:
+    @pytest.mark.parametrize("d,n", [(1, 12), (2, 7)])
+    def test_packed_matches_dense(self, d, n):
+        # the packed geometry is only used for d >= 3; run it at d <= 2 too
+        rng = np.random.default_rng(40 + d)
+        env = gaussian_env(int(rng.integers(0, 2**62)), LatticeParams(d=d, N=n))
+        prof = BetaProfile(rng.uniform(0.0, 2.0, size=n))
+        out = {}
+        for geometry in (_geometry, _PackedGeometry):
+            geom, (fl,) = _transfer(env, [prof], "forward", np.float64, True, geometry)
+            _, (bl,) = _transfer(env, [prof], "backward", np.float64, True, geometry)
+            _, (rolled,) = _transfer(env, [prof], "forward", np.float64, False, geometry)
+            fwd = LayerTable(env, prof, "forward", geom, fl)
+            bwd = LayerTable(env, prof, "backward", geom, bl)
+            marginals = []
+            for i in range(n + 1):
+                order = np.lexsort(fwd.layer_coords(i).T)  # same site order in both
+                marginals.append(layer_log_marginals(fwd, bwd, i)[order])
+            out[geometry] = (log_partition(fwd), float(logsumexp(rolled[0])), marginals)
+        (lz_d, roll_d, m_d), (lz_p, roll_p, m_p) = out.values()
+        assert roll_d == lz_d
+        assert abs(lz_d - lz_p) < 1e-12 and abs(roll_d - roll_p) < 1e-12
+        for a, b in zip(m_d, m_p):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_brute_force_guard():
