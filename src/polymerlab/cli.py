@@ -43,7 +43,6 @@ from .localization import (
     coverage_report,
     default_refinement,
     greedy_favorite_paths,
-    min_window_overlap,
     report_to_jsonl,
 )
 from .overlap import exact_two_replica_overlap, ibp_residual, mean_replica_overlap
@@ -343,12 +342,7 @@ def cmd_localize(cfg: ExperimentConfig) -> RunRecord:
                 mode="global", epsilon=cfg.epsilon,
             )
             reports.append(cov)
-            wmin = max(1, int(np.ceil(cfg.epsilon * n)))
-            centers = np.stack(global_rep.paths)
-            for si in range(samples.shape[0]):
-                stat = max(
-                    min_window_overlap(c, samples[si], wmin) for c in centers
-                )
+            for si, stat in enumerate(cov.window_stats.tolist()):
                 window_rows.append((beta, n, cfg.epsilon, cfg.delta, si, stat))
             # distinguished-set induction seeded with the extracted paths
             ds_part = make_partition(n, cfg.ds_levels)

@@ -58,25 +58,14 @@ def connecting_path(x, i: int, y, t: int) -> np.ndarray:
         raise InfeasibleConnectionError(
             f"no {s}-step path between {x.tolist()} and {y.tolist()}"
         )
-    d = x.size
-    out = np.empty((s + 1, d), dtype=np.int64)
-    out[0] = x
-    pos = x.copy()
-    n = 0
-    for k in range(d):
-        sign = 1 if y[k] > pos[k] else -1
-        while pos[k] != y[k]:
-            pos[k] += sign
-            n += 1
-            out[n] = pos
-    while n < s:
-        pos[0] += 1
-        n += 1
-        out[n] = pos
-        pos[0] -= 1
-        n += 1
-        out[n] = pos
-    return out
+    gap = y - x
+    dist = int(np.abs(gap).sum())
+    axes = np.repeat(np.arange(x.size), np.abs(gap))
+    steps = np.zeros((s, x.size), dtype=np.int64)
+    steps[np.arange(dist), axes] = np.sign(gap)[axes]
+    steps[dist::2, 0] = 1
+    steps[dist + 1 :: 2, 0] = -1
+    return np.concatenate([x[None], x + np.cumsum(steps, axis=0)])
 
 
 def meeting_time(sigma1: np.ndarray, sigma2: np.ndarray, m: int, window) -> int | None:
@@ -333,30 +322,72 @@ def verify_claim_reduction(
 # Pairwise overlap matrices
 # ---------------------------------------------------------------------------
 
-def pairwise_counts(
-    centers: np.ndarray, samples: np.ndarray, boundaries, tile: int = 64
-) -> np.ndarray:
+def _site_keys(*stacks) -> list:
+    """One integer per (path, time) site of each (n, T, d) stack, equal iff the sites are.
+
+    Per-axis offsets are packed in mixed radix into the narrowest unsigned
+    dtype that holds every key; ranges too wide for 63 bits are ranked instead.
+    """
+    sites = [a.reshape(-1, a.shape[-1]) for a in stacks]
+    flat = np.concatenate(sites)
+    lo = flat.min(axis=0, initial=0)
+    span = flat.max(axis=0, initial=0) - lo + 1
+    size = math.prod(int(v) for v in span)
+    if size <= 2**63:
+        radix = np.cumprod(np.concatenate([[1], span[:-1]]))
+        keys = ((flat - lo) @ radix).astype(np.min_scalar_type(size - 1))
+    else:
+        keys = np.unique(flat, axis=0, return_inverse=True)[1].reshape(-1)
+    cuts = np.cumsum([len(x) for x in sites])[:-1]
+    return [k.reshape(a.shape[:-1]) for k, a in zip(np.split(keys, cuts), stacks)]
+
+
+def _as_stack(paths) -> np.ndarray:
+    """(n, T, d) view of a path stack given as (n, T, d) or (n, T) for d = 1."""
+    arr = np.asarray(paths)
+    return arr[:, :, None] if arr.ndim == 2 else arr
+
+
+def pairwise_counts(centers: np.ndarray, samples: np.ndarray, boundaries) -> np.ndarray:
     """Coincidence counts per window: (n_centers, n_samples, n_windows).
 
     ``boundaries`` are partition boundaries; window w covers times
-    boundaries[w]+1 .. boundaries[w+1].  Computed in tiles to bound memory.
+    boundaries[w]+1 .. boundaries[w+1].  Sites are compared as packed keys
+    one time step at a time, so besides the int32 result only one
+    (n_centers, n_samples) bool array is held.
     """
-    c = np.asarray(centers)
-    s = np.asarray(samples)
-    if c.ndim == 2:
-        c, s = c[:, :, None], s[:, :, None]
-    nb = len(boundaries) - 1
-    out = np.empty((c.shape[0], s.shape[0], nb), dtype=np.int32)
+    keys = _site_keys(_as_stack(centers), _as_stack(samples))
+    c, s = (np.ascontiguousarray(k.T) for k in keys)  # time-major
     cuts = np.asarray(boundaries)
+    out = np.zeros((len(cuts) - 1, c.shape[1], s.shape[1]), dtype=np.int32)
+    for w, acc in enumerate(out):
+        for t in range(cuts[w] + 1, cuts[w + 1] + 1):
+            acc += c[t, :, None] == s[t]
+    return np.moveaxis(out, 0, 2)
+
+
+def window_minima(centers, samples, min_len: int) -> np.ndarray:
+    """(n_centers, n_samples) array of ``min_window_overlap`` for every pair.
+
+    Only lengths up to 2*min_len + 1 need scanning: any longer window splits
+    into pieces in that range and its overlap is a weighted average of the
+    piece overlaps, so it can never beat the piece minimum from below.  Each
+    length's minimum count is divided by the length afterwards, which is
+    monotone, so the result equals the minimum of the window means bit for bit.
+    """
+    c, s = _site_keys(_as_stack(centers), _as_stack(samples))
+    n = s.shape[1] - 1
+    if not 1 <= min_len <= n:
+        raise ValueError(f"window length {min_len} outside 1..{n}")
+    out = np.full((c.shape[0], s.shape[0]), np.inf)
+    tile = max(1, 2**22 // max(1, s.shape[0] * n))  # ~4M cells: temporaries of a few MB
     for lo in range(0, c.shape[0], tile):
-        hi = min(lo + tile, c.shape[0])
-        eq = np.all(c[lo:hi, None, 1:, :] == s[None, :, 1:, :], axis=3)
-        acc = np.cumsum(eq, axis=2, dtype=np.int32)
-        prefix = np.zeros((hi - lo, s.shape[0], len(cuts)), dtype=np.int32)
-        for w, b in enumerate(cuts):
-            if b >= 1:
-                prefix[:, :, w] = acc[:, :, b - 1]
-        out[lo:hi] = prefix[:, :, 1:] - prefix[:, :, :-1]
+        eq = c[lo : lo + tile, None, 1:] == s[None, :, 1:]
+        acc = np.zeros(eq.shape[:2] + (n + 1,), np.min_scalar_type(n))
+        np.cumsum(eq, axis=2, out=acc[:, :, 1:])
+        best = out[lo : lo + tile]
+        for w in range(min_len, min(2 * min_len + 1, n) + 1):
+            np.minimum(best, (acc[:, :, w:] - acc[:, :, :-w]).min(axis=2) / w, out=best)
     return out
 
 
@@ -388,6 +419,8 @@ class LocalizationReport:
     selection_trace: list | None = None  # coverage after each greedy pick
     window_epsilon: float | None = None
     window_coverage: float | None = None  # sliding-window event frequency
+    # per sample, the best candidate's min_window_overlap; not serialised
+    window_stats: np.ndarray | None = field(default=None, repr=False)
 
     def to_json_record(self, seed: int | None = None) -> dict:
         rec = {
@@ -455,9 +488,7 @@ def greedy_favorite_paths(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    arr = np.asarray(samples)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
+    arr = _as_stack(samples)
     n = arr.shape[1] - 1
     if mode != "global" and p is None:
         raise ValueError("block modes need a partition")
@@ -530,14 +561,7 @@ def coverage_report(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    cent = np.asarray(paths) if not isinstance(paths, list) else np.stack(
-        [np.asarray(q) for q in paths]
-    )
-    samp = np.asarray(samples)
-    if cent.ndim == 2:
-        cent = cent[:, :, None]
-    if samp.ndim == 2:
-        samp = samp[:, :, None]
+    cent, samp = _as_stack(paths), _as_stack(samples)
     n = samp.shape[1] - 1
 
     if mode == "global":
@@ -556,16 +580,11 @@ def coverage_report(
             float(cover_blocks[:, :, w].any(axis=0).mean()) for w in range(p.L)
         ]
 
-    win_cov = None
+    win_cov = win_stats = None
     if epsilon is not None:
         wmin = max(1, math.ceil(epsilon * n))
-        stats = np.array(
-            [
-                max(min_window_overlap(c, s, wmin) for c in cent)
-                for s in samp
-            ]
-        )
-        win_cov = float((stats + 1e-12 >= delta).mean())
+        win_stats = window_minima(cent, samp, wmin).max(axis=0)
+        win_cov = float((win_stats + 1e-12 >= delta).mean())
 
     cov = float(covered.mean())
     eps_out = epsilon if epsilon is not None else 0.0
@@ -575,31 +594,13 @@ def coverage_report(
         paths=[cent[i] for i in range(cent.shape[0])],
         localized=cov >= 1.0 - eps_out if epsilon is not None else False,
         per_block_coverage=per_block,
-        window_epsilon=epsilon, window_coverage=win_cov,
+        window_epsilon=epsilon, window_coverage=win_cov, window_stats=win_stats,
     )
 
 
 def min_window_overlap(a, b, min_len: int) -> float:
-    """Minimum restricted overlap over all windows of length >= min_len.
-
-    Only lengths up to 2*min_len + 1 need scanning: any longer window splits
-    into pieces in that range and its overlap is a weighted average of the
-    piece overlaps, so it can never beat the piece minimum from below.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim == 1:
-        a, b = a[:, None], b[:, None]
-    n = a.shape[0] - 1
-    if not 1 <= min_len <= n:
-        raise ValueError(f"window length {min_len} outside 1..{n}")
-    eq = np.all(a[1:] == b[1:], axis=1).astype(np.float64)
-    csum = np.concatenate([[0.0], np.cumsum(eq)])
-    best = np.inf
-    for w in range(min_len, min(2 * min_len + 1, n) + 1):
-        means = (csum[w:] - csum[:-w]) / w
-        best = min(best, float(means.min()))
-    return best
+    """Minimum restricted overlap of paths a and b over all windows of length >= min_len."""
+    return float(window_minima([a], [b], min_len)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -690,11 +691,13 @@ def encode_path(path: np.ndarray) -> str:
     if arr.ndim == 1:
         arr = arr[:, None]
     steps = np.diff(arr, axis=0)
-    toks = []
-    for s in steps:
-        (k,) = np.flatnonzero(s)
-        toks.append(("+" if s[k] > 0 else "-") + _axis_name(int(k)))
-    return ",".join(toks)
+    if np.any(np.count_nonzero(steps, axis=1) != 1):
+        raise ValueError("every step must move along exactly one axis")
+    axis = np.argmax(steps != 0, axis=1)
+    up = steps[np.arange(steps.shape[0]), axis] > 0
+    names = [_axis_name(k) for k in range(arr.shape[1])]
+    toks = ["-" + nm for nm in names] + ["+" + nm for nm in names]
+    return ",".join([toks[i] for i in (axis + up * arr.shape[1]).tolist()])
 
 
 def decode_path(spec: str, d: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from polymerlab.lattice import (
 )
 from polymerlab.localization import (
     InfeasibleConnectionError,
+    _site_keys,
     build_distinguished_sets,
     cardinality_bound,
     concatenate,
@@ -27,10 +29,12 @@ from polymerlab.localization import (
     greedy_favorite_paths,
     meeting_time,
     min_window_overlap,
+    pairwise_counts,
     plant_overlap_instance,
     splice_paths,
     step_feasible,
     verify_claim_reduction,
+    window_minima,
 )
 from polymerlab.overlap import block_overlap, overlap, restricted_overlap
 from polymerlab.transfer import BetaProfile, forward_layers, sample_paths
@@ -49,6 +53,82 @@ def bfs_reachable(x, y, s, d):
                     nxt.add(tuple(q))
         cur = nxt
     return tuple(np.atleast_1d(y)) in cur
+
+
+# Per-pair loop references for the vectorised kernels.
+
+def ref_connecting_path(x, y, s):
+    pos = np.array(x, dtype=np.int64)
+    out = [pos.copy()]
+    for k in range(pos.size):
+        while pos[k] != y[k]:
+            pos[k] += 1 if y[k] > pos[k] else -1
+            out.append(pos.copy())
+    while len(out) < s + 1:
+        for sign in (1, -1):
+            pos[0] += sign
+            out.append(pos.copy())
+    return np.array(out)
+
+
+def ref_encode_path(path):
+    toks = []
+    for step in np.diff(path, axis=0):
+        (k,) = np.flatnonzero(step)
+        toks.append(("+" if step[k] > 0 else "-") + "xyz"[k])
+    return ",".join(toks)
+
+
+def ref_pairwise_counts(centers, samples, boundaries):
+    out = np.zeros((len(centers), len(samples), len(boundaries) - 1), dtype=np.int64)
+    for i, a in enumerate(centers):
+        for j, b in enumerate(samples):
+            for w in range(len(boundaries) - 1):
+                lo, hi = boundaries[w] + 1, boundaries[w + 1] + 1
+                out[i, j, w] = np.all(a[lo:hi] == b[lo:hi], axis=1).sum()
+    return out
+
+
+def ref_min_window_overlap(a, b, min_len):
+    eq = np.all(a[1:] == b[1:], axis=1).astype(np.float64)
+    csum = np.concatenate([[0.0], np.cumsum(eq)])
+    best = np.inf
+    for w in range(min_len, min(2 * min_len + 1, len(eq)) + 1):
+        best = min(best, float(((csum[w:] - csum[:-w]) / w).min()))
+    return best
+
+
+def extreme_paths(rng, n_paths, n, d, parents=None):
+    """Walks that reach coordinates near +-n, optionally branching off parents.
+
+    Each path is a ray along one signed axis with a few random steps mixed
+    in; with ``parents`` it follows a random parent up to a random time, so
+    pairs share sites in some windows and not in others.
+    """
+    out = np.zeros((n_paths, n + 1, d), dtype=np.int64)
+    for r in range(n_paths):
+        axis, sign = rng.integers(d), rng.choice((-1, 1))
+        steps = np.zeros((n, d), dtype=np.int64)
+        steps[:, axis] = sign
+        free = rng.random(n) < rng.choice((0.0, 0.3))  # pure rays reach +-n
+        steps[free] = 0
+        steps[free, rng.integers(0, d, size=free.sum())] = rng.choice((-1, 1), size=free.sum())
+        out[r, 1:] = np.cumsum(steps, axis=0)
+        if parents is not None and rng.random() < 0.7:
+            m = int(rng.integers(0, n + 1))
+            p = parents[rng.integers(len(parents))]
+            out[r, m + 1 :] += p[m] - out[r, m]
+            out[r, : m + 1] = p[: m + 1]
+    return out
+
+
+packed_cases = st.tuples(
+    st.integers(0, 2**32 - 1),  # seed
+    st.sampled_from([1, 2, 3]),  # d
+    st.integers(1, 40),  # n
+    st.integers(1, 5),  # centers
+    st.integers(1, 7),  # samples
+)
 
 
 class TestStepFeasible:
@@ -103,6 +183,17 @@ class TestConnectingPath:
             assert np.array_equal(out[0], x) and np.array_equal(out[-1], y)
             assert np.all(np.abs(np.diff(out, axis=0)).sum(axis=1) == 1) or s == 0
             assert np.array_equal(out, connecting_path(x, 0, y, s))
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.integers(0, 5))
+    def test_matches_step_loop(self, d, seed, extra):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-6, 7, size=d)
+        y = rng.integers(-6, 7, size=d)
+        s = int(np.abs(y - x).sum()) + 2 * extra
+        out = connecting_path(x, 3, y, 3 + s)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, ref_connecting_path(x, y, s))
 
 
 class TestMeetingTime:
@@ -345,6 +436,76 @@ class TestWindowMachinery:
             )
 
 
+class TestPackedKernels:
+    @settings(deadline=None, max_examples=80)
+    @given(packed_cases, st.booleans(), st.lists(st.integers(0, 40), max_size=5))
+    def test_pairwise_counts_match_per_pair(self, case, whole, cuts):
+        seed, d, n, n_c, n_s = case
+        rng = np.random.default_rng(seed)
+        centers = extreme_paths(rng, n_c, n, d)
+        samples = extreme_paths(rng, n_s, n, d, parents=centers)
+        # (0, n) or an uneven partition, empty blocks included
+        bounds = (0, n) if whole else tuple(sorted([0, n] + [c % (n + 1) for c in cuts]))
+        got = pairwise_counts(centers, samples, bounds)
+        assert got.shape == (n_c, n_s, len(bounds) - 1)
+        assert np.array_equal(got, ref_pairwise_counts(centers, samples, bounds))
+
+    @settings(deadline=None, max_examples=80)
+    @given(packed_cases, st.sampled_from(["one", "half", "all"]))
+    def test_window_minima_match_per_pair(self, case, length):
+        seed, d, n, n_c, n_s = case
+        rng = np.random.default_rng(seed)
+        centers = extreme_paths(rng, n_c, n, d)
+        samples = extreme_paths(rng, n_s, n, d, parents=centers)
+        min_len = {"one": 1, "half": max(1, n // 2), "all": n}[length]
+        got = window_minima(centers, samples, min_len)
+        ref = np.array([[ref_min_window_overlap(a, b, min_len) for b in samples] for a in centers])
+        assert np.array_equal(got, ref)  # bit for bit
+        assert np.array_equal(got.max(axis=0), [max(col) for col in ref.T])
+        assert min_window_overlap(centers[0], samples[-1], min_len) == ref[0, -1]
+
+    @pytest.mark.parametrize("big, key_dtype", [(2**20 - 25, np.uint64), (2**40, np.intp)])
+    def test_wide_coordinates_neither_alias_nor_overflow(self, rw, big, key_dtype):
+        # +-(2**20 - 25) leaves each axis just under 2**21 wide, so packed keys
+        # fill 63 bits; +-2**40 is too wide to pack and the sites are ranked
+        base = rw(np.random.default_rng(30), 6, 24, 3)
+        far = base.copy()
+        far[::2] += big
+        far[1::3] -= big
+        far[5, :, 2] += big  # differs from base in the last axis only
+        centers, samples = far[:3], np.concatenate([far, base])
+        assert _site_keys(centers, samples)[0].dtype == key_dtype
+        bounds = (0, 7, 7, 24)
+        assert np.array_equal(
+            pairwise_counts(centers, samples, bounds),
+            ref_pairwise_counts(centers, samples, bounds),
+        )
+        ref = [[ref_min_window_overlap(a, b, 5) for b in samples] for a in centers]
+        assert np.array_equal(window_minima(centers, samples, 5), ref)
+
+    def test_pairwise_counts_peak_memory_bound(self, rw):
+        samples = rw(np.random.default_rng(31), 500, 512)
+        bounds = make_partition(512, 4).boundaries
+        tracemalloc.start()
+        try:
+            pairwise_counts(samples, samples, bounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_coverage_report_keeps_window_statistic(self, rw):
+        rng = np.random.default_rng(32)
+        samples = rw(rng, 30, 40)
+        centers = rw(rng, 4, 40)
+        p = make_partition(40, 4)
+        rep = coverage_report(centers, samples, 0.05, p, mode="global", epsilon=0.25)
+        ref = [max(ref_min_window_overlap(c, s, 10) for c in centers) for s in samples]
+        assert np.array_equal(rep.window_stats, ref)
+        assert "window_stats" not in rep.to_json_record()
+        assert coverage_report(centers, samples, 0.05, p).window_stats is None
+
+
 class TestGreedyExtraction:
     def test_identical_samples(self):
         path = as_path(np.concatenate([[0], np.cumsum(np.ones(20, dtype=int))]))
@@ -435,3 +596,14 @@ class TestPathEncoding:
     def test_format(self):
         q = as_path([[0, 0], [1, 0], [1, 1], [0, 1]], d=2)
         assert encode_path(q) == "+x,+y,-x"
+        assert encode_path(q[:1]) == ""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_step_loop(self, rw, d):
+        for path in rw(np.random.default_rng(33), 20, 50, d):
+            assert encode_path(path) == ref_encode_path(path)
+
+    @pytest.mark.parametrize("bad", [[[0, 0], [0, 0]], [[0, 0], [1, 1]]])
+    def test_rejects_non_unit_steps(self, bad):
+        with pytest.raises(ValueError):
+            encode_path(np.array(bad))
