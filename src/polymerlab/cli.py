@@ -31,9 +31,8 @@ import numpy as np
 from . import verify as verify_mod
 from .free_energy import (
     annealed_bound,
-    concentration_profile,
-    estimate_derivative,
-    estimate_free_energy,
+    concentration_from_samples,
+    estimate_free_energies,
     multi_temp_consistency,
 )
 from .lattice import LatticeParams, derive_seed, gaussian_env, make_partition
@@ -45,7 +44,7 @@ from .localization import (
     greedy_favorite_paths,
     report_to_jsonl,
 )
-from .overlap import exact_two_replica_overlap, ibp_residual, mean_replica_overlap
+from .overlap import sweep_overlaps
 from .transfer import BetaProfile, forward_layers, sample_paths
 
 COMMANDS = ("free-energy", "overlap", "localize", "verify", "plotdata")
@@ -209,17 +208,21 @@ def cmd_free_energy(cfg: ExperimentConfig) -> RunRecord:
         )
         return _finish(cfg, {"multi_temp_csv": "multi_temp.csv", "n_rows": len(gaps)}, t0)
 
-    rows = []
+    rows, tail_rows = [], []
     for n in ns:
         params = LatticeParams(d=cfg.d, N=int(n))
-        for beta in betas:
-            est = estimate_free_energy(
-                beta, params, cfg.n_disorder, cfg.seed, n_threads=cfg.threads
-            )
+        ests = estimate_free_energies(
+            betas, params, cfg.n_disorder, cfg.seed, n_threads=cfg.threads
+        )
+        for beta, est in zip(betas, ests):
             rows.append(
                 (beta, int(n), cfg.d, 1, est.mean, est.stderr,
                  annealed_bound(beta), cfg.n_disorder, cfg.seed)
             )
+            if cfg.tail_u and beta != 0.0:
+                prof = concentration_from_samples(beta, params, est.samples, cfg.tail_u)
+                for u, emp, bnd in zip(prof.u_grid, prof.empirical, prof.bound):
+                    tail_rows.append((beta, int(n), float(u), float(emp), float(bnd)))
     write_csv(
         out / "free_energy.csv",
         ["beta", "N", "d", "L", "estimate", "stderr", "annealed", "n_disorder", "seed"],
@@ -228,18 +231,6 @@ def cmd_free_energy(cfg: ExperimentConfig) -> RunRecord:
     metrics = {"free_energy_csv": "free_energy.csv", "n_rows": len(rows)}
 
     if cfg.tail_u:
-        tail_rows = []
-        for n in ns:
-            params = LatticeParams(d=cfg.d, N=int(n))
-            for beta in betas:
-                if beta == 0.0:
-                    continue
-                prof = concentration_profile(
-                    beta, params, cfg.n_disorder, cfg.tail_u, cfg.seed,
-                    n_threads=cfg.threads,
-                )
-                for u, emp, bnd in zip(prof.u_grid, prof.empirical, prof.bound):
-                    tail_rows.append((beta, int(n), float(u), float(emp), float(bnd)))
         write_csv(
             out / "concentration.csv",
             ["beta", "N", "u", "empirical", "bound"],
@@ -263,37 +254,21 @@ def cmd_overlap(cfg: ExperimentConfig) -> RunRecord:
         enum_ok = (2 * cfg.d) ** int(n) <= 4096
         mode = cfg.mode if cfg.mode != "auto" else ("enum" if enum_ok else "mc")
         for beta in betas:
-            env = gaussian_env(derive_seed(cfg.seed, 0), params)
-            prof = BetaProfile.constant(beta, int(n))
-            est = mean_replica_overlap(
-                env, prof, cfg.n_pairs, np.random.default_rng(derive_seed(cfg.seed, 1))
-            )
-            exact = float(
-                np.mean(
-                    [
-                        exact_two_replica_overlap(
-                            gaussian_env(derive_seed(cfg.seed, r), params), prof
-                        )
-                        for r in range(min(cfg.n_disorder, 50))
-                    ]
-                )
-            )
+            if beta > 0.0 and beta - cfg.h < 0:
+                raise ValidationError(f"h={cfg.h} too large for beta={beta}")
+            sw = sweep_overlaps(beta, cfg.h, params, cfg.n_disorder, cfg.seed,
+                                cfg.n_pairs, mode)
+            est = sw.replica
             if beta > 0.0:
-                if beta - cfg.h < 0:
-                    raise ValidationError(f"h={cfg.h} too large for beta={beta}")
-                ibp = ibp_residual(beta, cfg.h, params, cfg.n_disorder, cfg.seed, mode=mode)
-                deriv = estimate_derivative(
-                    beta, cfg.h, params, cfg.n_disorder, cfg.seed, n_threads=cfg.threads
-                )
-                identity = 1.0 - deriv / beta
+                identity = 1.0 - sw.derivative / beta
                 rows.append(
-                    (beta, int(n), cfg.d, mode, est.mean, est.stderr, exact,
-                     ibp.residual, ibp.stderr, identity, cfg.n_disorder, cfg.seed)
+                    (beta, int(n), cfg.d, mode, est.mean, est.stderr, sw.exact,
+                     sw.ibp.residual, sw.ibp.stderr, identity, cfg.n_disorder, cfg.seed)
                 )
             else:
                 # the identity column divides by beta; emit overlap only
                 rows.append(
-                    (beta, int(n), cfg.d, mode, est.mean, est.stderr, exact,
+                    (beta, int(n), cfg.d, mode, est.mean, est.stderr, sw.exact,
                      "", "", "", cfg.n_disorder, cfg.seed)
                 )
     write_csv(
@@ -590,6 +565,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValidationError("beta values must be >= 0")
     if any(n < 1 for n in cfg.n_values):
         raise ValidationError("N values must be >= 1")
+    if any(u <= 0 for u in cfg.tail_u):
+        raise ValidationError("tail u values must be positive")
     if cfg.command == "free-energy" and cfg.block_betas:
         if len(cfg.block_betas) != cfg.L:
             raise ValidationError(

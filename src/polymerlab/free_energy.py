@@ -10,6 +10,14 @@ normal, so every estimate must sit below beta^2/2 up to sampling noise.
 Derivatives use common random numbers: the profiles at beta +/- h share each
 environment, which collapses the variance of the difference.
 
+A beta grid is swept in one rolling transfer pass per environment:
+``estimate_free_energies`` hands every beta of the grid to one
+``log_partitions`` call, so each layer's field is generated once per
+environment, and the resulting (environment x beta) matrix of log Z / N
+feeds the estimates and, through ``concentration_from_samples``, the
+concentration tails.  Per-profile arithmetic is the same as one beta at a
+time, so the numbers are bit-identical.
+
 ``multi_temp_gap`` measures how closely the multi-temperature free energy
 matches the average of independent single-temperature block free energies.
 Each replica builds L fresh block environments, evaluates the standalone
@@ -22,7 +30,7 @@ N grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +47,8 @@ class FreeEnergyEstimate:
     mean: float  # per-step free energy, (1/N) avg log Z
     stderr: float
     n_disorder: int
+    # log Z / N per environment, the sample behind mean and stderr
+    samples: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -72,6 +82,35 @@ def _per_step_logz(params: LatticeParams, profiles, master_seed: int, n_disorder
     return np.vstack(rows)
 
 
+def estimate_free_energies(
+    betas,
+    params: LatticeParams,
+    n_disorder: int = 200,
+    master_seed: int = 0,
+    n_threads: int = 1,
+) -> list[FreeEnergyEstimate]:
+    """Average (1/N) log Z_N(beta) over independent environments, per beta.
+
+    Every beta shares one rolling transfer pass per environment.
+    """
+    if n_disorder < 2:
+        raise ValueError("need n_disorder >= 2")
+    profs = [BetaProfile.constant(beta, params.N) for beta in betas]
+    vals = _per_step_logz(params, profs, master_seed, n_disorder, n_threads)
+    return [
+        FreeEnergyEstimate(
+            beta=beta,
+            N=params.N,
+            d=params.d,
+            mean=float(v.mean()),
+            stderr=float(v.std(ddof=1) / np.sqrt(n_disorder)),
+            n_disorder=n_disorder,
+            samples=v,
+        )
+        for beta, v in zip(betas, vals.T)
+    ]
+
+
 def estimate_free_energy(
     beta: float,
     params: LatticeParams,
@@ -80,18 +119,12 @@ def estimate_free_energy(
     n_threads: int = 1,
 ) -> FreeEnergyEstimate:
     """Average (1/N) log Z_N(beta) over independent environments."""
-    if n_disorder < 2:
-        raise ValueError("need n_disorder >= 2")
-    prof = BetaProfile.constant(beta, params.N)
-    vals = _per_step_logz(params, [prof], master_seed, n_disorder, n_threads)[:, 0]
-    return FreeEnergyEstimate(
-        beta=beta,
-        N=params.N,
-        d=params.d,
-        mean=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / np.sqrt(n_disorder)),
-        n_disorder=n_disorder,
-    )
+    return estimate_free_energies([beta], params, n_disorder, master_seed, n_threads)[0]
+
+
+def difference_quotient(lo: np.ndarray, hi: np.ndarray, width: float) -> float:
+    """Mean over environments of (hi - lo) / width, for per-step log Z samples."""
+    return float((hi - lo).mean() / width)
 
 
 def estimate_derivative(
@@ -115,7 +148,7 @@ def estimate_derivative(
         lo, hi, width = beta - h, beta + h, 2 * h
     profs = [BetaProfile.constant(lo, params.N), BetaProfile.constant(hi, params.N)]
     vals = _per_step_logz(params, profs, master_seed, n_disorder, n_threads)
-    return float((vals[:, 1] - vals[:, 0]).mean() / width)
+    return difference_quotient(vals[:, 0], vals[:, 1], width)
 
 
 def concentration_profile(
@@ -127,12 +160,26 @@ def concentration_profile(
     n_threads: int = 1,
 ) -> ConcentrationProfile:
     """Empirical exceedance of |log Z/N - mean| against the Gaussian bound."""
+    u_grid = _positive_grid(u_grid)  # before the transfer passes
+    prof = BetaProfile.constant(beta, params.N)
+    vals = _per_step_logz(params, [prof], master_seed, n_disorder, n_threads)[:, 0]
+    return concentration_from_samples(beta, params, vals, u_grid)
+
+
+def _positive_grid(u_grid) -> np.ndarray:
     u_grid = np.asarray(u_grid, dtype=np.float64)
     if np.any(u_grid <= 0):
         raise ValueError("u grid must be positive")
-    prof = BetaProfile.constant(beta, params.N)
-    vals = _per_step_logz(params, [prof], master_seed, n_disorder, n_threads)[:, 0]
-    dev = np.abs(vals - vals.mean())
+    return u_grid
+
+
+def concentration_from_samples(
+    beta: float, params: LatticeParams, samples: np.ndarray, u_grid
+) -> ConcentrationProfile:
+    """``concentration_profile`` of given per-environment log Z / N samples."""
+    u_grid = _positive_grid(u_grid)
+    n_disorder = len(samples)
+    dev = np.abs(samples - samples.mean())
     empirical = np.array([(dev > u).mean() for u in u_grid])
     if beta == 0.0:
         bound = np.zeros_like(u_grid)

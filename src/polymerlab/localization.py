@@ -369,11 +369,12 @@ def pairwise_counts(centers: np.ndarray, samples: np.ndarray, boundaries) -> np.
 def window_minima(centers, samples, min_len: int) -> np.ndarray:
     """(n_centers, n_samples) array of ``min_window_overlap`` for every pair.
 
-    Only lengths up to 2*min_len + 1 need scanning: any longer window splits
-    into pieces in that range and its overlap is a weighted average of the
-    piece overlaps, so it can never beat the piece minimum from below.  Each
-    length's minimum count is divided by the length afterwards, which is
-    monotone, so the result equals the minimum of the window means bit for bit.
+    Only lengths up to 2*min_len - 1 need scanning: a window of length
+    >= 2*min_len splits into two halves of length >= min_len each, and its
+    overlap is a weighted average of theirs, so it can never beat the smaller
+    from below.  Each length's minimum count is divided by the length
+    afterwards, and correctly rounded division is monotone, so the result
+    equals the minimum of the window means bit for bit.
     """
     c, s = _site_keys(_as_stack(centers), _as_stack(samples))
     n = s.shape[1] - 1
@@ -386,7 +387,7 @@ def window_minima(centers, samples, min_len: int) -> np.ndarray:
         acc = np.zeros(eq.shape[:2] + (n + 1,), np.min_scalar_type(n))
         np.cumsum(eq, axis=2, out=acc[:, :, 1:])
         best = out[lo : lo + tile]
-        for w in range(min_len, min(2 * min_len + 1, n) + 1):
+        for w in range(min_len, min(2 * min_len - 1, n) + 1):
             np.minimum(best, (acc[:, :, w:] - acc[:, :, :-w]).min(axis=2) / w, out=best)
     return out
 

@@ -17,6 +17,15 @@ set of environments; in enumeration mode the statistically-exact pathwise
 half of the identity, d/dbeta log Z = <H>, is checked per environment with
 log Z from path enumeration and <H> from transfer-matrix marginals, so only
 the O(h^2) finite-difference bias remains.
+
+Each estimator's formula is written once, over transfer tables or log Z
+values; the public estimators wrap it for one environment or one disorder
+average.  ``sweep_overlaps`` feeds every formula at one (N, beta) from one
+pass per environment: the forward table (the replica sampler runs on it for
+environment 0 before the backward table exists), the backward table (exact
+<R> and, in enum mode, <H>), and one rolling log Z pass at beta +/- h that
+serves both the identity and the finite-difference derivative.  At most one
+(forward, backward) pair is alive at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .free_energy import difference_quotient
 from .lattice import Environment, LatticeParams, PartitionScheme, derive_seed, gaussian_env
 from .transfer import (
     BetaProfile,
@@ -88,6 +98,19 @@ class OverlapEstimate:
     n_disorder: int
 
 
+def _replica_overlap(table, n_pairs: int, rng: np.random.Generator,
+                     sampler=sample_paths) -> OverlapEstimate:
+    """``mean_replica_overlap`` on a given forward table."""
+    if n_pairs < 1:
+        raise ValueError("need at least one pair")
+    paths = sampler(table, 2 * n_pairs, rng)
+    eq = np.all(paths[0::2, 1:, :] == paths[1::2, 1:, :], axis=2)
+    vals = eq.sum(axis=1) / table.N
+    mean = float(vals.mean())
+    stderr = float(vals.std(ddof=1) / np.sqrt(n_pairs)) if n_pairs > 1 else 0.0
+    return OverlapEstimate(mean=mean, stderr=stderr, n_pairs=n_pairs, n_disorder=1)
+
+
 def mean_replica_overlap(
     env: Environment,
     profile: BetaProfile,
@@ -99,23 +122,12 @@ def mean_replica_overlap(
 
     ``sampler`` is injectable so tests can force degenerate draws.
     """
-    if n_pairs < 1:
-        raise ValueError("need at least one pair")
-    table = forward_layers(env, profile)
-    paths = sampler(table, 2 * n_pairs, rng)
-    n = profile.N
-    eq = np.all(paths[0::2, 1:, :] == paths[1::2, 1:, :], axis=2)
-    vals = eq.sum(axis=1) / n
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(n_pairs)) if n_pairs > 1 else 0.0
-    return OverlapEstimate(mean=mean, stderr=stderr, n_pairs=n_pairs, n_disorder=1)
+    return _replica_overlap(forward_layers(env, profile), n_pairs, rng, sampler)
 
 
-def exact_two_replica_overlap(env: Environment, profile: BetaProfile) -> float:
-    """Exact quenched <R> = (1/N) sum_i sum_x mu(sigma_i = x)^2."""
-    fwd = forward_layers(env, profile)
-    bwd = backward_layers(env, profile)
-    n = profile.N
+def _exact_overlap(fwd, bwd) -> float:
+    """``exact_two_replica_overlap`` from the forward and backward tables."""
+    n = fwd.N
     total = 0.0
     for i in range(1, n + 1):
         lm = layer_log_marginals(fwd, bwd, i)
@@ -123,14 +135,17 @@ def exact_two_replica_overlap(env: Environment, profile: BetaProfile) -> float:
     return total / n
 
 
-def _mean_energy_from_marginals(env: Environment, profile: BetaProfile) -> float:
+def exact_two_replica_overlap(env: Environment, profile: BetaProfile) -> float:
+    """Exact quenched <R> = (1/N) sum_i sum_x mu(sigma_i = x)^2."""
+    return _exact_overlap(forward_layers(env, profile), backward_layers(env, profile))
+
+
+def _mean_energy(fwd, bwd) -> float:
     """<H> = sum_{i,x} g(i,x) mu(sigma_i = x) via transfer-matrix marginals."""
-    fwd = forward_layers(env, profile)
-    bwd = backward_layers(env, profile)
     total = 0.0
-    for i in range(1, profile.N + 1):
+    for i in range(1, fwd.N + 1):
         mu = np.exp(layer_log_marginals(fwd, bwd, i))
-        g = env.values(i, fwd.layer_coords(i))
+        g = fwd.env.values(i, fwd.layer_coords(i))
         total += float(mu @ g)
     return total
 
@@ -147,6 +162,50 @@ class IbpEstimate:
     h: float
     n_disorder: int
     mode: str
+
+
+def _ibp_rhs(fwd, bwd, beta: float, mode: str, overlap: float | None = None) -> float:
+    """One environment's right-hand side: beta (1 - <R>) (mc) or <H>/N (enum).
+
+    ``overlap`` is <R> when the caller already has it from the same tables.
+    """
+    if mode == "enum":
+        return _mean_energy(fwd, bwd) / fwd.N
+    return beta * (1.0 - (_exact_overlap(fwd, bwd) if overlap is None else overlap))
+
+
+def _enumerated_log_partitions(env: Environment, profiles) -> np.ndarray:
+    return np.array([brute_force_log_partition(env, pr) for pr in profiles])
+
+
+def _ibp_summary(logz: np.ndarray, rhs: np.ndarray, beta: float, h: float,
+                 n: int, mode: str) -> IbpEstimate:
+    """The identity's residual from per-environment log Z at beta +/- h
+    (columns of ``logz``) and right-hand sides."""
+    diffs = (logz[:, 0] - logz[:, 1]) / (2.0 * h * n)
+    x = diffs - rhs
+    n_disorder = len(x)
+    residual = float(abs(x.mean()))
+    stderr = float(x.std(ddof=1) / np.sqrt(n_disorder)) if n_disorder > 1 else 0.0
+    return IbpEstimate(
+        residual=residual,
+        stderr=stderr,
+        derivative=float(diffs.mean()),
+        overlap_term=float(rhs.mean()),
+        beta=beta,
+        h=h,
+        n_disorder=n_disorder,
+        mode=mode,
+    )
+
+
+def _check_ibp_args(beta: float, h: float, mode: str) -> None:
+    if h <= 0:
+        raise ValueError("h must be positive")
+    if beta - h < 0:
+        raise ValueError("need beta - h >= 0")
+    if mode not in ("mc", "enum"):
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def ibp_residual(
@@ -167,43 +226,89 @@ def ibp_residual(
           marginals; all sampling noise cancels and only the O(h^2)
           discretization bias remains.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if beta - h < 0:
-        raise ValueError("need beta - h >= 0")
-    if mode not in ("mc", "enum"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_ibp_args(beta, h, mode)
     n = params.N
-    prof_p = BetaProfile.constant(beta + h, n)
-    prof_m = BetaProfile.constant(beta - h, n)
+    profs = [BetaProfile.constant(beta + h, n), BetaProfile.constant(beta - h, n)]
     prof_0 = BetaProfile.constant(beta, n)
 
-    diffs = np.empty(n_disorder)
+    logz = np.empty((n_disorder, 2))
     rhs = np.empty(n_disorder)
     for r in range(n_disorder):
         env = gaussian_env(derive_seed(master_seed, r), params)
         if mode == "mc":
-            lzp, lzm = log_partitions(env, [prof_p, prof_m])
-            diffs[r] = (lzp - lzm) / (2.0 * h * n)
-            rhs[r] = beta * (1.0 - exact_two_replica_overlap(env, prof_0))
+            logz[r] = log_partitions(env, profs)
         else:
-            lzp = brute_force_log_partition(env, prof_p)
-            lzm = brute_force_log_partition(env, prof_m)
-            diffs[r] = (lzp - lzm) / (2.0 * h * n)
-            rhs[r] = _mean_energy_from_marginals(env, prof_0) / n
+            logz[r] = _enumerated_log_partitions(env, profs)
+        rhs[r] = _ibp_rhs(forward_layers(env, prof_0), backward_layers(env, prof_0), beta, mode)
+    return _ibp_summary(logz, rhs, beta, h, n, mode)
 
-    x = diffs - rhs
-    residual = float(abs(x.mean()))
-    stderr = float(x.std(ddof=1) / np.sqrt(n_disorder)) if n_disorder > 1 else 0.0
-    return IbpEstimate(
-        residual=residual,
-        stderr=stderr,
-        derivative=float(diffs.mean()),
-        overlap_term=float(rhs.mean()),
-        beta=beta,
-        h=h,
-        n_disorder=n_disorder,
-        mode=mode,
+
+# at most this many environments enter ``OverlapSweep.exact``
+EXACT_OVERLAP_ENVS = 50
+
+
+@dataclass(frozen=True)
+class OverlapSweep:
+    """Every overlap estimate at one (N, beta), one pass per environment."""
+
+    replica: OverlapEstimate  # sampled pairs on environment 0
+    exact: float  # exact <R>, mean over the first min(n_disorder, 50) environments
+    ibp: IbpEstimate | None  # all n_disorder environments; None at beta = 0
+    derivative: float | None  # (1/N) d/dbeta E log Z, central difference; None at beta = 0
+
+
+def sweep_overlaps(
+    beta: float,
+    h: float,
+    params: LatticeParams,
+    n_disorder: int,
+    master_seed: int,
+    n_pairs: int,
+    mode: str = "mc",
+) -> OverlapSweep:
+    """Every overlap estimate at one (N, beta) from one pass per environment.
+
+    Gives the same numbers as ``mean_replica_overlap`` on environment 0 with
+    the generator seeded by ``derive_seed(master_seed, 1)``, the mean of
+    ``exact_two_replica_overlap``, ``ibp_residual`` and
+    ``estimate_derivative``, from one forward, one backward and (beta > 0)
+    one rolling pass per environment.
+    """
+    n = params.N
+    prof = BetaProfile.constant(beta, n)
+    n_exact = min(n_disorder, EXACT_OVERLAP_ENVS)
+    if beta > 0.0:
+        _check_ibp_args(beta, h, mode)
+        profs = [BetaProfile.constant(beta + h, n), BetaProfile.constant(beta - h, n)]
+        n_env = n_disorder
+    else:
+        n_env = n_exact
+    overlaps = []
+    rhs = np.empty(n_env)
+    rolled, logz = np.empty((n_env, 2)), np.empty((n_env, 2))
+    for r in range(n_env):
+        env = gaussian_env(derive_seed(master_seed, r), params)
+        fwd = forward_layers(env, prof)
+        if r == 0:
+            rng = np.random.default_rng(derive_seed(master_seed, 1))
+            replica = _replica_overlap(fwd, n_pairs, rng)
+        bwd = backward_layers(env, prof)
+        if r < n_exact:
+            overlaps.append(_exact_overlap(fwd, bwd))
+        if beta > 0.0:
+            rhs[r] = _ibp_rhs(fwd, bwd, beta, mode, overlaps[r] if r < n_exact else None)
+        del fwd, bwd  # before the next pair is built
+        if beta > 0.0:
+            rolled[r] = log_partitions(env, profs)
+            logz[r] = rolled[r] if mode == "mc" else _enumerated_log_partitions(env, profs)
+    exact = float(np.mean(overlaps))
+    if beta == 0.0:
+        return OverlapSweep(replica, exact, None, None)
+    return OverlapSweep(
+        replica,
+        exact,
+        _ibp_summary(logz, rhs, beta, h, n, mode),
+        difference_quotient(rolled[:, 1] / n, rolled[:, 0] / n, 2 * h),
     )
 
 

@@ -302,8 +302,9 @@ def _transfer(env, profiles, direction, dtype, keep, geometry=_geometry):
     backward: log B(i-1) = log sum_nbr exp(drive_i + log B(i)) - log 2d,  i = N..1
 
     with drive_i = beta_i g(i, .).  Each layer's field is generated once and
-    fed to every profile.  Returns the geometry and, per profile, the layers
-    0..N (``keep``) or a one-element list holding the last layer computed.
+    fed to every profile, and not at all where every beta_i is 0.  Returns
+    the geometry and, per profile, the layers 0..N (``keep``) or a
+    one-element list holding the last layer computed.
     """
     for pr in profiles:
         _check_forward_args(env, pr)
@@ -315,11 +316,12 @@ def _transfer(env, profiles, direction, dtype, keep, geometry=_geometry):
     start = np.zeros(geom.shape(0 if forward else N), dtype=dtype)
     runs = [[start] for _ in profiles]
     for i in range(1, N + 1) if forward else range(N, 0, -1):
-        g = env.values(i, geom.coords(i)).reshape(geom.shape(i))
-        g = g.astype(dtype, copy=False) if dtype is not np.float64 else g
+        betas = [pr.values[i - 1] for pr in profiles]
+        if any(beta != 0.0 for beta in betas):
+            g = env.values(i, geom.coords(i)).reshape(geom.shape(i))
+            g = g.astype(dtype, copy=False) if dtype is not np.float64 else g
         nbsum = geom.sum_into(i) if forward else geom.sum_from(i)
-        for run, pr in zip(runs, profiles):
-            beta = pr.values[i - 1]
+        for run, beta in zip(runs, betas):
             drive = beta * g if beta != 0.0 else 0.0
             if forward:
                 layer = drive + nbsum(run[-1]) - log2d

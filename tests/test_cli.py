@@ -1,4 +1,6 @@
+import collections
 import csv
+import importlib
 import json
 
 import pytest
@@ -16,6 +18,7 @@ from polymerlab.cli import (
     load_config_file,
     main,
 )
+from polymerlab.lattice import derive_seed
 
 
 class TestConfig:
@@ -70,6 +73,8 @@ class TestConfig:
             config_from_args(ap.parse_args(["free-energy", "--n-disorder", "1"]))
         with pytest.raises(ValidationError):
             config_from_args(ap.parse_args(["localize", "--n", "8", "--blocks", "4"]))
+        with pytest.raises(ValidationError, match="tail u"):
+            config_from_args(ap.parse_args(["free-energy", "--tail-u", "0.1,0"]))
 
 
 def _cfg(**kw):
@@ -162,6 +167,57 @@ class TestOverlapCommand:
             "beta,N,d,mode,mean_overlap,overlap_stderr,exact_overlap,"
             "ibp_residual,ibp_stderr,one_minus_deriv_over_beta,n_disorder,seed"
         )
+
+
+class TestOnePassPerEnvironment:
+    """Each environment's transfer passes run once and feed every estimate."""
+
+    @staticmethod
+    def _count(monkeypatch, name, key):
+        """Count calls of a transfer entry point by key(env, second argument)."""
+        calls = collections.Counter()
+        # the package re-exports a function named ``overlap``, so import by name
+        mods = [importlib.import_module(f"polymerlab.{m}") for m in ("free_energy", "overlap")]
+        for mod in (m for m in mods if hasattr(m, name)):
+            def counted(env, arg, *rest, _orig=getattr(mod, name), **kw):
+                calls[key(env, arg)] += 1
+                return _orig(env, arg, *rest, **kw)
+            monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    def test_overlap_passes(self, tmp_path, monkeypatch):
+        def table_key(env, prof):
+            return env.params.N, float(prof.values[0]), env.seed
+
+        def rolling_key(env, profs):
+            return env.params.N, env.seed, tuple(sorted(float(p.values[0]) for p in profs))
+
+        fwd = self._count(monkeypatch, "forward_layers", table_key)
+        bwd = self._count(monkeypatch, "backward_layers", table_key)
+        rolled = self._count(monkeypatch, "log_partitions", rolling_key)
+        ns, betas, h, seed = (8, 12), (0.0, 1.0), 1e-3, 4
+        cmd_overlap(_cfg(
+            command="overlap", seed=seed, d=1, n_values=ns, beta_values=betas,
+            n_disorder=3, n_pairs=5, h=h, mode="mc", out=str(tmp_path),
+        ))
+        seeds = [derive_seed(seed, r) for r in range(3)]
+        want = {(n, b, s): 1 for n in ns for b in betas for s in seeds}
+        assert fwd == want
+        assert bwd == want
+        assert rolled == {(n, s, (b - h, b + h)): 1 for n in ns for b in betas if b > 0
+                          for s in seeds}
+
+    def test_free_energy_passes(self, tmp_path, monkeypatch):
+        def key(env, profs):
+            return env.params.N, env.seed, tuple(float(p.values[0]) for p in profs)
+
+        rolled = self._count(monkeypatch, "log_partitions", key)
+        ns, betas, seed = (8, 16), (0.0, 0.5, 2.0), 5
+        cmd_free_energy(_cfg(
+            command="free-energy", seed=seed, d=1, n_values=ns, beta_values=betas,
+            n_disorder=3, tail_u=(0.1,), out=str(tmp_path),
+        ))
+        assert rolled == {(n, derive_seed(seed, r), betas): 1 for n in ns for r in range(3)}
 
 
 class TestLocalizeCommand:

@@ -3,8 +3,10 @@ import pytest
 
 from polymerlab.free_energy import (
     annealed_bound,
+    concentration_from_samples,
     concentration_profile,
     estimate_derivative,
+    estimate_free_energies,
     estimate_free_energy,
     low_temp_gap,
     multi_temp_consistency,
@@ -33,6 +35,16 @@ class TestEstimateFreeEnergy:
         a = estimate_free_energy(1.0, params, 16, master_seed=3, n_threads=1)
         b = estimate_free_energy(1.0, params, 16, master_seed=3, n_threads=4)
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_grid_matches_one_beta_at_a_time(self, n_threads):
+        params, betas = LatticeParams(d=1, N=16), (0.0, 0.5, 1.0, 2.5)
+        grid = estimate_free_energies(betas, params, 200, master_seed=21, n_threads=n_threads)
+        for beta, est in zip(betas, grid):
+            one = estimate_free_energy(beta, params, 200, master_seed=21, n_threads=n_threads)
+            assert est == one  # every field but the samples, exactly
+            assert np.array_equal(est.samples, one.samples)
+            assert est.mean == float(np.mean(est.samples))
 
 
 class TestDerivative:
@@ -76,6 +88,15 @@ class TestConcentration:
         )
         assert np.all(prof.empirical == 0.0)
         assert np.all(prof.bound < 1e-50)
+
+    def test_profile_from_grid_samples(self):
+        params = LatticeParams(d=1, N=32)
+        est = estimate_free_energies((0.4, 1.5), params, 40, master_seed=16)[1]
+        got = concentration_from_samples(1.5, params, est.samples, (0.05, 0.2))
+        ref = concentration_profile(1.5, params, 40, (0.05, 0.2), master_seed=16)
+        for name in ("u_grid", "empirical", "bound", "binomial_sigma"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+        assert got.n_disorder == ref.n_disorder == 40
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,10 @@
 
 Each case runs ``cli.main`` at a small fixed config and compares the sha256
 of every metric file with a digest recorded before the transfer recursion
-was rebuilt around one driver, so refactors must leave the outputs
-byte-identical.  The digests were taken with Python 3.11.7, numpy 2.4.6 and
+was rebuilt around one driver (the ``free_energy_tail_d1`` and
+``overlap_d1_mixed`` digests: before the free-energy beta grid and the
+overlap estimators shared one pass per environment), so refactors must
+leave the outputs byte-identical.  The digests were taken with Python 3.11.7, numpy 2.4.6 and
 scipy 1.17.1; other versions may round differently.  A change that alters
 output bits on purpose (e.g. a new kernel) updates the digests here and
 says so in CHANGES.md.
@@ -25,6 +27,21 @@ CASES = {
         ["free-energy", "--d", "3", "--n-grid", "4,10", "--beta-grid", "0.5,2",
          "--n-disorder", "2", "--seed", "7"],
         {"free_energy.csv": "b85249565483c1dfbeef1fd91961c9a0248783ee2c51a7201a453e0ac504f375"},
+    ),
+    "free_energy_tail_d1": (
+        ["free-energy", "--d", "1", "--n-grid", "16,64", "--beta-grid", "0,0.5,2",
+         "--n-disorder", "6", "--tail-u", "0.02,0.1,0.4", "--seed", "7"],
+        {
+            "free_energy.csv": "1914f1488de792feef2cf9baf116fb77cb86251eeabced9be66dd57c1667d0d4",
+            "concentration.csv": "a419a9ac962ab01c1523a25906be6357b7f44d9dbb5be79f1a8d8157275f181c",
+        },
+    ),
+    # N = 8 runs in enum mode and N = 24 in mc mode; 55 environments cross
+    # the 50-environment cap of the exact_overlap column
+    "overlap_d1_mixed": (
+        ["overlap", "--d", "1", "--n-grid", "8,24", "--beta-grid", "0,0.5,1",
+         "--n-disorder", "55", "--n-pairs", "50", "--seed", "7"],
+        {"overlap.csv": "5e12ad33434f68984c5a04426d5f13933f53f110b2781eaaea0b7433ecb97cbd"},
     ),
     "overlap_d2": (
         ["overlap", "--d", "2", "--n-grid", "3,16", "--beta-grid", "0,1",

@@ -464,6 +464,24 @@ class TestPackedKernels:
         assert np.array_equal(got.max(axis=0), [max(col) for col in ref.T])
         assert min_window_overlap(centers[0], samples[-1], min_len) == ref[0, -1]
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("min_len", [1, 2, 5])
+    def test_window_minima_at_twice_min_len(self, min_len, extra, d):
+        # n = 2*min_len + extra: windows of length 2*min_len.. are not scanned
+        n = 2 * min_len + extra
+        rng = np.random.default_rng(100 * min_len + 10 * extra + d)
+        centers = extreme_paths(rng, 4, n, d)
+        samples = extreme_paths(rng, 6, n, d, parents=centers)
+        got = window_minima(centers, samples, min_len)
+        ref = np.array([[ref_min_window_overlap(a, b, min_len) for b in samples] for a in centers])
+        assert np.array_equal(got, ref)
+        for (ci, si), v in np.ndenumerate(got):
+            eq = np.all(centers[ci, 1:] == samples[si, 1:], axis=1)
+            every = min(eq[lo : lo + w].sum() / w
+                        for w in range(min_len, n + 1) for lo in range(n - w + 1))
+            assert v == every
+
     @pytest.mark.parametrize("big, key_dtype", [(2**20 - 25, np.uint64), (2**40, np.intp)])
     def test_wide_coordinates_neither_alias_nor_overflow(self, rw, big, key_dtype):
         # +-(2**20 - 25) leaves each axis just under 2**21 wide, so packed keys

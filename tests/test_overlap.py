@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polymerlab.lattice import LatticeParams, as_path, gaussian_env, make_partition
+from polymerlab.free_energy import estimate_derivative
+from polymerlab.lattice import LatticeParams, as_path, derive_seed, gaussian_env, make_partition
 from polymerlab.overlap import (
     block_overlap,
     enumerated_two_replica_overlap,
@@ -12,6 +13,7 @@ from polymerlab.overlap import (
     mean_replica_overlap,
     overlap,
     restricted_overlap,
+    sweep_overlaps,
 )
 from polymerlab.transfer import BetaProfile
 
@@ -185,3 +187,35 @@ class TestIbpResidual:
             ibp_residual(0.0005, 1e-3, params, 2, 0)
         with pytest.raises(ValueError):
             ibp_residual(1.0, 1e-3, params, 2, 0, mode="exact")
+
+
+class TestSweepOverlaps:
+    @pytest.mark.parametrize("mode,d,n,n_disorder", [("enum", 1, 8, 5), ("mc", 1, 16, 60),
+                                                    ("mc", 2, 6, 3)])
+    @pytest.mark.parametrize("beta", [0.0, 0.7])
+    def test_matches_separate_estimators(self, mode, d, n, n_disorder, beta):
+        params, seed, h, n_pairs = LatticeParams(d=d, N=n), 31, 1e-3, 40
+        prof = BetaProfile.constant(beta, n)
+        sw = sweep_overlaps(beta, h, params, n_disorder, seed, n_pairs, mode)
+        replica = mean_replica_overlap(
+            gaussian_env(derive_seed(seed, 0), params), prof, n_pairs,
+            np.random.default_rng(derive_seed(seed, 1)),
+        )
+        exact = float(np.mean([
+            exact_two_replica_overlap(gaussian_env(derive_seed(seed, r), params), prof)
+            for r in range(min(n_disorder, 50))
+        ]))
+        assert sw.replica == replica
+        assert sw.exact == exact
+        if beta == 0.0:
+            assert sw.ibp is None and sw.derivative is None
+        else:
+            assert sw.ibp == ibp_residual(beta, h, params, n_disorder, seed, mode=mode)
+            assert sw.derivative == estimate_derivative(beta, h, params, n_disorder, seed)
+
+    def test_preconditions(self):
+        params = LatticeParams(d=1, N=8)
+        with pytest.raises(ValueError):
+            sweep_overlaps(0.0005, 1e-3, params, 2, 0, 5)
+        with pytest.raises(ValueError):
+            sweep_overlaps(1.0, 1e-3, params, 2, 0, 5, mode="exact")

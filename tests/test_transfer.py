@@ -1,10 +1,11 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from polymerlab.lattice import LatticeParams, gaussian_env, make_partition, zero_env
+from polymerlab.lattice import Environment, LatticeParams, gaussian_env, make_partition, zero_env
 from polymerlab.transfer import (
     BetaProfile,
     LayerTable,
@@ -280,6 +281,45 @@ class TestGeometries:
         for a, b in zip(m_d, m_p):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) < 1e-12
+
+
+@dataclass(frozen=True)
+class CountingEnvironment(Environment):
+    """Gaussian environment that records the layer of every field request."""
+
+    layers: list = field(default_factory=list, compare=False)
+
+    def values(self, i, coords):
+        self.layers.append(i)
+        return super().values(i, coords)
+
+
+class TestFieldSkipping:
+    def test_zero_profile_requests_no_field(self):
+        env = CountingEnvironment(seed=3, params=LatticeParams(d=2, N=9))
+        prof = BetaProfile.constant(0.0, 9)
+        forward_layers(env, prof)
+        backward_layers(env, prof)
+        log_partitions(env, [prof, prof])
+        assert env.layers == []
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("direction,keep", [("forward", True), ("forward", False),
+                                                ("backward", True)])
+    def test_mixed_zero_blocks_identical_layers(self, d, direction, keep):
+        n = 12
+        p = make_partition(n, 3)
+        prof = BetaProfile.from_blocks(p, [0.0, 1.3, 0.0])
+        env = CountingEnvironment(seed=5, params=LatticeParams(d=d, N=n))
+        _, (skipped,) = _transfer(env, [prof], direction, np.float64, keep)
+        lo, hi = p.block_window(2)
+        assert sorted(env.layers) == list(range(lo, hi + 1))
+        # a constant profile alongside makes every layer's field be generated
+        _, (full, _) = _transfer(env, [prof, BetaProfile.constant(0.4, n)], direction,
+                                 np.float64, keep)
+        assert len(skipped) == len(full)
+        for a, b in zip(skipped, full):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_brute_force_guard():
