@@ -35,13 +35,20 @@ from .free_energy import (
     estimate_free_energies,
     multi_temp_consistency,
 )
-from .lattice import LatticeParams, derive_seed, gaussian_env, make_partition
+from .lattice import (
+    LatticeParams,
+    MemoryGuardError,
+    derive_seed,
+    gaussian_env,
+    make_partition,
+)
 from .localization import (
     MODES,
     build_distinguished_sets,
     coverage_report,
     default_refinement,
     greedy_favorite_paths,
+    pairwise_counts,
     report_to_jsonl,
 )
 from .overlap import sweep_overlaps
@@ -291,37 +298,42 @@ def cmd_localize(cfg: ExperimentConfig) -> RunRecord:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     part = make_partition(n, cfg.L)
-    params = LatticeParams(d=cfg.d, N=n)
+    env = gaussian_env(derive_seed(cfg.seed, 0), LatticeParams(d=cfg.d, N=n))
+    ds_part = make_partition(n, cfg.ds_levels)
+    K = default_refinement(cfg.delta)
 
     jsonl = out / "localize.jsonl"
     jsonl.write_text("")
     window_rows = []
     ds_records = []
     for beta in betas:
-        env = gaussian_env(derive_seed(cfg.seed, 0), params)
         table = forward_layers(env, BetaProfile.constant(beta, n))
         samples = sample_paths(
             table, cfg.n_samples, np.random.default_rng(derive_seed(cfg.seed, 3))
         )
+        # one coincidence tensor feeds every mode and the coverage report
+        counts = pairwise_counts(samples, samples, part.boundaries)
         reports = []
         for mode in MODES:
             rep = greedy_favorite_paths(
                 samples, cfg.delta, cfg.epsilon, mode,
                 p=part if mode != "global" else None, max_centers=cfg.max_j,
+                counts=counts,
             )
             reports.append(rep)
         global_rep = reports[0]
+        # keep only the chosen rows, so the full tensor is not alive under
+        # the window statistic's peak memory
+        counts = counts[global_rep.path_indices]
         if global_rep.paths:
             cov = coverage_report(
                 np.stack(global_rep.paths), samples, cfg.delta, part,
-                mode="global", epsilon=cfg.epsilon,
+                mode="global", epsilon=cfg.epsilon, counts=counts,
             )
             reports.append(cov)
             for si, stat in enumerate(cov.window_stats.tolist()):
                 window_rows.append((beta, n, cfg.epsilon, cfg.delta, si, stat))
             # distinguished-set induction seeded with the extracted paths
-            ds_part = make_partition(n, cfg.ds_levels)
-            K = default_refinement(cfg.delta)
             if n // cfg.ds_levels >= K:
                 ds = build_distinguished_sets(
                     list(global_rep.paths), ds_part, cfg.delta, max_paths=100_000
@@ -585,6 +597,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ValidationError(
                 f"localize needs N >= L^2 for the block machinery (N={n}, L={cfg.L})"
             )
+        if not 1 <= cfg.ds_levels <= n:
+            raise ValidationError(f"ds_levels={cfg.ds_levels} outside 1..N={n}")
 
 
 def main(argv=None) -> int:
@@ -609,7 +623,7 @@ def main(argv=None) -> int:
             rec = cmd_plotdata(cfg)
         else:  # pragma: no cover
             raise ValidationError(f"unknown command {cfg.command}")
-    except ValidationError as exc:
+    except (ValidationError, MemoryGuardError) as exc:
         print(f"polymerlab: {exc}", file=sys.stderr)
         return 1
     print(f"[{cfg.command}] wrote {cfg.out} in {rec.wall_time_s:.1f}s")

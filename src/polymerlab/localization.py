@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import PartitionScheme, SubPartition, make_subpartition
+from .lattice import MemoryGuardError, PartitionScheme, SubPartition, make_subpartition
 from .overlap import overlap_count
 
 AXIS_NAMES = ("x", "y", "z")
@@ -147,6 +147,45 @@ class DistinguishedSet:
         return len(self.paths)
 
 
+def _meeting_times(anchors: np.ndarray, ms: np.ndarray, targets: np.ndarray, lo: int):
+    """``meeting_time`` for every (partner, anchor) pair: (n_partners, len(ms)).
+
+    anchors[k] is the anchor site at time ms[k] and targets the (n_partners,
+    W, d) window slices starting at time ``lo``.  Entries with no feasible
+    time are -1.
+    """
+    steps = lo + np.arange(targets.shape[1]) - ms[:, None]  # (K-1, W)
+    slack = np.broadcast_to(steps, (targets.shape[0],) + steps.shape).copy()
+    for a in range(targets.shape[2]):
+        slack -= np.abs(targets[:, None, :, a] - anchors[None, :, None, a])
+    feasible = (slack >= 0) & (slack % 2 == 0)
+    first = feasible.argmax(axis=2)
+    return np.where(feasible.any(axis=2), lo + first, -1)
+
+
+def _splice_batch(head: np.ndarray, tails: np.ndarray, m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``splice_paths(head, tails[b], m[b], t[b])`` for every b, as one (B, T, d) array.
+
+    The bridge is ``connecting_path``'s rule in closed form: u steps after m,
+    axis a has moved min(max(u - c_a, 0), |gap_a|) toward the target, where
+    c_a is the distance closed on the axes before a; after the last gap step
+    the first coordinate oscillates +1 / -1.
+    """
+    u = np.arange(head.shape[0]) - m[:, None]  # (B, T)
+    x, y = head[m], tails[np.arange(tails.shape[0]), t]
+    gap = y - x
+    size = np.abs(gap)
+    out = u[:, :, None] - (np.cumsum(size, axis=1) - size)[:, None, :]
+    np.clip(out, 0, size[:, None, :], out=out)
+    out *= np.sign(gap)[:, None, :]
+    out += x[:, None, :]
+    tail = u - size.sum(axis=1)[:, None]
+    out[:, :, 0] += np.maximum(tail, 0, out=tail) & 1
+    np.copyto(out, head, where=(u <= 0)[:, :, None])
+    np.copyto(out, tails, where=(u > (t - m)[:, None])[:, :, None])
+    return out
+
+
 def build_distinguished_sets(
     d1_paths,
     p: PartitionScheme,
@@ -157,9 +196,14 @@ def build_distinguished_sets(
     """Run the concatenation induction from level 1 to level L.
 
     At each level, every ordered pair of distinct paths contributes one
-    concatenated path per sub-block boundary with a finite meeting time.
-    The growth obeys |D_{level+1}| <= K |D_level|^2, which explodes quickly;
-    ``max_paths`` guards against runaway configurations.
+    concatenated path per sub-block boundary with a finite meeting time,
+    taken in (anchor, partner, boundary) order and kept when new.  The
+    growth obeys |D_{level+1}| <= K |D_level|^2, which explodes quickly;
+    ``max_paths`` guards against runaway configurations (MemoryGuardError).
+
+    Each level's paths are stacked once; per anchor path, the meeting times
+    and splices for a tile of partners are array operations whose
+    temporaries hold about 64K cells.  Spliced paths are int64.
     """
     K = default_refinement(delta) if K is None else int(K)
     if p.N // p.L < K:
@@ -178,29 +222,40 @@ def build_distinguished_sets(
             paths.append(a)
             prov.append(None)
     for ell in range(1, p.L):
-        sub = make_subpartition(p, ell, K)
-        window = p.block_window(ell + 1)
-        level_size = len(paths)
-        for ia in range(level_size):
-            for ib in range(level_size):
-                if ia == ib:
-                    continue
-                for k in range(1, K):
-                    m = sub.boundaries[k]
-                    t = meeting_time(paths[ia], paths[ib], m, window)
-                    if t is None:
-                        continue
-                    cand = splice_paths(paths[ia], paths[ib], m, t)
-                    key = cand.tobytes()
+        ms = np.asarray(make_subpartition(p, ell, K).boundaries[1:K])
+        lo, hi = p.block_window(ell + 1)
+        level = np.stack(paths).astype(np.int64, copy=False)
+        n, T, d = level.shape
+        # ~64K cells per temporary: small enough to stay in cache
+        tile = max(1, 2**16 // (len(ms) * max(hi - lo + 1, T * d)))
+        for ia in range(n):
+            head = level[ia]
+            for j0 in range(0, n, tile):
+                tails = level[j0 : j0 + tile]
+                meet = _meeting_times(head[ms], ms, tails[:, lo : hi + 1], lo)
+                if j0 <= ia < j0 + tile:
+                    meet[ia - j0] = -1
+                jj, kk = np.nonzero(meet >= 0)
+                tt = meet[jj, kk]
+                cands = _splice_batch(head, tails[jj], ms[kk], tt)
+                rows = cands.reshape(len(jj), T * d)  # one bytes key per candidate
+                keys = rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel().tolist()
+                new = []
+                for c, key in enumerate(keys):
                     if key in seen:
                         continue
                     seen.add(key)
-                    paths.append(cand)
-                    prov.append((ia, ib, k, t))
-                    if len(paths) > max_paths:
-                        raise MemoryError(
+                    new.append(c)
+                    if len(paths) + len(new) > max_paths:
+                        raise MemoryGuardError(
                             f"distinguished set exceeded {max_paths} paths at level {ell + 1}"
                         )
+                paths.extend(cands[new])
+                prov.extend(
+                    (ia, ib, k, t)
+                    for ib, k, t in zip((jj[new] + j0).tolist(), (kk[new] + 1).tolist(),
+                                        tt[new].tolist())
+                )
     return DistinguishedSet(level=p.L, K=K, paths=tuple(paths), provenance=tuple(prov))
 
 
@@ -397,6 +452,18 @@ def _cover_from_counts(counts: np.ndarray, sizes: np.ndarray, delta: float) -> n
     return counts + 1e-9 >= delta * sizes[None, None, :]
 
 
+def _total(counts: np.ndarray) -> np.ndarray:
+    """Whole-path (0, N) counts from counts over any partition of 0..N (exact int32 sum)."""
+    return counts.sum(axis=2, dtype=np.int32, keepdims=True)
+
+
+def _checked(counts: np.ndarray, shape: tuple) -> np.ndarray:
+    """``counts`` if its leading axes are ``shape``; a mismatch would broadcast silently."""
+    if counts.shape[: len(shape)] != shape:
+        raise ValueError(f"counts of shape {counts.shape} do not match {shape}")
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # Greedy extraction and coverage reports
 # ---------------------------------------------------------------------------
@@ -478,6 +545,7 @@ def greedy_favorite_paths(
     mode: str = "global",
     p: PartitionScheme | None = None,
     max_centers: int | None = None,
+    counts: np.ndarray | None = None,
 ) -> LocalizationReport:
     """Extract distinguished paths from Gibbs samples by greedy set cover.
 
@@ -486,6 +554,10 @@ def greedy_favorite_paths(
     delta in every block simultaneously (one center covers all blocks);
     per-block-any, greedy runs per block and a sample counts covered when
     every block is covered by some selected center.
+
+    ``counts`` is ``pairwise_counts(samples, samples, p.boundaries)`` when the
+    caller already holds it, so every mode reads one tensor; the global mode
+    sums it over blocks, so any partition of 0..N serves it.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -495,7 +567,9 @@ def greedy_favorite_paths(
         raise ValueError("block modes need a partition")
 
     if mode == "global":
-        counts = pairwise_counts(arr, arr, (0, n))
+        if counts is None:
+            counts = pairwise_counts(arr, arr, (0, n))
+        counts = _total(_checked(counts, (len(arr), len(arr))))
         cover = _cover_from_counts(counts, np.array([n]), delta)[:, :, 0]
         chosen, cov, trace = _greedy_cover(cover, 1.0 - epsilon, max_centers)
         return LocalizationReport(
@@ -505,9 +579,10 @@ def greedy_favorite_paths(
             selection_trace=trace,
         )
 
-    counts = pairwise_counts(arr, arr, p.boundaries)
-    sizes = np.asarray(p.sizes)
-    cover_blocks = _cover_from_counts(counts, sizes, delta)
+    if counts is None:
+        counts = pairwise_counts(arr, arr, p.boundaries)
+    counts = _checked(counts, (len(arr), len(arr), p.L))
+    cover_blocks = _cover_from_counts(counts, np.asarray(p.sizes), delta)
 
     if mode == "per-block-uniform":
         cover = cover_blocks.all(axis=2)
@@ -553,12 +628,15 @@ def coverage_report(
     p: PartitionScheme,
     mode: str = "global",
     epsilon: float | None = None,
+    counts: np.ndarray | None = None,
 ) -> LocalizationReport:
     """Coverage of given candidate paths over given samples, by mode.
 
     With ``epsilon`` set, also evaluates the sliding-window event: the
     fraction of samples whose best candidate keeps restricted overlap >=
-    delta on every window of length >= ceil(epsilon * N).
+    delta on every window of length >= ceil(epsilon * N).  ``counts`` is
+    ``pairwise_counts(paths, samples, p.boundaries)`` when the caller already
+    holds it (the global mode sums it over blocks).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -566,12 +644,16 @@ def coverage_report(
     n = samp.shape[1] - 1
 
     if mode == "global":
-        counts = pairwise_counts(cent, samp, (0, n))
+        if counts is None:
+            counts = pairwise_counts(cent, samp, (0, n))
+        counts = _total(_checked(counts, (len(cent), len(samp))))
         cover = _cover_from_counts(counts, np.array([n]), delta)[:, :, 0]
         covered = cover.any(axis=0)
         per_block = None
     else:
-        counts = pairwise_counts(cent, samp, p.boundaries)
+        if counts is None:
+            counts = pairwise_counts(cent, samp, p.boundaries)
+        counts = _checked(counts, (len(cent), len(samp), p.L))
         cover_blocks = _cover_from_counts(counts, np.asarray(p.sizes), delta)
         if mode == "per-block-uniform":
             covered = cover_blocks.all(axis=2).any(axis=0)

@@ -75,6 +75,8 @@ class TestConfig:
             config_from_args(ap.parse_args(["localize", "--n", "8", "--blocks", "4"]))
         with pytest.raises(ValidationError, match="tail u"):
             config_from_args(ap.parse_args(["free-energy", "--tail-u", "0.1,0"]))
+        with pytest.raises(ValidationError, match="ds_levels"):
+            config_from_args(ap.parse_args(["localize", "--n", "16", "--ds-levels", "0"]))
 
 
 def _cfg(**kw):
@@ -245,6 +247,23 @@ class TestLocalizeCommand:
         ds = json.loads((tmp_path / "distinguished.json").read_text())
         assert all(r["n_paths"] >= r["n_seed_paths"] for r in ds)
 
+    def test_one_count_tensor_and_environment_per_run(self, tmp_path, monkeypatch):
+        import polymerlab.cli as cli_mod
+        import polymerlab.localization as loc_mod
+
+        calls = collections.Counter()
+        for mod, name in ((loc_mod, "pairwise_counts"), (cli_mod, "pairwise_counts"),
+                          (cli_mod, "gaussian_env")):
+            def counted(*args, _orig=getattr(mod, name), _name=name, **kw):
+                calls[_name] += 1
+                return _orig(*args, **kw)
+            monkeypatch.setattr(mod, name, counted)
+        cmd_localize(_cfg(
+            command="localize", seed=5, d=1, n_values=(48,), beta_values=(0.0, 1.0, 2.0),
+            delta=0.25, epsilon=0.1, n_samples=30, L=3, out=str(tmp_path),
+        ))
+        assert calls == {"pairwise_counts": 3, "gaussian_env": 1}
+
 
 class TestPlotdata:
     def test_missing_inputs_fail_validation(self, tmp_path):
@@ -274,6 +293,16 @@ class TestMainEntry:
     def test_validation_exit_code(self, capsys):
         assert main(["free-energy", "--n-disorder", "0"]) == 1
         assert "n_disorder" in capsys.readouterr().err
+
+    def test_memory_guard_exit_code(self, tmp_path, capsys):
+        code = main([
+            "free-energy", "--d", "2", "--n-grid", "1024", "--beta-grid", "1",
+            "--n-disorder", "2", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("polymerlab: d=2, N=1024 needs more than")
 
     def test_bad_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,9 @@ Each case runs ``cli.main`` at a small fixed config and compares the sha256
 of every metric file with a digest recorded before the transfer recursion
 was rebuilt around one driver (the ``free_energy_tail_d1`` and
 ``overlap_d1_mixed`` digests: before the free-energy beta grid and the
-overlap estimators shared one pass per environment), so refactors must
+overlap estimators shared one pass per environment; the ``localize_d2``
+digests: before the localization reports shared one coincidence tensor and
+the distinguished-set induction was batched), so refactors must
 leave the outputs byte-identical.  The digests were taken with Python 3.11.7, numpy 2.4.6 and
 scipy 1.17.1; other versions may round differently.  A change that alters
 output bits on purpose (e.g. a new kernel) updates the digests here and
@@ -55,6 +57,16 @@ CASES = {
             "localize.jsonl": "22725fa1fa2767f68849c74bbb361c4176646add53714f98a544e02f3775f206",
             "windows.csv": "c5baff30232e35e6df442b0b8587e199a6964b9a2dcc75a3de84d15ae7d87996",
             "distinguished.json": "6bec6e22454e38c62e22c3741b883ffefc75a0d4f31fcbda1f81441b1c45e0d9",
+        },
+    ),
+    # d = 2: bridges close gaps along two axes; 3100 distinguished paths at beta = 0
+    "localize_d2": (
+        ["localize", "--d", "2", "--n", "96", "--beta-grid", "0,2", "--delta", "0.25",
+         "--eps", "0.1", "--n-samples", "60", "--blocks", "3", "--seed", "5"],
+        {
+            "localize.jsonl": "904e1bc23f9933a872ec6ee63a264a8a1833b1752e01973c901ad50b2dedf72a",
+            "windows.csv": "b600f261b5533e102b2a9d119e7b80a7196e58764fb3da078b0bd87716704ae7",
+            "distinguished.json": "96fa81f3abe9e1f0d95b3bfd23e258567192d4124be126f7e80e6e8705658ef1",
         },
     ),
 }

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from polymerlab.lattice import (
     LatticeParams,
+    MemoryGuardError,
     as_path,
     gaussian_env,
     is_valid_path,
@@ -16,6 +18,7 @@ from polymerlab.lattice import (
     make_subpartition,
 )
 from polymerlab.localization import (
+    MODES,
     InfeasibleConnectionError,
     _site_keys,
     build_distinguished_sets,
@@ -96,6 +99,52 @@ def ref_min_window_overlap(a, b, min_len):
     for w in range(min_len, min(2 * min_len + 1, len(eq)) + 1):
         best = min(best, float(((csum[w:] - csum[:-w]) / w).min()))
     return best
+
+
+def ref_build_distinguished_sets(d1_paths, p, delta, K=None, max_paths=200_000):
+    """The per-candidate induction loop: meeting_time and splice_paths per (ia, ib, k)."""
+    K = default_refinement(delta) if K is None else int(K)
+    paths, seen, prov = [], set(), []
+    for pa in d1_paths:
+        a = np.asarray(pa)
+        a = a[:, None] if a.ndim == 1 else a
+        if a.tobytes() not in seen:
+            seen.add(a.tobytes())
+            paths.append(a)
+            prov.append(None)
+    for ell in range(1, p.L):
+        sub = make_subpartition(p, ell, K)
+        window = p.block_window(ell + 1)
+        level_size = len(paths)
+        for ia in range(level_size):
+            for ib in range(level_size):
+                if ia == ib:
+                    continue
+                for k in range(1, K):
+                    m = sub.boundaries[k]
+                    t = meeting_time(paths[ia], paths[ib], m, window)
+                    if t is None:
+                        continue
+                    cand = splice_paths(paths[ia], paths[ib], m, t)
+                    if cand.tobytes() in seen:
+                        continue
+                    seen.add(cand.tobytes())
+                    paths.append(cand)
+                    prov.append((ia, ib, k, t))
+                    if len(paths) > max_paths:
+                        raise MemoryGuardError(
+                            f"distinguished set exceeded {max_paths} paths at level {ell + 1}"
+                        )
+    return paths, prov
+
+
+def assert_same_sets(ds, ref):
+    paths, prov = ref
+    assert ds.provenance == tuple(prov)
+    assert len(ds.paths) == len(paths)
+    for got, want in zip(ds.paths, paths):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def extreme_paths(rng, n_paths, n, d, parents=None):
@@ -309,6 +358,44 @@ class TestDistinguishedSets:
             assert len(ds) <= size
             assert len(ds) <= cardinality_bound(J, delta, L)
             assert all(is_valid_path(q) for q in ds.paths)
+
+    @pytest.mark.parametrize("J", [1, 2, 3, 4])
+    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_induction_loop(self, rw, d, L, J):
+        n = 10 * L + 2
+        walks = rw(np.random.default_rng(1000 * d + 10 * L + J), J, n, d)
+        # a duplicate seed; a far copy and an odd-parity copy that meet no other path
+        odd = walks[-1].copy()
+        odd[:, 0] += 1
+        seeds = list(walks) + [walks[0].copy(), walks[-1] + 10**6, odd]
+        if d == 1:
+            seeds = [s[:, 0] for s in seeds]
+        args = (seeds, make_partition(n, L), 1.0, 5)
+        assert_same_sets(build_distinguished_sets(*args), ref_build_distinguished_sets(*args))
+
+    def test_guard_fires_where_the_loop_does(self, rw):
+        seeds = list(rw(np.random.default_rng(2034), 4, 32, 2))
+        args = (seeds, make_partition(32, 3), 1.0, 5)
+        paths, _ = ref_build_distinguished_sets(*args)
+        for cap in (0, 3, 50, len(paths) - 1):
+            with pytest.raises(MemoryGuardError) as want:
+                ref_build_distinguished_sets(*args, max_paths=cap)
+            with pytest.raises(MemoryGuardError, match=f"exceeded {cap} paths") as got:
+                build_distinguished_sets(*args, max_paths=cap)
+            assert str(got.value) == str(want.value)
+        assert len(build_distinguished_sets(*args, max_paths=len(paths))) == len(paths)
+
+    def test_level_three_peak_memory_bound(self, rw):
+        seeds = list(rw(np.random.default_rng(41), 4, 120))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryGuardError, match="2000 paths at level 3"):
+                build_distinguished_sets(seeds, make_partition(120, 3), 0.6, max_paths=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_requires_wide_blocks(self, rw):
         paths = list(rw(np.random.default_rng(7), 2, 20))
@@ -565,6 +652,43 @@ class TestGreedyExtraction:
         samples = rw(np.random.default_rng(19), 10, 20)
         with pytest.raises(ValueError):
             greedy_favorite_paths(samples, 0.2, 0.1, mode="per-block-any")
+
+
+class TestSharedCounts:
+    """Reports read from one shared count tensor equal reports that build their own."""
+
+    @staticmethod
+    def assert_same_report(got, want):
+        for f in dataclasses.fields(got):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name in ("paths", "window_stats"):
+                assert (a is None and b is None) or np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_reports_match_their_own_counts(self, rw, d):
+        samples = rw(np.random.default_rng(50 + d), 80, 48, d)
+        p = make_partition(48, 4)
+        counts = pairwise_counts(samples, samples, p.boundaries)
+        for mode in MODES:
+            part = p if mode != "global" else None
+            got = greedy_favorite_paths(samples, 0.15, 0.05, mode, part, 6, counts=counts)
+            self.assert_same_report(got, greedy_favorite_paths(samples, 0.15, 0.05, mode, part, 6))
+            chosen = got.path_indices
+            for cov_mode in MODES:
+                args = (samples[chosen], samples, 0.15, p, cov_mode, 0.1)
+                got_cov = coverage_report(*args, counts=counts[chosen])
+                self.assert_same_report(got_cov, coverage_report(*args))
+
+    def test_mismatched_counts_rejected(self, rw):
+        samples = rw(np.random.default_rng(52), 20, 24)
+        p = make_partition(24, 3)
+        whole = pairwise_counts(samples, samples, (0, 24))
+        with pytest.raises(ValueError, match="do not match"):
+            greedy_favorite_paths(samples, 0.2, 0.1, "per-block-any", p, counts=whole)
+        with pytest.raises(ValueError, match="do not match"):
+            coverage_report(samples, samples[:5], 0.2, p, counts=whole)
 
 
 class TestCoverageReport:
