@@ -6,6 +6,14 @@ its cardinality bounds, a runtime verifier for the inductive overlap-transfer
 claim, and greedy favorite-path extraction over sampled Gibbs trajectories
 together with coverage reports for the union/intersection localization events
 and the sliding-window statistic.
+
+Each rule has one owner, and every caller goes through it:
+
+- bridge: ``_bridge``, behind ``connecting_path``, ``_splice_batch`` (which
+  ``splice_paths`` wraps) and the planted instances' ``_anchored_path``;
+- meeting time: ``_meeting_times``, behind ``meeting_time`` and the induction;
+- cover: ``_cover``, behind every mode of ``greedy_favorite_paths`` and
+  ``coverage_report`` (the global mode is the one-block case).
 """
 
 from __future__ import annotations
@@ -44,6 +52,31 @@ def step_feasible(x, y, s: int) -> bool:
     return s >= dist and (s - dist) % 2 == 0
 
 
+def _require_path(x, y, s: int) -> None:
+    """Raise InfeasibleConnectionError unless ``step_feasible(x, y, s)``."""
+    if not step_feasible(x, y, s):
+        raise InfeasibleConnectionError(
+            f"no {s}-step path between {np.asarray(x).tolist()} and {np.asarray(y).tolist()}"
+        )
+
+
+def _bridge(x, gap, u):
+    """Site reached u steps after leaving x toward x + gap, by ``connecting_path``'s rule.
+
+    Axis a has moved min(max(u - c_a, 0), |gap_a|) toward the target, where
+    c_a is the distance closed on the axes before a; after the last gap step
+    the first coordinate oscillates +1 / -1.  x and gap are (..., d) and
+    broadcast against u (...); the result is (..., d).
+    """
+    size = np.abs(gap)
+    out = u[..., None] - (np.cumsum(size, axis=-1) - size)
+    np.clip(out, 0, size, out=out)
+    out *= np.sign(gap)
+    out += x
+    out[..., 0] += np.maximum(u - size.sum(axis=-1), 0) & 1
+    return out
+
+
 def connecting_path(x, i: int, y, t: int) -> np.ndarray:
     """Deterministic nearest-neighbor path from (i, x) to (t, y).
 
@@ -53,19 +86,14 @@ def connecting_path(x, i: int, y, t: int) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.int64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    s = t - i
-    if not step_feasible(x, y, s):
-        raise InfeasibleConnectionError(
-            f"no {s}-step path between {x.tolist()} and {y.tolist()}"
-        )
-    gap = y - x
-    dist = int(np.abs(gap).sum())
-    axes = np.repeat(np.arange(x.size), np.abs(gap))
-    steps = np.zeros((s, x.size), dtype=np.int64)
-    steps[np.arange(dist), axes] = np.sign(gap)[axes]
-    steps[dist::2, 0] = 1
-    steps[dist + 1 :: 2, 0] = -1
-    return np.concatenate([x[None], x + np.cumsum(steps, axis=0)])
+    _require_path(x, y, t - i)
+    return _bridge(x, y - x, np.arange(t - i + 1))
+
+
+def _as_columns(*paths):
+    """Each path as a (T, d) array; 1-D paths become one column."""
+    arrs = [np.asarray(a) for a in paths]
+    return [a[:, None] if a.ndim == 1 else a for a in arrs]
 
 
 def meeting_time(sigma1: np.ndarray, sigma2: np.ndarray, m: int, window) -> int | None:
@@ -78,30 +106,18 @@ def meeting_time(sigma1: np.ndarray, sigma2: np.ndarray, m: int, window) -> int 
     lo, hi = window
     if m > lo - 1:
         raise ValueError(f"anchor time {m} must precede the window start {lo}")
-    s1 = np.asarray(sigma1)
-    s2 = np.asarray(sigma2)
-    if s1.ndim == 1:
-        s1 = s1[:, None]
-    if s2.ndim == 1:
-        s2 = s2[:, None]
-    anchor = s1[m]
-    ts = np.arange(lo, hi + 1)
-    targets = s2[lo : hi + 1]
-    dist = np.abs(targets - anchor[None, :]).sum(axis=1)
-    steps = ts - m
-    feas = (steps >= dist) & ((steps - dist) % 2 == 0)
-    idx = np.flatnonzero(feas)
-    return int(ts[idx[0]]) if idx.size else None
+    if hi < lo:
+        return None
+    s1, s2 = _as_columns(sigma1, sigma2)
+    t = int(_meeting_times(s1[m][None], np.array([m]), s2[None, lo : hi + 1], lo)[0, 0])
+    return t if t >= 0 else None
 
 
 def splice_paths(sigma1: np.ndarray, sigma2: np.ndarray, m: int, t: int) -> np.ndarray:
     """Follow sigma1 to time m, connect to sigma2[t], then follow sigma2."""
-    a = np.asarray(sigma1)
-    b = np.asarray(sigma2)
-    if a.ndim == 1:
-        a, b = a[:, None], b[:, None]
-    bridge = connecting_path(a[m], m, b[t], t)
-    return np.concatenate([a[: m + 1], bridge[1:], b[t + 1 :]], axis=0)
+    a, b = _as_columns(sigma1, sigma2)
+    _require_path(a[m], b[t], t - m)
+    return _splice_batch(a, b[None], np.array([m]), np.array([t]))[0]
 
 
 def concatenate(
@@ -166,21 +182,11 @@ def _meeting_times(anchors: np.ndarray, ms: np.ndarray, targets: np.ndarray, lo:
 def _splice_batch(head: np.ndarray, tails: np.ndarray, m: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``splice_paths(head, tails[b], m[b], t[b])`` for every b, as one (B, T, d) array.
 
-    The bridge is ``connecting_path``'s rule in closed form: u steps after m,
-    axis a has moved min(max(u - c_a, 0), |gap_a|) toward the target, where
-    c_a is the distance closed on the axes before a; after the last gap step
-    the first coordinate oscillates +1 / -1.
+    (m[b], t[b]) must be feasible; ``splice_paths`` checks it.
     """
     u = np.arange(head.shape[0]) - m[:, None]  # (B, T)
     x, y = head[m], tails[np.arange(tails.shape[0]), t]
-    gap = y - x
-    size = np.abs(gap)
-    out = u[:, :, None] - (np.cumsum(size, axis=1) - size)[:, None, :]
-    np.clip(out, 0, size[:, None, :], out=out)
-    out *= np.sign(gap)[:, None, :]
-    out += x[:, None, :]
-    tail = u - size.sum(axis=1)[:, None]
-    out[:, :, 0] += np.maximum(tail, 0, out=tail) & 1
+    out = _bridge(x[:, None], (y - x)[:, None], u)
     np.copyto(out, head, where=(u <= 0)[:, :, None])
     np.copyto(out, tails, where=(u > (t - m)[:, None])[:, :, None])
     return out
@@ -213,9 +219,7 @@ def build_distinguished_sets(
     paths = []
     seen = set()
     prov = []
-    for pa in d1_paths:
-        a = np.asarray(pa)
-        a = a[:, None] if a.ndim == 1 else a
+    for a in _as_columns(*d1_paths):
         key = a.tobytes()
         if key not in seen:
             seen.add(key)
@@ -307,11 +311,7 @@ def verify_claim_reduction(
     K = default_refinement(delta) if K is None else int(K)
     if not 1 <= ell <= p.L - 1:
         raise ValueError(f"need 1 <= ell <= L-1, got ell={ell}")
-    sig = np.asarray(sigma)
-    s1 = np.asarray(sigma1)
-    s2 = np.asarray(sigma2)
-    if sig.ndim == 1:
-        sig, s1, s2 = sig[:, None], s1[:, None], s2[:, None]
+    sig, s1, s2 = _as_columns(sigma, sigma1, sigma2)
 
     lo, hi = p.block_window(ell)
     nlo, nhi = p.block_window(ell + 1)
@@ -324,35 +324,27 @@ def verify_claim_reduction(
 
     eps = 1e-12
     if np.array_equal(s1, s2):
-        witness = s1
-        pre_ok = True
-        r_ell = overlap_count(witness, sig, lo, hi) / size_ell
-        r_next = overlap_count(witness, sig, nlo, nhi) / size_next
-        ok = r_ell + eps >= delta * delta / 104.0 and r_next + eps >= delta
-        return ClaimRecord(
-            hypotheses_hold=True, ell=ell, delta=delta, witness=witness,
-            prefix_overlaps_equal=pre_ok, ell_overlap=r_ell, next_overlap=r_next, ok=ok,
+        cands, k1, k2, t, witness = (), None, None, None, s1
+    else:
+        sub = make_subpartition(p, ell, K)
+        threshold = delta * p.N / (4.0 * p.L * K)
+        counts = np.array(
+            [overlap_count(s1, sig, *sub.sub_window(k)) for k in range(1, K + 1)]
         )
-
-    sub = make_subpartition(p, ell, K)
-    threshold = delta * p.N / (4.0 * p.L * K)
-    counts = np.array(
-        [overlap_count(s1, sig, *sub.sub_window(k)) for k in range(1, K + 1)]
-    )
-    cands = tuple(int(k) for k in np.flatnonzero(counts + eps >= threshold) + 1)
-    if len(cands) < 2:
-        return ClaimRecord(
-            hypotheses_hold=True, ell=ell, delta=delta, k_candidates=cands, ok=False
-        )
-    k1, k2 = cands[0], cands[1]
-    m = sub.boundaries[k1]
-    t = meeting_time(s1, s2, m, (nlo, nhi))
-    if t is None:
-        return ClaimRecord(
-            hypotheses_hold=True, ell=ell, delta=delta,
-            k_candidates=cands, k1=k1, k2=k2, ok=False,
-        )
-    witness = splice_paths(s1, s2, m, t)
+        cands = tuple(int(k) for k in np.flatnonzero(counts + eps >= threshold) + 1)
+        if len(cands) < 2:
+            return ClaimRecord(
+                hypotheses_hold=True, ell=ell, delta=delta, k_candidates=cands, ok=False
+            )
+        k1, k2 = cands[0], cands[1]
+        m = sub.boundaries[k1]
+        t = meeting_time(s1, s2, m, (nlo, nhi))
+        if t is None:
+            return ClaimRecord(
+                hypotheses_hold=True, ell=ell, delta=delta,
+                k_candidates=cands, k1=k1, k2=k2, ok=False,
+            )
+        witness = splice_paths(s1, s2, m, t)
 
     pre_ok = all(
         overlap_count(witness, sig, *p.block_window(lp))
@@ -447,11 +439,6 @@ def window_minima(centers, samples, min_len: int) -> np.ndarray:
     return out
 
 
-def _cover_from_counts(counts: np.ndarray, sizes: np.ndarray, delta: float) -> np.ndarray:
-    """Boolean cover relation per window at threshold delta."""
-    return counts + 1e-9 >= delta * sizes[None, None, :]
-
-
 def _total(counts: np.ndarray) -> np.ndarray:
     """Whole-path (0, N) counts from counts over any partition of 0..N (exact int32 sum)."""
     return counts.sum(axis=2, dtype=np.int32, keepdims=True)
@@ -538,6 +525,23 @@ def _greedy_cover(cover: np.ndarray, target: float, max_centers: int | None):
     return chosen, 1.0 - uncovered.mean(), trace
 
 
+def _cover(cent: np.ndarray, samp: np.ndarray, delta: float, mode: str, p, counts) -> np.ndarray:
+    """Cover relation (centers, samples, blocks) at threshold delta.
+
+    The global mode is the one-block case: whole-path counts and size N.
+    ``counts`` is ``pairwise_counts(cent, samp, p.boundaries)`` or None;
+    the global mode sums it over blocks, so any partition of 0..N serves it.
+    """
+    n = samp.shape[1] - 1
+    bounds, sizes = ((0, n), [n]) if mode == "global" else (p.boundaries, p.sizes)
+    if counts is None:
+        counts = pairwise_counts(cent, samp, bounds)
+    if mode == "global":
+        counts = _total(counts)
+    counts = _checked(counts, (len(cent), len(samp), len(sizes)))
+    return counts + 1e-9 >= delta * np.asarray(sizes)[None, None, :]
+
+
 def greedy_favorite_paths(
     samples,
     delta: float,
@@ -562,62 +566,30 @@ def greedy_favorite_paths(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     arr = _as_stack(samples)
-    n = arr.shape[1] - 1
     if mode != "global" and p is None:
         raise ValueError("block modes need a partition")
+    cover = _cover(arr, arr, delta, mode, p, counts)
 
-    if mode == "global":
-        if counts is None:
-            counts = pairwise_counts(arr, arr, (0, n))
-        counts = _total(_checked(counts, (len(arr), len(arr))))
-        cover = _cover_from_counts(counts, np.array([n]), delta)[:, :, 0]
-        chosen, cov, trace = _greedy_cover(cover, 1.0 - epsilon, max_centers)
-        return LocalizationReport(
-            mode=mode, delta=delta, epsilon=epsilon, n_samples=arr.shape[0],
-            coverage=float(cov), path_indices=chosen,
-            paths=[arr[i] for i in chosen], localized=cov >= 1.0 - epsilon,
-            selection_trace=trace,
-        )
-
-    if counts is None:
-        counts = pairwise_counts(arr, arr, p.boundaries)
-    counts = _checked(counts, (len(arr), len(arr), p.L))
-    cover_blocks = _cover_from_counts(counts, np.asarray(p.sizes), delta)
-
-    if mode == "per-block-uniform":
-        cover = cover_blocks.all(axis=2)
-        chosen, cov, trace = _greedy_cover(cover, 1.0 - epsilon, max_centers)
-        per_block = [
-            float(cover_blocks[chosen, :, w].any(axis=0).mean()) if chosen else 0.0
-            for w in range(p.L)
-        ]
-        return LocalizationReport(
-            mode=mode, delta=delta, epsilon=epsilon, n_samples=arr.shape[0],
-            coverage=float(cov), path_indices=chosen,
-            paths=[arr[i] for i in chosen], localized=cov >= 1.0 - epsilon,
-            per_block_coverage=per_block, selection_trace=trace,
-        )
-
-    # per-block-any: cover each block separately, union the centers
-    chosen: list[int] = []
-    per_block = []
-    for w in range(p.L):
-        ch, cov_w, _ = _greedy_cover(cover_blocks[:, :, w], 1.0 - epsilon, max_centers)
-        per_block.append(float(cov_w))
-        for i in ch:
-            if i not in chosen:
-                chosen.append(i)
-    covered = (
-        cover_blocks[chosen].any(axis=0).all(axis=1)
-        if chosen
-        else np.zeros(arr.shape[0], dtype=bool)
-    )
-    cov = float(covered.mean())
+    per_block = trace = None
+    if mode == "per-block-any":
+        # cover each block separately, union the centers
+        chosen: list[int] = []
+        per_block = []
+        for w in range(cover.shape[2]):
+            ch, cov_w, _ = _greedy_cover(cover[:, :, w], 1.0 - epsilon, max_centers)
+            per_block.append(float(cov_w))
+            chosen.extend(i for i in ch if i not in chosen)
+        cov = cover[chosen].any(axis=0).all(axis=1).mean()
+    else:
+        chosen, cov, trace = _greedy_cover(cover.all(axis=2), 1.0 - epsilon, max_centers)
+        if mode == "per-block-uniform":
+            per_block = [float(v) for v in cover[chosen].any(axis=0).mean(axis=0)]
+    cov = float(cov)
     return LocalizationReport(
         mode=mode, delta=delta, epsilon=epsilon, n_samples=arr.shape[0],
         coverage=cov, path_indices=chosen,
         paths=[arr[i] for i in chosen], localized=cov >= 1.0 - epsilon,
-        per_block_coverage=per_block,
+        per_block_coverage=per_block, selection_trace=trace,
     )
 
 
@@ -642,26 +614,12 @@ def coverage_report(
         raise ValueError(f"mode must be one of {MODES}")
     cent, samp = _as_stack(paths), _as_stack(samples)
     n = samp.shape[1] - 1
-
-    if mode == "global":
-        if counts is None:
-            counts = pairwise_counts(cent, samp, (0, n))
-        counts = _total(_checked(counts, (len(cent), len(samp))))
-        cover = _cover_from_counts(counts, np.array([n]), delta)[:, :, 0]
-        covered = cover.any(axis=0)
-        per_block = None
+    cover = _cover(cent, samp, delta, mode, p, counts)
+    if mode == "per-block-any":
+        covered = cover.any(axis=0).all(axis=1)
     else:
-        if counts is None:
-            counts = pairwise_counts(cent, samp, p.boundaries)
-        counts = _checked(counts, (len(cent), len(samp), p.L))
-        cover_blocks = _cover_from_counts(counts, np.asarray(p.sizes), delta)
-        if mode == "per-block-uniform":
-            covered = cover_blocks.all(axis=2).any(axis=0)
-        else:
-            covered = cover_blocks.any(axis=0).all(axis=1)
-        per_block = [
-            float(cover_blocks[:, :, w].any(axis=0).mean()) for w in range(p.L)
-        ]
+        covered = cover.all(axis=2).any(axis=0)
+    per_block = None if mode == "global" else [float(v) for v in cover.any(axis=0).mean(axis=0)]
 
     win_cov = win_stats = None
     if epsilon is not None:
@@ -706,21 +664,27 @@ def _anchored_path(rng: np.random.Generator, sig: np.ndarray, anchors) -> np.nda
     """Valid path that coincides with ``sig`` at the given sorted times.
 
     Consecutive anchors are joined by the deterministic connecting rule
-    (feasible because sig itself joins them); after the last anchor the path
-    continues as a fresh random walk.
+    (feasible because sig itself joins them), all gaps in one ``_bridge``
+    call; after the last anchor the path continues as a fresh random walk.
     """
-    n = sig.shape[0] - 1
-    parts = [sig[0:1]]
-    cur_t = 0
-    cur_x = sig[0]
-    for a in anchors:
-        seg = connecting_path(cur_x, cur_t, sig[a], int(a))
-        parts.append(seg[1:])
-        cur_t, cur_x = int(a), sig[a]
-    if cur_t < n:
-        tail = _random_walk(rng, n - cur_t, sig.shape[1], start=cur_x)
-        parts.append(tail[1:])
-    return np.concatenate(parts, axis=0)
+    n, d = sig.shape[0] - 1, sig.shape[1]
+    ends = np.asarray(anchors, dtype=np.int64)
+    starts = np.concatenate([[0], ends])[:-1]
+    gap = sig[ends] - sig[starts]
+    slack = ends - starts - np.abs(gap).sum(axis=1)
+    bad = np.flatnonzero((slack < 0) | (slack % 2 != 0))
+    if bad.size:  # raises for the first gap that cannot be joined
+        k = bad[0]
+        _require_path(sig[starts[k]], sig[ends[k]], int(ends[k] - starts[k]))
+    last = int(ends[-1]) if ends.size else 0
+    out = np.empty((n + 1, d), dtype=np.int64)
+    out[0] = sig[0]
+    j = np.arange(1, last + 1)
+    g = np.searchsorted(ends, j)  # gap that time j lies in: starts[g] < j <= ends[g]
+    out[1 : last + 1] = _bridge(sig[starts[g]], gap[g], j - starts[g])
+    if last < n:
+        out[last:] = _random_walk(rng, n - last, d, start=sig[last])
+    return out
 
 
 def plant_overlap_instance(
@@ -768,6 +732,12 @@ def _axis_name(k: int) -> str:
     return AXIS_NAMES[k] if k < len(AXIS_NAMES) else f"c{k}"
 
 
+def _step_tokens(d: int) -> list:
+    """Token i names the step -e_i for i < d and +e_(i-d) otherwise."""
+    names = [_axis_name(k) for k in range(d)]
+    return ["-" + nm for nm in names] + ["+" + nm for nm in names]
+
+
 def encode_path(path: np.ndarray) -> str:
     """Compact step-direction string, e.g. '+x,-y,+x'."""
     arr = np.asarray(path)
@@ -778,26 +748,20 @@ def encode_path(path: np.ndarray) -> str:
         raise ValueError("every step must move along exactly one axis")
     axis = np.argmax(steps != 0, axis=1)
     up = steps[np.arange(steps.shape[0]), axis] > 0
-    names = [_axis_name(k) for k in range(arr.shape[1])]
-    toks = ["-" + nm for nm in names] + ["+" + nm for nm in names]
+    toks = _step_tokens(arr.shape[1])
     return ",".join([toks[i] for i in (axis + up * arr.shape[1]).tolist()])
 
 
 def decode_path(spec: str, d: int) -> np.ndarray:
     """Inverse of ``encode_path``; returns an (M+1, d) path from the origin."""
-    names = {_axis_name(k): k for k in range(d)}
-    steps = []
-    if spec:
-        for tok in spec.split(","):
-            sign = 1 if tok[0] == "+" else -1
-            k = names[tok[1:]]
-            v = np.zeros(d, dtype=np.int64)
-            v[k] = sign
-            steps.append(v)
-    out = np.zeros((len(steps) + 1, d), dtype=np.int64)
-    if steps:
-        out[1:] = np.cumsum(steps, axis=0)
-    return out
+    index = {tok: i for i, tok in enumerate(_step_tokens(d))}
+    try:
+        idx = [index[tok] for tok in spec.split(",")] if spec else []
+    except KeyError as err:
+        raise ValueError(f"malformed step token {err.args[0]!r} for d = {d}") from None
+    eye = np.eye(d, dtype=np.int64)
+    steps = np.concatenate([-eye, eye])[np.array(idx, dtype=np.intp)]
+    return np.concatenate([np.zeros((1, d), dtype=np.int64), np.cumsum(steps, axis=0)])
 
 
 def report_to_jsonl(reports, path, seed: int | None = None) -> None:

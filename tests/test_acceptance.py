@@ -7,6 +7,7 @@ reproducible bit-for-bit.
 """
 
 import csv
+import hashlib
 import time
 
 import numpy as np
@@ -20,6 +21,13 @@ from polymerlab.overlap import ibp_residual
 from polymerlab.transfer import BetaProfile, forward_layers, sample_paths
 
 SEED = 20240831
+
+# sha256 of verify_summary.json, recorded before the planted instances were
+# built in one array pass; the suites' results must not move by a bit
+VERIFY_DIGESTS = {
+    "734": "34133d000cff9ab3ffdfd22d8f0a49e8bf6cf638a51a746cf1a54d543170f4d7",
+    "11 --inject-fault": "7297b9b479eb4013203e91e363cfe0da7d1ae201ce11aa606c2215cbcbcb6086",
+}
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -190,16 +198,22 @@ def test_c10_verify_determinism(tmp_path):
     b1 = (tmp_path / "t1" / "verify_summary.json").read_bytes()
     b2 = (tmp_path / "t2" / "verify_summary.json").read_bytes()
     identical = b1 == b2
-    ok = code1 == 0 and code2 == 0 and identical
+    pinned = hashlib.sha256(b1).hexdigest() == VERIFY_DIGESTS[seed]
+    ok = code1 == 0 and code2 == 0 and identical and pinned
     _report(10, "verify determinism", ok,
-            f"exit codes ({code1}, {code2}), summaries identical: {identical}")
+            f"exit codes ({code1}, {code2}), summaries identical: {identical}, "
+            f"digest pinned: {pinned}")
     assert code1 == 0 and code2 == 0
     assert identical
+    assert pinned
 
 
 def test_c10b_fault_injection_negative_control(tmp_path):
     code = main(["verify", "--seed", "11", "--inject-fault",
                  "--out", str(tmp_path / "fault")])
-    _report(10, "fault-injection negative control", code == 2,
-            f"injected fault exit code = {code}")
+    summary = (tmp_path / "fault" / "verify_summary.json").read_bytes()
+    pinned = hashlib.sha256(summary).hexdigest() == VERIFY_DIGESTS["11 --inject-fault"]
+    _report(10, "fault-injection negative control", code == 2 and pinned,
+            f"injected fault exit code = {code}, digest pinned: {pinned}")
     assert code == 2
+    assert pinned

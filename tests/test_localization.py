@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polymerlab import localization
 from polymerlab.lattice import (
     LatticeParams,
     MemoryGuardError,
@@ -20,6 +21,8 @@ from polymerlab.lattice import (
 from polymerlab.localization import (
     MODES,
     InfeasibleConnectionError,
+    _anchored_path,
+    _random_walk,
     _site_keys,
     build_distinguished_sets,
     cardinality_bound,
@@ -72,6 +75,19 @@ def ref_connecting_path(x, y, s):
             pos[0] += sign
             out.append(pos.copy())
     return np.array(out)
+
+
+def ref_anchored_path(rng, sig, anchors):
+    """The per-anchor loop: one connecting_path call per anchor gap, then a walk."""
+    n = sig.shape[0] - 1
+    parts = [sig[0:1]]
+    cur_t, cur_x = 0, sig[0]
+    for a in anchors:
+        parts.append(connecting_path(cur_x, cur_t, sig[a], int(a))[1:])
+        cur_t, cur_x = int(a), sig[a]
+    if cur_t < n:
+        parts.append(_random_walk(rng, n - cur_t, sig.shape[1], start=cur_x)[1:])
+    return np.concatenate(parts, axis=0)
 
 
 def ref_encode_path(path):
@@ -218,6 +234,18 @@ class TestConnectingPath:
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleConnectionError):
             connecting_path((0,), 0, (3,), 4)
+        a, b = as_path(np.arange(9)), as_path(-np.arange(9))
+        with pytest.raises(InfeasibleConnectionError):
+            splice_paths(a, b, 2, 5)  # 3 steps from 2 to -5
+        with pytest.raises(InfeasibleConnectionError):
+            splice_paths(a, b, 2, 6)  # parity: 4 steps from 2 to -6
+        jumpy = np.array([[0], [1], [2], [1], [3], [4]], dtype=np.int64)  # 1 -> 3 in one step
+        for anchors in ([3, 4], [1, 3, 5], [4], [2, 3, 4, 5]):
+            with pytest.raises(InfeasibleConnectionError) as want:
+                ref_anchored_path(np.random.default_rng(0), jumpy, anchors)
+            with pytest.raises(InfeasibleConnectionError) as got:
+                _anchored_path(np.random.default_rng(0), jumpy, anchors)
+            assert str(got.value) == str(want.value)
 
     def test_random_properties(self):
         rng = np.random.default_rng(3)
@@ -259,6 +287,7 @@ class TestMeetingTime:
         p = make_partition(n, 2)
         # from far's position at n_1, near's window sites are > window steps away
         assert meeting_time(far, near, p.boundaries[1], p.block_window(2)) is None
+        assert meeting_time(far, far, 2, (5, 4)) is None  # empty window
 
     def test_against_bfs_argmin(self, rw):
         rng = np.random.default_rng(9)
@@ -449,6 +478,24 @@ class TestClaimReduction:
             if not rec.ok:
                 violations += 1
         assert violations == 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_planted_instances_match_anchor_loop(self, monkeypatch, d):
+        def plant_all(seed):
+            rng = np.random.default_rng(seed)
+            out = []
+            for _ in range(40):
+                p = make_partition(int(rng.integers(24, 90)), int(rng.integers(2, 5)))
+                ell = None if rng.random() < 0.5 else int(rng.integers(1, p.L))
+                out += plant_overlap_instance(rng, p, ell, float(rng.uniform(0.05, 1.0)), d)
+            return out
+
+        got = plant_all(d)
+        monkeypatch.setattr(localization, "_anchored_path", ref_anchored_path)
+        want = plant_all(d)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_two_dense_subblocks_guaranteed(self):
         rng = np.random.default_rng(12)
@@ -744,6 +791,11 @@ class TestPathEncoding:
     def test_matches_step_loop(self, rw, d):
         for path in rw(np.random.default_rng(33), 20, 50, d):
             assert encode_path(path) == ref_encode_path(path)
+
+    @pytest.mark.parametrize("spec", ["+q", "+x,,+x", "x", "*x", "+x,", "+z", "+x,-y "])
+    def test_decode_rejects_malformed_tokens(self, spec):
+        with pytest.raises(ValueError, match="malformed step token"):
+            decode_path(spec, 2)
 
     @pytest.mark.parametrize("bad", [[[0, 0], [0, 0]], [[0, 0], [1, 1]]])
     def test_rejects_non_unit_steps(self, bad):
