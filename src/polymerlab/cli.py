@@ -9,9 +9,12 @@ verify        the full oracle/property suite (exit 2 on any failure)
 plotdata      tidy per-metric CSV series from prior run outputs
 
 All randomness derives from ``--seed`` through the published replica-mixing
-function, so identical configs reproduce every metric file byte-for-byte,
-independent of ``--threads``.  Exit codes: 0 success, 1 validation error,
-2 suite failure.
+function, so identical configs reproduce every metric file byte-for-byte.
+The estimators run in replica order on one thread; ``--threads`` is accepted
+and validated for config compatibility and has no effect.  Each setting is
+declared once, as an ``ExperimentConfig`` field whose annotation gives its
+kind, and read once, by ``_coerce_value``, whether it comes from a flag or a
+config file.  Exit codes: 0 success, 1 validation error, 2 suite failure.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+import typing
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +63,8 @@ COMMANDS = ("free-energy", "overlap", "localize", "verify", "plotdata")
 # default free-energy sweep: beta <= 3, N <= 1024, d <= 2 (per dimension)
 DEFAULT_BETA_GRID = (0.5, 1.0, 2.0, 3.0)
 DEFAULT_N_LADDER = {1: (64, 256, 1024), 2: (64, 256)}
+_OVERLAP_BETAS = (0.0, 0.5, 1.0, 2.0)
+_OVERLAP_MODES = ("auto", "mc", "enum")
 
 
 class ValidationError(ValueError):
@@ -74,9 +80,9 @@ class ExperimentConfig:
     threads: int = 1
     out: str = "runs/latest"
     d: int = 1
-    n_values: tuple = ()
-    beta_values: tuple = ()
-    block_betas: tuple = ()
+    n_values: tuple[int, ...] = ()
+    beta_values: tuple[float, ...] = ()
+    block_betas: tuple[float, ...] = ()
     L: int = 4
     delta: float = 0.2
     epsilon: float = 0.1
@@ -87,29 +93,29 @@ class ExperimentConfig:
     mode: str = "auto"
     ds_levels: int = 2
     max_j: int = 10
-    tail_u: tuple = ()
+    tail_u: tuple[float, ...] = ()
     inputs: str = ""
     inject_fault: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
-        object.__setattr__(self, "beta_values", tuple(float(v) for v in self.beta_values))
-        object.__setattr__(self, "block_betas", tuple(float(v) for v in self.block_betas))
-        object.__setattr__(self, "tail_u", tuple(float(v) for v in self.tail_u))
+        for key, item in _LIST_ITEMS.items():
+            object.__setattr__(self, key, tuple(item(v) for v in getattr(self, key)))
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        for key in ("n_values", "beta_values", "block_betas", "tail_u"):
-            out[key] = list(out[key])
-        return out
+        return {k: list(v) if k in _LIST_ITEMS else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(_KINDS)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
+
+
+# every setting's kind, read off its annotation; list settings map to their item kind
+_KINDS = typing.get_type_hints(ExperimentConfig)
+_LIST_ITEMS = {k: typing.get_args(t)[0] for k, t in _KINDS.items()
+               if typing.get_origin(t) is tuple}
 
 
 def config_content_hash(cfg: ExperimentConfig) -> str:
@@ -127,27 +133,30 @@ class RunRecord:
     timestamp_utc: str = ""
 
 
-_LIST_KEYS = {"n_values", "beta_values", "block_betas", "tail_u"}
-_INT_KEYS = {"seed", "threads", "d", "L", "n_disorder", "n_samples", "n_pairs",
-             "ds_levels", "max_j"}
-_FLOAT_KEYS = {"delta", "epsilon", "h"}
-_BOOL_KEYS = {"inject_fault"}
+def _read(key: str, kind, raw):
+    """``raw`` as a value of ``kind``; ValidationError when it cannot be read."""
+    try:
+        if kind is bool:
+            if isinstance(raw, bool):
+                return raw
+            return configparser.ConfigParser.BOOLEAN_STATES[str(raw).strip().lower()]
+        if kind is int and isinstance(raw, float) and not raw.is_integer():
+            raise ValueError
+        return kind(raw)
+    except (KeyError, TypeError, ValueError):
+        raise ValidationError(f"{key}: cannot read {raw!r} as {kind.__name__}") from None
 
 
 def _coerce_value(key: str, raw):
-    if key in _LIST_KEYS:
-        if isinstance(raw, str):
-            raw = [tok for tok in raw.replace(" ", "").split(",") if tok]
-        return [float(v) for v in raw]
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _BOOL_KEYS:
-        if isinstance(raw, bool):
-            return raw
-        return str(raw).strip().lower() in ("1", "true", "yes", "on")
-    return raw
+    """The one parser of setting values, from flags and from config files."""
+    if key in _LIST_ITEMS:
+        items = raw.replace(" ", "").split(",") if isinstance(raw, str) else raw
+        if not isinstance(items, (list, tuple)):
+            raise ValidationError(f"{key}: expected a list, got {raw!r}")
+        return [_read(key, _LIST_ITEMS[key], v) for v in items if v != ""]
+    if key in _KINDS:
+        return _read(key, _KINDS[key], raw)
+    return raw  # unknown keys reach ``from_dict``, which rejects them
 
 
 def load_config_file(path: str, command: str) -> dict:
@@ -155,17 +164,21 @@ def load_config_file(path: str, command: str) -> dict:
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"config file not found: {path}")
-    if p.suffix == ".json":
-        data = json.loads(p.read_text())
-        merged = dict(data.get("run", {}))
-        merged.update(data.get(command, {}))
-    else:
-        parser = configparser.ConfigParser()
-        parser.read(p)
-        merged = {}
-        for section in ("run", command):
-            if parser.has_section(section):
-                merged.update(dict(parser.items(section)))
+    try:
+        if p.suffix == ".json":
+            data = json.loads(p.read_text())
+            merged = dict(data.get("run", {}))
+            merged.update(data.get(command, {}))
+        else:
+            parser = configparser.ConfigParser()
+            parser.read(p)
+            merged = {}
+            for section in ("run", command):
+                if parser.has_section(section):
+                    merged.update(dict(parser.items(section)))
+    except (configparser.Error, json.JSONDecodeError) as exc:
+        reason = " ".join(str(exc).split())
+        raise ValidationError(f"cannot read config file {path}: {reason}") from None
     return {k: _coerce_value(k, v) for k, v in merged.items()}
 
 
@@ -218,9 +231,7 @@ def cmd_free_energy(cfg: ExperimentConfig) -> RunRecord:
     rows, tail_rows = [], []
     for n in ns:
         params = LatticeParams(d=cfg.d, N=int(n))
-        ests = estimate_free_energies(
-            betas, params, cfg.n_disorder, cfg.seed, n_threads=cfg.threads
-        )
+        ests = estimate_free_energies(betas, params, cfg.n_disorder, cfg.seed)
         for beta, est in zip(betas, ests):
             rows.append(
                 (beta, int(n), cfg.d, 1, est.mean, est.stderr,
@@ -249,7 +260,7 @@ def cmd_free_energy(cfg: ExperimentConfig) -> RunRecord:
 
 
 def cmd_overlap(cfg: ExperimentConfig) -> RunRecord:
-    betas = cfg.beta_values or (0.0, 0.5, 1.0, 2.0)
+    betas = cfg.beta_values or _OVERLAP_BETAS
     ns = cfg.n_values or (64, 128, 256)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -261,8 +272,6 @@ def cmd_overlap(cfg: ExperimentConfig) -> RunRecord:
         enum_ok = (2 * cfg.d) ** int(n) <= 4096
         mode = cfg.mode if cfg.mode != "auto" else ("enum" if enum_ok else "mc")
         for beta in betas:
-            if beta > 0.0 and beta - cfg.h < 0:
-                raise ValidationError(f"h={cfg.h} too large for beta={beta}")
             sw = sweep_overlaps(beta, cfg.h, params, cfg.n_disorder, cfg.seed,
                                 cfg.n_pairs, mode)
             est = sw.replica
@@ -289,11 +298,7 @@ def cmd_overlap(cfg: ExperimentConfig) -> RunRecord:
 
 def cmd_localize(cfg: ExperimentConfig) -> RunRecord:
     betas = cfg.beta_values or (0.0, 2.0)
-    if not cfg.n_values:
-        raise ValidationError("localize needs n_values (one N)")
-    n = int(cfg.n_values[0])
-    if cfg.L > n:
-        raise ValidationError(f"L={cfg.L} exceeds N={n}")
+    (n,) = cfg.n_values
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
@@ -364,8 +369,7 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple[RunRecord, int]:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    summary = verify_mod.run_all(cfg.seed, n_threads=cfg.threads,
-                                 inject_fault=cfg.inject_fault)
+    summary = verify_mod.run_all(cfg.seed, inject_fault=cfg.inject_fault)
     (out / "verify_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=1) + "\n"
     )
@@ -379,11 +383,26 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple[RunRecord, int]:
     return rec, 0 if summary["all_pass"] else 2
 
 
+def _series_by(src_csv: Path, out: Path, keys, name: str, columns, label: str) -> dict:
+    """One series file per value of ``keys`` in ``src_csv``, with ``columns`` as floats."""
+    if not src_csv.exists():
+        return {}
+    groups = {}
+    with src_csv.open() as fh:
+        for r in csv.DictReader(fh):
+            groups.setdefault(tuple(r[k] for k in keys), []).append(r)
+    produced = {}
+    for key, series in sorted(groups.items()):
+        fname = name.format(*key)
+        write_csv(out / fname, columns, [tuple(float(r[c]) for c in columns) for r in series])
+        produced[fname] = label
+    return produced
+
+
 def cmd_plotdata(cfg: ExperimentConfig) -> RunRecord:
     src = Path(cfg.inputs or cfg.out)
     out = Path(cfg.out)
     t0 = time.time()
-    produced = {}
 
     fe = src / "free_energy.csv"
     conc = src / "concentration.csv"
@@ -393,37 +412,10 @@ def cmd_plotdata(cfg: ExperimentConfig) -> RunRecord:
         raise ValidationError(f"no run outputs found under {src}")
     out.mkdir(parents=True, exist_ok=True)
 
-    if fe.exists():
-        with fe.open() as fh:
-            rows = list(csv.DictReader(fh))
-        by_n = {}
-        for r in rows:
-            by_n.setdefault((r["d"], r["N"]), []).append(r)
-        for (d, n), series in sorted(by_n.items()):
-            name = f"series_free_energy_d{d}_N{n}.csv"
-            write_csv(
-                out / name,
-                ["beta", "estimate", "stderr", "annealed"],
-                [(float(r["beta"]), float(r["estimate"]), float(r["stderr"]),
-                  float(r["annealed"])) for r in series],
-            )
-            produced[name] = "free-energy curve"
-
-    if conc.exists():
-        with conc.open() as fh:
-            rows = list(csv.DictReader(fh))
-        by_key = {}
-        for r in rows:
-            by_key.setdefault((r["beta"], r["N"]), []).append(r)
-        for (beta, n), series in sorted(by_key.items()):
-            name = f"series_tail_beta{beta}_N{n}.csv"
-            write_csv(
-                out / name,
-                ["u", "empirical", "bound"],
-                [(float(r["u"]), float(r["empirical"]), float(r["bound"]))
-                 for r in series],
-            )
-            produced[name] = "concentration tail"
+    produced = _series_by(fe, out, ("d", "N"), "series_free_energy_d{}_N{}.csv",
+                          ["beta", "estimate", "stderr", "annealed"], "free-energy curve")
+    produced.update(_series_by(conc, out, ("beta", "N"), "series_tail_beta{}_N{}.csv",
+                               ["u", "empirical", "bound"], "concentration tail"))
 
     if loc.exists():
         records = [json.loads(line) for line in loc.read_text().splitlines() if line]
@@ -480,80 +472,69 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sp):
-    sp.add_argument("--config", default=None, help="INI or JSON config file")
-    sp.add_argument("--seed", type=int, default=None, help="master seed")
-    sp.add_argument("--threads", type=int, default=None, help="worker threads")
-    sp.add_argument("--out", default=None, help="output directory")
+# every setting flag, declared once; argparse names the setting after the
+# flag unless ``dest`` says otherwise, and ``_coerce_value`` reads the value
+_FLAGS = {
+    "--seed": {"help": "master seed"},
+    "--threads": {"help": "accepted for config compatibility; no effect (the "
+                          "estimators run in replica order)"},
+    "--out": {"help": "output directory"},
+    "--d": {},
+    "--n-grid": {"dest": "n_values", "help": "comma-separated N ladder"},
+    "--n": {"dest": "n_values", "help": "path length N"},
+    "--beta-grid": {"dest": "beta_values", "help": "comma-separated beta grid"},
+    "--n-disorder": {},
+    "--tail-u": {"help": "emit concentration tails on this u grid"},
+    "--block-betas": {"help": "per-block temperatures: run the multi-temperature "
+                              "consistency ladder instead of the single-beta sweep"},
+    "--blocks": {"dest": "L"},
+    "--n-pairs": {},
+    "--h": {},
+    "--mode": {"choices": _OVERLAP_MODES},
+    "--delta": {},
+    "--eps": {"dest": "epsilon"},
+    "--n-samples": {},
+    "--ds-levels": {},
+    "--max-j": {},
+    "--inject-fault": {"action": "store_true",
+                       "help": "negative control: flip one field value"},
+    "--inputs": {"help": "directory of prior run outputs"},
+}
+
+# command -> (help, its flags after --config and the common ones)
+_COMMAND_FLAGS = {
+    "free-energy": ("free-energy sweep",
+                    "--d --n-grid --beta-grid --n-disorder --tail-u --block-betas --blocks"),
+    "overlap": ("overlap and derivative identity",
+                "--d --n-grid --beta-grid --n-disorder --n-pairs --h --mode"),
+    "localize": ("favorite-path extraction",
+                 "--d --n --beta-grid --delta --eps --n-samples --blocks --ds-levels --max-j"),
+    "verify": ("oracle/property suites", "--inject-fault"),
+    "plotdata": ("tidy series from prior outputs", "--inputs"),
+}
 
 
 def build_parser() -> _Parser:
     ap = _Parser(prog="polymerlab", description=__doc__,
                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    fe = sub.add_parser("free-energy", help="free-energy sweep")
-    _add_common(fe)
-    fe.add_argument("--d", type=int, default=None)
-    fe.add_argument("--n-grid", dest="n_values", default=None,
-                    help="comma-separated N ladder")
-    fe.add_argument("--beta-grid", dest="beta_values", default=None,
-                    help="comma-separated beta grid")
-    fe.add_argument("--n-disorder", dest="n_disorder", type=int, default=None)
-    fe.add_argument("--tail-u", dest="tail_u", default=None,
-                    help="emit concentration tails on this u grid")
-    fe.add_argument("--block-betas", dest="block_betas", default=None,
-                    help="per-block temperatures: run the multi-temperature "
-                         "consistency ladder instead of the single-beta sweep")
-    fe.add_argument("--blocks", dest="L", type=int, default=None)
-
-    ov = sub.add_parser("overlap", help="overlap and derivative identity")
-    _add_common(ov)
-    ov.add_argument("--d", type=int, default=None)
-    ov.add_argument("--n-grid", dest="n_values", default=None)
-    ov.add_argument("--beta-grid", dest="beta_values", default=None)
-    ov.add_argument("--n-disorder", dest="n_disorder", type=int, default=None)
-    ov.add_argument("--n-pairs", dest="n_pairs", type=int, default=None)
-    ov.add_argument("--h", type=float, default=None)
-    ov.add_argument("--mode", choices=("auto", "mc", "enum"), default=None)
-
-    lo = sub.add_parser("localize", help="favorite-path extraction")
-    _add_common(lo)
-    lo.add_argument("--d", type=int, default=None)
-    lo.add_argument("--n", dest="n_values", default=None, help="path length N")
-    lo.add_argument("--beta-grid", dest="beta_values", default=None)
-    lo.add_argument("--delta", type=float, default=None)
-    lo.add_argument("--eps", dest="epsilon", type=float, default=None)
-    lo.add_argument("--n-samples", dest="n_samples", type=int, default=None)
-    lo.add_argument("--blocks", dest="L", type=int, default=None)
-    lo.add_argument("--ds-levels", dest="ds_levels", type=int, default=None)
-    lo.add_argument("--max-j", dest="max_j", type=int, default=None)
-
-    ve = sub.add_parser("verify", help="oracle/property suites")
-    _add_common(ve)
-    ve.add_argument("--inject-fault", dest="inject_fault", action="store_true",
-                    default=None, help="negative control: flip one field value")
-
-    pd = sub.add_parser("plotdata", help="tidy series from prior outputs")
-    _add_common(pd)
-    pd.add_argument("--inputs", default=None, help="directory of prior run outputs")
-
+    for command, (help_text, flags) in _COMMAND_FLAGS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("--config", default=None, help="INI or JSON config file")
+        for flag in ("--seed", "--threads", "--out", *flags.split()):
+            sp.add_argument(flag, default=None, **_FLAGS[flag])
     return ap
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(command=args.command)
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **load_config_file(args.config, args.command))
-    overrides = {}
-    for key in (f.name for f in fields(ExperimentConfig)):
-        if key == "command":
-            continue
+    """Defaults, then the config file, then the flags; one ``from_dict`` build."""
+    data = load_config_file(args.config, args.command) if args.config else {}
+    for key in _KINDS:
         val = getattr(args, key, None)
         if val is not None:
-            overrides[key] = _coerce_value(key, val)
-    if overrides:
-        cfg = replace(cfg, **overrides)
+            data[key] = _coerce_value(key, val)
+    data["command"] = args.command
+    cfg = ExperimentConfig.from_dict(data)
     _validate(cfg)
     return cfg
 
@@ -591,8 +572,18 @@ def _validate(cfg: ExperimentConfig) -> None:
                 f"multi-temperature consistency requires N >= L^2 = {cfg.L**2}; "
                 f"violated by N in {bad}"
             )
-    if cfg.command == "localize" and cfg.n_values:
-        n = int(cfg.n_values[0])
+    if cfg.command == "overlap":
+        if cfg.mode not in _OVERLAP_MODES:
+            raise ValidationError(f"mode must be one of {_OVERLAP_MODES}, got {cfg.mode!r}")
+        bad = [b for b in (cfg.beta_values or _OVERLAP_BETAS) if 0.0 < b < cfg.h]
+        if bad:
+            raise ValidationError(f"h={cfg.h} too large for beta={bad[0]}")
+    if cfg.command == "localize":
+        if len(cfg.n_values) != 1:
+            raise ValidationError(
+                f"localize needs exactly one N (--n), got {list(cfg.n_values)}"
+            )
+        (n,) = cfg.n_values
         if n < cfg.L**2:
             raise ValidationError(
                 f"localize needs N >= L^2 for the block machinery (N={n}, L={cfg.L})"

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import Environment, LatticeParams, PartitionScheme, derive_seed, gaussian_env, make_partition
-from .parallel import run_indexed
 from .transfer import BetaProfile, log_partitions
 
 
@@ -71,15 +70,13 @@ def annealed_bound(beta: float) -> float:
     return 0.5 * beta * beta
 
 
-def _per_step_logz(params: LatticeParams, profiles, master_seed: int, n_disorder: int,
-                   n_threads: int = 1) -> np.ndarray:
-    """(n_disorder, n_profiles) matrix of log Z / N over derived seeds."""
-    def one(r: int) -> np.ndarray:
-        env = gaussian_env(derive_seed(master_seed, r), params)
-        return log_partitions(env, profiles) / params.N
-
-    rows = run_indexed(one, n_disorder, n_threads)
-    return np.vstack(rows)
+def _per_step_logz(params: LatticeParams, profiles, master_seed: int,
+                   n_disorder: int) -> np.ndarray:
+    """(n_disorder, n_profiles) matrix of log Z / N over derived seeds, in seed order."""
+    return np.vstack([
+        log_partitions(gaussian_env(derive_seed(master_seed, r), params), profiles) / params.N
+        for r in range(n_disorder)
+    ])
 
 
 def estimate_free_energies(
@@ -87,7 +84,6 @@ def estimate_free_energies(
     params: LatticeParams,
     n_disorder: int = 200,
     master_seed: int = 0,
-    n_threads: int = 1,
 ) -> list[FreeEnergyEstimate]:
     """Average (1/N) log Z_N(beta) over independent environments, per beta.
 
@@ -96,7 +92,7 @@ def estimate_free_energies(
     if n_disorder < 2:
         raise ValueError("need n_disorder >= 2")
     profs = [BetaProfile.constant(beta, params.N) for beta in betas]
-    vals = _per_step_logz(params, profs, master_seed, n_disorder, n_threads)
+    vals = _per_step_logz(params, profs, master_seed, n_disorder)
     return [
         FreeEnergyEstimate(
             beta=beta,
@@ -116,10 +112,9 @@ def estimate_free_energy(
     params: LatticeParams,
     n_disorder: int = 200,
     master_seed: int = 0,
-    n_threads: int = 1,
 ) -> FreeEnergyEstimate:
     """Average (1/N) log Z_N(beta) over independent environments."""
-    return estimate_free_energies([beta], params, n_disorder, master_seed, n_threads)[0]
+    return estimate_free_energies([beta], params, n_disorder, master_seed)[0]
 
 
 def difference_quotient(lo: np.ndarray, hi: np.ndarray, width: float) -> float:
@@ -133,7 +128,6 @@ def estimate_derivative(
     params: LatticeParams,
     n_disorder: int = 200,
     master_seed: int = 0,
-    n_threads: int = 1,
 ) -> float:
     """Central difference of the per-step free energy with common random numbers.
 
@@ -147,7 +141,7 @@ def estimate_derivative(
     else:
         lo, hi, width = beta - h, beta + h, 2 * h
     profs = [BetaProfile.constant(lo, params.N), BetaProfile.constant(hi, params.N)]
-    vals = _per_step_logz(params, profs, master_seed, n_disorder, n_threads)
+    vals = _per_step_logz(params, profs, master_seed, n_disorder)
     return difference_quotient(vals[:, 0], vals[:, 1], width)
 
 
@@ -157,12 +151,11 @@ def concentration_profile(
     n_disorder: int,
     u_grid,
     master_seed: int = 0,
-    n_threads: int = 1,
 ) -> ConcentrationProfile:
     """Empirical exceedance of |log Z/N - mean| against the Gaussian bound."""
     u_grid = _positive_grid(u_grid)  # before the transfer passes
     prof = BetaProfile.constant(beta, params.N)
-    vals = _per_step_logz(params, [prof], master_seed, n_disorder, n_threads)[:, 0]
+    vals = _per_step_logz(params, [prof], master_seed, n_disorder)[:, 0]
     return concentration_from_samples(beta, params, vals, u_grid)
 
 
@@ -240,7 +233,6 @@ def multi_temp_gap(
     d: int,
     n_disorder: int = 200,
     master_seed: int = 0,
-    max_cells: int | None = None,
 ) -> GapEstimate:
     """Gap Delta_N between the two sides of the consistency limit at one N."""
     betas = tuple(float(b) for b in np.atleast_1d(betas))
@@ -248,9 +240,8 @@ def multi_temp_gap(
         raise ValueError(f"need {p.L} block temperatures, got {len(betas)}")
     if p.N < p.L**2:
         raise ValueError(f"consistency check requires N >= L^2 (N={p.N}, L={p.L})")
-    kw = {} if max_cells is None else {"max_cells": max_cells}
-    full_params = LatticeParams(d=d, N=p.N, **kw)
-    block_params = [LatticeParams(d=d, N=s, **kw) for s in p.sizes]
+    full_params = LatticeParams(d=d, N=p.N)
+    block_params = [LatticeParams(d=d, N=s) for s in p.sizes]
     block_prof = BetaProfile.from_blocks(p, betas)
 
     xs = np.empty(n_disorder)
@@ -317,10 +308,9 @@ def low_temp_gap(
     params: LatticeParams,
     n_disorder: int = 200,
     master_seed: int = 0,
-    n_threads: int = 1,
 ) -> LowTempGap:
     """Annealed-minus-quenched gap; a gap >> stderr evidences low temperature."""
-    est = estimate_free_energy(beta, params, n_disorder, master_seed, n_threads)
+    est = estimate_free_energy(beta, params, n_disorder, master_seed)
     return LowTempGap(
         beta=beta, N=params.N, d=params.d,
         gap=annealed_bound(beta) - est.mean, stderr=est.stderr, estimate=est,

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import MemoryGuardError, PartitionScheme, SubPartition, make_subpartition
-from .overlap import overlap_count
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -298,6 +297,16 @@ class ClaimRecord:
     ok: bool = False
 
 
+def _coincidence_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c with c[hi + 1] - c[lo] sites of a and b coinciding on the closed window [lo, hi]."""
+    return np.concatenate([[0], np.cumsum(np.all(a == b, axis=1))])
+
+
+def _window_counts(c: np.ndarray, boundaries) -> np.ndarray:
+    """Coincidences per window boundaries[w]+1 .. boundaries[w+1] (as ``pairwise_counts``)."""
+    return np.diff(c[np.asarray(boundaries) + 1])
+
+
 def verify_claim_reduction(
     sigma: np.ndarray,
     sigma1: np.ndarray,
@@ -317,8 +326,10 @@ def verify_claim_reduction(
     nlo, nhi = p.block_window(ell + 1)
     size_ell = hi - lo + 1
     size_next = nhi - nlo + 1
-    r1 = overlap_count(s1, sig, lo, hi) / size_ell
-    r2 = overlap_count(s2, sig, nlo, nhi) / size_next
+    c1 = _coincidence_prefix(s1, sig)
+    blocks1 = _window_counts(c1, p.boundaries)
+    r1 = int(blocks1[ell - 1]) / size_ell
+    r2 = int(_window_counts(_coincidence_prefix(s2, sig), p.boundaries)[ell]) / size_next
     if r1 < delta or r2 < delta:
         return ClaimRecord(hypotheses_hold=False, ell=ell, delta=delta)
 
@@ -328,9 +339,7 @@ def verify_claim_reduction(
     else:
         sub = make_subpartition(p, ell, K)
         threshold = delta * p.N / (4.0 * p.L * K)
-        counts = np.array(
-            [overlap_count(s1, sig, *sub.sub_window(k)) for k in range(1, K + 1)]
-        )
+        counts = _window_counts(c1, sub.boundaries)
         cands = tuple(int(k) for k in np.flatnonzero(counts + eps >= threshold) + 1)
         if len(cands) < 2:
             return ClaimRecord(
@@ -346,13 +355,10 @@ def verify_claim_reduction(
             )
         witness = splice_paths(s1, s2, m, t)
 
-    pre_ok = all(
-        overlap_count(witness, sig, *p.block_window(lp))
-        == overlap_count(s1, sig, *p.block_window(lp))
-        for lp in range(1, ell)
-    )
-    r_ell = overlap_count(witness, sig, lo, hi) / size_ell
-    r_next = overlap_count(witness, sig, nlo, nhi) / size_next
+    blocks_w = _window_counts(_coincidence_prefix(witness, sig), p.boundaries)
+    pre_ok = bool(np.array_equal(blocks_w[: ell - 1], blocks1[: ell - 1]))
+    r_ell = int(blocks_w[ell - 1]) / size_ell
+    r_next = int(blocks_w[ell]) / size_next
     ok = (
         pre_ok
         and r_ell + eps >= delta * delta / 104.0

@@ -43,7 +43,8 @@ class TestConfig:
         )
         data = load_config_file(str(ini), "free-energy")
         assert data["seed"] == 5 and data["threads"] == 2
-        assert data["n_values"] == [16.0, 32.0]
+        assert data["n_values"] == [16, 32] and all(type(n) is int for n in data["n_values"])
+        assert data["beta_values"] == [0.5, 1.0]
         assert data["n_disorder"] == 8
 
     def test_json_file_equivalence(self, tmp_path):
@@ -77,6 +78,9 @@ class TestConfig:
             config_from_args(ap.parse_args(["free-energy", "--tail-u", "0.1,0"]))
         with pytest.raises(ValidationError, match="ds_levels"):
             config_from_args(ap.parse_args(["localize", "--n", "16", "--ds-levels", "0"]))
+        # overlap's default beta grid holds 0.5, so h = 0.7 is refused before the sweep
+        with pytest.raises(ValidationError, match="h=0.7 too large for beta=0.5"):
+            config_from_args(ap.parse_args(["overlap", "--h", "0.7"]))
 
 
 def _cfg(**kw):
@@ -289,10 +293,36 @@ class TestPlotdata:
         assert rec.metrics["series"] == files
 
 
+# argv, and the config file it reads as (name, text) or None
+MALFORMED = {
+    "ini_unknown_key": (["free-energy"], ("run.ini", "[run]\nbogus = 1\n")),
+    "ini_seed_not_int": (["free-energy"], ("run.ini", "[run]\nseed = five\n")),
+    "ini_no_section": (["free-energy"], ("run.ini", "seed = 5\n")),
+    "ini_overlap_mode": (["overlap"], ("run.ini", "[overlap]\nmode = bogus\n")),
+    "json_syntax": (["free-energy"], ("run.json", '{"run": {"seed": 5,}}')),
+    "n_grid_token": (["free-energy", "--n-grid", "16,x"], None),
+    "n_grid_fraction": (["free-energy", "--n-grid", "16.5"], None),
+    "localize_two_n": (["localize", "--n", "64,128"], None),
+}
+
+
 class TestMainEntry:
     def test_validation_exit_code(self, capsys):
         assert main(["free-energy", "--n-disorder", "0"]) == 1
         assert "n_disorder" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_setting_one_line_exit_one(self, name, tmp_path, capsys):
+        argv, config = MALFORMED[name]
+        argv = argv + ["--out", str(tmp_path / "out")]
+        if config is not None:
+            path = tmp_path / config[0]
+            path.write_text(config[1])
+            argv += ["--config", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("polymerlab:")
+        assert not (tmp_path / "out").exists()  # refused before any work
 
     def test_memory_guard_exit_code(self, tmp_path, capsys):
         code = main([

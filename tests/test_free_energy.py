@@ -30,18 +30,11 @@ class TestEstimateFreeEnergy:
         with pytest.raises(ValueError):
             estimate_free_energy(1.0, LatticeParams(d=1, N=8), 1, master_seed=0)
 
-    def test_thread_count_invariance(self):
-        params = LatticeParams(d=1, N=64)
-        a = estimate_free_energy(1.0, params, 16, master_seed=3, n_threads=1)
-        b = estimate_free_energy(1.0, params, 16, master_seed=3, n_threads=4)
-        assert (a.mean, a.stderr) == (b.mean, b.stderr)
-
-    @pytest.mark.parametrize("n_threads", [1, 2])
-    def test_grid_matches_one_beta_at_a_time(self, n_threads):
+    def test_grid_matches_one_beta_at_a_time(self):
         params, betas = LatticeParams(d=1, N=16), (0.0, 0.5, 1.0, 2.5)
-        grid = estimate_free_energies(betas, params, 200, master_seed=21, n_threads=n_threads)
+        grid = estimate_free_energies(betas, params, 200, master_seed=21)
         for beta, est in zip(betas, grid):
-            one = estimate_free_energy(beta, params, 200, master_seed=21, n_threads=n_threads)
+            one = estimate_free_energy(beta, params, 200, master_seed=21)
             assert est == one  # every field but the samples, exactly
             assert np.array_equal(est.samples, one.samples)
             assert est.mean == float(np.mean(est.samples))

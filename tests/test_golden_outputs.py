@@ -19,11 +19,15 @@ import pytest
 
 from polymerlab.cli import main
 
+FREE_ENERGY_D1 = ["free-energy", "--d", "1", "--n-grid", "16,64", "--beta-grid", "0,0.5,2",
+                  "--n-disorder", "4", "--seed", "7"]
+FREE_ENERGY_D1_DIGEST = "c3af9afca9dff5cac1e1a1213d3ba5b85298420ae4edb7ced04db3fc5108d248"
+
 CASES = {
-    "free_energy_d1": (
-        ["free-energy", "--d", "1", "--n-grid", "16,64", "--beta-grid", "0,0.5,2",
-         "--n-disorder", "4", "--seed", "7"],
-        {"free_energy.csv": "c3af9afca9dff5cac1e1a1213d3ba5b85298420ae4edb7ced04db3fc5108d248"},
+    "free_energy_d1": (FREE_ENERGY_D1, {"free_energy.csv": FREE_ENERGY_D1_DIGEST}),
+    # --threads is accepted for config compatibility and has no effect
+    "free_energy_d1_threads4": (
+        FREE_ENERGY_D1 + ["--threads", "4"], {"free_energy.csv": FREE_ENERGY_D1_DIGEST},
     ),
     "free_energy_d3": (
         ["free-energy", "--d", "3", "--n-grid", "4,10", "--beta-grid", "0.5,2",

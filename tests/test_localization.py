@@ -42,7 +42,7 @@ from polymerlab.localization import (
     verify_claim_reduction,
     window_minima,
 )
-from polymerlab.overlap import block_overlap, overlap, restricted_overlap
+from polymerlab.overlap import block_overlap, overlap, overlap_count, restricted_overlap
 from polymerlab.transfer import BetaProfile, forward_layers, sample_paths
 
 
@@ -517,6 +517,14 @@ class TestClaimReduction:
         assert rec.ell_overlap >= 0.5**2 / 104
         assert rec.next_overlap >= 0.5
         assert rec.prefix_overlaps_equal
+        # the window counts agree with one overlap_count per window
+        assert rec.ell_overlap == block_overlap(rec.witness, sig, p, 2)
+        assert rec.next_overlap == block_overlap(rec.witness, sig, p, 3)
+        sub = make_subpartition(p, 2, default_refinement(0.5))
+        threshold = 0.5 * p.N / (4.0 * p.L * sub.K)
+        dense = [k for k in range(1, sub.K + 1)
+                 if overlap_count(s1, sig, *sub.sub_window(k)) + 1e-12 >= threshold]
+        assert rec.k_candidates == tuple(dense)
 
 
 class TestWindowMachinery:
