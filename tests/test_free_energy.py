@@ -30,8 +30,9 @@ class TestEstimateFreeEnergy:
         with pytest.raises(ValueError):
             estimate_free_energy(1.0, LatticeParams(d=1, N=8), 1, master_seed=0)
 
-    def test_grid_matches_one_beta_at_a_time(self):
-        params, betas = LatticeParams(d=1, N=16), (0.0, 0.5, 1.0, 2.5)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_grid_matches_one_beta_at_a_time(self, d):
+        params, betas = LatticeParams(d=d, N=16), (0.0, 0.5, 1.0, 2.5)
         grid = estimate_free_energies(betas, params, 200, master_seed=21)
         for beta, est in zip(betas, grid):
             one = estimate_free_energy(beta, params, 200, master_seed=21)
