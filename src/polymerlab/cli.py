@@ -58,8 +58,6 @@ from .localization import (
 from .overlap import sweep_overlaps
 from .transfer import BetaProfile, forward_layers, sample_paths
 
-COMMANDS = ("free-energy", "overlap", "localize", "verify", "plotdata")
-
 # default free-energy sweep: beta <= 3, N <= 1024, d <= 2 (per dimension)
 DEFAULT_BETA_GRID = (0.5, 1.0, 2.0, 3.0)
 DEFAULT_N_LADDER = {1: (64, 256, 1024), 2: (64, 256)}
@@ -167,18 +165,21 @@ def load_config_file(path: str, command: str) -> dict:
     try:
         if p.suffix == ".json":
             data = json.loads(p.read_text())
-            merged = dict(data.get("run", {}))
-            merged.update(data.get(command, {}))
+            if not isinstance(data, dict):
+                raise ValidationError(f"config file {path}: expected a JSON object of sections")
+            sections = {s: data[s] for s in ("run", command) if s in data}
         else:
             parser = configparser.ConfigParser()
             parser.read(p)
-            merged = {}
-            for section in ("run", command):
-                if parser.has_section(section):
-                    merged.update(dict(parser.items(section)))
+            sections = {s: dict(parser.items(s)) for s in ("run", command) if parser.has_section(s)}
     except (configparser.Error, json.JSONDecodeError) as exc:
         reason = " ".join(str(exc).split())
         raise ValidationError(f"cannot read config file {path}: {reason}") from None
+    merged = {}
+    for name, section in sections.items():
+        if not isinstance(section, dict):
+            raise ValidationError(f"config file {path}: section {name!r} is not an object")
+        merged.update(section)
     return {k: _coerce_value(k, v) for k, v in merged.items()}
 
 
@@ -308,11 +309,12 @@ def cmd_localize(cfg: ExperimentConfig) -> RunRecord:
     K = default_refinement(cfg.delta)
 
     jsonl = out / "localize.jsonl"
-    jsonl.write_text("")
     window_rows = []
     ds_records = []
-    for beta in betas:
+    for k, beta in enumerate(betas):
         table = forward_layers(env, BetaProfile.constant(beta, n))
+        if k == 0:  # the kept-table budget has admitted N: replace any old output
+            jsonl.write_text("")
         samples = sample_paths(
             table, cfg.n_samples, np.random.default_rng(derive_seed(cfg.seed, 3))
         )

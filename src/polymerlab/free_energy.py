@@ -70,6 +70,11 @@ def annealed_bound(beta: float) -> float:
     return 0.5 * beta * beta
 
 
+def standard_error(x: np.ndarray) -> float:
+    """Standard error of the mean of sample ``x``; 0.0 for one value or none."""
+    return float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
+
+
 def _per_step_logz(params: LatticeParams, profiles, master_seed: int,
                    n_disorder: int) -> np.ndarray:
     """(n_disorder, n_profiles) matrix of log Z / N over derived seeds, in seed order."""
@@ -99,7 +104,7 @@ def estimate_free_energies(
             N=params.N,
             d=params.d,
             mean=float(v.mean()),
-            stderr=float(v.std(ddof=1) / np.sqrt(n_disorder)),
+            stderr=standard_error(v),
             n_disorder=n_disorder,
             samples=v,
         )
@@ -268,7 +273,7 @@ def multi_temp_gap(
         L=p.L,
         betas=betas,
         gap=float(abs(xs.mean())),
-        stderr=float(xs.std(ddof=1) / np.sqrt(n_disorder)) if n_disorder > 1 else 0.0,
+        stderr=standard_error(xs),
         lhs_mean=float(lhs.mean()),
         rhs_mean=float(lhs.mean() - xs.mean()),
         n_disorder=n_disorder,

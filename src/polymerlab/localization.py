@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import MemoryGuardError, PartitionScheme, SubPartition, make_subpartition
+from .lattice import (MemoryGuardError, PartitionScheme, SubPartition, make_subpartition,
+                      path_columns)
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -89,12 +90,6 @@ def connecting_path(x, i: int, y, t: int) -> np.ndarray:
     return _bridge(x, y - x, np.arange(t - i + 1))
 
 
-def _as_columns(*paths):
-    """Each path as a (T, d) array; 1-D paths become one column."""
-    arrs = [np.asarray(a) for a in paths]
-    return [a[:, None] if a.ndim == 1 else a for a in arrs]
-
-
 def meeting_time(sigma1: np.ndarray, sigma2: np.ndarray, m: int, window) -> int | None:
     """Earliest t in ``window`` such that sigma2[t] is reachable from
     (m, sigma1[m]) by some nearest-neighbor path.
@@ -107,14 +102,14 @@ def meeting_time(sigma1: np.ndarray, sigma2: np.ndarray, m: int, window) -> int 
         raise ValueError(f"anchor time {m} must precede the window start {lo}")
     if hi < lo:
         return None
-    s1, s2 = _as_columns(sigma1, sigma2)
+    s1, s2 = path_columns(sigma1), path_columns(sigma2)
     t = int(_meeting_times(s1[m][None], np.array([m]), s2[None, lo : hi + 1], lo)[0, 0])
     return t if t >= 0 else None
 
 
 def splice_paths(sigma1: np.ndarray, sigma2: np.ndarray, m: int, t: int) -> np.ndarray:
     """Follow sigma1 to time m, connect to sigma2[t], then follow sigma2."""
-    a, b = _as_columns(sigma1, sigma2)
+    a, b = path_columns(sigma1), path_columns(sigma2)
     _require_path(a[m], b[t], t - m)
     return _splice_batch(a, b[None], np.array([m]), np.array([t]))[0]
 
@@ -218,7 +213,7 @@ def build_distinguished_sets(
     paths = []
     seen = set()
     prov = []
-    for a in _as_columns(*d1_paths):
+    for a in map(path_columns, d1_paths):
         key = a.tobytes()
         if key not in seen:
             seen.add(key)
@@ -320,7 +315,7 @@ def verify_claim_reduction(
     K = default_refinement(delta) if K is None else int(K)
     if not 1 <= ell <= p.L - 1:
         raise ValueError(f"need 1 <= ell <= L-1, got ell={ell}")
-    sig, s1, s2 = _as_columns(sigma, sigma1, sigma2)
+    sig, s1, s2 = map(path_columns, (sigma, sigma1, sigma2))
 
     lo, hi = p.block_window(ell)
     nlo, nhi = p.block_window(ell + 1)
@@ -746,9 +741,7 @@ def _step_tokens(d: int) -> list:
 
 def encode_path(path: np.ndarray) -> str:
     """Compact step-direction string, e.g. '+x,-y,+x'."""
-    arr = np.asarray(path)
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    arr = path_columns(path)
     steps = np.diff(arr, axis=0)
     if np.any(np.count_nonzero(steps, axis=1) != 1):
         raise ValueError("every step must move along exactly one axis")

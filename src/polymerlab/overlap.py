@@ -34,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .free_energy import difference_quotient
-from .lattice import Environment, LatticeParams, PartitionScheme, derive_seed, gaussian_env
+from .free_energy import difference_quotient, standard_error
+from .lattice import (Environment, LatticeParams, PartitionScheme, derive_seed, gaussian_env,
+                      path_columns)
 from .transfer import (
     BetaProfile,
     backward_layers,
@@ -49,20 +50,15 @@ from .transfer import (
 )
 
 
-def _coerce(a) -> np.ndarray:
-    a = np.asarray(a)
-    return a[:, None] if a.ndim == 1 else a
-
-
 def overlap_count(a, b, lo: int, hi: int) -> int:
     """Number of coinciding sites on the closed window [lo, hi]."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = path_columns(a), path_columns(b)
     return int(np.all(a[lo : hi + 1] == b[lo : hi + 1], axis=1).sum())
 
 
 def overlap(a, b) -> float:
     """Fraction of coinciding sites over i = 1..N."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = path_columns(a), path_columns(b)
     if a.shape != b.shape:
         raise ValueError(f"path shapes differ: {a.shape} vs {b.shape}")
     n = a.shape[0] - 1
@@ -73,7 +69,7 @@ def overlap(a, b) -> float:
 
 def restricted_overlap(a, b, lo: int, hi: int) -> float:
     """Fraction of coinciding sites on [lo, hi], 1 <= lo <= hi <= N."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = path_columns(a), path_columns(b)
     if a.shape != b.shape:
         raise ValueError(f"path shapes differ: {a.shape} vs {b.shape}")
     n = a.shape[0] - 1
@@ -106,9 +102,8 @@ def _replica_overlap(table, n_pairs: int, rng: np.random.Generator,
     paths = sampler(table, 2 * n_pairs, rng)
     eq = np.all(paths[0::2, 1:, :] == paths[1::2, 1:, :], axis=2)
     vals = eq.sum(axis=1) / table.N
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(n_pairs)) if n_pairs > 1 else 0.0
-    return OverlapEstimate(mean=mean, stderr=stderr, n_pairs=n_pairs, n_disorder=1)
+    return OverlapEstimate(mean=float(vals.mean()), stderr=standard_error(vals),
+                           n_pairs=n_pairs, n_disorder=1)
 
 
 def mean_replica_overlap(
@@ -184,17 +179,14 @@ def _ibp_summary(logz: np.ndarray, rhs: np.ndarray, beta: float, h: float,
     (columns of ``logz``) and right-hand sides."""
     diffs = (logz[:, 0] - logz[:, 1]) / (2.0 * h * n)
     x = diffs - rhs
-    n_disorder = len(x)
-    residual = float(abs(x.mean()))
-    stderr = float(x.std(ddof=1) / np.sqrt(n_disorder)) if n_disorder > 1 else 0.0
     return IbpEstimate(
-        residual=residual,
-        stderr=stderr,
+        residual=float(abs(x.mean())),
+        stderr=standard_error(x),
         derivative=float(diffs.mean()),
         overlap_term=float(rhs.mean()),
         beta=beta,
         h=h,
-        n_disorder=n_disorder,
+        n_disorder=len(x),
         mode=mode,
     )
 
@@ -235,11 +227,12 @@ def ibp_residual(
     rhs = np.empty(n_disorder)
     for r in range(n_disorder):
         env = gaussian_env(derive_seed(master_seed, r), params)
+        # the kept tables first: their budget refuses a too-large N before any work
+        rhs[r] = _ibp_rhs(forward_layers(env, prof_0), backward_layers(env, prof_0), beta, mode)
         if mode == "mc":
             logz[r] = log_partitions(env, profs)
         else:
             logz[r] = _enumerated_log_partitions(env, profs)
-        rhs[r] = _ibp_rhs(forward_layers(env, prof_0), backward_layers(env, prof_0), beta, mode)
     return _ibp_summary(logz, rhs, beta, h, n, mode)
 
 

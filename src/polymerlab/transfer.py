@@ -19,7 +19,8 @@ keeping every layer, and backward) over a layer geometry chosen from d:
         and the neighbour sum is one pairwise logaddexp per axis;
   d>=3  site lists sorted by packed integer keys, joined via searchsorted.
 The public entry points and the sampler are thin wrappers over the driver
-and the geometry.
+and the geometry.  The driver alone allocates layers, so it alone charges
+the cell budget ``LatticeParams.max_cells``, for what each pass holds.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Environment, MemoryGuardError, PartitionScheme, reachable_cells_total
+from .lattice import (Environment, MemoryGuardError, PartitionScheme, reachable_cells_total,
+                      reachable_set_size)
 
 NEG_INF = -np.inf
 
@@ -149,6 +151,10 @@ class _DenseGeometry:
     sum splits into one pairwise logaddexp per axis.
     """
 
+    # cells per site of a layer held besides the layers themselves during one
+    # step: coordinates, the field, the drive and the padded neighbour sums
+    work_cells = 10
+
     def __init__(self, d: int):
         self.d = d
 
@@ -203,6 +209,10 @@ class _PackedGeometry:
 
     def __init__(self, d: int, N: int, keep: bool):
         self.d, self.N, self.keep = d, N, keep
+        # per site, one step holds 2d candidate sites (d coordinates and a key
+        # each) and their sort in np.unique, 2d-row index maps and gathers,
+        # and the coordinates and keys of two layers
+        self.work_cells = 2 * d * (d + 9)
         self.offs = _offsets(d)
         origin = np.zeros((1, d), dtype=np.int64)
         self._coords, self._keys = [origin], [_pack_keys(origin, N)]
@@ -279,13 +289,16 @@ class LayerTable:
         return self.geometry.coords(i)
 
 
-def _check_guard(env: Environment):
+def _check_guard(env: Environment, geom, n_profiles: int, keep: bool):
+    """The one cell budget.  A kept table holds its whole cone.  A rolling
+    pass holds two layers per profile, each no wider than layer N, and the
+    geometry's ``work_cells`` per site of layer N for one step."""
     p = env.params
-    total = reachable_cells_total(p.N, p.d, cap=p.max_cells)
-    if total > p.max_cells:
-        raise MemoryGuardError(
-            f"layer table for d={p.d}, N={p.N} exceeds {p.max_cells} cells"
-        )
+    cells = (reachable_cells_total(p.N, p.d, cap=p.max_cells) if keep
+             else reachable_set_size(p.N, p.d) * (2 * n_profiles + geom.work_cells))
+    if cells > p.max_cells:
+        held = "a kept layer table" if keep else f"a rolling pass over {n_profiles} profile(s)"
+        raise MemoryGuardError(f"d={p.d}, N={p.N}: {held} needs more than {p.max_cells} cells")
 
 
 def _check_forward_args(env: Environment, profile: BetaProfile):
@@ -308,9 +321,9 @@ def _transfer(env, profiles, direction, dtype, keep, geometry=_geometry):
     """
     for pr in profiles:
         _check_forward_args(env, pr)
-    _check_guard(env)
     d, N = env.params.d, env.params.N
     geom = geometry(d, N, keep)
+    _check_guard(env, geom, len(profiles), keep)
     log2d = np.log(dtype(2.0 * d))
     forward = direction == "forward"
     start = np.zeros(geom.shape(0 if forward else N), dtype=dtype)

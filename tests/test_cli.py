@@ -300,6 +300,9 @@ MALFORMED = {
     "ini_no_section": (["free-energy"], ("run.ini", "seed = 5\n")),
     "ini_overlap_mode": (["overlap"], ("run.ini", "[overlap]\nmode = bogus\n")),
     "json_syntax": (["free-energy"], ("run.json", '{"run": {"seed": 5,}}')),
+    "json_run_not_object": (["free-energy"], ("run.json", '{"run": 5}')),
+    "json_top_level_list": (["free-energy"], ("run.json", "[1, 2]")),
+    "json_command_not_object": (["free-energy"], ("run.json", '{"free-energy": [1]}')),
     "n_grid_token": (["free-energy", "--n-grid", "16,x"], None),
     "n_grid_fraction": (["free-energy", "--n-grid", "16.5"], None),
     "localize_two_n": (["localize", "--n", "64,128"], None),
@@ -325,14 +328,22 @@ class TestMainEntry:
         assert not (tmp_path / "out").exists()  # refused before any work
 
     def test_memory_guard_exit_code(self, tmp_path, capsys):
-        code = main([
-            "free-energy", "--d", "2", "--n-grid", "1024", "--beta-grid", "1",
-            "--n-disorder", "2", "--out", str(tmp_path),
-        ])
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("polymerlab: d=2, N=1024 needs more than")
+        # free-energy rolls two layers per profile, plus working cells per site:
+        # 8001^2 * (2 + 10) cells is over the cap; overlap and localize keep
+        # whole tables: the d=2, N=1024 cone is 359.5M cells
+        earlier = tmp_path / "localize" / "localize.jsonl"
+        earlier.parent.mkdir()
+        earlier.write_text('{"earlier": "run"}\n')
+        for n, argv in (
+            (8000, ["free-energy", "--n-grid", "8000", "--beta-grid", "1", "--n-disorder", "2"]),
+            (1024, ["overlap", "--n-grid", "1024", "--beta-grid", "1", "--n-disorder", "2"]),
+            (1024, ["localize", "--n", "1024"]),
+        ):
+            assert main(argv + ["--d", "2", "--out", str(tmp_path / argv[0])]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"polymerlab: d=2, N={n}:")
+        assert earlier.read_text() == '{"earlier": "run"}\n'  # refused before truncation
 
     def test_bad_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:

@@ -21,6 +21,7 @@ from polymerlab.lattice import (
     reachable_set_size,
     zero_env,
 )
+from polymerlab.transfer import BetaProfile, backward_layers, forward_layers
 
 
 def test_params_validation():
@@ -31,8 +32,13 @@ def test_params_validation():
 
 
 def test_memory_guard_at_construction():
+    # the environment stores nothing; the passes that keep its tables are charged
+    env = gaussian_env(1, LatticeParams(d=2, N=512, max_cells=1000))
+    prof = BetaProfile.constant(1.0, 512)
     with pytest.raises(MemoryGuardError):
-        gaussian_env(1, LatticeParams(d=2, N=512, max_cells=1000))
+        forward_layers(env, prof)
+    with pytest.raises(MemoryGuardError):
+        backward_layers(env, prof)
     gaussian_env(1, LatticeParams(d=1, N=512))  # well under the default cap
 
 

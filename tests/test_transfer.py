@@ -5,10 +5,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from polymerlab.lattice import Environment, LatticeParams, gaussian_env, make_partition, zero_env
+from polymerlab.free_energy import estimate_free_energies
+from polymerlab.lattice import (
+    Environment,
+    LatticeParams,
+    MemoryGuardError,
+    gaussian_env,
+    make_partition,
+    zero_env,
+)
 from polymerlab.transfer import (
     BetaProfile,
     LayerTable,
+    _check_guard,
     _geometry,
     _PackedGeometry,
     _transfer,
@@ -329,8 +338,41 @@ def test_brute_force_guard():
 
 
 def test_forward_layers_memory_guard():
-    from polymerlab.lattice import Environment, MemoryGuardError
-
     env = Environment(seed=1, params=LatticeParams(d=2, N=64, max_cells=100))
     with pytest.raises(MemoryGuardError):
         forward_layers(env, BetaProfile.constant(1.0, 64))
+
+
+def test_rolling_pass_not_charged_for_the_cone():
+    # the cone is 2,003,001 cells; a rolling pass with four profiles is charged
+    # 2001 * (2 * 4 + 10) = 36,018
+    small = LatticeParams(d=1, N=2000, max_cells=40_000)
+    full = LatticeParams(d=1, N=2000)
+    betas = (0.5, 1.0, 2.0, 3.0)
+    profs = [BetaProfile.constant(b, 2000) for b in betas]
+    got = log_partitions(gaussian_env(5, small), profs)
+    want = log_partitions(gaussian_env(5, full), profs)
+    assert got.tobytes() == want.tobytes()
+    got = estimate_free_energies(betas, small, n_disorder=2, master_seed=3)
+    want = estimate_free_energies(betas, full, n_disorder=2, master_seed=3)
+    for a, b in zip(got, want):
+        assert (a.mean, a.stderr) == (b.mean, b.stderr)
+        assert a.samples.tobytes() == b.samples.tobytes()
+    env = gaussian_env(5, small)
+    with pytest.raises(MemoryGuardError, match="d=1, N=2000"):
+        forward_layers(env, profs[0])
+    with pytest.raises(MemoryGuardError, match="d=1, N=2000"):
+        backward_layers(env, profs[0])
+
+
+@pytest.mark.parametrize("d, N", [(2, 7000), (3, 300)])
+def test_rolling_pass_charged_working_cells(d, N):
+    # one profile is charged 2 cells per site of layer N, but the pass also
+    # holds coordinates, keys, index maps and temporaries: 49M sites at d=2
+    # and 18.2M at d=3 would need gigabytes, so the default cap refuses them
+    env = gaussian_env(1, LatticeParams(d=d, N=N))
+    geom = _geometry(d, N, False)
+    with pytest.raises(MemoryGuardError, match=f"d={d}, N={N}: a rolling pass"):
+        _check_guard(env, geom, 1, keep=False)
+    small = gaussian_env(1, LatticeParams(d=d, N=N // 10))
+    _check_guard(small, _geometry(d, N // 10, False), 4, keep=False)
