@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verify as verify_mod
 from .free_energy import (
     annealed_bound,
     concentration_from_samples,
@@ -371,7 +370,8 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple[RunRecord, int]:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    summary = verify_mod.run_all(cfg.seed, inject_fault=cfg.inject_fault)
+    from .verify import run_all  # scipy.stats and the suites load only here
+    summary = run_all(cfg.seed, inject_fault=cfg.inject_fault)
     (out / "verify_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=1) + "\n"
     )

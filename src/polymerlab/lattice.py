@@ -202,8 +202,7 @@ def reachable_cells_total(N: int, d: int, cap: int | None = None) -> int:
     if d == 1:
         return (N + 1) * (N + 2) // 2
     if d == 2:
-        return sum((i + 1) ** 2 for i in range(N + 1))
-    total = 0
+        return (N + 1) * (N + 2) * (2 * N + 3) // 6
     # parity classes let |D_i| grow incrementally: D_i = D_{i-2} + shell_i
     size = [1, _shell_count(1, d)]  # |D_0|, |D_1|
     total = size[0] + (size[1] if N >= 1 else 0)

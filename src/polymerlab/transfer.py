@@ -17,7 +17,8 @@ keeping every layer, and backward) over a layer geometry chosen from d:
         s = x1+x2, t = x1-x2 in d=2), where the walk factorizes into
         independent one-dimensional walks, the reachable cone is a full cube
         and the neighbour sum is one pairwise logaddexp per axis;
-  d>=3  site lists sorted by packed integer keys, joined via searchsorted.
+  d>=3  sorted int64 site keys per layer, stepped by key arithmetic and
+        joined via searchsorted; coordinates are decoded only on demand.
 The public entry points and the sampler are thin wrappers over the driver
 and the geometry.  The driver alone allocates layers, so it alone charges
 the cell budget ``LatticeParams.max_cells``, for what each pass holds.
@@ -112,16 +113,6 @@ def _offsets(d: int) -> np.ndarray:
     return out
 
 
-def _pack_keys(coords: np.ndarray, N: int) -> np.ndarray:
-    base = 2 * N + 1
-    if coords.shape[1] * math.log2(base) > 62:
-        raise MemoryGuardError("packed site keys would overflow int64")
-    key = np.zeros(coords.shape[0], dtype=np.int64)
-    for k in range(coords.shape[1]):
-        key = key * base + (coords[:, k] + N)
-    return key
-
-
 def _pairwise(x: np.ndarray) -> np.ndarray:
     """logaddexp of neighbouring entries along every axis, last axis first."""
     for ax in reversed(range(x.ndim)):
@@ -151,6 +142,7 @@ class _DenseGeometry:
     sum splits into one pairwise logaddexp per axis.
     """
 
+    key_cells = 0  # per site of a kept layer, besides its values
     # cells per site of a layer held besides the layers themselves during one
     # step: coordinates, the field, the drive and the padded neighbour sums
     work_cells = 10
@@ -189,66 +181,69 @@ class _DenseGeometry:
         return np.stack(cols, axis=1)
 
 
-def _general_expand(coords, N, d):
-    """Coords/keys of the next layer from the current one."""
-    cand = (coords[None, :, :] + _offsets(d)[:, None, :]).reshape(-1, d)
-    ck = _pack_keys(cand, N)
-    uk, idx = np.unique(ck, return_index=True)
-    return cand[idx], uk
-
-
 class _PackedGeometry:
-    """d >= 3: layer i lists its sites, sorted by packed integer key.
+    """d >= 3: layer i is the sorted int64 keys of its sites and nothing else.
 
-    Layer i is the set of neighbours of layer i-1.  Neighbour sums gather
-    through index maps found by ``searchsorted`` on the keys, built once per
-    layer and shared by every profile; a site off the layer maps one past its
-    end, where a -inf sentinel sits.  Without ``keep`` only the two newest
-    layers are held.
+    key(x) = sum_k (x_k + N) (2N+1)^(d-1-k) orders sites lexicographically, and
+    the step +-e_k moves a key by +-(2N+1)^(d-1-k).  A move to |x_k| = N+1 can
+    only alias a site with a coordinate +-N, which no layer it is looked up in
+    holds.  Layer i is the set of neighbours of layer i-1.  Neighbour sums
+    gather through index maps found by ``searchsorted``, built once per layer
+    and shared by every profile; a site off the layer maps one past its end,
+    where a -inf sentinel sits.  Coordinates are decoded only where asked for.
+    Without ``keep`` only the two newest layers are held.
     """
 
+    key_cells = 1  # per site of a kept layer, besides its values
+
     def __init__(self, d: int, N: int, keep: bool):
-        self.d, self.N, self.keep = d, N, keep
-        # per site, one step holds 2d candidate sites (d coordinates and a key
-        # each) and their sort in np.unique, 2d-row index maps and gathers,
-        # and the coordinates and keys of two layers
+        base = 2 * N + 1
+        if d * math.log2(base) > 62:
+            raise MemoryGuardError("packed site keys would overflow int64")
+        self.N, self.keep, self.base = N, keep, base
+        self.radix = base ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        # the key moves of the steps +e1, -e1, +e2, ...
+        self.steps = np.stack([self.radix, -self.radix], axis=1).ravel()
+        # per site, one step holds 2d candidate keys, 2d rows of index maps and
+        # their gather, decoded coordinates, the field and two layers' keys
         self.work_cells = 2 * d * (d + 9)
-        self.offs = _offsets(d)
-        origin = np.zeros((1, d), dtype=np.int64)
-        self._coords, self._keys = [origin], [_pack_keys(origin, N)]
+        self._keys = [N * self.radix.sum(keepdims=True)]
+
+    def keys(self, i: int) -> np.ndarray:
+        while len(self._keys) <= i:
+            cand = (self._keys[-1] + self.steps[:, None]).ravel()
+            cand.sort()
+            self._keys.append(cand[np.append(True, cand[1:] != cand[:-1])])
+            if not self.keep and len(self._keys) > 2:
+                self._keys[-3] = None
+        return self._keys[i]
 
     def shape(self, i: int) -> tuple:
-        return (len(self.coords(i)),)
+        return self.keys(i).shape
 
     def coords(self, i: int) -> np.ndarray:
-        while len(self._coords) <= i:
-            ci, ki = _general_expand(self._coords[-1], self.N, self.d)
-            self._coords.append(ci)
-            self._keys.append(ki)
-            if not self.keep and len(self._coords) > 2:
-                self._coords[-3] = self._keys[-3] = None
-        return self._coords[i]
+        return self.keys(i)[:, None] // self.radix % self.base - self.N
 
-    def _index(self, i: int, sites: np.ndarray) -> np.ndarray:
-        """Positions of sites in layer i; sites off the layer get its size."""
-        self.coords(i)
-        keys, k = self._keys[i], _pack_keys(sites, self.N)
-        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
-        return np.where(keys[pos] == k, pos, len(keys))
+    def _maps(self, i: int, keys: np.ndarray, moves: np.ndarray) -> np.ndarray:
+        """Positions in layer i of keys + move, one row per move, built a row at a
+        time to hold one row's search temporaries; off-layer sites get its size."""
+        layer = self.keys(i)
+        maps = np.empty((len(moves), len(keys)), dtype=np.intp)
+        for row, move in zip(maps, moves):
+            k = keys + move
+            row[:] = np.searchsorted(layer, k)
+            np.minimum(row, len(layer) - 1, out=row)
+            row[layer[row] != k] = len(layer)
+        return maps
 
     def sum_into(self, i: int):
-        ci = self.coords(i)
-        maps = np.stack([self._index(i - 1, ci - o) for o in self.offs])
-        return functools.partial(_gather_logsum, maps)
+        return functools.partial(_gather_logsum, self._maps(i - 1, self.keys(i), -self.steps))
 
     def sum_from(self, i: int):
-        ci = self.coords(i - 1)
-        maps = np.stack([self._index(i, ci + o) for o in self.offs])
-        return functools.partial(_gather_logsum, maps)
+        return functools.partial(_gather_logsum, self._maps(i, self.keys(i - 1), self.steps))
 
     def predecessors(self, i: int, idx: np.ndarray) -> np.ndarray:
-        sites = self.coords(i)[idx]
-        return np.stack([self._index(i - 1, sites - o) for o in self.offs], axis=1)
+        return self._maps(i - 1, self.keys(i)[idx], -self.steps).T
 
 
 def _geometry(d: int, N: int, keep: bool):
@@ -289,16 +284,20 @@ class LayerTable:
         return self.geometry.coords(i)
 
 
-def _check_guard(env: Environment, geom, n_profiles: int, keep: bool):
-    """The one cell budget.  A kept table holds its whole cone.  A rolling
-    pass holds two layers per profile, each no wider than layer N, and the
-    geometry's ``work_cells`` per site of layer N for one step."""
+def _check_guard(env: Environment, geom, n_profiles: int, keep: bool) -> int:
+    """The one cell budget, returning the cells charged.  A kept table holds
+    its cone, with one cell per profile and ``key_cells`` per site; a rolling
+    pass holds two layers per profile, each no wider than layer N; and one
+    step holds the geometry's ``work_cells`` per site of layer N."""
     p = env.params
-    cells = (reachable_cells_total(p.N, p.d, cap=p.max_cells) if keep
-             else reachable_set_size(p.N, p.d) * (2 * n_profiles + geom.work_cells))
+    width = reachable_set_size(p.N, p.d)
+    held = (reachable_cells_total(p.N, p.d, cap=p.max_cells) * (n_profiles + geom.key_cells)
+            if keep else 2 * n_profiles * width)
+    cells = held + width * geom.work_cells
     if cells > p.max_cells:
         held = "a kept layer table" if keep else f"a rolling pass over {n_profiles} profile(s)"
         raise MemoryGuardError(f"d={p.d}, N={p.N}: {held} needs more than {p.max_cells} cells")
+    return cells
 
 
 def _check_forward_args(env: Environment, profile: BetaProfile):

@@ -2,9 +2,14 @@ import collections
 import csv
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polymerlab
 from polymerlab.cli import (
     ExperimentConfig,
     ValidationError,
@@ -358,3 +363,13 @@ class TestMainEntry:
         assert code == 0
         assert (tmp_path / "free_energy.csv").exists()
         assert (tmp_path / "run_record.json").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # only the verify command uses scipy.stats; importing the CLI must not pay for it
+    src = str(Path(polymerlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, polymerlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

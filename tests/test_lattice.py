@@ -153,6 +153,11 @@ class TestReachableSets:
         total = sum(reachable_set_size(i, 3) for i in range(11))
         assert reachable_cells_total(10, 3) == total
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_cells_total_closed_form_large_n(self, d):
+        n = 5000
+        assert reachable_cells_total(n, d) == sum(reachable_set_size(i, d) for i in range(n + 1))
+
 
 class TestPaths:
     def test_examples(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +13,7 @@ from polymerlab.lattice import (
     MemoryGuardError,
     gaussian_env,
     make_partition,
+    reachable_set,
     zero_env,
 )
 from polymerlab.transfer import (
@@ -291,6 +293,16 @@ class TestGeometries:
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) < 1e-12
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_packed_coords_decode_in_lexicographic_order(self, d):
+        geom = _PackedGeometry(d, 6, keep=True)
+        for i in range(7):
+            assert np.array_equal(geom.coords(i), reachable_set(i, d))
+
+    def test_packed_keys_wider_than_62_bits_refused(self):
+        with pytest.raises(MemoryGuardError, match="overflow int64"):
+            _PackedGeometry(8, 256, keep=True)
+
 
 @dataclass(frozen=True)
 class CountingEnvironment(Environment):
@@ -376,3 +388,30 @@ def test_rolling_pass_charged_working_cells(d, N):
         _check_guard(env, geom, 1, keep=False)
     small = gaussian_env(1, LatticeParams(d=d, N=N // 10))
     _check_guard(small, _geometry(d, N // 10, False), 4, keep=False)
+
+
+@pytest.mark.parametrize("d, N", [(2, 200), (3, 30)])
+@pytest.mark.parametrize("build", [forward_layers, backward_layers])
+def test_kept_table_peak_within_charge(d, N, build):
+    # everything a kept pass allocates, its returned table included, stays
+    # within the float64 cells it is charged
+    env = gaussian_env(2, LatticeParams(d=d, N=N))
+    charged = _check_guard(env, _geometry(d, N, True), 1, keep=True)
+    tracemalloc.start()
+    try:
+        build(env, BetaProfile.constant(0.8, N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * charged
+
+
+@pytest.mark.parametrize("d, last", [(2, 658), (3, 104)])
+def test_kept_table_limits_at_default_cap(d, last):
+    # a kept table is charged its cone for the layer values, its cone again
+    # for the keys at d >= 3, and one step's work cells per site of layer N
+    _check_guard(gaussian_env(1, LatticeParams(d=d, N=last)), _geometry(d, last, True), 1,
+                 keep=True)
+    env = gaussian_env(1, LatticeParams(d=d, N=last + 1))
+    with pytest.raises(MemoryGuardError, match=f"d={d}, N={last + 1}: a kept layer table"):
+        _check_guard(env, _geometry(d, last + 1, True), 1, keep=True)
