@@ -55,12 +55,13 @@ from .localization import (
     report_to_jsonl,
 )
 from .overlap import sweep_overlaps
-from .transfer import BetaProfile, forward_layers, sample_paths
+from .transfer import BRUTE_FORCE_CAP, BetaProfile, forward_layers, sample_paths
 
 # default free-energy sweep: beta <= 3, N <= 1024, d <= 2 (per dimension)
 DEFAULT_BETA_GRID = (0.5, 1.0, 2.0, 3.0)
 DEFAULT_N_LADDER = {1: (64, 256, 1024), 2: (64, 256)}
 _OVERLAP_BETAS = (0.0, 0.5, 1.0, 2.0)
+_OVERLAP_NS = (64, 128, 256)
 _OVERLAP_MODES = ("auto", "mc", "enum")
 
 
@@ -261,7 +262,7 @@ def cmd_free_energy(cfg: ExperimentConfig) -> RunRecord:
 
 def cmd_overlap(cfg: ExperimentConfig) -> RunRecord:
     betas = cfg.beta_values or _OVERLAP_BETAS
-    ns = cfg.n_values or (64, 128, 256)
+    ns = cfg.n_values or _OVERLAP_NS
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
@@ -274,19 +275,11 @@ def cmd_overlap(cfg: ExperimentConfig) -> RunRecord:
         for beta in betas:
             sw = sweep_overlaps(beta, cfg.h, params, cfg.n_disorder, cfg.seed,
                                 cfg.n_pairs, mode)
-            est = sw.replica
-            if beta > 0.0:
-                identity = 1.0 - sw.derivative / beta
-                rows.append(
-                    (beta, int(n), cfg.d, mode, est.mean, est.stderr, sw.exact,
-                     sw.ibp.residual, sw.ibp.stderr, identity, cfg.n_disorder, cfg.seed)
-                )
-            else:
-                # the identity column divides by beta; emit overlap only
-                rows.append(
-                    (beta, int(n), cfg.d, mode, est.mean, est.stderr, sw.exact,
-                     "", "", "", cfg.n_disorder, cfg.seed)
-                )
+            # the identity columns divide by beta: blank at beta = 0
+            ibp = (("", "", "") if sw.ibp is None
+                   else (sw.ibp.residual, sw.ibp.stderr, 1.0 - sw.derivative / beta))
+            rows.append((beta, int(n), cfg.d, mode, sw.replica.mean, sw.replica.stderr,
+                         sw.exact, *ibp, cfg.n_disorder, cfg.seed))
     write_csv(
         out / "overlap.csv",
         ["beta", "N", "d", "mode", "mean_overlap", "overlap_stderr", "exact_overlap",
@@ -550,6 +543,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValidationError("d must be >= 1")
     if cfg.n_disorder < 2:
         raise ValidationError("n_disorder must be >= 2")
+    for key in ("n_pairs", "n_samples", "L"):
+        if getattr(cfg, key) < 1:
+            raise ValidationError(f"{key} must be >= 1")
     if not 0 < cfg.delta:
         raise ValidationError("delta must be positive")
     if not 0 < cfg.epsilon < 1:
@@ -580,6 +576,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad = [b for b in (cfg.beta_values or _OVERLAP_BETAS) if 0.0 < b < cfg.h]
         if bad:
             raise ValidationError(f"h={cfg.h} too large for beta={bad[0]}")
+        bad = [n for n in cfg.n_values or _OVERLAP_NS
+               if cfg.mode == "enum" and (2 * cfg.d) ** n > BRUTE_FORCE_CAP]
+        if bad:
+            raise ValidationError(f"mode enum: (2d)^N > {BRUTE_FORCE_CAP} paths for N in {bad}")
     if cfg.command == "localize":
         if len(cfg.n_values) != 1:
             raise ValidationError(
@@ -594,33 +594,23 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ValidationError(f"ds_levels={cfg.ds_levels} outside 1..N={n}")
 
 
+_COMMANDS = {"free-energy": cmd_free_energy, "overlap": cmd_overlap,
+             "localize": cmd_localize, "plotdata": cmd_plotdata}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-    except ValidationError as exc:
-        print(f"polymerlab: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if cfg.command == "free-energy":
-            rec = cmd_free_energy(cfg)
-        elif cfg.command == "overlap":
-            rec = cmd_overlap(cfg)
-        elif cfg.command == "localize":
-            rec = cmd_localize(cfg)
-        elif cfg.command == "verify":
+        if cfg.command == "verify":  # exit 2 on a suite failure
             rec, code = cmd_verify(cfg)
-            print(f"[{cfg.command}] wrote {cfg.out} in {rec.wall_time_s:.1f}s")
-            return code
-        elif cfg.command == "plotdata":
-            rec = cmd_plotdata(cfg)
-        else:  # pragma: no cover
-            raise ValidationError(f"unknown command {cfg.command}")
+        else:
+            rec, code = _COMMANDS[cfg.command](cfg), 0
     except (ValidationError, MemoryGuardError) as exc:
         print(f"polymerlab: {exc}", file=sys.stderr)
         return 1
     print(f"[{cfg.command}] wrote {cfg.out} in {rec.wall_time_s:.1f}s")
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ pass per environment: the forward table (the replica sampler runs on it for
 environment 0 before the backward table exists), the backward table (exact
 <R> and, in enum mode, <H>), and one rolling log Z pass at beta +/- h that
 serves both the identity and the finite-difference derivative.  At most one
-(forward, backward) pair is alive at a time.
+(forward, backward) pair is alive at a time.  At beta = 0 the tables read no
+field and are the same for every environment, so one pair stands for all.
 """
 
 from __future__ import annotations
@@ -236,16 +237,12 @@ def ibp_residual(
     return _ibp_summary(logz, rhs, beta, h, n, mode)
 
 
-# at most this many environments enter ``OverlapSweep.exact``
-EXACT_OVERLAP_ENVS = 50
-
-
 @dataclass(frozen=True)
 class OverlapSweep:
     """Every overlap estimate at one (N, beta), one pass per environment."""
 
     replica: OverlapEstimate  # sampled pairs on environment 0
-    exact: float  # exact <R>, mean over the first min(n_disorder, 50) environments
+    exact: float  # exact <R>, mean over all n_disorder environments
     ibp: IbpEstimate | None  # all n_disorder environments; None at beta = 0
     derivative: float | None  # (1/N) d/dbeta E log Z, central difference; None at beta = 0
 
@@ -263,21 +260,19 @@ def sweep_overlaps(
 
     Gives the same numbers as ``mean_replica_overlap`` on environment 0 with
     the generator seeded by ``derive_seed(master_seed, 1)``, the mean of
-    ``exact_two_replica_overlap``, ``ibp_residual`` and
-    ``estimate_derivative``, from one forward, one backward and (beta > 0)
-    one rolling pass per environment.
+    ``exact_two_replica_overlap`` over all ``n_disorder`` environments,
+    ``ibp_residual`` and ``estimate_derivative``, from one forward, one
+    backward and (beta > 0) one rolling pass per environment.  A beta = 0
+    profile reads no field, so every environment has environment 0's tables,
+    and only those are built.
     """
     n = params.N
     prof = BetaProfile.constant(beta, n)
-    n_exact = min(n_disorder, EXACT_OVERLAP_ENVS)
     if beta > 0.0:
         _check_ibp_args(beta, h, mode)
         profs = [BetaProfile.constant(beta + h, n), BetaProfile.constant(beta - h, n)]
-        n_env = n_disorder
-    else:
-        n_env = n_exact
-    overlaps = []
-    rhs = np.empty(n_env)
+    n_env = n_disorder if beta > 0.0 else 1
+    overlaps, rhs = np.empty(n_env), np.empty(n_env)
     rolled, logz = np.empty((n_env, 2)), np.empty((n_env, 2))
     for r in range(n_env):
         env = gaussian_env(derive_seed(master_seed, r), params)
@@ -286,15 +281,13 @@ def sweep_overlaps(
             rng = np.random.default_rng(derive_seed(master_seed, 1))
             replica = _replica_overlap(fwd, n_pairs, rng)
         bwd = backward_layers(env, prof)
-        if r < n_exact:
-            overlaps.append(_exact_overlap(fwd, bwd))
+        overlaps[r] = _exact_overlap(fwd, bwd)
         if beta > 0.0:
-            rhs[r] = _ibp_rhs(fwd, bwd, beta, mode, overlaps[r] if r < n_exact else None)
-        del fwd, bwd  # before the next pair is built
-        if beta > 0.0:
+            rhs[r] = _ibp_rhs(fwd, bwd, beta, mode, overlaps[r])
+            del fwd, bwd  # before the rolling pass and the next pair are built
             rolled[r] = log_partitions(env, profs)
             logz[r] = rolled[r] if mode == "mc" else _enumerated_log_partitions(env, profs)
-    exact = float(np.mean(overlaps))
+    exact = float(overlaps.mean())
     if beta == 0.0:
         return OverlapSweep(replica, exact, None, None)
     return OverlapSweep(

@@ -153,12 +153,16 @@ class _DenseGeometry:
     def shape(self, i: int) -> tuple:
         return (i + 1,) * self.d
 
-    def coords(self, i: int) -> np.ndarray:
+    def coords(self, i: int, idx=None) -> np.ndarray:
+        """Coordinates of the sites of layer i, or of its flat sites ``idx`` only."""
         u = np.arange(-i, i + 1, 2, dtype=np.int64)
         if self.d == 1:
-            return u[:, None]
-        s, t = np.meshgrid(u, u, indexing="ij")
-        return np.stack([((s + t) // 2).ravel(), ((s - t) // 2).ravel()], axis=1)
+            return (u if idx is None else u[idx])[:, None]
+        if idx is None:
+            s, t = (a.ravel() for a in np.meshgrid(u, u, indexing="ij"))
+        else:
+            s, t = u[idx // (i + 1)], u[idx % (i + 1)]
+        return np.stack([(s + t) // 2, (s - t) // 2], axis=1)
 
     def sum_into(self, i: int):
         """Neighbour log-sum of layer i-1 onto layer i."""
@@ -221,8 +225,9 @@ class _PackedGeometry:
     def shape(self, i: int) -> tuple:
         return self.keys(i).shape
 
-    def coords(self, i: int) -> np.ndarray:
-        return self.keys(i)[:, None] // self.radix % self.base - self.N
+    def coords(self, i: int, idx=None) -> np.ndarray:
+        keys = self.keys(i) if idx is None else self.keys(i)[idx]
+        return keys[:, None] // self.radix % self.base - self.N
 
     def _maps(self, i: int, keys: np.ndarray, moves: np.ndarray) -> np.ndarray:
         """Positions in layer i of keys + move, one row per move, built a row at a
@@ -343,6 +348,7 @@ def _transfer(env, profiles, direction, dtype, keep, geometry=_geometry):
                 run.append(layer)
             else:
                 run[-1] = layer
+        del nbsum  # this step's index maps go before the next step's are built
     return geom, [run if forward else run[::-1] for run in runs]
 
 
@@ -428,12 +434,12 @@ def sample_paths(table: LayerTable, n: int, rng: np.random.Generator) -> np.ndar
     w = table.layer_logw(N)
     cdf = np.cumsum(np.exp(w - w.max()))
     idx = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="left")
-    out[:, N] = geom.coords(N)[idx]
+    out[:, N] = geom.coords(N, idx)
     for i in range(N, 0, -1):
         cand = geom.predecessors(i, idx)
         pick = _categorical_rows(np.append(table.layer_logw(i - 1), NEG_INF)[cand], rng)
         idx = cand[np.arange(n), pick]
-        out[:, i - 1] = geom.coords(i - 1)[idx]
+        out[:, i - 1] = geom.coords(i - 1, idx)
     return out
 
 

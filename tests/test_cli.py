@@ -3,6 +3,7 @@ import csv
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +180,22 @@ class TestOverlapCommand:
             "ibp_residual,ibp_stderr,one_minus_deriv_over_beta,n_disorder,seed"
         )
 
+    def test_exact_and_identity_columns_share_environments(self, tmp_path):
+        # in mc mode both sides of the identity average the same environments,
+        # so exact_overlap and 1 - p'/beta differ by exactly ibp_residual / beta;
+        # 55 environments are more than any cap of 50 would let through
+        cfg = _cfg(
+            command="overlap", seed=3, d=1, n_values=(10,), beta_values=(0.0, 0.5, 1.5),
+            n_disorder=55, n_pairs=5, mode="mc", out=str(tmp_path),
+        )
+        cmd_overlap(cfg)
+        with (tmp_path / "overlap.csv").open() as fh:
+            rows = [r for r in csv.DictReader(fh) if float(r["beta"]) > 0]
+        assert len(rows) == 2
+        for r in rows:
+            gap = abs(float(r["exact_overlap"]) - float(r["one_minus_deriv_over_beta"]))
+            assert abs(gap - float(r["ibp_residual"]) / float(r["beta"])) < 1e-12
+
 
 class TestOnePassPerEnvironment:
     """Each environment's transfer passes run once and feed every estimate."""
@@ -212,7 +229,8 @@ class TestOnePassPerEnvironment:
             n_disorder=3, n_pairs=5, h=h, mode="mc", out=str(tmp_path),
         ))
         seeds = [derive_seed(seed, r) for r in range(3)]
-        want = {(n, b, s): 1 for n in ns for b in betas for s in seeds}
+        # a beta = 0 table reads no field: environment 0's pair stands for all
+        want = {(n, b, s): 1 for n in ns for b in betas for s in (seeds if b > 0 else seeds[:1])}
         assert fwd == want
         assert bwd == want
         assert rolled == {(n, s, (b - h, b + h)): 1 for n in ns for b in betas if b > 0
@@ -311,6 +329,11 @@ MALFORMED = {
     "n_grid_token": (["free-energy", "--n-grid", "16,x"], None),
     "n_grid_fraction": (["free-energy", "--n-grid", "16.5"], None),
     "localize_two_n": (["localize", "--n", "64,128"], None),
+    "overlap_no_pairs": (["overlap", "--n-pairs", "0"], None),
+    "localize_no_samples": (["localize", "--n", "64", "--n-samples", "0"], None),
+    "localize_no_blocks": (["localize", "--n", "64", "--blocks", "0"], None),
+    # N = 8 could run, N = 30 is past the enumeration cap: refused before either
+    "overlap_enum_past_cap": (["overlap", "--n-grid", "8,30", "--mode", "enum"], None),
 }
 
 
@@ -363,6 +386,33 @@ class TestMainEntry:
         assert code == 0
         assert (tmp_path / "free_energy.csv").exists()
         assert (tmp_path / "run_record.json").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(lang: str) -> str:
+    """The first fenced ``lang`` block of the README's CLI section."""
+    cli = README.read_text().split("\n## CLI\n", 1)[1]
+    return cli.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadmeExamples:
+    """The README's commands and config file parse with today's flags."""
+
+    def test_commands_parse(self):
+        lines = _readme_block("sh").replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line, comments=True)[1:] for line in lines
+                    if line.startswith("polymerlab ")]
+        assert len(commands) == 6
+        for argv in commands:
+            config_from_args(build_parser().parse_args(argv))
+
+    def test_ini_parses(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text(_readme_block("ini"))
+        cfg = config_from_args(build_parser().parse_args(["free-energy", "--config", str(ini)]))
+        assert cfg.seed == 7 and cfg.n_values == (64, 256, 1024)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

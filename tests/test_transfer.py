@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,6 +230,21 @@ class TestSampling:
         assert paths.shape == (1000, 129, 2)
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_decodes_only_drawn_sites(self, d, monkeypatch):
+        table = forward_layers(gaussian_env(d, LatticeParams(d=d, N=12)),
+                               BetaProfile.constant(1.0, 12))
+        rows = []
+
+        def coords(self, *args, _orig=type(table.geometry).coords):
+            out = _orig(self, *args)
+            rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(type(table.geometry), "coords", coords)
+        sample_paths(table, 3, np.random.default_rng(0))
+        assert len(rows) == 13 and max(rows) <= 3  # layer 12 has at least 13 sites
+
 
 class TestEndpointDistribution:
     def test_binomial_at_beta_zero(self):
@@ -299,6 +315,14 @@ class TestGeometries:
         for i in range(7):
             assert np.array_equal(geom.coords(i), reachable_set(i, d))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_coords_of_chosen_sites(self, d):
+        geom, rng = _geometry(d, 6, keep=True), np.random.default_rng(d)
+        for i in range(7):
+            full = geom.coords(i)
+            idx = rng.integers(0, len(full), size=9)
+            assert np.array_equal(geom.coords(i, idx), full[idx])
+
     def test_packed_keys_wider_than_62_bits_refused(self):
         with pytest.raises(MemoryGuardError, match="overflow int64"):
             _PackedGeometry(8, 256, keep=True)
@@ -353,6 +377,21 @@ def test_forward_layers_memory_guard():
     env = Environment(seed=1, params=LatticeParams(d=2, N=64, max_cells=100))
     with pytest.raises(MemoryGuardError):
         forward_layers(env, BetaProfile.constant(1.0, 64))
+
+
+def test_kept_pass_frees_each_steps_maps_first(monkeypatch):
+    # the index maps of a step are dead before the next step builds its own
+    maps, live = [], []
+
+    def counted(self, *args, _orig=_PackedGeometry._maps):
+        live.append(sum(ref() is not None for ref in maps))
+        out = _orig(self, *args)
+        maps.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(_PackedGeometry, "_maps", counted)
+    forward_layers(gaussian_env(3, LatticeParams(d=3, N=40)), BetaProfile.constant(1.0, 40))
+    assert live == [0] * 40
 
 
 def test_rolling_pass_not_charged_for_the_cone():
