@@ -227,7 +227,8 @@ def cmd_free_energy(cfg: ExperimentConfig) -> RunRecord:
                 for g in gaps
             ],
         )
-        return _finish(cfg, {"multi_temp_csv": "multi_temp.csv", "n_rows": len(gaps)}, t0)
+        return _finish(cfg, {"multi_temp_csv": "multi_temp.csv", "n_rows": len(gaps),
+                             "n_values": [int(n) for n in ns]}, t0)
 
     rows, tail_rows = [], []
     for n in ns:
@@ -247,7 +248,8 @@ def cmd_free_energy(cfg: ExperimentConfig) -> RunRecord:
         ["beta", "N", "d", "L", "estimate", "stderr", "annealed", "n_disorder", "seed"],
         rows,
     )
-    metrics = {"free_energy_csv": "free_energy.csv", "n_rows": len(rows)}
+    metrics = {"free_energy_csv": "free_energy.csv", "n_rows": len(rows),
+               **_grids(ns, betas)}
 
     if cfg.tail_u:
         write_csv(
@@ -286,7 +288,8 @@ def cmd_overlap(cfg: ExperimentConfig) -> RunRecord:
          "ibp_residual", "ibp_stderr", "one_minus_deriv_over_beta", "n_disorder", "seed"],
         rows,
     )
-    return _finish(cfg, {"overlap_csv": "overlap.csv", "n_rows": len(rows)}, t0)
+    return _finish(cfg, {"overlap_csv": "overlap.csv", "n_rows": len(rows), **_grids(ns, betas)},
+                   t0)
 
 
 def cmd_localize(cfg: ExperimentConfig) -> RunRecord:
@@ -332,15 +335,20 @@ def cmd_localize(cfg: ExperimentConfig) -> RunRecord:
             reports.append(cov)
             for si, stat in enumerate(cov.window_stats.tolist()):
                 window_rows.append((beta, n, cfg.epsilon, cfg.delta, si, stat))
-            # distinguished-set induction seeded with the extracted paths
-            if n // cfg.ds_levels >= K:
-                ds = build_distinguished_sets(
-                    list(global_rep.paths), ds_part, cfg.delta, max_paths=100_000
-                )
-                ds_records.append(
-                    {"beta": beta, "levels": ds.level, "K": ds.K,
-                     "n_seed_paths": len(global_rep.paths), "n_paths": len(ds)}
-                )
+        # distinguished-set induction seeded with the extracted paths; a beta
+        # it cannot run on gets a record that says why
+        ds_rec = {"beta": beta, "levels": ds_part.L, "K": K,
+                  "n_seed_paths": len(global_rep.paths)}
+        if not global_rep.paths:
+            ds_rec["skipped"] = "the global cover found no paths"
+        elif n // ds_part.L < K:
+            ds_rec["skipped"] = f"N // levels = {n // ds_part.L} < K"
+        else:
+            ds = build_distinguished_sets(
+                list(global_rep.paths), ds_part, cfg.delta, max_paths=100_000
+            )
+            ds_rec["n_paths"] = len(ds)
+        ds_records.append(ds_rec)
         report_to_jsonl(reports, jsonl, seed=cfg.seed)
 
     write_csv(
@@ -354,7 +362,7 @@ def cmd_localize(cfg: ExperimentConfig) -> RunRecord:
     return _finish(
         cfg,
         {"localize_jsonl": "localize.jsonl", "windows_csv": "windows.csv",
-         "distinguished_json": "distinguished.json"},
+         "distinguished_json": "distinguished.json", **_grids([n], betas)},
         t0,
     )
 
@@ -438,6 +446,11 @@ def cmd_plotdata(cfg: ExperimentConfig) -> RunRecord:
         produced[name] = "sliding-window overlap profile"
 
     return _finish(cfg, {"series": sorted(produced)}, t0)
+
+
+def _grids(ns, betas) -> dict:
+    """The N ladder and beta grid a run used, defaults resolved."""
+    return {"n_values": [int(n) for n in ns], "beta_values": [float(b) for b in betas]}
 
 
 def _finish(cfg: ExperimentConfig, metrics: dict, t0: float) -> RunRecord:

@@ -18,15 +18,14 @@ half of the identity, d/dbeta log Z = <H>, is checked per environment with
 log Z from path enumeration and <H> from transfer-matrix marginals, so only
 the O(h^2) finite-difference bias remains.
 
-Each estimator's formula is written once, over transfer tables or log Z
-values; the public estimators wrap it for one environment or one disorder
-average.  ``sweep_overlaps`` feeds every formula at one (N, beta) from one
-pass per environment: the forward table (the replica sampler runs on it for
-environment 0 before the backward table exists), the backward table (exact
-<R> and, in enum mode, <H>), and one rolling log Z pass at beta +/- h that
-serves both the identity and the finite-difference derivative.  At most one
-(forward, backward) pair is alive at a time.  At beta = 0 the tables read no
-field and are the same for every environment, so one pair stands for all.
+Each estimator's formula is written once, over a forward table, its
+``marginal_sums`` or log Z values; the public estimators wrap it for one
+environment or one disorder average.  ``sweep_overlaps`` feeds every formula
+at one (N, beta) from one forward table per environment (the replica sampler
+runs on it for environment 0), one rolling backward pass reduced against it
+(exact <R> and, in enum mode, <H>) and one rolling log Z pass at beta +/- h.
+Only that one table is kept; no backward table is.  At beta = 0 the passes
+read no field, so environment 0 stands for every environment.
 """
 
 from __future__ import annotations
@@ -40,13 +39,11 @@ from .lattice import (Environment, LatticeParams, PartitionScheme, derive_seed, 
                       path_columns)
 from .transfer import (
     BetaProfile,
-    backward_layers,
     brute_force_log_partition,
     forward_layers,
     gibbs_enumeration,
-    layer_log_marginals,
     log_partitions,
-    logsumexp,
+    marginal_sums,
     sample_paths,
 )
 
@@ -121,29 +118,9 @@ def mean_replica_overlap(
     return _replica_overlap(forward_layers(env, profile), n_pairs, rng, sampler)
 
 
-def _exact_overlap(fwd, bwd) -> float:
-    """``exact_two_replica_overlap`` from the forward and backward tables."""
-    n = fwd.N
-    total = 0.0
-    for i in range(1, n + 1):
-        lm = layer_log_marginals(fwd, bwd, i)
-        total += float(np.exp(logsumexp(2.0 * lm)))
-    return total / n
-
-
 def exact_two_replica_overlap(env: Environment, profile: BetaProfile) -> float:
     """Exact quenched <R> = (1/N) sum_i sum_x mu(sigma_i = x)^2."""
-    return _exact_overlap(forward_layers(env, profile), backward_layers(env, profile))
-
-
-def _mean_energy(fwd, bwd) -> float:
-    """<H> = sum_{i,x} g(i,x) mu(sigma_i = x) via transfer-matrix marginals."""
-    total = 0.0
-    for i in range(1, fwd.N + 1):
-        mu = np.exp(layer_log_marginals(fwd, bwd, i))
-        g = fwd.env.values(i, fwd.layer_coords(i))
-        total += float(mu @ g)
-    return total
+    return marginal_sums(forward_layers(env, profile))[0] / profile.N
 
 
 @dataclass(frozen=True)
@@ -160,14 +137,12 @@ class IbpEstimate:
     mode: str
 
 
-def _ibp_rhs(fwd, bwd, beta: float, mode: str, overlap: float | None = None) -> float:
-    """One environment's right-hand side: beta (1 - <R>) (mc) or <H>/N (enum).
-
-    ``overlap`` is <R> when the caller already has it from the same tables.
-    """
-    if mode == "enum":
-        return _mean_energy(fwd, bwd) / fwd.N
-    return beta * (1.0 - (_exact_overlap(fwd, bwd) if overlap is None else overlap))
+def _exact_terms(fwd, beta: float, mode: str) -> tuple[float, float]:
+    """One environment's exact <R> and identity right-hand side, beta (1 - <R>)
+    (mc) or <H>/N (enum), from its forward table."""
+    squares, energy = marginal_sums(fwd)
+    overlap = squares / fwd.N
+    return overlap, energy / fwd.N if mode == "enum" else beta * (1.0 - overlap)
 
 
 def _enumerated_log_partitions(env: Environment, profiles) -> np.ndarray:
@@ -201,14 +176,8 @@ def _check_ibp_args(beta: float, h: float, mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def ibp_residual(
-    beta: float,
-    h: float,
-    params: LatticeParams,
-    n_disorder: int,
-    master_seed: int,
-    mode: str = "mc",
-) -> IbpEstimate:
+def ibp_residual(beta: float, h: float, params: LatticeParams, n_disorder: int,
+                 master_seed: int, mode: str = "mc") -> IbpEstimate:
     """Check (1/N) d/dbeta E log Z = beta (1 - E<R>) at finite N.
 
     mc:   averages both sides over ``n_disorder`` common environments; the
@@ -228,12 +197,9 @@ def ibp_residual(
     rhs = np.empty(n_disorder)
     for r in range(n_disorder):
         env = gaussian_env(derive_seed(master_seed, r), params)
-        # the kept tables first: their budget refuses a too-large N before any work
-        rhs[r] = _ibp_rhs(forward_layers(env, prof_0), backward_layers(env, prof_0), beta, mode)
-        if mode == "mc":
-            logz[r] = log_partitions(env, profs)
-        else:
-            logz[r] = _enumerated_log_partitions(env, profs)
+        # the kept table first: its budget refuses a too-large N before any work
+        rhs[r] = _exact_terms(forward_layers(env, prof_0), beta, mode)[1]
+        logz[r] = (log_partitions if mode == "mc" else _enumerated_log_partitions)(env, profs)
     return _ibp_summary(logz, rhs, beta, h, n, mode)
 
 
@@ -247,24 +213,16 @@ class OverlapSweep:
     derivative: float | None  # (1/N) d/dbeta E log Z, central difference; None at beta = 0
 
 
-def sweep_overlaps(
-    beta: float,
-    h: float,
-    params: LatticeParams,
-    n_disorder: int,
-    master_seed: int,
-    n_pairs: int,
-    mode: str = "mc",
-) -> OverlapSweep:
+def sweep_overlaps(beta: float, h: float, params: LatticeParams, n_disorder: int,
+                   master_seed: int, n_pairs: int, mode: str = "mc") -> OverlapSweep:
     """Every overlap estimate at one (N, beta) from one pass per environment.
 
     Gives the same numbers as ``mean_replica_overlap`` on environment 0 with
     the generator seeded by ``derive_seed(master_seed, 1)``, the mean of
     ``exact_two_replica_overlap`` over all ``n_disorder`` environments,
-    ``ibp_residual`` and ``estimate_derivative``, from one forward, one
-    backward and (beta > 0) one rolling pass per environment.  A beta = 0
-    profile reads no field, so every environment has environment 0's tables,
-    and only those are built.
+    ``ibp_residual`` and ``estimate_derivative``, from one forward table, one
+    backward reduction and (beta > 0) one rolling pass per environment.  At
+    beta = 0 no field is read, so only environment 0's passes run.
     """
     n = params.N
     prof = BetaProfile.constant(beta, n)
@@ -280,11 +238,9 @@ def sweep_overlaps(
         if r == 0:
             rng = np.random.default_rng(derive_seed(master_seed, 1))
             replica = _replica_overlap(fwd, n_pairs, rng)
-        bwd = backward_layers(env, prof)
-        overlaps[r] = _exact_overlap(fwd, bwd)
+        overlaps[r], rhs[r] = _exact_terms(fwd, beta, mode)
+        del fwd  # before the rolling pass and the next table are built
         if beta > 0.0:
-            rhs[r] = _ibp_rhs(fwd, bwd, beta, mode, overlaps[r])
-            del fwd, bwd  # before the rolling pass and the next pair are built
             rolled[r] = log_partitions(env, profs)
             logz[r] = rolled[r] if mode == "mc" else _enumerated_log_partitions(env, profs)
     exact = float(overlaps.mean())

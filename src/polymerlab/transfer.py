@@ -11,16 +11,17 @@ yields exact site marginals and a Markov split of log Z at any time.  Paths
 are sampled exactly (not approximately) by drawing the endpoint proportional
 to W(N, .) and walking backwards.
 
-One private driver, ``_transfer``, runs this recursion (forward, rolling or
-keeping every layer, and backward) over a layer geometry chosen from d:
+One private driver, ``_transfer``, runs this recursion, forward or
+backward, over a layer geometry chosen from d:
   d<=2  dense (i+1)^d array per layer in rotated coordinates (x in d=1;
         s = x1+x2, t = x1-x2 in d=2), where the walk factorizes into
         independent one-dimensional walks, the reachable cone is a full cube
         and the neighbour sum is one pairwise logaddexp per axis;
   d>=3  sorted int64 site keys per layer, stepped by key arithmetic and
         joined via searchsorted; coordinates are decoded only on demand.
-The public entry points and the sampler are thin wrappers over the driver
-and the geometry.  The driver alone allocates layers, so it alone charges
+The driver holds the newest layers only and hands each layer, with its
+field, to a per-layer consumer: the kept tables, log Z and the forward x
+backward reduction behind the exact overlap are consumers.  It alone charges
 the cell budget ``LatticeParams.max_cells``, for what each pass holds.
 """
 
@@ -129,8 +130,13 @@ def _padded_pairwise(x: np.ndarray) -> np.ndarray:
 
 
 def _gather_logsum(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log sum_r exp(x[maps[r]]), where index len(x) stands for a -inf term."""
-    return np.logaddexp.reduce(np.append(x, NEG_INF)[maps], axis=0)
+    """log sum_r exp(x[maps[r]]), where index len(x) stands for a -inf term;
+    the rows fold into one output in row order, as a reduce over axis 0 does."""
+    x = np.append(x, NEG_INF)
+    out = x[maps[0]]
+    for row in maps[1:]:
+        np.logaddexp(out, x[row], out=out)
+    return out
 
 
 class _DenseGeometry:
@@ -312,16 +318,20 @@ def _check_forward_args(env: Environment, profile: BetaProfile):
         )
 
 
-def _transfer(env, profiles, direction, dtype, keep, geometry=_geometry):
+def _transfer(env, profiles, direction, dtype, keep, consume=lambda i, layers, g: None,
+              geometry=_geometry):
     """Run one recursion for several profiles over one environment's field.
 
     forward:  log W(i)   = drive_i + log sum_nbr W(i-1) - log 2d,  i = 1..N
     backward: log B(i-1) = log sum_nbr exp(drive_i + log B(i)) - log 2d,  i = N..1
 
     with drive_i = beta_i g(i, .).  Each layer's field is generated once and
-    fed to every profile, and not at all where every beta_i is 0.  Returns
-    the geometry and, per profile, the layers 0..N (``keep``) or a
-    one-element list holding the last layer computed.
+    fed to every profile, and not at all where every beta_i is 0.  Layers
+    0..N (forward) or N..0 (backward) go in that order to ``consume(i,
+    layers, g)``: a reused list of each profile's layer i, and g(i, .) in its
+    shape or None where not generated.  ``keep`` states that the consumer
+    retains every layer, for the geometry and the guard.  Returns the
+    geometry and each profile's last layer.
     """
     for pr in profiles:
         _check_forward_args(env, pr)
@@ -330,38 +340,43 @@ def _transfer(env, profiles, direction, dtype, keep, geometry=_geometry):
     _check_guard(env, geom, len(profiles), keep)
     log2d = np.log(dtype(2.0 * d))
     forward = direction == "forward"
-    start = np.zeros(geom.shape(0 if forward else N), dtype=dtype)
-    runs = [[start] for _ in profiles]
+    layers = [np.zeros(geom.shape(0 if forward else N), dtype=dtype)] * len(profiles)
+    if forward:
+        consume(0, layers, None)
     for i in range(1, N + 1) if forward else range(N, 0, -1):
         betas = [pr.values[i - 1] for pr in profiles]
+        g = None
         if any(beta != 0.0 for beta in betas):
-            g = env.values(i, geom.coords(i)).reshape(geom.shape(i))
-            g = g.astype(dtype, copy=False) if dtype is not np.float64 else g
+            g = env.values(i, geom.coords(i)).reshape(geom.shape(i)).astype(dtype, copy=False)
+        if not forward:
+            consume(i, layers, g)
         nbsum = geom.sum_into(i) if forward else geom.sum_from(i)
-        for run, beta in zip(runs, betas):
+        for k, beta in enumerate(betas):
             drive = beta * g if beta != 0.0 else 0.0
-            if forward:
-                layer = drive + nbsum(run[-1]) - log2d
-            else:
-                layer = nbsum(drive + run[-1]) - log2d
-            if keep:
-                run.append(layer)
-            else:
-                run[-1] = layer
+            layers[k] = (drive + nbsum(layers[k]) if forward else nbsum(drive + layers[k])) - log2d
         del nbsum  # this step's index maps go before the next step's are built
-    return geom, [run if forward else run[::-1] for run in runs]
+        if forward:
+            consume(i, layers, g)
+    if not forward:
+        consume(0, layers, None)
+    return geom, layers
+
+
+def _kept_table(env: Environment, profile: BetaProfile, direction: str, dtype) -> LayerTable:
+    kept = [None] * (profile.N + 1)
+    geom, _ = _transfer(env, [profile], direction, dtype, True,
+                        lambda i, layers, g: kept.__setitem__(i, layers[0]))
+    return LayerTable(env, profile, direction, geom, kept)
 
 
 def forward_layers(env: Environment, profile: BetaProfile, dtype=np.float64) -> LayerTable:
     """Run the full forward recursion and keep every layer."""
-    geom, (layers,) = _transfer(env, [profile], "forward", dtype, keep=True)
-    return LayerTable(env, profile, "forward", geom, layers)
+    return _kept_table(env, profile, "forward", dtype)
 
 
 def backward_layers(env: Environment, profile: BetaProfile, dtype=np.float64) -> LayerTable:
     """Conditional partition functions B(i, x) from (i, x) onward, log-space."""
-    geom, (layers,) = _transfer(env, [profile], "backward", dtype, keep=True)
-    return LayerTable(env, profile, "backward", geom, layers)
+    return _kept_table(env, profile, "backward", dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +404,9 @@ def log_partitions(env: Environment, profiles, dtype=np.float64) -> np.ndarray:
     multi-temperature estimates cheap.
     """
     profiles = list(profiles)
-    _, runs = _transfer(env, profiles, "forward", dtype, keep=False)
+    _, last = _transfer(env, profiles, "forward", dtype, keep=False)
     return np.array(
-        [0.0 if pr.is_zero else float(logsumexp(run[-1])) for pr, run in zip(profiles, runs)]
+        [0.0 if pr.is_zero else float(logsumexp(w)) for pr, w in zip(profiles, last)]
     )
 
 
@@ -460,10 +475,37 @@ def endpoint_distribution(table: LayerTable) -> dict:
     return {tuple(int(v) for v in c): float(p) for c, p in zip(coords, probs)}
 
 
+def _log_marginal(fwd: LayerTable, i: int, bwd_layer: np.ndarray) -> np.ndarray:
+    """log mu(sigma_i = x) over layer i, flat, from log A(i) + log B(i)."""
+    s = fwd.layer_logw(i) + bwd_layer.ravel()
+    return s - logsumexp(s)
+
+
 def layer_log_marginals(fwd: LayerTable, bwd: LayerTable, i: int) -> np.ndarray:
     """log mu(sigma_i = x) over layer i, flat, normalized within the layer."""
-    s = fwd.layer_logw(i) + bwd.layer_logw(i)
-    return s - logsumexp(s)
+    return _log_marginal(fwd, i, bwd.layers[i])
+
+
+def marginal_sums(fwd: LayerTable) -> tuple[float, float]:
+    """sum_{i,x} mu_i(x)^2 and sum_{i,x} g(i, x) mu_i(x), each added up in i = 1..N.
+
+    mu_i comes from the kept forward table and a rolling backward pass on its
+    geometry (a fresh one at d >= 3 drops the low layers' keys too early).
+    The second sum skips the layers with beta_i = 0, where no field is read:
+    it is d/dt log Z with t added to every nonzero beta_i, <H> if none is 0.
+    """
+    squares, energies = np.zeros(fwd.N + 1), np.zeros(fwd.N + 1)
+
+    def consume(i, layers, g):
+        lm = _log_marginal(fwd, i, layers[0])
+        squares[i] = np.exp(logsumexp(2.0 * lm))
+        if g is not None:
+            energies[i] = np.exp(lm) @ g.ravel()
+
+    _transfer(fwd.env, [fwd.profile], "backward", np.float64, False, consume,
+              lambda *_: fwd.geometry)
+    # cumsum adds in index order; np.sum would pair the terms
+    return float(np.cumsum(squares[1:])[-1]), float(np.cumsum(energies[1:])[-1])
 
 
 def markov_split_logz(fwd: LayerTable, bwd: LayerTable, i: int) -> float:

@@ -202,14 +202,15 @@ class TestOnePassPerEnvironment:
 
     @staticmethod
     def _count(monkeypatch, name, key):
-        """Count calls of a transfer entry point by key(env, second argument)."""
+        """Count calls of a transfer entry point by key(its positional arguments)."""
         calls = collections.Counter()
         # the package re-exports a function named ``overlap``, so import by name
-        mods = [importlib.import_module(f"polymerlab.{m}") for m in ("free_energy", "overlap")]
+        mods = [importlib.import_module(f"polymerlab.{m}")
+                for m in ("transfer", "free_energy", "overlap")]
         for mod in (m for m in mods if hasattr(m, name)):
-            def counted(env, arg, *rest, _orig=getattr(mod, name), **kw):
-                calls[key(env, arg)] += 1
-                return _orig(env, arg, *rest, **kw)
+            def counted(*args, _orig=getattr(mod, name), **kw):
+                calls[key(*args)] += 1
+                return _orig(*args, **kw)
             monkeypatch.setattr(mod, name, counted)
         return calls
 
@@ -222,6 +223,8 @@ class TestOnePassPerEnvironment:
 
         fwd = self._count(monkeypatch, "forward_layers", table_key)
         bwd = self._count(monkeypatch, "backward_layers", table_key)
+        reduced = self._count(monkeypatch, "marginal_sums",
+                              lambda table: table_key(table.env, table.profile))
         rolled = self._count(monkeypatch, "log_partitions", rolling_key)
         ns, betas, h, seed = (8, 12), (0.0, 1.0), 1e-3, 4
         cmd_overlap(_cfg(
@@ -229,10 +232,11 @@ class TestOnePassPerEnvironment:
             n_disorder=3, n_pairs=5, h=h, mode="mc", out=str(tmp_path),
         ))
         seeds = [derive_seed(seed, r) for r in range(3)]
-        # a beta = 0 table reads no field: environment 0's pair stands for all
+        # a beta = 0 pass reads no field: environment 0's stands for all
         want = {(n, b, s): 1 for n in ns for b in betas for s in (seeds if b > 0 else seeds[:1])}
         assert fwd == want
-        assert bwd == want
+        assert reduced == want  # one rolling backward pass per forward table
+        assert not bwd  # and no kept backward table
         assert rolled == {(n, s, (b - h, b + h)): 1 for n in ns for b in betas if b > 0
                           for s in seeds}
 
@@ -290,6 +294,37 @@ class TestLocalizeCommand:
             delta=0.25, epsilon=0.1, n_samples=30, L=3, out=str(tmp_path),
         ))
         assert calls == {"pairwise_counts": 3, "gaussian_env": 1}
+
+
+    @pytest.mark.parametrize("n, delta, reason", [
+        (48, 0.25, "N // levels = 24 < K"),
+        (96, 1.5, "the global cover found no paths"),
+    ])
+    def test_every_beta_has_a_distinguished_record(self, tmp_path, n, delta, reason):
+        cmd_localize(_cfg(
+            command="localize", seed=5, d=1, n_values=(n,), beta_values=(0.0, 2.0),
+            delta=delta, epsilon=0.1, n_samples=30, L=3, out=str(tmp_path),
+        ))
+        ds = json.loads((tmp_path / "distinguished.json").read_text())
+        assert [r["beta"] for r in ds] == [0.0, 2.0]
+        for r in ds:
+            assert set(r) == {"beta", "levels", "K", "n_seed_paths", "skipped"}
+            assert r["levels"] == 2 and r["skipped"] == reason
+            assert (r["n_seed_paths"] > 0) == (reason != "the global cover found no paths")
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize("command, settings, ns, betas", [
+        (cmd_free_energy, dict(n_disorder=2), [64, 256, 1024], [0.5, 1.0, 2.0, 3.0]),
+        (cmd_overlap, dict(n_values=(8,), n_disorder=2, n_pairs=2), [8], [0.0, 0.5, 1.0, 2.0]),
+        (cmd_localize, dict(n_values=(48,), delta=0.25, n_samples=10, L=3), [48], [0.0, 2.0]),
+    ])
+    def test_resolved_grids_recorded(self, tmp_path, command, settings, ns, betas):
+        name = command.__name__[len("cmd_"):].replace("_", "-")
+        command(_cfg(command=name, out=str(tmp_path), **settings))
+        rec = json.loads((tmp_path / "run_record.json").read_text())
+        assert rec["config"]["beta_values"] == []  # the defaults were used
+        assert rec["metrics"]["n_values"] == ns and rec["metrics"]["beta_values"] == betas
 
 
 class TestPlotdata:

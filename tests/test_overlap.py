@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from polymerlab.overlap import (
     restricted_overlap,
     sweep_overlaps,
 )
-from polymerlab.transfer import BetaProfile
+from polymerlab.transfer import (BetaProfile, _check_guard, _geometry, backward_layers,
+                                 forward_layers, layer_log_marginals, logsumexp, marginal_sums)
 
 
 class TestOverlapFunction:
@@ -113,6 +116,30 @@ class TestExactTwoReplica:
             )
             < 1e-10
         )
+
+    @pytest.mark.parametrize("d,n", [(1, 12), (2, 8), (3, 6), (4, 5)])
+    def test_reduction_matches_table_pair(self, d, n):
+        params, seed = LatticeParams(d=d, N=n), 13
+        env = gaussian_env(derive_seed(seed, 0), params)
+        betas = (0.0, 0.7, 10.0, 50.0)
+        profs = [BetaProfile.constant(b, n) for b in betas]
+        profs.append(BetaProfile.from_blocks(make_partition(n, 3), [1.3, 0.0, 0.7]))
+        for prof in profs:
+            # reference: kept forward and backward tables, terms summed in i order
+            fwd, bwd = forward_layers(env, prof), backward_layers(env, prof)
+            squares = energy = 0.0
+            for i in range(1, n + 1):
+                lm = layer_log_marginals(fwd, bwd, i)
+                squares += float(np.exp(logsumexp(2.0 * lm)))
+                if prof.values[i - 1] != 0.0:  # the layers whose field the pass reads
+                    energy += float(np.exp(lm) @ env.values(i, fwd.layer_coords(i)))
+            assert marginal_sums(fwd) == (squares, energy)
+            assert exact_two_replica_overlap(env, prof) == squares / n
+        for beta in betas[1:]:
+            # the enum-mode right-hand side is <H>/N of the same reduction
+            est = ibp_residual(beta, 1e-3, params, 1, seed, mode="enum")
+            assert est.overlap_term == marginal_sums(
+                forward_layers(env, BetaProfile.constant(beta, n)))[1] / n
 
     def test_monte_carlo_consistency(self):
         env = gaussian_env(5, LatticeParams(d=1, N=64))
@@ -219,3 +246,25 @@ class TestSweepOverlaps:
             sweep_overlaps(0.0005, 1e-3, params, 2, 0, 5)
         with pytest.raises(ValueError):
             sweep_overlaps(1.0, 1e-3, params, 2, 0, 5, mode="exact")
+
+
+@pytest.mark.parametrize("d, N", [(1, 2000), (2, 200)])
+@pytest.mark.parametrize("estimate", ["sweep", "exact", "ibp"])
+def test_overlap_holds_one_forward_table(d, N, estimate):
+    # the backward pass is rolling, so an estimate holds one kept forward
+    # table at a time and peaks near what that table is charged
+    params, seed = LatticeParams(d=d, N=N), 3
+    env = gaussian_env(derive_seed(seed, 0), params)
+    run = {
+        "sweep": lambda: sweep_overlaps(1.0, 1e-3, params, 2, seed, 5, "mc"),
+        "exact": lambda: exact_two_replica_overlap(env, BetaProfile.constant(1.0, N)),
+        "ibp": lambda: ibp_residual(1.0, 1e-3, params, 1, seed, "mc"),
+    }[estimate]
+    charged = _check_guard(env, _geometry(d, N, True), 1, keep=True)
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * charged

@@ -21,6 +21,7 @@ from polymerlab.transfer import (
     BetaProfile,
     LayerTable,
     _check_guard,
+    _gather_logsum,
     _geometry,
     _PackedGeometry,
     _transfer,
@@ -283,6 +284,15 @@ class TestMarkovSplitting:
             assert abs(markov_split_logz(fwd, bwd, i) - lz) < 1e-10
 
 
+def _pass(env, profiles, direction, keep, geometry=_geometry):
+    """Run ``_transfer``; return its geometry, what it handed its consumer as
+    (i, per-profile layers, field) in pass order, and its last layers."""
+    handed = []
+    geom, last = _transfer(env, profiles, direction, np.float64, keep,
+                           lambda i, layers, g: handed.append((i, list(layers), g)), geometry)
+    return geom, handed, last
+
+
 class TestGeometries:
     @pytest.mark.parametrize("d,n", [(1, 12), (2, 7)])
     def test_packed_matches_dense(self, d, n):
@@ -292,11 +302,11 @@ class TestGeometries:
         prof = BetaProfile(rng.uniform(0.0, 2.0, size=n))
         out = {}
         for geometry in (_geometry, _PackedGeometry):
-            geom, (fl,) = _transfer(env, [prof], "forward", np.float64, True, geometry)
-            _, (bl,) = _transfer(env, [prof], "backward", np.float64, True, geometry)
-            _, (rolled,) = _transfer(env, [prof], "forward", np.float64, False, geometry)
-            fwd = LayerTable(env, prof, "forward", geom, fl)
-            bwd = LayerTable(env, prof, "backward", geom, bl)
+            geom, fh, _ = _pass(env, [prof], "forward", True, geometry)
+            _, bh, _ = _pass(env, [prof], "backward", True, geometry)
+            _, _, rolled = _pass(env, [prof], "forward", False, geometry)
+            fwd = LayerTable(env, prof, "forward", geom, [layers[0] for _, layers, _ in fh])
+            bwd = LayerTable(env, prof, "backward", geom, [layers[0] for _, layers, _ in bh[::-1]])
             marginals = []
             for i in range(n + 1):
                 order = np.lexsort(fwd.layer_coords(i).T)  # same site order in both
@@ -356,15 +366,19 @@ class TestFieldSkipping:
         p = make_partition(n, 3)
         prof = BetaProfile.from_blocks(p, [0.0, 1.3, 0.0])
         env = CountingEnvironment(seed=5, params=LatticeParams(d=d, N=n))
-        _, (skipped,) = _transfer(env, [prof], direction, np.float64, keep)
+        _, skipped, last = _pass(env, [prof], direction, keep)
         lo, hi = p.block_window(2)
         assert sorted(env.layers) == list(range(lo, hi + 1))
+        # every layer goes to the consumer in pass order, with its field where read
+        order = list(range(n + 1)) if direction == "forward" else list(range(n, -1, -1))
+        assert [i for i, _, _ in skipped] == order
+        assert [i for i, _, g in skipped if g is not None] == [i for i in order if lo <= i <= hi]
+        assert last[0] is skipped[-1][1][0]
         # a constant profile alongside makes every layer's field be generated
-        _, (full, _) = _transfer(env, [prof, BetaProfile.constant(0.4, n)], direction,
-                                 np.float64, keep)
+        _, full, _ = _pass(env, [prof, BetaProfile.constant(0.4, n)], direction, keep)
         assert len(skipped) == len(full)
-        for a, b in zip(skipped, full):
-            assert a.tobytes() == b.tobytes()
+        for (_, a, _), (_, b, _) in zip(skipped, full):
+            assert a[0].tobytes() == b[0].tobytes()
 
 
 def test_brute_force_guard():
@@ -392,6 +406,24 @@ def test_kept_pass_frees_each_steps_maps_first(monkeypatch):
     monkeypatch.setattr(_PackedGeometry, "_maps", counted)
     forward_layers(gaussian_env(3, LatticeParams(d=3, N=40)), BetaProfile.constant(1.0, 40))
     assert live == [0] * 40
+
+
+def test_gather_holds_one_row():
+    # the 2d = 6 gathered rows are folded one at a time, with the bits of one
+    # reduce over all of them
+    geom, i = _PackedGeometry(3, 12, keep=True), 12
+    maps = geom._maps(i - 1, geom.keys(i), -geom.steps)
+    x = np.random.default_rng(0).standard_normal(len(geom.keys(i - 1)))
+    x[::7] = -np.inf
+    want = np.logaddexp.reduce(np.append(x, -np.inf)[maps], axis=0)
+    tracemalloc.start()
+    try:
+        got = _gather_logsum(maps, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 4 * 8 * len(geom.keys(i))
 
 
 def test_rolling_pass_not_charged_for_the_cone():
