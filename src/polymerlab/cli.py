@@ -231,18 +231,18 @@ def cmd_free_energy(cfg: ExperimentConfig) -> RunRecord:
                              "n_values": [int(n) for n in ns]}, t0)
 
     rows, tail_rows = [], []
-    for n in ns:
-        params = LatticeParams(d=cfg.d, N=int(n))
-        ests = estimate_free_energies(betas, params, cfg.n_disorder, cfg.seed)
-        for beta, est in zip(betas, ests):
-            rows.append(
-                (beta, int(n), cfg.d, 1, est.mean, est.stderr,
-                 annealed_bound(beta), cfg.n_disorder, cfg.seed)
-            )
-            if cfg.tail_u and beta != 0.0:
-                prof = concentration_from_samples(beta, params, est.samples, cfg.tail_u)
-                for u, emp, bnd in zip(prof.u_grid, prof.empirical, prof.bound):
-                    tail_rows.append((beta, int(n), float(u), float(emp), float(bnd)))
+    ests = estimate_free_energies(betas, LatticeParams(d=cfg.d, N=max(ns)), cfg.n_disorder,
+                                  cfg.seed, ns)
+    for est in ests:
+        rows.append(
+            (est.beta, est.N, cfg.d, 1, est.mean, est.stderr,
+             annealed_bound(est.beta), cfg.n_disorder, cfg.seed)
+        )
+        if cfg.tail_u and est.beta != 0.0:
+            params = LatticeParams(d=cfg.d, N=est.N)
+            prof = concentration_from_samples(est.beta, params, est.samples, cfg.tail_u)
+            for u, emp, bnd in zip(prof.u_grid, prof.empirical, prof.bound):
+                tail_rows.append((est.beta, est.N, float(u), float(emp), float(bnd)))
     write_csv(
         out / "free_energy.csv",
         ["beta", "N", "d", "L", "estimate", "stderr", "annealed", "n_disorder", "seed"],

@@ -10,13 +10,13 @@ normal, so every estimate must sit below beta^2/2 up to sampling noise.
 Derivatives use common random numbers: the profiles at beta +/- h share each
 environment, which collapses the variance of the difference.
 
-A beta grid is swept in one rolling transfer pass per environment:
-``estimate_free_energies`` hands every beta of the grid to one
-``log_partitions`` call, so each layer's field is generated once per
-environment, and the resulting (environment x beta) matrix of log Z / N
-feeds the estimates and, through ``concentration_from_samples``, the
-concentration tails.  Per-profile arithmetic is the same as one beta at a
-time, so the numbers are bit-identical.
+A beta grid and an N ladder are swept together: ``_per_step_logz`` reads
+log Z_n at every N and beta off one rolling pass to the largest N per batch
+of environments (``transfer.log_partition_ladder``), so each layer's field is
+generated once per environment.  The resulting (N x environment x beta)
+array of log Z / N feeds the estimates and, through
+``concentration_from_samples``, the concentration tails, with the bits of one
+pass per N, environment and beta.
 
 ``multi_temp_gap`` measures how closely the multi-temperature free energy
 matches the average of independent single-temperature block free energies.
@@ -30,12 +30,12 @@ N grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .lattice import Environment, LatticeParams, PartitionScheme, derive_seed, gaussian_env, make_partition
-from .transfer import BetaProfile, log_partitions
+from .transfer import BetaProfile, log_partition_ladder, log_partitions
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,17 @@ def standard_error(x: np.ndarray) -> float:
     return float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
 
 
-def _per_step_logz(params: LatticeParams, profiles, master_seed: int,
-                   n_disorder: int) -> np.ndarray:
-    """(n_disorder, n_profiles) matrix of log Z / N over derived seeds, in seed order."""
-    return np.vstack([
-        log_partitions(gaussian_env(derive_seed(master_seed, r), params), profiles) / params.N
-        for r in range(n_disorder)
-    ])
+def _per_step_logz(params: LatticeParams, betas, master_seed: int, n_disorder: int,
+                   ns=None) -> np.ndarray:
+    """(len(ns), n_disorder, len(betas)) array of log Z_n / n over derived seeds,
+    in seed order, for each n of ``ns`` (default ``params.N``) in the order given."""
+    if n_disorder < 1:
+        raise ValueError("need n_disorder >= 1")
+    ns = np.array(ns or (params.N,))
+    top = replace(params, N=int(ns.max()))
+    envs = [gaussian_env(derive_seed(master_seed, r), top) for r in range(n_disorder)]
+    profs = [BetaProfile.constant(beta, top.N) for beta in betas]
+    return log_partition_ladder(envs, profs, ns) / ns[:, None, None]
 
 
 def estimate_free_energies(
@@ -89,26 +93,23 @@ def estimate_free_energies(
     params: LatticeParams,
     n_disorder: int = 200,
     master_seed: int = 0,
+    ns=None,
 ) -> list[FreeEnergyEstimate]:
-    """Average (1/N) log Z_N(beta) over independent environments, per beta.
+    """Average (1/N) log Z_N(beta) over independent environments, for each N of
+    ``ns`` (default ``params.N``) in the order given and each beta, N-major.
 
-    Every beta shares one rolling transfer pass per environment.
+    Every beta and N share one rolling pass per batch of environments.
     """
     if n_disorder < 2:
         raise ValueError("need n_disorder >= 2")
-    profs = [BetaProfile.constant(beta, params.N) for beta in betas]
-    vals = _per_step_logz(params, profs, master_seed, n_disorder)
+    vals = _per_step_logz(params, betas, master_seed, n_disorder, ns)
     return [
         FreeEnergyEstimate(
-            beta=beta,
-            N=params.N,
-            d=params.d,
-            mean=float(v.mean()),
-            stderr=standard_error(v),
-            n_disorder=n_disorder,
-            samples=v,
+            beta=beta, N=int(n), d=params.d, mean=float(v.mean()),
+            stderr=standard_error(v), n_disorder=n_disorder, samples=v,
         )
-        for beta, v in zip(betas, vals.T)
+        for n, by_n in zip(ns or (params.N,), vals)
+        for beta, v in zip(betas, by_n.T)
     ]
 
 
@@ -145,8 +146,7 @@ def estimate_derivative(
         lo, hi, width = 0.0, beta + h, beta + h
     else:
         lo, hi, width = beta - h, beta + h, 2 * h
-    profs = [BetaProfile.constant(lo, params.N), BetaProfile.constant(hi, params.N)]
-    vals = _per_step_logz(params, profs, master_seed, n_disorder)
+    vals = _per_step_logz(params, (lo, hi), master_seed, n_disorder)[0]
     return difference_quotient(vals[:, 0], vals[:, 1], width)
 
 
@@ -159,8 +159,7 @@ def concentration_profile(
 ) -> ConcentrationProfile:
     """Empirical exceedance of |log Z/N - mean| against the Gaussian bound."""
     u_grid = _positive_grid(u_grid)  # before the transfer passes
-    prof = BetaProfile.constant(beta, params.N)
-    vals = _per_step_logz(params, [prof], master_seed, n_disorder)[:, 0]
+    vals = _per_step_logz(params, (beta,), master_seed, n_disorder)[0, :, 0]
     return concentration_from_samples(beta, params, vals, u_grid)
 
 

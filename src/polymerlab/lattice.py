@@ -13,6 +13,7 @@ is charged by the transfer driver, for the layers a pass actually holds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -81,6 +82,19 @@ class LatticeParams:
             raise ValueError("max_cells must be positive")
 
 
+def _normals(bases, coords) -> np.ndarray:
+    """Standard normals hashed from layer bases (uint64, any shape B) and the
+    (n, d) sites ``coords``: shape B + (n,).  Every value depends on its own
+    base and site only, so a batch of bases gives the bits of one at a time."""
+    coords = path_columns(np.ascontiguousarray(coords, dtype=np.int64))
+    h = np.asarray(bases, dtype=np.uint64)[..., None]
+    with np.errstate(over="ignore"):
+        for k in range(coords.shape[1]):
+            h = _mix64_arr(h ^ (coords[:, k].astype(np.uint64) * np.uint64(_coord_salt(k))))
+    u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return ndtri(u)
+
+
 @dataclass(frozen=True)
 class Environment:
     """Seeded Gaussian field g(i, x) over the reachable cone, 1 <= i <= N.
@@ -92,19 +106,16 @@ class Environment:
     seed: int
     params: LatticeParams
 
+    @functools.cached_property
+    def _seed_hash(self) -> int:
+        return _mix64((self.seed & _MASK64) ^ _GOLDEN)
+
     def _layer_base(self, i: int) -> int:
-        h = _mix64((self.seed & _MASK64) ^ _GOLDEN)
-        return _mix64(h ^ ((i * _LAYER_SALT) & _MASK64))
+        return _mix64(self._seed_hash ^ ((i * _LAYER_SALT) & _MASK64))
 
     def values(self, i: int, coords: np.ndarray) -> np.ndarray:
         """Field values at layer i for an (n, d) array of lattice points."""
-        coords = path_columns(np.ascontiguousarray(coords, dtype=np.int64))
-        h = np.full(coords.shape[0], self._layer_base(i), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for k in range(coords.shape[1]):
-                h = _mix64_arr(h ^ (coords[:, k].astype(np.uint64) * np.uint64(_coord_salt(k))))
-        u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        return ndtri(u)
+        return _normals(self._layer_base(i), coords)
 
     def value(self, i: int, point) -> float:
         return float(self.values(i, np.asarray(point, dtype=np.int64).reshape(1, -1))[0])
@@ -148,6 +159,22 @@ def perturb_env(base: Environment, layer: int, point, delta: float) -> Perturbed
         seed=base.seed, params=base.params, base=base,
         layer=layer, point=tuple(np.atleast_1d(point).tolist()), delta=delta,
     )
+
+
+def layer_fields(envs, i: int, coords: np.ndarray) -> np.ndarray:
+    """g(i, .) of each environment at the (n, d) sites ``coords``: (len(envs), n).
+
+    Several plain environments share one hash call over their layer bases.
+    A lone environment, or a batch holding one that overrides ``values``, is
+    asked through ``values``, one environment at a time.
+    """
+    if len(envs) > 1 and all(type(env).values is Environment.values for env in envs):
+        seeds = np.array([env._seed_hash for env in envs], dtype=np.uint64)
+        return _normals(_mix64_arr(seeds ^ np.uint64((i * _LAYER_SALT) & _MASK64)), coords)
+    out = np.empty((len(envs), len(coords)))
+    for row, env in zip(out, envs):
+        row[:] = env.values(i, coords)
+    return out
 
 
 def gaussian_env(seed: int, params: LatticeParams) -> Environment:

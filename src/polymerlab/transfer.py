@@ -19,10 +19,15 @@ backward, over a layer geometry chosen from d:
         and the neighbour sum is one pairwise logaddexp per axis;
   d>=3  sorted int64 site keys per layer, stepped by key arithmetic and
         joined via searchsorted; coordinates are decoded only on demand.
-The driver holds the newest layers only and hands each layer, with its
-field, to a per-layer consumer: the kept tables, log Z and the forward x
-backward reduction behind the exact overlap are consumers.  It alone charges
-the cell budget ``LatticeParams.max_cells``, for what each pass holds.
+One pass carries E environments x P profiles as one (E, P, *layer shape)
+array: one hash call makes the E fields of a layer, the dense neighbour sums
+act on the trailing layer axes, and at d >= 3 the keys and index maps serve
+the whole batch.  The driver holds the newest layers only and hands each
+layer, with its field, to a per-layer consumer: the kept tables, log Z at
+each N of a ladder (``log_partition_ladder``) and the forward x backward
+reduction behind the exact overlap are consumers.  It alone charges the
+cell budget ``LatticeParams.max_cells``, for what each pass holds, and the
+budget and ``BATCH_CELLS`` alone set how many environments share a pass.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (Environment, MemoryGuardError, PartitionScheme, reachable_cells_total,
-                      reachable_set_size)
+from .lattice import (Environment, MemoryGuardError, PartitionScheme, layer_fields,
+                      reachable_cells_total, reachable_set_size)
 
 NEG_INF = -np.inf
 
@@ -114,28 +119,41 @@ def _offsets(d: int) -> np.ndarray:
     return out
 
 
-def _pairwise(x: np.ndarray) -> np.ndarray:
-    """logaddexp of neighbouring entries along every axis, last axis first."""
-    for ax in reversed(range(x.ndim)):
-        lead = (slice(None),) * ax
-        x = np.logaddexp(x[lead + (slice(None, -1),)], x[lead + (slice(1, None),)])
+def _pairwise(x: np.ndarray, d: int) -> np.ndarray:
+    """logaddexp of neighbouring entries along each of the last d axes, last first."""
+    for k in range(d):
+        tail = (slice(None),) * k
+        x = np.logaddexp(x[(..., slice(None, -1)) + tail], x[(..., slice(1, None)) + tail])
     return x
 
 
-def _padded_pairwise(x: np.ndarray) -> np.ndarray:
-    """``_pairwise`` of x framed by one -inf cell on every side."""
-    p = np.full(tuple(n + 2 for n in x.shape), NEG_INF, dtype=x.dtype)
-    p[(slice(1, -1),) * x.ndim] = x
-    return _pairwise(p)
+def _padded_pairwise(x: np.ndarray, d: int) -> np.ndarray:
+    """``_pairwise`` of x framed by one -inf cell on every side of its last d
+    axes.  logaddexp(-inf, v) is v, so each axis's two end entries are copies
+    and the frame itself is never built."""
+    for k in range(d):
+        tail = (slice(None),) * k
+        ax = x.ndim - 1 - k
+        out = np.empty(x.shape[:ax] + (x.shape[ax] + 1,) + x.shape[ax + 1:], dtype=x.dtype)
+        np.logaddexp(x[(..., slice(None, -1)) + tail], x[(..., slice(1, None)) + tail],
+                     out=out[(..., slice(1, -1)) + tail])
+        out[(..., 0) + tail] = x[(..., 0) + tail]
+        out[(..., -1) + tail] = x[(..., -1) + tail]
+        x = out
+    return x
 
 
 def _gather_logsum(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log sum_r exp(x[maps[r]]), where index len(x) stands for a -inf term;
-    the rows fold into one output in row order, as a reduce over axis 0 does."""
-    x = np.append(x, NEG_INF)
-    out = x[maps[0]]
-    for row in maps[1:]:
-        np.logaddexp(out, x[row], out=out)
+    """log sum_r exp(x[..., maps[r]]), where index x.shape[-1] stands for a -inf
+    term; the rows fold into one output in row order, as a reduce over axis 0
+    does.  The leading entries of x go one at a time, so besides x and the
+    output one gathered row and one copy of a single layer are held."""
+    out = np.empty(x.shape[:-1] + maps.shape[1:], dtype=x.dtype)
+    for layer, acc in zip(x.reshape(-1, x.shape[-1]), out.reshape(-1, maps.shape[1])):
+        layer = np.append(layer, NEG_INF)
+        np.take(layer, maps[0], out=acc)
+        for row in maps[1:]:
+            np.logaddexp(acc, layer[row], out=acc)
     return out
 
 
@@ -171,12 +189,12 @@ class _DenseGeometry:
         return np.stack([(s + t) // 2, (s - t) // 2], axis=1)
 
     def sum_into(self, i: int):
-        """Neighbour log-sum of layer i-1 onto layer i."""
-        return _padded_pairwise
+        """Neighbour log-sum of layer i-1 onto layer i, over the last d axes."""
+        return functools.partial(_padded_pairwise, d=self.d)
 
     def sum_from(self, i: int):
-        """Neighbour log-sum of layer i back onto layer i-1."""
-        return _pairwise
+        """Neighbour log-sum of layer i back onto layer i-1, over the last d axes."""
+        return functools.partial(_pairwise, d=self.d)
 
     def predecessors(self, i: int, idx: np.ndarray) -> np.ndarray:
         """(n, 2^d) flat indices in layer i-1 of the neighbours of the layer-i
@@ -198,9 +216,10 @@ class _PackedGeometry:
     the step +-e_k moves a key by +-(2N+1)^(d-1-k).  A move to |x_k| = N+1 can
     only alias a site with a coordinate +-N, which no layer it is looked up in
     holds.  Layer i is the set of neighbours of layer i-1.  Neighbour sums
-    gather through index maps found by ``searchsorted``, built once per layer
-    and shared by every profile; a site off the layer maps one past its end,
-    where a -inf sentinel sits.  Coordinates are decoded only where asked for.
+    gather along the last axis through index maps found by ``searchsorted``,
+    built once per layer and shared by every environment and profile of the
+    pass; a site off the layer maps one past its end, where a -inf sentinel
+    sits.  Coordinates are decoded only where asked for.
     Without ``keep`` only the two newest layers are held.
     """
 
@@ -295,20 +314,38 @@ class LayerTable:
         return self.geometry.coords(i)
 
 
-def _check_guard(env: Environment, geom, n_profiles: int, keep: bool) -> int:
-    """The one cell budget, returning the cells charged.  A kept table holds
-    its cone, with one cell per profile and ``key_cells`` per site; a rolling
-    pass holds two layers per profile, each no wider than layer N; and one
-    step holds the geometry's ``work_cells`` per site of layer N."""
+def _check_guard(env: Environment, geom, n_profiles: int, keep: bool, n_envs: int = 1) -> int:
+    """The one cell budget, returning the cells charged for a pass over
+    ``n_envs`` environments like ``env``.  A kept table holds its cone, with
+    one cell per environment and profile and ``key_cells`` per site; a rolling
+    pass holds two layers per environment and profile, each no wider than
+    layer N; and one step holds the geometry's ``work_cells`` per environment
+    and site of layer N."""
     p = env.params
     width = reachable_set_size(p.N, p.d)
-    held = (reachable_cells_total(p.N, p.d, cap=p.max_cells) * (n_profiles + geom.key_cells)
-            if keep else 2 * n_profiles * width)
-    cells = held + width * geom.work_cells
+    layers = n_envs * n_profiles
+    held = (reachable_cells_total(p.N, p.d, cap=p.max_cells) * (layers + geom.key_cells)
+            if keep else 2 * layers * width)
+    cells = held + n_envs * width * geom.work_cells
     if cells > p.max_cells:
         held = "a kept layer table" if keep else f"a rolling pass over {n_profiles} profile(s)"
         raise MemoryGuardError(f"d={p.d}, N={p.N}: {held} needs more than {p.max_cells} cells")
     return cells
+
+
+# cells of one batched rolling step, environments x profiles x sites of layer
+# N: wider batches stop paying back (CHANGES.md holds the measured table)
+BATCH_CELLS = 1 << 18
+
+
+def _batch_size(env: Environment, n_profiles: int, n_envs: int) -> int:
+    """Environments per rolling pass: at most ``BATCH_CELLS`` per step and what
+    the cell budget allows, at least one (the guard refuses a pass that cannot
+    hold even that)."""
+    p = env.params
+    one = _check_guard(env, _geometry(p.d, p.N, False), n_profiles, False)
+    wide = BATCH_CELLS // (max(n_profiles, 1) * reachable_set_size(p.N, p.d))
+    return max(1, min(n_envs, wide, p.max_cells // one))
 
 
 def _check_forward_args(env: Environment, profile: BetaProfile):
@@ -318,43 +355,61 @@ def _check_forward_args(env: Environment, profile: BetaProfile):
         )
 
 
-def _transfer(env, profiles, direction, dtype, keep, consume=lambda i, layers, g: None,
+def _transfer(envs, profiles, direction, dtype, keep, consume=lambda i, layers, g: None,
               geometry=_geometry):
-    """Run one recursion for several profiles over one environment's field.
+    """Run one recursion for several profiles over the fields of several
+    environments that share their ``LatticeParams``.
 
     forward:  log W(i)   = drive_i + log sum_nbr W(i-1) - log 2d,  i = 1..N
     backward: log B(i-1) = log sum_nbr exp(drive_i + log B(i)) - log 2d,  i = N..1
 
-    with drive_i = beta_i g(i, .).  Each layer's field is generated once and
-    fed to every profile, and not at all where every beta_i is 0.  Layers
-    0..N (forward) or N..0 (backward) go in that order to ``consume(i,
-    layers, g)``: a reused list of each profile's layer i, and g(i, .) in its
-    shape or None where not generated.  ``keep`` states that the consumer
+    with drive_i = beta_i g(i, .).  Each layer's field is generated once per
+    environment and fed to every profile, and not at all where every beta_i
+    is 0.  The E environments x P profiles step as one (E, P, *layer shape)
+    array, and the neighbour sums act on its trailing layer axes, so each
+    entry gets the arithmetic of a pass of its own.  Layers 0..N (forward) or
+    N..0 (backward) go in that order to ``consume(i, layers, g)``: layer i as
+    that array, which no later step writes to, and g(i, .) as (E, *layer
+    shape), or None where not generated.  ``keep`` states that the consumer
     retains every layer, for the geometry and the guard.  Returns the
-    geometry and each profile's last layer.
+    geometry and the last layers.
     """
+    env = envs[0]
+    if any(other.params != env.params for other in envs):
+        raise ValueError("the environments of one pass must share their LatticeParams")
     for pr in profiles:
         _check_forward_args(env, pr)
     d, N = env.params.d, env.params.N
     geom = geometry(d, N, keep)
-    _check_guard(env, geom, len(profiles), keep)
+    _check_guard(env, geom, len(profiles), keep, len(envs))
     log2d = np.log(dtype(2.0 * d))
     forward = direction == "forward"
-    layers = [np.zeros(geom.shape(0 if forward else N), dtype=dtype)] * len(profiles)
+    layers = np.zeros((len(envs), len(profiles)) + geom.shape(0 if forward else N), dtype=dtype)
+    # betas[i - 1] is step i's beta per profile, shaped to scale an (E, P, ...) field
+    betas = np.array([pr.values for pr in profiles]).reshape(len(profiles), N).T
+    read = betas.any(axis=1).tolist()
+    betas = betas.reshape(betas.shape + (1,) * (layers.ndim - 2))
     if forward:
         consume(0, layers, None)
     for i in range(1, N + 1) if forward else range(N, 0, -1):
-        betas = [pr.values[i - 1] for pr in profiles]
         g = None
-        if any(beta != 0.0 for beta in betas):
-            g = env.values(i, geom.coords(i)).reshape(geom.shape(i)).astype(dtype, copy=False)
+        if read[i - 1]:
+            g = layer_fields(envs, i, geom.coords(i)).reshape((len(envs),) + geom.shape(i))
+            g = g.astype(dtype, copy=False)
         if not forward:
             consume(i, layers, g)
-        nbsum = geom.sum_into(i) if forward else geom.sum_from(i)
-        for k, beta in enumerate(betas):
-            drive = beta * g if beta != 0.0 else 0.0
-            layers[k] = (drive + nbsum(layers[k]) if forward else nbsum(drive + layers[k])) - log2d
-        del nbsum  # this step's index maps go before the next step's are built
+        # the neighbour sum is built and dropped in one statement, so this
+        # step's index maps go before the drive and the next step's maps
+        if forward:
+            layers = geom.sum_into(i)(layers)
+            if g is not None:
+                layers += betas[i - 1] * g[:, None]
+        else:
+            if g is not None:
+                drive = betas[i - 1] * g[:, None]
+                layers = np.add(drive, layers, out=drive)
+            layers = geom.sum_from(i)(layers)
+        layers -= log2d
         if forward:
             consume(i, layers, g)
     if not forward:
@@ -364,8 +419,8 @@ def _transfer(env, profiles, direction, dtype, keep, consume=lambda i, layers, g
 
 def _kept_table(env: Environment, profile: BetaProfile, direction: str, dtype) -> LayerTable:
     kept = [None] * (profile.N + 1)
-    geom, _ = _transfer(env, [profile], direction, dtype, True,
-                        lambda i, layers, g: kept.__setitem__(i, layers[0]))
+    geom, _ = _transfer([env], [profile], direction, dtype, True,
+                        lambda i, layers, g: kept.__setitem__(i, layers[0, 0]))
     return LayerTable(env, profile, direction, geom, kept)
 
 
@@ -396,6 +451,36 @@ def log_partition(table: LayerTable) -> float:
     return float(table.layer_logw(0)[0])
 
 
+def log_partition_ladder(envs, profiles, ns, dtype=np.float64) -> np.ndarray:
+    """log Z_n of every n in ``ns``, environment and profile, shape (len(ns),
+    len(envs), len(profiles)); the environments share their ``LatticeParams``,
+    whose N the profiles have and no n exceeds.
+
+    The environments go in batches of ``_batch_size``, one rolling forward
+    pass to N per batch.  Layer n of that pass depends only on g(1..n, .) and
+    the profiles' first n entries, and at d >= 3 its packed keys keep their
+    order for any N, so its logsumexp is, bit for bit, log Z of a pass that
+    stops at n.  A profile that is 0 on 1..n gives exactly 0.0 there.
+    """
+    profiles, ns = list(profiles), [int(n) for n in ns]
+    N = envs[0].params.N
+    if not all(1 <= n <= N for n in ns):
+        raise ValueError(f"every n of the ladder must lie in 1..{N}, got {ns}")
+    out = np.empty((len(ns), len(envs), len(profiles)))
+    rungs = {n: [j for j, m in enumerate(ns) if m == n] for n in ns}
+    zero = {n: [not pr.values[:n].any() for pr in profiles] for n in rungs}
+    size = _batch_size(envs[0], len(profiles), len(envs))
+    for lo in range(0, len(envs), size):
+        def consume(i, layers, g):
+            if i in rungs:
+                out[rungs[i], lo:lo + len(layers)] = [
+                    [0.0 if z else float(logsumexp(w)) for z, w in zip(zero[i], by_env)]
+                    for by_env in layers]
+
+        _transfer(envs[lo:lo + size], profiles, "forward", dtype, False, consume)
+    return out
+
+
 def log_partitions(env: Environment, profiles, dtype=np.float64) -> np.ndarray:
     """log Z for several profiles over one environment, sharing the field.
 
@@ -403,11 +488,7 @@ def log_partitions(env: Environment, profiles, dtype=np.float64) -> np.ndarray:
     to every profile, which is what makes common-random-number derivative and
     multi-temperature estimates cheap.
     """
-    profiles = list(profiles)
-    _, last = _transfer(env, profiles, "forward", dtype, keep=False)
-    return np.array(
-        [0.0 if pr.is_zero else float(logsumexp(w)) for pr, w in zip(profiles, last)]
-    )
+    return log_partition_ladder([env], profiles, [env.params.N], dtype)[0, 0]
 
 
 def log_partition_multi(env: Environment, p: PartitionScheme, betas) -> float:
@@ -497,12 +578,12 @@ def marginal_sums(fwd: LayerTable) -> tuple[float, float]:
     squares, energies = np.zeros(fwd.N + 1), np.zeros(fwd.N + 1)
 
     def consume(i, layers, g):
-        lm = _log_marginal(fwd, i, layers[0])
+        lm = _log_marginal(fwd, i, layers[0, 0])
         squares[i] = np.exp(logsumexp(2.0 * lm))
         if g is not None:
-            energies[i] = np.exp(lm) @ g.ravel()
+            energies[i] = np.exp(lm) @ g[0].ravel()
 
-    _transfer(fwd.env, [fwd.profile], "backward", np.float64, False, consume,
+    _transfer([fwd.env], [fwd.profile], "backward", np.float64, False, consume,
               lambda *_: fwd.geometry)
     # cumsum adds in index order; np.sum would pair the terms
     return float(np.cumsum(squares[1:])[-1]), float(np.cumsum(energies[1:])[-1])

@@ -241,16 +241,24 @@ class TestOnePassPerEnvironment:
                           for s in seeds}
 
     def test_free_energy_passes(self, tmp_path, monkeypatch):
-        def key(env, profs):
-            return env.params.N, env.seed, tuple(float(p.values[0]) for p in profs)
+        def key(envs, profs, *_):
+            return (envs[0].params.N, tuple(env.seed for env in envs),
+                    tuple(float(p.values[0]) for p in profs))
 
-        rolled = self._count(monkeypatch, "log_partitions", key)
-        ns, betas, seed = (8, 16), (0.0, 0.5, 2.0), 5
+        passes = self._count(monkeypatch, "_transfer", key)
+        rolled = self._count(monkeypatch, "log_partitions", lambda *args: args)
+        # batches of two environments: three betas x 17 sites of layer 16 each
+        monkeypatch.setattr(importlib.import_module("polymerlab.transfer"), "BATCH_CELLS",
+                            2 * 3 * 17)
+        ns, betas, seed = (16, 8, 16), (0.0, 0.5, 2.0), 5
         cmd_free_energy(_cfg(
             command="free-energy", seed=seed, d=1, n_values=ns, beta_values=betas,
             n_disorder=3, tail_u=(0.1,), out=str(tmp_path),
         ))
-        assert rolled == {(n, derive_seed(seed, r), betas): 1 for n in ns for r in range(3)}
+        seeds = tuple(derive_seed(seed, r) for r in range(3))
+        # one pass per batch, to the largest N, serves every N and beta
+        assert passes == {(16, seeds[:2], betas): 1, (16, seeds[2:], betas): 1}
+        assert not rolled  # no pass per (N, environment) is left
 
 
 class TestLocalizeCommand:

@@ -41,6 +41,17 @@ class TestEstimateFreeEnergy:
             assert est.mean == float(np.mean(est.samples))
 
 
+    def test_ladder_matches_one_n_at_a_time(self):
+        # an unsorted ladder with a repeated N is read off one pass per batch
+        params, betas, ns = LatticeParams(d=1, N=10), (0.0, 0.7, 10.0), (40, 9, 40, 23)
+        ladder = estimate_free_energies(betas, params, 5, master_seed=8, ns=ns)
+        assert [(e.N, e.beta) for e in ladder] == [(n, b) for n in ns for b in betas]
+        for est in ladder:
+            one = estimate_free_energy(est.beta, LatticeParams(d=1, N=est.N), 5, master_seed=8)
+            assert est == one
+            assert est.samples.tobytes() == one.samples.tobytes()
+
+
 class TestDerivative:
     def test_zero_at_origin(self):
         d = estimate_derivative(0.0, 1e-3, LatticeParams(d=1, N=128), 40, master_seed=4)
@@ -50,6 +61,12 @@ class TestDerivative:
         # p(beta) = beta^2/2 in the high-temperature regime, so p' ~ beta
         d = estimate_derivative(0.25, 1e-3, LatticeParams(d=1, N=256), 60, master_seed=5)
         assert abs(d - 0.25) < 0.05
+
+    def test_needs_an_environment(self):
+        with pytest.raises(ValueError, match="n_disorder >= 1"):
+            estimate_derivative(0.5, 1e-3, LatticeParams(d=1, N=16), 0, master_seed=4)
+        with pytest.raises(ValueError, match="n_disorder >= 1"):
+            concentration_profile(0.5, LatticeParams(d=1, N=16), 0, (0.1,), master_seed=4)
 
     def test_convexity_over_grid(self):
         params = LatticeParams(d=1, N=128)

@@ -13,6 +13,7 @@ from polymerlab.lattice import (
     derive_seed,
     gaussian_env,
     is_valid_path,
+    layer_fields,
     make_partition,
     make_subpartition,
     perturb_env,
@@ -100,6 +101,18 @@ class TestEnvironment:
         assert pe.value(3, (1,)) == env.value(3, (1,)) + 0.5
         assert pe.value(3, (-1,)) == env.value(3, (-1,))
         assert pe.value(4, (1,)) == env.value(4, (1,))
+
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_batched_fields_equal_one_environment_at_a_time(self, d):
+        # one hash call over several layer bases gives each environment's bits
+        params = LatticeParams(d=d, N=12)
+        plain = [gaussian_env(derive_seed(7, r), params) for r in range(3)]
+        coords = reachable_set(5, d)
+        mixed = plain + [zero_env(params), perturb_env(plain[0], 5, coords[0], 0.5)]
+        for envs in (plain, mixed, plain[:1]):
+            want = np.stack([env.values(5, coords) for env in envs])
+            assert layer_fields(envs, 5, coords).tobytes() == want.tobytes()
 
 
 def test_derive_seed_stable_and_spread():

@@ -12,14 +12,17 @@ from polymerlab.lattice import (
     Environment,
     LatticeParams,
     MemoryGuardError,
+    derive_seed,
     gaussian_env,
     make_partition,
+    perturb_env,
     reachable_set,
     zero_env,
 )
 from polymerlab.transfer import (
     BetaProfile,
     LayerTable,
+    _batch_size,
     _check_guard,
     _gather_logsum,
     _geometry,
@@ -33,6 +36,7 @@ from polymerlab.transfer import (
     layer_log_marginals,
     log_partition,
     log_partition_excluding_block,
+    log_partition_ladder,
     log_partition_multi,
     log_partitions,
     logsumexp,
@@ -288,9 +292,9 @@ def _pass(env, profiles, direction, keep, geometry=_geometry):
     """Run ``_transfer``; return its geometry, what it handed its consumer as
     (i, per-profile layers, field) in pass order, and its last layers."""
     handed = []
-    geom, last = _transfer(env, profiles, direction, np.float64, keep,
-                           lambda i, layers, g: handed.append((i, list(layers), g)), geometry)
-    return geom, handed, last
+    geom, last = _transfer([env], profiles, direction, np.float64, keep,
+                           lambda i, layers, g: handed.append((i, layers[0], g)), geometry)
+    return geom, handed, last[0]
 
 
 class TestGeometries:
@@ -373,12 +377,82 @@ class TestFieldSkipping:
         order = list(range(n + 1)) if direction == "forward" else list(range(n, -1, -1))
         assert [i for i, _, _ in skipped] == order
         assert [i for i, _, g in skipped if g is not None] == [i for i in order if lo <= i <= hi]
-        assert last[0] is skipped[-1][1][0]
+        assert np.shares_memory(last, skipped[-1][1])
         # a constant profile alongside makes every layer's field be generated
         _, full, _ = _pass(env, [prof, BetaProfile.constant(0.4, n)], direction, keep)
         assert len(skipped) == len(full)
         for (_, a, _), (_, b, _) in zip(skipped, full):
             assert a[0].tobytes() == b[0].tobytes()
+
+
+def _ladder_envs(d, N, n_plain):
+    params = LatticeParams(d=d, N=N)
+    return [gaussian_env(derive_seed(17 + d, r), params) for r in range(n_plain)]
+
+
+class TestLadder:
+    BETAS = (0.0, 0.6, 10.0, 50.0)
+
+    @pytest.mark.parametrize("d, ns", [(1, (30, 4, 30, 17)), (2, (9, 2, 9, 5)),
+                                       (3, (6, 1, 6, 4)), (4, (5, 2, 5, 3))])
+    def test_every_rung_equals_its_own_pass(self, d, ns):
+        # one pass to the largest N over a batch of environments gives, bit for
+        # bit, the log Z of a standalone pass at each N of an unsorted ladder
+        N = max(ns)
+        envs = _ladder_envs(d, N, 3)
+        profs = [BetaProfile.constant(b, N) for b in self.BETAS]
+        got = log_partition_ladder(envs, profs, ns)
+        assert got.shape == (len(ns), len(envs), len(self.BETAS))
+        for j, n in enumerate(ns):
+            for e, env in enumerate(envs):
+                alone = gaussian_env(env.seed, LatticeParams(d=d, N=n))
+                want = log_partitions(alone, [BetaProfile.constant(b, n) for b in self.BETAS])
+                assert got[j, e].tobytes() == want.tobytes()
+        assert np.all(got[:, :, 0] == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_batch_equals_one_environment_at_a_time(self, d):
+        N = 6
+        plain = _ladder_envs(d, N, 2)
+        point = (1,) + (0,) * (d - 1)
+        envs = [plain[0], perturb_env(plain[1], 3, point, 0.75), zero_env(plain[0].params),
+                plain[1]]
+        profs = [BetaProfile.constant(b, N) for b in self.BETAS]
+        profs.append(BetaProfile.from_blocks(make_partition(N, 2), [0.0, 1.3]))
+        got = log_partition_ladder(envs, profs, [N])[0]
+        for e, env in enumerate(envs):
+            assert got[e].tobytes() == log_partitions(env, profs).tobytes()
+        assert not np.array_equal(got[1], got[3])  # the perturbed cell is seen
+
+    @pytest.mark.parametrize("d, N, size", [(1, 1024, 63), (2, 128, 3), (3, 32, 2)])
+    def test_batched_pass_peak_within_charge(self, d, N, size):
+        # everything a batched rolling pass allocates stays within the float64
+        # cells the guard charges it; four profiles and the default cap give
+        # the batch size pinned here
+        envs = _ladder_envs(d, N, size)
+        profs = [BetaProfile.constant(b, N) for b in (0.5, 1.0, 2.0, 3.0)]
+        assert _batch_size(envs[0], len(profs), 10 * size) == size
+        charged = _check_guard(envs[0], _geometry(d, N, False), len(profs), False, size)
+        tracemalloc.start()
+        try:
+            log_partition_ladder(envs, profs, [N])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * charged
+
+    def test_batch_size_bounded_by_the_cell_budget(self):
+        # each environment of a rolling pass over four profiles at d=1 N=1024
+        # is charged 1025 * (2 * 4 + 10) cells; 50,000 cells leave room for two
+        env = gaussian_env(1, LatticeParams(d=1, N=1024, max_cells=50_000))
+        assert _batch_size(env, 4, 100) == 2
+        with pytest.raises(MemoryGuardError, match="a rolling pass"):
+            _batch_size(gaussian_env(1, LatticeParams(d=1, N=1024, max_cells=10_000)), 4, 100)
+
+    def test_rungs_must_lie_in_the_pass(self):
+        envs = _ladder_envs(1, 8, 1)
+        with pytest.raises(ValueError, match="1..8"):
+            log_partition_ladder(envs, [BetaProfile.constant(1.0, 8)], [4, 9])
 
 
 def test_brute_force_guard():
