@@ -25,17 +25,18 @@ block partition functions, and evaluates the multi-temperature partition
 function on the concatenation of those same blocks.  Every term keeps its
 required marginal law while the shared blocks act as common random numbers,
 so the gap statistic isolates the junction-mixing term, which vanishes as
-N grows.
+N grows.  Each term is one batched rolling pass over every replica.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .lattice import Environment, LatticeParams, PartitionScheme, derive_seed, gaussian_env, make_partition
-from .transfer import BetaProfile, log_partition_ladder, log_partitions
+from .transfer import BetaProfile, log_partition_ladder
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,9 @@ def _per_step_logz(params: LatticeParams, betas, master_seed: int, n_disorder: i
                    ns=None) -> np.ndarray:
     """(len(ns), n_disorder, len(betas)) array of log Z_n / n over derived seeds,
     in seed order, for each n of ``ns`` (default ``params.N``) in the order given."""
-    if n_disorder < 1:
-        raise ValueError("need n_disorder >= 1")
-    ns = np.array(ns or (params.N,))
+    ns = np.array((params.N,) if ns is None else ns)
+    if ns.size == 0:
+        raise ValueError("need at least one N in the ladder")
     top = replace(params, N=int(ns.max()))
     envs = [gaussian_env(derive_seed(master_seed, r), top) for r in range(n_disorder)]
     profs = [BetaProfile.constant(beta, top.N) for beta in betas]
@@ -102,13 +103,14 @@ def estimate_free_energies(
     """
     if n_disorder < 2:
         raise ValueError("need n_disorder >= 2")
+    ns = (params.N,) if ns is None else ns
     vals = _per_step_logz(params, betas, master_seed, n_disorder, ns)
     return [
         FreeEnergyEstimate(
             beta=beta, N=int(n), d=params.d, mean=float(v.mean()),
             stderr=standard_error(v), n_disorder=n_disorder, samples=v,
         )
-        for n, by_n in zip(ns or (params.N,), vals)
+        for n, by_n in zip(ns, vals)
         for beta, v in zip(betas, by_n.T)
     ]
 
@@ -201,20 +203,21 @@ def concentration_from_samples(
 
 @dataclass(frozen=True)
 class BlockConcatEnvironment(Environment):
-    """Environment assembled from independent block environments.
+    """Environment assembled from independent plain block environments.
 
-    Layer i of the composite delegates to the block containing i, with the
-    time index shifted so each block environment is queried on 1..block_len.
-    The composite field is i.i.d. standard normal because the blocks are
-    independent and each is queried injectively.
+    Layer i of the composite has the layer base of layer i - n_{ell-1} of the
+    block ell holding i, so a batch of composites is hashed in one call and
+    each block is queried on 1..block_len.  The composite field is i.i.d.
+    standard normal because the blocks are independent and each is queried
+    injectively.
     """
 
     blocks: tuple = ()
     boundaries: tuple = ()
 
-    def values(self, i: int, coords: np.ndarray) -> np.ndarray:
-        ell = int(np.searchsorted(np.asarray(self.boundaries), i, side="left"))
-        return self.blocks[ell - 1].values(i - self.boundaries[ell - 1], coords)
+    def _layer_base(self, i: int) -> int:
+        ell = bisect.bisect_left(self.boundaries, i)
+        return self.blocks[ell - 1]._layer_base(i - self.boundaries[ell - 1])
 
 
 @dataclass(frozen=True)
@@ -244,28 +247,24 @@ def multi_temp_gap(
         raise ValueError(f"need {p.L} block temperatures, got {len(betas)}")
     if p.N < p.L**2:
         raise ValueError(f"consistency check requires N >= L^2 (N={p.N}, L={p.L})")
-    full_params = LatticeParams(d=d, N=p.N)
-    block_params = [LatticeParams(d=d, N=s) for s in p.sizes]
-    block_prof = BetaProfile.from_blocks(p, betas)
-
-    xs = np.empty(n_disorder)
-    lhs = np.empty(n_disorder)
-    for r in range(n_disorder):
-        envs = [
-            gaussian_env(derive_seed(master_seed, r * p.L + ell), bp)
-            for ell, bp in enumerate(block_params)
-        ]
-        cat = BlockConcatEnvironment(
-            seed=envs[0].seed, params=full_params,
-            blocks=tuple(envs), boundaries=p.boundaries,
-        )
-        lz_full = log_partitions(cat, [block_prof])[0]
-        lz_blocks = sum(
-            log_partitions(env, [BetaProfile.constant(b, bp.N)])[0]
-            for env, bp, b in zip(envs, block_params, betas)
-        )
-        lhs[r] = lz_full / p.N
-        xs[r] = (lz_full - lz_blocks) / p.N
+    # blocks[ell][r]: block ell of replica r, a fresh environment of its size
+    blocks = [
+        [gaussian_env(derive_seed(master_seed, r * p.L + ell), LatticeParams(d=d, N=s))
+         for r in range(n_disorder)]
+        for ell, s in enumerate(p.sizes)
+    ]
+    cats = [
+        BlockConcatEnvironment(seed=envs[0].seed, params=LatticeParams(d=d, N=p.N),
+                               blocks=envs, boundaries=p.boundaries)
+        for envs in zip(*blocks)
+    ]
+    lz_full = log_partition_ladder(cats, [BetaProfile.from_blocks(p, betas)], [p.N])[0, :, 0]
+    lz_blocks = sum(
+        log_partition_ladder(envs, [BetaProfile.constant(b, s)], [s])[0, :, 0]
+        for envs, s, b in zip(blocks, p.sizes, betas)
+    )
+    lhs = lz_full / p.N
+    xs = (lz_full - lz_blocks) / p.N
 
     return GapEstimate(
         N=p.N,

@@ -164,13 +164,13 @@ def perturb_env(base: Environment, layer: int, point, delta: float) -> Perturbed
 def layer_fields(envs, i: int, coords: np.ndarray) -> np.ndarray:
     """g(i, .) of each environment at the (n, d) sites ``coords``: (len(envs), n).
 
-    Several plain environments share one hash call over their layer bases.
-    A lone environment, or a batch holding one that overrides ``values``, is
-    asked through ``values``, one environment at a time.
+    Several environments that keep ``Environment.values`` share one hash call
+    over their ``_layer_base(i)``.  A lone environment, or a batch holding one
+    that overrides ``values``, is asked through ``values``, one environment at
+    a time.
     """
     if len(envs) > 1 and all(type(env).values is Environment.values for env in envs):
-        seeds = np.array([env._seed_hash for env in envs], dtype=np.uint64)
-        return _normals(_mix64_arr(seeds ^ np.uint64((i * _LAYER_SALT) & _MASK64)), coords)
+        return _normals(np.array([env._layer_base(i) for env in envs], dtype=np.uint64), coords)
     out = np.empty((len(envs), len(coords)))
     for row, env in zip(out, envs):
         row[:] = env.values(i, coords)

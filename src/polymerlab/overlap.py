@@ -20,12 +20,12 @@ the O(h^2) finite-difference bias remains.
 
 Each estimator's formula is written once, over a forward table, its
 ``marginal_sums`` or log Z values; the public estimators wrap it for one
-environment or one disorder average.  ``sweep_overlaps`` feeds every formula
-at one (N, beta) from one forward table per environment (the replica sampler
-runs on it for environment 0), one rolling backward pass reduced against it
-(exact <R> and, in enum mode, <H>) and one rolling log Z pass at beta +/- h.
-Only that one table is kept; no backward table is.  At beta = 0 the passes
-read no field, so environment 0 stands for every environment.
+environment or one disorder average.  ``sweep_overlaps`` and ``ibp_residual``
+walk the environments once: a forward table each (the replica sampler runs on
+environment 0's), reduced against one rolling backward pass (exact <R> and, in
+enum mode, <H>); then log Z at beta +/- h of all of them comes from one batched
+rolling pass.  One table is kept at a time; no backward table is.  At beta = 0
+the passes read no field, so environment 0 stands for every environment.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .transfer import (
     brute_force_log_partition,
     forward_layers,
     gibbs_enumeration,
-    log_partitions,
+    log_partition_ladder,
     marginal_sums,
     sample_paths,
 )
@@ -137,18 +137,6 @@ class IbpEstimate:
     mode: str
 
 
-def _exact_terms(fwd, beta: float, mode: str) -> tuple[float, float]:
-    """One environment's exact <R> and identity right-hand side, beta (1 - <R>)
-    (mc) or <H>/N (enum), from its forward table."""
-    squares, energy = marginal_sums(fwd)
-    overlap = squares / fwd.N
-    return overlap, energy / fwd.N if mode == "enum" else beta * (1.0 - overlap)
-
-
-def _enumerated_log_partitions(env: Environment, profiles) -> np.ndarray:
-    return np.array([brute_force_log_partition(env, pr) for pr in profiles])
-
-
 def _ibp_summary(logz: np.ndarray, rhs: np.ndarray, beta: float, h: float,
                  n: int, mode: str) -> IbpEstimate:
     """The identity's residual from per-environment log Z at beta +/- h
@@ -176,6 +164,35 @@ def _check_ibp_args(beta: float, h: float, mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
+def _disorder_terms(beta: float, h: float, params: LatticeParams, n_env: int,
+                    master_seed: int, mode: str, first=lambda fwd: None):
+    """Exact <R>, the identity's right-hand side (beta (1 - <R>) in mc mode,
+    <H>/N in enum mode) and, at beta > 0, log Z at beta + h and beta - h from the
+    rolling pass and as the identity reads it (enumerated in enum mode), of each
+    of the first ``n_env`` environments.  ``first`` gets environment 0's table."""
+    if n_env < 1:
+        raise ValueError("need n_disorder >= 1")
+    n = params.N
+    envs = [gaussian_env(derive_seed(master_seed, r), params) for r in range(n_env)]
+    overlaps, rhs = np.empty(n_env), np.empty(n_env)
+    # the kept tables first: their budget refuses a too-large N before any work
+    for r, env in enumerate(envs):
+        fwd = forward_layers(env, BetaProfile.constant(beta, n))
+        if r == 0:
+            first(fwd)
+        squares, energy = marginal_sums(fwd)
+        del fwd  # before the next table is built
+        overlaps[r] = squares / n
+        rhs[r] = energy / n if mode == "enum" else beta * (1.0 - overlaps[r])
+    if beta == 0.0:
+        return overlaps, rhs, None, None
+    profs = [BetaProfile.constant(beta + h, n), BetaProfile.constant(beta - h, n)]
+    rolled = log_partition_ladder(envs, profs, [n])[0]
+    logz = rolled if mode == "mc" else np.array(
+        [[brute_force_log_partition(env, pr) for pr in profs] for env in envs])
+    return overlaps, rhs, rolled, logz
+
+
 def ibp_residual(beta: float, h: float, params: LatticeParams, n_disorder: int,
                  master_seed: int, mode: str = "mc") -> IbpEstimate:
     """Check (1/N) d/dbeta E log Z = beta (1 - E<R>) at finite N.
@@ -189,23 +206,13 @@ def ibp_residual(beta: float, h: float, params: LatticeParams, n_disorder: int,
           discretization bias remains.
     """
     _check_ibp_args(beta, h, mode)
-    n = params.N
-    profs = [BetaProfile.constant(beta + h, n), BetaProfile.constant(beta - h, n)]
-    prof_0 = BetaProfile.constant(beta, n)
-
-    logz = np.empty((n_disorder, 2))
-    rhs = np.empty(n_disorder)
-    for r in range(n_disorder):
-        env = gaussian_env(derive_seed(master_seed, r), params)
-        # the kept table first: its budget refuses a too-large N before any work
-        rhs[r] = _exact_terms(forward_layers(env, prof_0), beta, mode)[1]
-        logz[r] = (log_partitions if mode == "mc" else _enumerated_log_partitions)(env, profs)
-    return _ibp_summary(logz, rhs, beta, h, n, mode)
+    _, rhs, _, logz = _disorder_terms(beta, h, params, n_disorder, master_seed, mode)
+    return _ibp_summary(logz, rhs, beta, h, params.N, mode)
 
 
 @dataclass(frozen=True)
 class OverlapSweep:
-    """Every overlap estimate at one (N, beta), one pass per environment."""
+    """Every overlap estimate at one (N, beta), one table per environment."""
 
     replica: OverlapEstimate  # sampled pairs on environment 0
     exact: float  # exact <R>, mean over all n_disorder environments
@@ -215,39 +222,29 @@ class OverlapSweep:
 
 def sweep_overlaps(beta: float, h: float, params: LatticeParams, n_disorder: int,
                    master_seed: int, n_pairs: int, mode: str = "mc") -> OverlapSweep:
-    """Every overlap estimate at one (N, beta) from one pass per environment.
+    """Every overlap estimate at one (N, beta) from one table per environment.
 
     Gives the same numbers as ``mean_replica_overlap`` on environment 0 with
     the generator seeded by ``derive_seed(master_seed, 1)``, the mean of
     ``exact_two_replica_overlap`` over all ``n_disorder`` environments,
-    ``ibp_residual`` and ``estimate_derivative``, from one forward table, one
-    backward reduction and (beta > 0) one rolling pass per environment.  At
-    beta = 0 no field is read, so only environment 0's passes run.
+    ``ibp_residual`` and ``estimate_derivative``, from one forward table and
+    one backward reduction per environment and (beta > 0) one batched rolling
+    pass over all of them.  At beta = 0 no field is read, so only environment
+    0's passes run.
     """
     n = params.N
-    prof = BetaProfile.constant(beta, n)
     if beta > 0.0:
         _check_ibp_args(beta, h, mode)
-        profs = [BetaProfile.constant(beta + h, n), BetaProfile.constant(beta - h, n)]
-    n_env = n_disorder if beta > 0.0 else 1
-    overlaps, rhs = np.empty(n_env), np.empty(n_env)
-    rolled, logz = np.empty((n_env, 2)), np.empty((n_env, 2))
-    for r in range(n_env):
-        env = gaussian_env(derive_seed(master_seed, r), params)
-        fwd = forward_layers(env, prof)
-        if r == 0:
-            rng = np.random.default_rng(derive_seed(master_seed, 1))
-            replica = _replica_overlap(fwd, n_pairs, rng)
-        overlaps[r], rhs[r] = _exact_terms(fwd, beta, mode)
-        del fwd  # before the rolling pass and the next table are built
-        if beta > 0.0:
-            rolled[r] = log_partitions(env, profs)
-            logz[r] = rolled[r] if mode == "mc" else _enumerated_log_partitions(env, profs)
+    rng = np.random.default_rng(derive_seed(master_seed, 1))
+    replica = []
+    overlaps, rhs, rolled, logz = _disorder_terms(
+        beta, h, params, n_disorder if beta > 0.0 else min(n_disorder, 1), master_seed, mode,
+        lambda fwd: replica.append(_replica_overlap(fwd, n_pairs, rng)))
     exact = float(overlaps.mean())
     if beta == 0.0:
-        return OverlapSweep(replica, exact, None, None)
+        return OverlapSweep(replica[0], exact, None, None)
     return OverlapSweep(
-        replica,
+        replica[0],
         exact,
         _ibp_summary(logz, rhs, beta, h, n, mode),
         difference_quotient(rolled[:, 1] / n, rolled[:, 0] / n, 2 * h),

@@ -167,9 +167,9 @@ class _DenseGeometry:
     """
 
     key_cells = 0  # per site of a kept layer, besides its values
-    # cells per site of a layer held besides the layers themselves during one
-    # step: coordinates, the field, the drive and the padded neighbour sums
-    work_cells = 10
+    # cells per site held besides the layers during one step, none per pass and,
+    # per environment, coordinates, the field, the drive and the neighbour sums
+    shared_cells, work_cells = 0, 10
 
     def __init__(self, d: int):
         self.d = d
@@ -233,9 +233,9 @@ class _PackedGeometry:
         self.radix = base ** np.arange(d - 1, -1, -1, dtype=np.int64)
         # the key moves of the steps +e1, -e1, +e2, ...
         self.steps = np.stack([self.radix, -self.radix], axis=1).ravel()
-        # per site, one step holds 2d candidate keys, 2d rows of index maps and
-        # their gather, decoded coordinates, the field and two layers' keys
-        self.work_cells = 2 * d * (d + 9)
+        # per site, one step holds two layers' keys and 2d candidate keys or map
+        # rows for the whole batch, and per environment the field and its hash
+        self.shared_cells, self.work_cells = 2 * d + 5, 4
         self._keys = [N * self.radix.sum(keepdims=True)]
 
     def keys(self, i: int) -> np.ndarray:
@@ -319,14 +319,14 @@ def _check_guard(env: Environment, geom, n_profiles: int, keep: bool, n_envs: in
     ``n_envs`` environments like ``env``.  A kept table holds its cone, with
     one cell per environment and profile and ``key_cells`` per site; a rolling
     pass holds two layers per environment and profile, each no wider than
-    layer N; and one step holds the geometry's ``work_cells`` per environment
-    and site of layer N."""
+    layer N; and one step holds the geometry's ``shared_cells`` per site of
+    layer N for the whole batch and ``work_cells`` per environment and site."""
     p = env.params
     width = reachable_set_size(p.N, p.d)
     layers = n_envs * n_profiles
     held = (reachable_cells_total(p.N, p.d, cap=p.max_cells) * (layers + geom.key_cells)
             if keep else 2 * layers * width)
-    cells = held + n_envs * width * geom.work_cells
+    cells = held + width * (geom.shared_cells + n_envs * geom.work_cells)
     if cells > p.max_cells:
         held = "a kept layer table" if keep else f"a rolling pass over {n_profiles} profile(s)"
         raise MemoryGuardError(f"d={p.d}, N={p.N}: {held} needs more than {p.max_cells} cells")
@@ -463,6 +463,8 @@ def log_partition_ladder(envs, profiles, ns, dtype=np.float64) -> np.ndarray:
     stops at n.  A profile that is 0 on 1..n gives exactly 0.0 there.
     """
     profiles, ns = list(profiles), [int(n) for n in ns]
+    if not envs:
+        raise ValueError("need at least one environment (n_disorder >= 1)")
     N = envs[0].params.N
     if not all(1 <= n <= N for n in ns):
         raise ValueError(f"every n of the ladder must lie in 1..{N}, got {ns}")

@@ -218,14 +218,16 @@ class TestOnePassPerEnvironment:
         def table_key(env, prof):
             return env.params.N, float(prof.values[0]), env.seed
 
-        def rolling_key(env, profs):
-            return env.params.N, env.seed, tuple(sorted(float(p.values[0]) for p in profs))
+        def rolling_key(envs, profs, direction, dtype, keep, *_):
+            return (direction, keep, envs[0].params.N, tuple(env.seed for env in envs),
+                    tuple(sorted(float(p.values[0]) for p in profs)))
 
         fwd = self._count(monkeypatch, "forward_layers", table_key)
         bwd = self._count(monkeypatch, "backward_layers", table_key)
         reduced = self._count(monkeypatch, "marginal_sums",
                               lambda table: table_key(table.env, table.profile))
-        rolled = self._count(monkeypatch, "log_partitions", rolling_key)
+        passes = self._count(monkeypatch, "_transfer", rolling_key)
+        rolled = self._count(monkeypatch, "log_partitions", lambda env, *_: env.seed)
         ns, betas, h, seed = (8, 12), (0.0, 1.0), 1e-3, 4
         cmd_overlap(_cfg(
             command="overlap", seed=seed, d=1, n_values=ns, beta_values=betas,
@@ -237,8 +239,12 @@ class TestOnePassPerEnvironment:
         assert fwd == want
         assert reduced == want  # one rolling backward pass per forward table
         assert not bwd  # and no kept backward table
-        assert rolled == {(n, s, (b - h, b + h)): 1 for n in ns for b in betas if b > 0
-                          for s in seeds}
+        # log Z at beta +/- h: one batched pass per (N, beta > 0) over every
+        # environment, and no pass per environment
+        forward_rolling = {k[2:]: c for k, c in passes.items() if k[:2] == ("forward", False)}
+        assert forward_rolling == {(n, tuple(seeds), (b - h, b + h)): 1
+                                   for n in ns for b in betas if b > 0}
+        assert not rolled
 
     def test_free_energy_passes(self, tmp_path, monkeypatch):
         def key(envs, profs, *_):
@@ -259,6 +265,20 @@ class TestOnePassPerEnvironment:
         # one pass per batch, to the largest N, serves every N and beta
         assert passes == {(16, seeds[:2], betas): 1, (16, seeds[2:], betas): 1}
         assert not rolled  # no pass per (N, environment) is left
+
+    def test_multi_temp_passes(self, tmp_path, monkeypatch):
+        passes = self._count(monkeypatch, "_transfer",
+                             lambda envs, profs, *_: (envs[0].params.N, len(envs), len(profs)))
+        rolled = self._count(monkeypatch, "log_partitions", lambda env, *_: env.seed)
+        cmd_free_energy(_cfg(
+            command="free-energy", seed=9, d=1, n_values=(25, 36), L=2,
+            block_betas=(0.5, 1.5), n_disorder=4, out=str(tmp_path),
+        ))
+        # per rung, one batch fits every replica: one pass over the four
+        # concatenations and one per block (sizes 12, 13 and 18, 18), L + 1 in all
+        assert passes == {(25, 4, 1): 1, (12, 4, 1): 1, (13, 4, 1): 1,
+                          (36, 4, 1): 1, (18, 4, 1): 2}
+        assert not rolled
 
 
 class TestLocalizeCommand:

@@ -52,6 +52,18 @@ class TestEstimateFreeEnergy:
             assert est.samples.tobytes() == one.samples.tobytes()
 
 
+    def test_ladder_given_as_an_array(self):
+        params, betas = LatticeParams(d=1, N=10), (0.0, 0.7)
+        got = estimate_free_energies(betas, params, 3, master_seed=8, ns=np.array([64, 16]))
+        want = estimate_free_energies(betas, params, 3, master_seed=8, ns=(64, 16))
+        assert [(e.N, e.beta) for e in got] == [(64, 0.0), (64, 0.7), (16, 0.0), (16, 0.7)]
+        assert got == want
+
+    def test_refuses_an_empty_ladder(self):
+        with pytest.raises(ValueError, match="at least one N"):
+            estimate_free_energies((0.7,), LatticeParams(d=1, N=10), 3, master_seed=8, ns=[])
+
+
 class TestDerivative:
     def test_zero_at_origin(self):
         d = estimate_derivative(0.0, 1e-3, LatticeParams(d=1, N=128), 40, master_seed=4)
@@ -134,6 +146,10 @@ class TestMultiTemperature:
             [32, 128], 2, (0.5, 1.5), d=1, n_disorder=60, master_seed=12
         )
         assert gaps[1].gap < gaps[0].gap
+
+    def test_refuses_an_empty_disorder_sample(self):
+        with pytest.raises(ValueError, match="at least one environment"):
+            multi_temp_gap(make_partition(16, 2), [0.5, 1.5], d=1, n_disorder=0, master_seed=0)
 
     def test_wrong_beta_count(self):
         with pytest.raises(ValueError):

@@ -54,6 +54,13 @@ CASES = {
          "--n-disorder", "2", "--n-pairs", "100", "--seed", "7"],
         {"overlap.csv": "42a21da93899cec98d2d536b0b3c466de6a8de5cde579e78bb6c6d38f3b9cfaa"},
     ),
+    # block-beta mode; the digest was recorded before the block and
+    # concatenation passes were batched over replicas
+    "multi_temp_d1": (
+        ["free-energy", "--d", "1", "--n-grid", "16,32", "--blocks", "2", "--block-betas",
+         "0.5,1.5", "--n-disorder", "6", "--seed", "7"],
+        {"multi_temp.csv": "078136b32e4e6d9529131f770a1adfbba1c1165e1c5578bdb22e408c2ea2e163"},
+    ),
     "localize_d1": (
         ["localize", "--d", "1", "--n", "96", "--beta-grid", "0,2", "--delta", "0.25",
          "--eps", "0.1", "--n-samples", "60", "--blocks", "3", "--seed", "5"],

@@ -22,6 +22,7 @@ from polymerlab.lattice import (
     reachable_set_size,
     zero_env,
 )
+from polymerlab.free_energy import BlockConcatEnvironment
 from polymerlab.transfer import BetaProfile, backward_layers, forward_layers
 
 
@@ -113,6 +114,21 @@ class TestEnvironment:
         for envs in (plain, mixed, plain[:1]):
             want = np.stack([env.values(5, coords) for env in envs])
             assert layer_fields(envs, 5, coords).tobytes() == want.tobytes()
+        # concatenations of blocks: layer i is layer i - n_{ell-1} of block ell
+        p = make_partition(12, 3)
+        blocks = [[gaussian_env(derive_seed(9, 3 * r + ell), LatticeParams(d=d, N=s))
+                   for ell, s in enumerate(p.sizes)] for r in range(3)]
+        cats = [BlockConcatEnvironment(seed=b[0].seed, params=params, blocks=tuple(b),
+                                       boundaries=p.boundaries) for b in blocks]
+        for ell in range(1, p.L + 1):
+            lo, hi = p.block_window(ell)
+            for i in range(lo, hi + 1):
+                by_cat = [b[ell - 1].values(i - lo + 1, coords) for b in blocks]
+                for envs, want in ((cats, by_cat), (cats[:1], by_cat[:1]),
+                                   (cats + plain, by_cat + [e.values(i, coords) for e in plain]),
+                                   (cats + [zero_env(params)], by_cat + [np.zeros(len(coords))])):
+                    got = layer_fields(envs, i, coords)
+                    assert got.tobytes() == np.stack(want).tobytes()
 
 
 def test_derive_seed_stable_and_spread():

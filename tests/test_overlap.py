@@ -215,6 +215,11 @@ class TestIbpResidual:
         with pytest.raises(ValueError):
             ibp_residual(1.0, 1e-3, params, 2, 0, mode="exact")
 
+    @pytest.mark.parametrize("mode", ["mc", "enum"])
+    def test_refuses_an_empty_disorder_sample(self, mode):
+        with pytest.raises(ValueError, match="n_disorder >= 1"):
+            ibp_residual(0.5, 1e-3, LatticeParams(d=1, N=6), 0, 0, mode=mode)
+
 
 class TestSweepOverlaps:
     @pytest.mark.parametrize("mode,d,n,n_disorder", [("enum", 1, 8, 5), ("mc", 1, 16, 60),
@@ -246,6 +251,11 @@ class TestSweepOverlaps:
             sweep_overlaps(0.0005, 1e-3, params, 2, 0, 5)
         with pytest.raises(ValueError):
             sweep_overlaps(1.0, 1e-3, params, 2, 0, 5, mode="exact")
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_refuses_an_empty_disorder_sample(self, beta):
+        with pytest.raises(ValueError, match="n_disorder >= 1"):
+            sweep_overlaps(beta, 1e-3, LatticeParams(d=1, N=8), 0, 0, 5)
 
 
 @pytest.mark.parametrize("d, N", [(1, 2000), (2, 200)])

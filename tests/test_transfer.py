@@ -449,6 +449,10 @@ class TestLadder:
         with pytest.raises(MemoryGuardError, match="a rolling pass"):
             _batch_size(gaussian_env(1, LatticeParams(d=1, N=1024, max_cells=10_000)), 4, 100)
 
+    def test_refuses_an_empty_batch(self):
+        with pytest.raises(ValueError, match="at least one environment"):
+            log_partition_ladder([], [BetaProfile.constant(1.0, 8)], [8])
+
     def test_rungs_must_lie_in_the_pass(self):
         envs = _ladder_envs(1, 8, 1)
         with pytest.raises(ValueError, match="1..8"):
@@ -551,10 +555,11 @@ def test_kept_table_peak_within_charge(d, N, build):
     assert peak <= 8 * charged
 
 
-@pytest.mark.parametrize("d, last", [(2, 658), (3, 104)])
+@pytest.mark.parametrize("d, last", [(2, 658), (3, 123)])
 def test_kept_table_limits_at_default_cap(d, last):
     # a kept table is charged its cone for the layer values, its cone again
-    # for the keys at d >= 3, and one step's work cells per site of layer N
+    # for the keys at d >= 3, and one step's shared and work cells per site
+    # of layer N
     _check_guard(gaussian_env(1, LatticeParams(d=d, N=last)), _geometry(d, last, True), 1,
                  keep=True)
     env = gaussian_env(1, LatticeParams(d=d, N=last + 1))
