@@ -54,7 +54,7 @@ from .localization import (
     pairwise_counts,
     report_to_jsonl,
 )
-from .overlap import sweep_overlaps
+from .overlap import IBP_MODES, sweep_overlaps
 from .transfer import BRUTE_FORCE_CAP, BetaProfile, forward_layers, sample_paths
 
 # default free-energy sweep: beta <= 3, N <= 1024, d <= 2 (per dimension)
@@ -62,7 +62,6 @@ DEFAULT_BETA_GRID = (0.5, 1.0, 2.0, 3.0)
 DEFAULT_N_LADDER = {1: (64, 256, 1024), 2: (64, 256)}
 _OVERLAP_BETAS = (0.0, 0.5, 1.0, 2.0)
 _OVERLAP_NS = (64, 128, 256)
-_OVERLAP_MODES = ("auto", "mc", "enum")
 
 
 class ValidationError(ValueError):
@@ -205,9 +204,15 @@ def write_csv(path: Path, header: list, rows: list) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _resolve_grids(cfg: ExperimentConfig) -> tuple:
+    """The N ladder and beta grid of a free-energy or overlap run, defaults resolved."""
+    if cfg.command == "overlap":
+        return cfg.n_values or _OVERLAP_NS, cfg.beta_values or _OVERLAP_BETAS
+    return cfg.n_values or DEFAULT_N_LADDER.get(cfg.d, (64,)), cfg.beta_values or DEFAULT_BETA_GRID
+
+
 def cmd_free_energy(cfg: ExperimentConfig) -> RunRecord:
-    betas = cfg.beta_values or DEFAULT_BETA_GRID
-    ns = cfg.n_values or DEFAULT_N_LADDER.get(cfg.d, (64,))
+    ns, betas = _resolve_grids(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
@@ -263,25 +268,19 @@ def cmd_free_energy(cfg: ExperimentConfig) -> RunRecord:
 
 
 def cmd_overlap(cfg: ExperimentConfig) -> RunRecord:
-    betas = cfg.beta_values or _OVERLAP_BETAS
-    ns = cfg.n_values or _OVERLAP_NS
+    ns, betas = _resolve_grids(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
 
     rows = []
-    for n in ns:
-        params = LatticeParams(d=cfg.d, N=int(n))
-        enum_ok = (2 * cfg.d) ** int(n) <= 4096
-        mode = cfg.mode if cfg.mode != "auto" else ("enum" if enum_ok else "mc")
-        for beta in betas:
-            sw = sweep_overlaps(beta, cfg.h, params, cfg.n_disorder, cfg.seed,
-                                cfg.n_pairs, mode)
-            # the identity columns divide by beta: blank at beta = 0
-            ibp = (("", "", "") if sw.ibp is None
-                   else (sw.ibp.residual, sw.ibp.stderr, 1.0 - sw.derivative / beta))
-            rows.append((beta, int(n), cfg.d, mode, sw.replica.mean, sw.replica.stderr,
-                         sw.exact, *ibp, cfg.n_disorder, cfg.seed))
+    for sw in sweep_overlaps(betas, cfg.h, LatticeParams(d=cfg.d, N=max(ns)), cfg.n_disorder,
+                             cfg.seed, cfg.n_pairs, cfg.mode, ns):
+        # the identity columns divide by beta: blank at beta = 0
+        ibp = (("", "", "") if sw.ibp is None
+               else (sw.ibp.residual, sw.ibp.stderr, 1.0 - sw.derivative / sw.beta))
+        rows.append((sw.beta, sw.N, cfg.d, sw.mode, sw.replica.mean, sw.replica.stderr,
+                     sw.exact, *ibp, cfg.n_disorder, cfg.seed))
     write_csv(
         out / "overlap.csv",
         ["beta", "N", "d", "mode", "mean_overlap", "overlap_stderr", "exact_overlap",
@@ -498,7 +497,7 @@ _FLAGS = {
     "--blocks": {"dest": "L"},
     "--n-pairs": {},
     "--h": {},
-    "--mode": {"choices": _OVERLAP_MODES},
+    "--mode": {"choices": IBP_MODES},
     "--delta": {},
     "--eps": {"dest": "epsilon"},
     "--n-samples": {},
@@ -576,21 +575,20 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ValidationError(
                 f"block_betas has {len(cfg.block_betas)} entries for L={cfg.L} blocks"
             )
-        ns = cfg.n_values or DEFAULT_N_LADDER.get(cfg.d, (64,))
-        bad = [n for n in ns if n < cfg.L**2]
+        bad = [n for n in _resolve_grids(cfg)[0] if n < cfg.L**2]
         if bad:
             raise ValidationError(
                 f"multi-temperature consistency requires N >= L^2 = {cfg.L**2}; "
                 f"violated by N in {bad}"
             )
     if cfg.command == "overlap":
-        if cfg.mode not in _OVERLAP_MODES:
-            raise ValidationError(f"mode must be one of {_OVERLAP_MODES}, got {cfg.mode!r}")
-        bad = [b for b in (cfg.beta_values or _OVERLAP_BETAS) if 0.0 < b < cfg.h]
+        ns, betas = _resolve_grids(cfg)
+        if cfg.mode not in IBP_MODES:
+            raise ValidationError(f"mode must be one of {IBP_MODES}, got {cfg.mode!r}")
+        bad = [b for b in betas if 0.0 < b < cfg.h]
         if bad:
             raise ValidationError(f"h={cfg.h} too large for beta={bad[0]}")
-        bad = [n for n in cfg.n_values or _OVERLAP_NS
-               if cfg.mode == "enum" and (2 * cfg.d) ** n > BRUTE_FORCE_CAP]
+        bad = [n for n in ns if cfg.mode == "enum" and (2 * cfg.d) ** n > BRUTE_FORCE_CAP]
         if bad:
             raise ValidationError(f"mode enum: (2d)^N > {BRUTE_FORCE_CAP} paths for N in {bad}")
     if cfg.command == "localize":

@@ -3,34 +3,26 @@
 The overlap of two equal-length paths counts coinciding sites over i = 1..N
 (the shared origin is excluded).  Replica estimates come from exact Gibbs
 sampling; the exact quenched two-replica overlap comes from forward/backward
-marginals,
+marginals, <R> = (1/N) sum_i sum_x mu(sigma_i = x)^2, which also powers the
+finite-N derivative identity from Gaussian integration by parts,
 
-    <R> = (1/N) sum_i sum_x mu(sigma_i = x)^2,
+    (1/N) d/dbeta E log Z_N(beta) = beta * (1 - E<R>_beta).
 
-which also powers the finite-N derivative identity
+``ibp_residual`` checks it: in mc mode both sides are disorder averages over
+common environments; in enum mode the pathwise half d/dbeta log Z = <H> is
+checked per environment, log Z enumerated, so only the O(h^2) bias remains.
 
-    (1/N) d/dbeta E log Z_N(beta) = beta * (1 - E<R>_beta),
-
-obtained from Gaussian integration by parts.  ``ibp_residual`` checks that
-identity: in Monte Carlo mode both sides are disorder averages over a common
-set of environments; in enumeration mode the statistically-exact pathwise
-half of the identity, d/dbeta log Z = <H>, is checked per environment with
-log Z from path enumeration and <H> from transfer-matrix marginals, so only
-the O(h^2) finite-difference bias remains.
-
-Each estimator's formula is written once, over a forward table, its
-``marginal_sums`` or log Z values; the public estimators wrap it for one
-environment or one disorder average.  ``sweep_overlaps`` and ``ibp_residual``
-walk the environments once: a forward table each (the replica sampler runs on
-environment 0's), reduced against one rolling backward pass (exact <R> and, in
-enum mode, <H>); then log Z at beta +/- h of all of them comes from one batched
-rolling pass.  One table is kept at a time; no backward table is.  At beta = 0
-the passes read no field, so environment 0 stands for every environment.
+``sweep_overlaps`` makes every estimate for a beta grid and an N ladder from
+the passes free-energy makes: environments built once, at the largest N; per
+beta one kept forward table per environment (environment 0 only at beta = 0,
+where no field is read), whose first n layers give every n its samples, exact
+<R> and <H>; and one batched rolling pass for log Z at beta +/- h of every
+environment and n.  One table is kept at a time; no backward table is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,22 +129,12 @@ class IbpEstimate:
     mode: str
 
 
-def _ibp_summary(logz: np.ndarray, rhs: np.ndarray, beta: float, h: float,
-                 n: int, mode: str) -> IbpEstimate:
-    """The identity's residual from per-environment log Z at beta +/- h
-    (columns of ``logz``) and right-hand sides."""
-    diffs = (logz[:, 0] - logz[:, 1]) / (2.0 * h * n)
-    x = diffs - rhs
-    return IbpEstimate(
-        residual=float(abs(x.mean())),
-        stderr=standard_error(x),
-        derivative=float(diffs.mean()),
-        overlap_term=float(rhs.mean()),
-        beta=beta,
-        h=h,
-        n_disorder=len(x),
-        mode=mode,
-    )
+IBP_MODES = ("auto", "mc", "enum")
+
+
+def _mode_at(mode: str, d: int, n: int) -> str:
+    """The identity's mode at (d, N): auto is enum where (2d)^N <= 4096 paths, else mc."""
+    return mode if mode != "auto" else "enum" if (2 * d) ** n <= 4096 else "mc"
 
 
 def _check_ibp_args(beta: float, h: float, mode: str) -> None:
@@ -160,37 +142,72 @@ def _check_ibp_args(beta: float, h: float, mode: str) -> None:
         raise ValueError("h must be positive")
     if beta - h < 0:
         raise ValueError("need beta - h >= 0")
-    if mode not in ("mc", "enum"):
+    if mode not in IBP_MODES:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _disorder_terms(beta: float, h: float, params: LatticeParams, n_env: int,
-                    master_seed: int, mode: str, first=lambda fwd: None):
-    """Exact <R>, the identity's right-hand side (beta (1 - <R>) in mc mode,
-    <H>/N in enum mode) and, at beta > 0, log Z at beta + h and beta - h from the
-    rolling pass and as the identity reads it (enumerated in enum mode), of each
-    of the first ``n_env`` environments.  ``first`` gets environment 0's table."""
+@dataclass(frozen=True)
+class OverlapSweep:
+    """Every overlap estimate at one (N, beta), one table per environment."""
+
+    beta: float
+    N: int
+    mode: str  # the identity's mode at this N, auto resolved
+    replica: OverlapEstimate | None  # sampled pairs on environment 0
+    exact: float  # exact <R>, mean over all n_disorder environments
+    ibp: IbpEstimate | None  # all n_disorder environments; None at beta = 0
+    derivative: float | None  # (1/N) d/dbeta E log Z, central difference; None at beta = 0
+
+
+def _disorder_terms(betas, h: float, params: LatticeParams, n_env: int, master_seed: int,
+                    mode: str, ns, n_pairs: int | None = None) -> dict:
+    """``OverlapSweep`` per (n, beta) of the ladder ``ns`` and the grid ``betas``,
+    over ``n_env`` environments (environment 0 at beta = 0), from the passes the
+    module docstring lists; replica pairs only with ``n_pairs``.  The identity's
+    log Z at beta +/- h is enumerated in enum mode, the rolling pass's in mc."""
     if n_env < 1:
         raise ValueError("need n_disorder >= 1")
-    n = params.N
-    envs = [gaussian_env(derive_seed(master_seed, r), params) for r in range(n_env)]
-    overlaps, rhs = np.empty(n_env), np.empty(n_env)
-    # the kept tables first: their budget refuses a too-large N before any work
-    for r, env in enumerate(envs):
-        fwd = forward_layers(env, BetaProfile.constant(beta, n))
-        if r == 0:
-            first(fwd)
-        squares, energy = marginal_sums(fwd)
-        del fwd  # before the next table is built
-        overlaps[r] = squares / n
-        rhs[r] = energy / n if mode == "enum" else beta * (1.0 - overlaps[r])
-    if beta == 0.0:
-        return overlaps, rhs, None, None
-    profs = [BetaProfile.constant(beta + h, n), BetaProfile.constant(beta - h, n)]
-    rolled = log_partition_ladder(envs, profs, [n])[0]
-    logz = rolled if mode == "mc" else np.array(
-        [[brute_force_log_partition(env, pr) for pr in profs] for env in envs])
-    return overlaps, rhs, rolled, logz
+    ns = list(dict.fromkeys(int(n) for n in ns))
+    top = replace(params, N=max(ns))
+    modes = [_mode_at(mode, top.d, n) for n in ns]
+    envs = [gaussian_env(derive_seed(master_seed, r), top) for r in range(n_env)]
+    terms = {}
+    for beta in dict.fromkeys(float(b) for b in betas):
+        used, pm = envs if beta > 0.0 else envs[:1], (beta + h, beta - h)
+        overlaps, rhs = np.empty((len(ns), len(used))), np.empty((len(ns), len(used)))
+        logz, replicas = np.empty((len(ns), len(used), 2)), []
+        # the first kept table is at the largest N: a too-large N is refused before any work
+        for r, env in enumerate(used):
+            fwd = forward_layers(env, BetaProfile.constant(beta, top.N))
+            for j, (n, m) in enumerate(zip(ns, modes)):
+                part = fwd.prefix(n)
+                if r == 0:
+                    rng = np.random.default_rng(derive_seed(master_seed, 1))
+                    replicas.append(None if n_pairs is None
+                                    else _replica_overlap(part, n_pairs, rng))
+                squares, energy = marginal_sums(part)
+                overlaps[j, r] = squares / n
+                rhs[j, r] = energy / n if m == "enum" else beta * (1.0 - overlaps[j, r])
+                if beta > 0.0 and m == "enum":
+                    logz[j, r] = [brute_force_log_partition(part.env, BetaProfile.constant(b, n))
+                                  for b in pm]
+            del fwd, part  # before the next table is built
+        if beta > 0.0:
+            rolled = log_partition_ladder(envs, [BetaProfile.constant(b, top.N) for b in pm], ns)
+            mc = [m == "mc" for m in modes]
+            logz[mc] = rolled[mc]
+        for j, (n, m) in enumerate(zip(ns, modes)):
+            ibp = deriv = None
+            if beta > 0.0:
+                diffs = (logz[j, :, 0] - logz[j, :, 1]) / (2.0 * h * n)
+                x = diffs - rhs[j]
+                ibp = IbpEstimate(residual=float(abs(x.mean())), stderr=standard_error(x),
+                                  derivative=float(diffs.mean()), overlap_term=float(rhs[j].mean()),
+                                  beta=beta, h=h, n_disorder=len(x), mode=m)
+                deriv = difference_quotient(rolled[j, :, 1] / n, rolled[j, :, 0] / n, 2 * h)
+            terms[n, beta] = OverlapSweep(beta, n, m, replicas[j], float(overlaps[j].mean()),
+                                          ibp, deriv)
+    return terms
 
 
 def ibp_residual(beta: float, h: float, params: LatticeParams, n_disorder: int,
@@ -206,49 +223,24 @@ def ibp_residual(beta: float, h: float, params: LatticeParams, n_disorder: int,
           discretization bias remains.
     """
     _check_ibp_args(beta, h, mode)
-    _, rhs, _, logz = _disorder_terms(beta, h, params, n_disorder, master_seed, mode)
-    return _ibp_summary(logz, rhs, beta, h, params.N, mode)
+    terms = _disorder_terms([beta], h, params, n_disorder, master_seed, mode, [params.N])
+    return terms[params.N, float(beta)].ibp
 
 
-@dataclass(frozen=True)
-class OverlapSweep:
-    """Every overlap estimate at one (N, beta), one table per environment."""
-
-    replica: OverlapEstimate  # sampled pairs on environment 0
-    exact: float  # exact <R>, mean over all n_disorder environments
-    ibp: IbpEstimate | None  # all n_disorder environments; None at beta = 0
-    derivative: float | None  # (1/N) d/dbeta E log Z, central difference; None at beta = 0
-
-
-def sweep_overlaps(beta: float, h: float, params: LatticeParams, n_disorder: int,
-                   master_seed: int, n_pairs: int, mode: str = "mc") -> OverlapSweep:
-    """Every overlap estimate at one (N, beta) from one table per environment.
-
-    Gives the same numbers as ``mean_replica_overlap`` on environment 0 with
-    the generator seeded by ``derive_seed(master_seed, 1)``, the mean of
+def sweep_overlaps(betas, h: float, params: LatticeParams, n_disorder: int, master_seed: int,
+                   n_pairs: int, mode: str = "mc", ns=None) -> list[OverlapSweep]:
+    """Every overlap estimate at each N of ``ns`` (default ``params.N``) and
+    beta of ``betas`` (a lone beta is a grid of one), N-major in the order given:
+    per (N, beta) those of ``mean_replica_overlap`` on environment 0 with the
+    generator seeded by ``derive_seed(master_seed, 1)``, the mean of
     ``exact_two_replica_overlap`` over all ``n_disorder`` environments,
-    ``ibp_residual`` and ``estimate_derivative``, from one forward table and
-    one backward reduction per environment and (beta > 0) one batched rolling
-    pass over all of them.  At beta = 0 no field is read, so only environment
-    0's passes run.
-    """
-    n = params.N
-    if beta > 0.0:
+    ``ibp_residual`` and ``estimate_derivative``."""
+    betas = np.atleast_1d(betas).astype(float).tolist()
+    for beta in filter(None, betas):  # beta = 0 has no identity to check
         _check_ibp_args(beta, h, mode)
-    rng = np.random.default_rng(derive_seed(master_seed, 1))
-    replica = []
-    overlaps, rhs, rolled, logz = _disorder_terms(
-        beta, h, params, n_disorder if beta > 0.0 else min(n_disorder, 1), master_seed, mode,
-        lambda fwd: replica.append(_replica_overlap(fwd, n_pairs, rng)))
-    exact = float(overlaps.mean())
-    if beta == 0.0:
-        return OverlapSweep(replica[0], exact, None, None)
-    return OverlapSweep(
-        replica[0],
-        exact,
-        _ibp_summary(logz, rhs, beta, h, n, mode),
-        difference_quotient(rolled[:, 1] / n, rolled[:, 0] / n, 2 * h),
-    )
+    ns = [params.N] if ns is None else ns
+    terms = _disorder_terms(betas, h, params, n_disorder, master_seed, mode, ns, n_pairs)
+    return [terms[int(n), beta] for n in ns for beta in betas]
 
 
 def enumerated_two_replica_overlap(env: Environment, profile: BetaProfile) -> float:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -313,6 +313,16 @@ class LayerTable:
     def layer_coords(self, i: int) -> np.ndarray:
         return self.geometry.coords(i)
 
+    def prefix(self, n: int) -> "LayerTable":
+        """Layers 0..n of a forward table, over the first n betas and the
+        environment with N = n: bit for bit the table of a pass that stops at n
+        (layer i reads g(1..i, .) only; packed keys keep their order for any N)."""
+        if self.direction != "forward" or not 1 <= n <= self.N:
+            raise ValueError(f"a prefix needs a forward table and 1 <= n <= {self.N}")
+        env = replace(self.env, params=replace(self.env.params, N=n))
+        return LayerTable(env, BetaProfile(self.profile.values[:n]), "forward",
+                          self.geometry, self.layers[:n + 1])
+
 
 def _check_guard(env: Environment, geom, n_profiles: int, keep: bool, n_envs: int = 1) -> int:
     """The one cell budget, returning the cells charged for a pass over
@@ -339,13 +349,13 @@ BATCH_CELLS = 1 << 18
 
 
 def _batch_size(env: Environment, n_profiles: int, n_envs: int) -> int:
-    """Environments per rolling pass: at most ``BATCH_CELLS`` per step and what
-    the cell budget allows, at least one (the guard refuses a pass that cannot
-    hold even that)."""
-    p = env.params
-    one = _check_guard(env, _geometry(p.d, p.N, False), n_profiles, False)
+    """Environments per rolling pass: at most ``BATCH_CELLS`` per step and the
+    most the guard admits, read off its charge (linear in the batch) for none
+    and for one; at least one, as the guard refuses a pass that cannot hold it."""
+    p, geom = env.params, _geometry(env.params.d, env.params.N, False)
+    base, one = (_check_guard(env, geom, n_profiles, False, k) for k in (0, 1))
     wide = BATCH_CELLS // (max(n_profiles, 1) * reachable_set_size(p.N, p.d))
-    return max(1, min(n_envs, wide, p.max_cells // one))
+    return max(1, min(n_envs, wide, (p.max_cells - base) // (one - base)))
 
 
 def _check_forward_args(env: Environment, profile: BetaProfile):

@@ -228,23 +228,32 @@ class TestOnePassPerEnvironment:
                               lambda table: table_key(table.env, table.profile))
         passes = self._count(monkeypatch, "_transfer", rolling_key)
         rolled = self._count(monkeypatch, "log_partitions", lambda env, *_: env.seed)
-        ns, betas, h, seed = (8, 12), (0.0, 1.0), 1e-3, 4
+        # batches of two environments: two profiles x 13 sites of layer 12 each
+        monkeypatch.setattr(importlib.import_module("polymerlab.transfer"), "BATCH_CELLS",
+                            2 * 2 * 13)
+        ns, betas, h, seed = (8, 12, 8), (1.0, 0.0, 2.0), 1e-3, 4
         cmd_overlap(_cfg(
             command="overlap", seed=seed, d=1, n_values=ns, beta_values=betas,
             n_disorder=3, n_pairs=5, h=h, mode="mc", out=str(tmp_path),
         ))
         seeds = [derive_seed(seed, r) for r in range(3)]
         # a beta = 0 pass reads no field: environment 0's stands for all
-        want = {(n, b, s): 1 for n in ns for b in betas for s in (seeds if b > 0 else seeds[:1])}
-        assert fwd == want
-        assert reduced == want  # one rolling backward pass per forward table
+        used = {b: seeds if b > 0 else seeds[:1] for b in betas}
+        # one kept table per (beta, environment used), at the largest N
+        assert fwd == {(12, b, s): 1 for b in betas for s in used[b]}
+        # one rolling backward pass per (N, beta, environment used), on the
+        # table's first N layers; a repeated N is not run again
+        assert reduced == {(n, b, s): 1 for n in set(ns) for b in betas for s in used[b]}
         assert not bwd  # and no kept backward table
-        # log Z at beta +/- h: one batched pass per (N, beta > 0) over every
-        # environment, and no pass per environment
+        # log Z at beta +/- h: per beta > 0, one pass per batch over every
+        # environment, to the largest N, serves the whole ladder
         forward_rolling = {k[2:]: c for k, c in passes.items() if k[:2] == ("forward", False)}
-        assert forward_rolling == {(n, tuple(seeds), (b - h, b + h)): 1
-                                   for n in ns for b in betas if b > 0}
+        assert forward_rolling == {(12, batch, (b - h, b + h)): 1 for b in betas if b > 0
+                                   for batch in (tuple(seeds[:2]), tuple(seeds[2:]))}
         assert not rolled
+        with (tmp_path / "overlap.csv").open() as fh:
+            rows = [(int(r["N"]), float(r["beta"])) for r in csv.DictReader(fh)]
+        assert rows == [(n, b) for n in ns for b in betas]
 
     def test_free_energy_passes(self, tmp_path, monkeypatch):
         def key(envs, profs, *_):
@@ -435,6 +444,24 @@ class TestMainEntry:
             assert len(err) == 1
             assert err[0].startswith(f"polymerlab: d=2, N={n}:")
         assert earlier.read_text() == '{"earlier": "run"}\n'  # refused before truncation
+
+    def test_overlap_refuses_a_too_large_n_before_any_work(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the kept table at the largest N of the ladder comes first, so N = 659
+        # is refused before any N = 16 row is computed
+        transfer = importlib.import_module("polymerlab.transfer")
+        done = []
+
+        def counted(*args, _orig=transfer._transfer, **kw):
+            out = _orig(*args, **kw)
+            done.append(args[0][0].params.N)
+            return out
+
+        monkeypatch.setattr(transfer, "_transfer", counted)
+        argv = ["overlap", "--d", "2", "--n-grid", "16,659", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("polymerlab: d=2, N=659: a kept layer table")
+        assert done == []
 
     def test_bad_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:

@@ -54,6 +54,14 @@ CASES = {
          "--n-disorder", "2", "--n-pairs", "100", "--seed", "7"],
         {"overlap.csv": "42a21da93899cec98d2d536b0b3c466de6a8de5cde579e78bb6c6d38f3b9cfaa"},
     ),
+    # d = 3, an unsorted ladder with a repeated N and a beta = 0 row between
+    # betas > 0; the digest was recorded before the ladder was read off one
+    # kept table per (beta, environment)
+    "overlap_d3_ladder": (
+        ["overlap", "--d", "3", "--n-grid", "12,5,12", "--beta-grid", "2,0,0.5",
+         "--n-disorder", "3", "--n-pairs", "40", "--seed", "3"],
+        {"overlap.csv": "fcbba169519f5815ee348f841660b6f8e7fd9096fb7265b6141f681c53983896"},
+    ),
     # block-beta mode; the digest was recorded before the block and
     # concatenation passes were batched over replicas
     "multi_temp_d1": (

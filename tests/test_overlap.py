@@ -228,7 +228,8 @@ class TestSweepOverlaps:
     def test_matches_separate_estimators(self, mode, d, n, n_disorder, beta):
         params, seed, h, n_pairs = LatticeParams(d=d, N=n), 31, 1e-3, 40
         prof = BetaProfile.constant(beta, n)
-        sw = sweep_overlaps(beta, h, params, n_disorder, seed, n_pairs, mode)
+        (sw,) = sweep_overlaps(beta, h, params, n_disorder, seed, n_pairs, mode)
+        assert (sw.beta, sw.N, sw.mode) == (beta, n, mode)
         replica = mean_replica_overlap(
             gaussian_env(derive_seed(seed, 0), params), prof, n_pairs,
             np.random.default_rng(derive_seed(seed, 1)),
@@ -244,6 +245,21 @@ class TestSweepOverlaps:
             assert sw.exact == float(np.mean(exact))
             assert sw.ibp == ibp_residual(beta, h, params, n_disorder, seed, mode=mode)
             assert sw.derivative == estimate_derivative(beta, h, params, n_disorder, seed)
+
+    @pytest.mark.parametrize("d, ns, mode", [(1, (14, 5, 14, 7), "auto"), (2, (7, 3, 5), "auto"),
+                                             (3, (4, 6, 4), "auto"), (2, (7, 4), "mc")])
+    def test_ladder_matches_one_row_at_a_time(self, d, ns, mode):
+        # an unsorted ladder with a repeat and a beta = 0 between betas > 0,
+        # read off one table per (beta, environment) at the largest N, gives
+        # every row of a sweep at that row's N and beta alone
+        seed, h, betas = 17, 1e-3, (2.0, 0.0, 0.5)
+        sweeps = sweep_overlaps(betas, h, LatticeParams(d=d, N=max(ns)), 3, seed, 20, mode, ns)
+        assert [(sw.N, sw.beta) for sw in sweeps] == [(n, b) for n in ns for b in betas]
+        for sw in sweeps:
+            (alone,) = sweep_overlaps(sw.beta, h, LatticeParams(d=d, N=sw.N), 3, seed, 20,
+                                      "enum" if (2 * d) ** sw.N <= 4096 and mode == "auto"
+                                      else "mc")
+            assert sw == alone
 
     def test_preconditions(self):
         params = LatticeParams(d=1, N=8)

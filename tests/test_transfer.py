@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 import weakref
@@ -40,6 +41,7 @@ from polymerlab.transfer import (
     log_partition_multi,
     log_partitions,
     logsumexp,
+    marginal_sums,
     markov_split_logz,
     sample_path,
     sample_paths,
@@ -275,6 +277,35 @@ class TestEndpointDistribution:
             assert abs(dist[x] - pr) < 1e-10
 
 
+class TestPrefix:
+    @pytest.mark.parametrize("d, N", [(1, 24), (2, 10), (3, 7)])
+    @pytest.mark.parametrize("beta", [0.7, 10.0])
+    def test_prefix_equals_a_table_built_at_n(self, d, N, beta):
+        top = forward_layers(gaussian_env(5, LatticeParams(d=d, N=N)),
+                             BetaProfile.constant(beta, N))
+        for n in (1, N // 2, N - 1, N):
+            part = top.prefix(n)
+            alone = forward_layers(gaussian_env(5, LatticeParams(d=d, N=n)),
+                                   BetaProfile.constant(beta, n))
+            assert part.env == alone.env and part.N == n
+            assert len(part.layers) == n + 1
+            for a, b in zip(part.layers, alone.layers):
+                assert a.tobytes() == b.tobytes()
+            assert marginal_sums(part) == marginal_sums(alone)
+            draws = [sample_paths(t, 50, np.random.default_rng(9)) for t in (part, alone)]
+            assert np.array_equal(*draws)
+            assert endpoint_distribution(part) == endpoint_distribution(alone)
+
+    def test_prefix_bounds(self):
+        env = gaussian_env(5, LatticeParams(d=1, N=6))
+        fwd = forward_layers(env, BetaProfile.constant(1.0, 6))
+        for n in (0, 7):
+            with pytest.raises(ValueError, match="1 <= n <= 6"):
+                fwd.prefix(n)
+        with pytest.raises(ValueError, match="forward table"):
+            backward_layers(env, BetaProfile.constant(1.0, 6)).prefix(3)
+
+
 class TestMarkovSplitting:
     @pytest.mark.parametrize("d,n", [(1, 8), (2, 6), (3, 4)])
     def test_split_at_every_time(self, d, n):
@@ -448,6 +479,27 @@ class TestLadder:
         assert _batch_size(env, 4, 100) == 2
         with pytest.raises(MemoryGuardError, match="a rolling pass"):
             _batch_size(gaussian_env(1, LatticeParams(d=1, N=1024, max_cells=10_000)), 4, 100)
+
+    @pytest.mark.parametrize("d, N, max_cells", [(1, 1024, 120_000), (2, 64, 200_000),
+                                                 (3, 32, 2_000_000), (3, 16, 600_000)])
+    @pytest.mark.parametrize("n_profiles", [1, 4])
+    def test_batch_size_is_the_most_the_guard_admits(self, d, N, max_cells, n_profiles,
+                                                     monkeypatch):
+        # with BATCH_CELLS out of the way the batch is the largest the guard
+        # admits: E environments pass it and E + 1 are refused.  At d >= 3 the
+        # cells a step shares are charged once per pass, not once per
+        # environment: d=3 N=32 on one profile under 2,000,000 cells takes 12
+        monkeypatch.setattr(importlib.import_module("polymerlab.transfer"), "BATCH_CELLS",
+                            1 << 40)
+        env = gaussian_env(1, LatticeParams(d=d, N=N, max_cells=max_cells))
+        size = _batch_size(env, n_profiles, 10_000)
+        geom = _geometry(d, N, False)
+        assert 1 < size < 10_000
+        _check_guard(env, geom, n_profiles, False, size)
+        with pytest.raises(MemoryGuardError, match="a rolling pass"):
+            _check_guard(env, geom, n_profiles, False, size + 1)
+        if (d, N, max_cells, n_profiles) == (3, 32, 2_000_000, 1):
+            assert size == 12
 
     def test_refuses_an_empty_batch(self):
         with pytest.raises(ValueError, match="at least one environment"):
