@@ -62,6 +62,8 @@ DEFAULT_BETA_GRID = (0.5, 1.0, 2.0, 3.0)
 DEFAULT_N_LADDER = {1: (64, 256, 1024), 2: (64, 256)}
 _OVERLAP_BETAS = (0.0, 0.5, 1.0, 2.0)
 _OVERLAP_NS = (64, 128, 256)
+# paths one distinguished-set induction may build; a beta past it is skipped
+DS_MAX_PATHS = 100_000
 
 
 class ValidationError(ValueError):
@@ -335,7 +337,8 @@ def cmd_localize(cfg: ExperimentConfig) -> RunRecord:
             for si, stat in enumerate(cov.window_stats.tolist()):
                 window_rows.append((beta, n, cfg.epsilon, cfg.delta, si, stat))
         # distinguished-set induction seeded with the extracted paths; a beta
-        # it cannot run on gets a record that says why
+        # it cannot run on, or whose induction passes DS_MAX_PATHS, gets a
+        # record that says why
         ds_rec = {"beta": beta, "levels": ds_part.L, "K": K,
                   "n_seed_paths": len(global_rep.paths)}
         if not global_rep.paths:
@@ -343,10 +346,14 @@ def cmd_localize(cfg: ExperimentConfig) -> RunRecord:
         elif n // ds_part.L < K:
             ds_rec["skipped"] = f"N // levels = {n // ds_part.L} < K"
         else:
-            ds = build_distinguished_sets(
-                list(global_rep.paths), ds_part, cfg.delta, max_paths=100_000
-            )
-            ds_rec["n_paths"] = len(ds)
+            try:
+                ds = build_distinguished_sets(
+                    list(global_rep.paths), ds_part, cfg.delta, max_paths=DS_MAX_PATHS
+                )
+            except MemoryGuardError as exc:
+                ds_rec["skipped"] = str(exc)
+            else:
+                ds_rec["n_paths"] = len(ds)
         ds_records.append(ds_rec)
         report_to_jsonl(reports, jsonl, seed=cfg.seed)
 
@@ -370,7 +377,7 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple[RunRecord, int]:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    from .verify import run_all  # scipy.stats and the suites load only here
+    from .verify import run_all  # the suites and scipy.special.chdtrc load only here
     summary = run_all(cfg.seed, inject_fault=cfg.inject_fault)
     (out / "verify_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=1) + "\n"
@@ -571,6 +578,9 @@ def _validate(cfg: ExperimentConfig) -> None:
     if any(u <= 0 for u in cfg.tail_u):
         raise ValidationError("tail u values must be positive")
     if cfg.command == "free-energy" and cfg.block_betas:
+        if cfg.tail_u:
+            raise ValidationError("tail_u has no effect with block_betas: the "
+                                  "multi-temperature ladder writes no concentration tails")
         if len(cfg.block_betas) != cfg.L:
             raise ValidationError(
                 f"block_betas has {len(cfg.block_betas)} entries for L={cfg.L} blocks"

@@ -1,22 +1,6 @@
-"""Deterministic worker-pool helper.
+"""Empty: the estimators and the verify suites run on one thread.
 
-Tasks are pure functions of their replica index; results land in a slot
-ordered by that index, so merges are identical for any thread count or
-scheduling order.
+The module is kept, without code, only because the bench tracer
+(``bench/tracer.py``) still lists ``polymerlab.parallel`` among the modules
+it scans; it goes when the tracer is replaced.
 """
-
-from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor, as_completed
-
-
-def run_indexed(fn, n: int, n_threads: int = 1) -> list:
-    """[fn(0), ..., fn(n-1)], optionally evaluated on a thread pool."""
-    if n_threads <= 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    out = [None] * n
-    with ThreadPoolExecutor(max_workers=n_threads) as ex:
-        futures = {ex.submit(fn, i): i for i in range(n)}
-        for fut in as_completed(futures):
-            out[futures[fut]] = fut.result()
-    return out

@@ -2,10 +2,11 @@
 
 Each suite returns a dict with a boolean ``pass`` plus the metrics it
 measured.  Every number is a pure function of the master seed, so the
-assembled summary is byte-identical across runs.  The estimators run in
-index order on one thread; the only thread pool is the one
-``suite_env_determinism`` hashes the field on, which checks on every run
-that field values do not depend on evaluation order or thread.
+assembled summary is byte-identical across runs.  Everything runs in
+index order on one thread.  ``suite_env_determinism`` checks on every run
+that field values do not depend on how they are evaluated: one chunk at a
+time, or through the batched ``lattice.layer_fields`` hash the estimators
+use, in other pieces and another order.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from .lattice import (
     LatticeParams,
     derive_seed,
     gaussian_env,
+    layer_fields,
     make_partition,
     make_subpartition,
     perturb_env,
 )
 from .localization import plant_overlap_instance, verify_claim_reduction
 from .overlap import block_overlap, ibp_residual, overlap, restricted_overlap
-from .parallel import run_indexed
 from .transfer import (
     BetaProfile,
     backward_layers,
@@ -83,24 +84,23 @@ def suite_partition_arithmetic(seed: int, n_max: int = 10_000, l_max: int = 32,
             "structural_checks": structural}
 
 
-# workers of the pool that ``suite_env_determinism`` hashes the field on
-_POOL_THREADS = 4
-
-
 def suite_env_determinism(seed: int, inject_fault: bool = False) -> dict:
-    """Hash of 1e4 field values, computed in order and again on a thread pool."""
+    """Hash of 1e4 field values, computed one chunk at a time and again through
+    the estimators' batched ``layer_fields``, in uneven pieces, last chunk first."""
     params = LatticeParams(d=2, N=64)
     env = gaussian_env(seed, params)
     rng = np.random.default_rng(seed)
     layers = rng.integers(1, 65, size=100)
     coords = rng.integers(-30, 31, size=(100, 100, 2)).astype(np.int64)
-
-    def chunk_hash(e, idx):
-        return e.values(int(layers[idx]), coords[idx]).tobytes()
-
-    first = [chunk_hash(env, i) for i in range(100)]
+    first = [env.values(int(layers[c]), coords[c]).tobytes() for c in range(100)]
     env2 = perturb_env(env, int(layers[0]), coords[0][0], 1e-3) if inject_fault else env
-    second = run_indexed(lambda i: chunk_hash(env2, i), 100, _POOL_THREADS)
+    # a batch of two plain environments shares one hash call; row 0 is env2's
+    batch = (env2, gaussian_env(derive_seed(seed, 1), params))
+    second = [b""] * 100
+    for c in reversed(range(100)):
+        cuts = (0, 1 + c % 7, 37 + c % 23, 100)
+        second[c] = b"".join(layer_fields(batch, int(layers[c]), coords[c][a:b])[0].tobytes()
+                             for a, b in zip(cuts, cuts[1:]))
     h1 = hashlib.sha256(b"".join(first)).hexdigest()
     h2 = hashlib.sha256(b"".join(second)).hexdigest()
     return {"pass": h1 == h2, "hash_first": h1, "hash_second": h2}
@@ -327,38 +327,28 @@ def suite_hamiltonian_identities(seed: int) -> dict:
             "excluding_block_max_diff": worst}
 
 
-ALL_SUITES = (
-    "partition_arithmetic",
-    "env_determinism",
-    "env_moments",
-    "oracle_equivalence",
-    "markov_splitting",
-    "sampler_chi2",
-    "sampler_tv",
-    "overlap_identities",
-    "ibp_enum",
-    "claim_reduction",
-    "window_reduction",
-    "concentration",
-    "hamiltonian_identities",
+# every suite in report order, with the index its seed is derived at
+_SUITES = (
+    ("partition_arithmetic", suite_partition_arithmetic, 101),
+    ("env_determinism", suite_env_determinism, 102),
+    ("env_moments", suite_env_moments, 103),
+    ("oracle_equivalence", suite_oracle_equivalence, 104),
+    ("markov_splitting", suite_markov_splitting, 105),
+    ("sampler_chi2", suite_sampler_chi2, 106),
+    ("sampler_tv", suite_sampler_tv, 107),
+    ("overlap_identities", suite_overlap_identities, 108),
+    ("ibp_enum", suite_ibp_enum, 109),
+    ("claim_reduction", suite_claim_reduction, 110),
+    ("window_reduction", suite_window_reduction, 111),
+    ("concentration", suite_concentration, 112),
+    ("hamiltonian_identities", suite_hamiltonian_identities, 113),
 )
 
 
 def run_all(seed: int, inject_fault: bool = False) -> dict:
     """Run every suite; returns {"suites": {...}, "all_pass": bool}."""
-    results = {
-        "partition_arithmetic": suite_partition_arithmetic(derive_seed(seed, 101)),
-        "env_determinism": suite_env_determinism(derive_seed(seed, 102), inject_fault),
-        "env_moments": suite_env_moments(derive_seed(seed, 103)),
-        "oracle_equivalence": suite_oracle_equivalence(derive_seed(seed, 104)),
-        "markov_splitting": suite_markov_splitting(derive_seed(seed, 105)),
-        "sampler_chi2": suite_sampler_chi2(derive_seed(seed, 106)),
-        "sampler_tv": suite_sampler_tv(derive_seed(seed, 107)),
-        "overlap_identities": suite_overlap_identities(derive_seed(seed, 108)),
-        "ibp_enum": suite_ibp_enum(derive_seed(seed, 109)),
-        "claim_reduction": suite_claim_reduction(derive_seed(seed, 110)),
-        "window_reduction": suite_window_reduction(derive_seed(seed, 111)),
-        "concentration": suite_concentration(derive_seed(seed, 112)),
-        "hamiltonian_identities": suite_hamiltonian_identities(derive_seed(seed, 113)),
-    }
+    results = {}
+    for name, suite, index in _SUITES:
+        fault = {"inject_fault": inject_fault} if suite is suite_env_determinism else {}
+        results[name] = suite(derive_seed(seed, index), **fault)
     return {"suites": results, "all_pass": all(r["pass"] for r in results.values())}

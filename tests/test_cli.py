@@ -336,8 +336,12 @@ class TestLocalizeCommand:
     @pytest.mark.parametrize("n, delta, reason", [
         (48, 0.25, "N // levels = 24 < K"),
         (96, 1.5, "the global cover found no paths"),
+        # the induction would build 2076 paths at beta = 0 and 57 at beta = 2
+        (96, 0.25, "distinguished set exceeded 20 paths at level 2"),
     ])
-    def test_every_beta_has_a_distinguished_record(self, tmp_path, n, delta, reason):
+    def test_every_beta_has_a_distinguished_record(self, tmp_path, monkeypatch, n, delta,
+                                                   reason):
+        monkeypatch.setattr("polymerlab.cli.DS_MAX_PATHS", 20)
         cmd_localize(_cfg(
             command="localize", seed=5, d=1, n_values=(n,), beta_values=(0.0, 2.0),
             delta=delta, epsilon=0.1, n_samples=30, L=3, out=str(tmp_path),
@@ -406,6 +410,9 @@ MALFORMED = {
     "localize_no_blocks": (["localize", "--n", "64", "--blocks", "0"], None),
     # N = 8 could run, N = 30 is past the enumeration cap: refused before either
     "overlap_enum_past_cap": (["overlap", "--n-grid", "8,30", "--mode", "enum"], None),
+    # the multi-temperature ladder writes no concentration tails
+    "block_betas_with_tail_u": (["free-energy", "--d", "1", "--n-grid", "16", "--blocks", "2",
+                                 "--block-betas", "0.5,1.5", "--tail-u", "0.1"], None),
 }
 
 

@@ -88,6 +88,18 @@ CASES = {
             "distinguished.json": "96fa81f3abe9e1f0d95b3bfd23e258567192d4124be126f7e80e6e8705658ef1",
         },
     ),
+    # d = 3: the packed-key sampler and site keys; the induction builds 1646
+    # paths at beta = 0 and 1314 at beta = 2.  The digests were recorded
+    # before an induction past its cap became a skipped beta
+    "localize_d3": (
+        ["localize", "--d", "3", "--n", "48", "--beta-grid", "0,2", "--delta", "0.5",
+         "--eps", "0.1", "--n-samples", "40", "--blocks", "3", "--seed", "5"],
+        {
+            "localize.jsonl": "203ea72a95ce7790437217fd4107fc30255c14710036669f97254363e74870a3",
+            "windows.csv": "3d0c97b7f74fbcace8a9c39f803ee2b3e6bb3c5ad7eeddf9a51339490b78d9a9",
+            "distinguished.json": "6b24668fb8b3fc1ed6294b4eff3bc773ab5f18a4f059a59970abc44f6be71c44",
+        },
+    ),
 }
 
 
