@@ -130,6 +130,7 @@ class RunRecord:
     metrics: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
     timestamp_utc: str = ""
+    platform: dict = field(default_factory=dict)
 
 
 def _read(key: str, kind, raw):
@@ -459,6 +460,23 @@ def _grids(ns, betas) -> dict:
     return {"n_values": [int(n) for n in ns], "beta_values": [float(b) for b in betas]}
 
 
+def _platform() -> dict:
+    """The interpreter and library versions, and the SIMD target numpy runs
+    float64 exp, log and log1p on: the last bits of every log-space sum, and
+    so the metric files' digests, depend on it."""
+    import scipy
+    from numpy.lib.introspect import opt_func_info
+
+    targets = opt_func_info(func_name="^(exp|log|log1p)$", signature="float64")
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "float64_targets": {name: next(iter(by_sig.values()))["current"]
+                            for name, by_sig in sorted(targets.items())},
+    }
+
+
 def _finish(cfg: ExperimentConfig, metrics: dict, t0: float) -> RunRecord:
     rec = RunRecord(
         command=cfg.command,
@@ -467,6 +485,7 @@ def _finish(cfg: ExperimentConfig, metrics: dict, t0: float) -> RunRecord:
         metrics=metrics,
         wall_time_s=time.time() - t0,
         timestamp_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        platform=_platform(),
     )
     out = Path(cfg.out)
     if out.exists():

@@ -16,9 +16,12 @@ backward, over a layer geometry chosen from d:
   d<=2  dense (i+1)^d array per layer in rotated coordinates (x in d=1;
         s = x1+x2, t = x1-x2 in d=2), where the walk factorizes into
         independent one-dimensional walks, the reachable cone is a full cube
-        and the neighbour sum is one pairwise logaddexp per axis;
+        and the neighbour sum is one pairwise ``_logaddexp`` per axis;
   d>=3  sorted int64 site keys per layer, stepped by key arithmetic and
-        joined via searchsorted; coordinates are decoded only on demand.
+        joined via searchsorted; coordinates are decoded only on demand,
+        and the neighbour sum folds 2d gathered rows with ``_logaddexp``.
+``_logaddexp`` is the one log-space sum of two terms: max(x, y) +
+log1p(exp(-|x - y|)) on numpy's vector exp and log1p.
 One pass carries E environments x P profiles as one (E, P, *layer shape)
 array: one hash call makes the E fields of a layer, the dense neighbour sums
 act on the trailing layer axes, and at d >= 3 the keys and index maps serve
@@ -119,24 +122,40 @@ def _offsets(d: int) -> np.ndarray:
     return out
 
 
+def _logaddexp(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """log(exp(x) + exp(y)) as max(x, y) + log1p(exp(-|x - y|)), on numpy's
+    vector exp and log1p; ``out`` may be x.  It holds one temporary the size
+    of the output, -|x - y| taken as min - max.  Where both are -inf that is
+    NaN, which fmin takes to 0, so the sum stays -inf."""
+    t = np.minimum(x, y)
+    out = np.maximum(x, y, out=out)
+    with np.errstate(invalid="ignore"):
+        np.subtract(t, out, out=t)
+    np.fmin(t, 0.0, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    out += t
+    return out
+
+
 def _pairwise(x: np.ndarray, d: int) -> np.ndarray:
-    """logaddexp of neighbouring entries along each of the last d axes, last first."""
+    """``_logaddexp`` of neighbouring entries along each of the last d axes, last first."""
     for k in range(d):
         tail = (slice(None),) * k
-        x = np.logaddexp(x[(..., slice(None, -1)) + tail], x[(..., slice(1, None)) + tail])
+        x = _logaddexp(x[(..., slice(None, -1)) + tail], x[(..., slice(1, None)) + tail])
     return x
 
 
 def _padded_pairwise(x: np.ndarray, d: int) -> np.ndarray:
     """``_pairwise`` of x framed by one -inf cell on every side of its last d
-    axes.  logaddexp(-inf, v) is v, so each axis's two end entries are copies
-    and the frame itself is never built."""
+    axes.  The sum of -inf and v is v, so each axis's two end entries are
+    copies and the frame itself is never built."""
     for k in range(d):
         tail = (slice(None),) * k
         ax = x.ndim - 1 - k
         out = np.empty(x.shape[:ax] + (x.shape[ax] + 1,) + x.shape[ax + 1:], dtype=x.dtype)
-        np.logaddexp(x[(..., slice(None, -1)) + tail], x[(..., slice(1, None)) + tail],
-                     out=out[(..., slice(1, -1)) + tail])
+        _logaddexp(x[(..., slice(None, -1)) + tail], x[(..., slice(1, None)) + tail],
+                   out=out[(..., slice(1, -1)) + tail])
         out[(..., 0) + tail] = x[(..., 0) + tail]
         out[(..., -1) + tail] = x[(..., -1) + tail]
         x = out
@@ -145,15 +164,15 @@ def _padded_pairwise(x: np.ndarray, d: int) -> np.ndarray:
 
 def _gather_logsum(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
     """log sum_r exp(x[..., maps[r]]), where index x.shape[-1] stands for a -inf
-    term; the rows fold into one output in row order, as a reduce over axis 0
-    does.  The leading entries of x go one at a time, so besides x and the
-    output one gathered row and one copy of a single layer are held."""
+    term; the rows fold into one output in row order.  The leading entries of
+    x go one at a time, so besides x and the output one gathered row, the
+    kernel's temporary and one copy of a single layer are held."""
     out = np.empty(x.shape[:-1] + maps.shape[1:], dtype=x.dtype)
     for layer, acc in zip(x.reshape(-1, x.shape[-1]), out.reshape(-1, maps.shape[1])):
         layer = np.append(layer, NEG_INF)
         np.take(layer, maps[0], out=acc)
         for row in maps[1:]:
-            np.logaddexp(acc, layer[row], out=acc)
+            _logaddexp(acc, layer[row], out=acc)
     return out
 
 
@@ -163,7 +182,7 @@ class _DenseGeometry:
     The coordinates u = x in d = 1 and u = (x1+x2, x1-x2) in d = 2 each move
     by +-1 at every step, independently, so layer i is the full cube
     {-i, -i+2, ..., i}^d (entry a of an axis holds -i + 2a) and the neighbour
-    sum splits into one pairwise logaddexp per axis.
+    sum splits into one pairwise ``_logaddexp`` per axis.
     """
 
     key_cells = 0  # per site of a kept layer, besides its values

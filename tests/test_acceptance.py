@@ -23,9 +23,12 @@ from polymerlab.transfer import BetaProfile, forward_layers, sample_paths
 SEED = 20240831
 
 # sha256 of verify_summary.json, recorded before the planted instances were
-# built in one array pass; the suites' results must not move by a bit
+# built in one array pass; the suites' results must not move by a bit.  The
+# seed-734 digest was taken again when the neighbour sums moved to
+# ``transfer._logaddexp``: one difference of two log Z values moved in its
+# last bits (excluding_block_max_diff 8.9e-16 -> 1.1e-15)
 VERIFY_DIGESTS = {
-    "734": "34133d000cff9ab3ffdfd22d8f0a49e8bf6cf638a51a746cf1a54d543170f4d7",
+    "734": "039ad28673ee5b16b6cc38232e6255f046ddbcfafab682882d9c6dff2ce146dc",
     "11 --inject-fault": "7297b9b479eb4013203e91e363cfe0da7d1ae201ce11aa606c2215cbcbcb6086",
 }
 

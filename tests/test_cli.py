@@ -3,11 +3,13 @@ import csv
 import importlib
 import json
 import os
+import platform
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polymerlab
@@ -366,6 +368,18 @@ class TestRunRecord:
         rec = json.loads((tmp_path / "run_record.json").read_text())
         assert rec["config"]["beta_values"] == []  # the defaults were used
         assert rec["metrics"]["n_values"] == ns and rec["metrics"]["beta_values"] == betas
+
+    def test_platform_recorded(self, tmp_path):
+        # the versions and numpy's SIMD targets that the metric files' last
+        # bits depend on go to run_record.json, the one file that may vary
+        cmd_free_energy(_cfg(command="free-energy", out=str(tmp_path), n_values=(8,),
+                             beta_values=(1.0,), n_disorder=2))
+        plat = json.loads((tmp_path / "run_record.json").read_text())["platform"]
+        assert set(plat) == {"python", "numpy", "scipy", "float64_targets"}
+        assert plat["python"] == platform.python_version()
+        assert plat["numpy"] == np.__version__
+        assert set(plat["float64_targets"]) == {"exp", "log", "log1p"}
+        assert all(isinstance(t, str) and t for t in plat["float64_targets"].values())
 
 
 class TestPlotdata:

@@ -10,7 +10,22 @@ the distinguished-set induction was batched), so refactors must
 leave the outputs byte-identical.  The digests were taken with Python 3.11.7, numpy 2.4.6 and
 scipy 1.17.1; other versions may round differently.  A change that alters
 output bits on purpose (e.g. a new kernel) updates the digests here and
-says so in CHANGES.md.
+says so in CHANGES.md.  The ``free_energy_d3``, ``multi_temp_d1``,
+``overlap_d1_mixed``, ``overlap_d2`` and ``overlap_d3_ladder`` digests were
+taken again when the neighbour sums moved from ``np.logaddexp`` to
+``transfer._logaddexp`` (last-bit changes, at most 1.4e-14 relative).
+
+The digests also depend on the CPU: numpy dispatches float64 ``exp``,
+``log`` and ``log1p`` to AVX-512 loops (target ``X86_V4``) where the CPU has
+them, and those round differently in the last bit from the AVX2 and
+baseline loops.  They were recorded on an AVX-512 machine.  With
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` set on that
+machine, ``free_energy_d3``, ``free_energy_tail_d1``, ``overlap_d1_mixed``,
+``overlap_d2`` and ``overlap_d3_ladder`` fail here, and so does the verify
+digest of ``test_c10`` (before the kernel change: ``free_energy_tail_d1``,
+``multi_temp_d1``, ``overlap_d1_mixed``, ``overlap_d3_ladder`` and
+``test_c10``).  So a mismatch on another runner is first checked against
+the targets that ``run_record.json`` and ``numpy.show_runtime()`` report.
 """
 
 import hashlib
@@ -32,7 +47,7 @@ CASES = {
     "free_energy_d3": (
         ["free-energy", "--d", "3", "--n-grid", "4,10", "--beta-grid", "0.5,2",
          "--n-disorder", "2", "--seed", "7"],
-        {"free_energy.csv": "b85249565483c1dfbeef1fd91961c9a0248783ee2c51a7201a453e0ac504f375"},
+        {"free_energy.csv": "961206e2912e5a4516f2ce29aaeef42352c1aa25455a603bbae9b9a1ebae790e"},
     ),
     "free_energy_tail_d1": (
         ["free-energy", "--d", "1", "--n-grid", "16,64", "--beta-grid", "0,0.5,2",
@@ -47,12 +62,12 @@ CASES = {
     "overlap_d1_mixed": (
         ["overlap", "--d", "1", "--n-grid", "8,24", "--beta-grid", "0,0.5,1",
          "--n-disorder", "55", "--n-pairs", "50", "--seed", "7"],
-        {"overlap.csv": "91738e51dfbafcad41172d15bd5a0a3eb74e589a317bb70a14e5c0da91cd6f45"},
+        {"overlap.csv": "078a8303f5a9ce7a573e285bf915920b94f16c674ba20618a02ee0badf0dda86"},
     ),
     "overlap_d2": (
         ["overlap", "--d", "2", "--n-grid", "3,16", "--beta-grid", "0,1",
          "--n-disorder", "2", "--n-pairs", "100", "--seed", "7"],
-        {"overlap.csv": "42a21da93899cec98d2d536b0b3c466de6a8de5cde579e78bb6c6d38f3b9cfaa"},
+        {"overlap.csv": "ae58ecca2ec2509be88b899006dad7858c2cd8fd4640fa4dbcd660e380c84984"},
     ),
     # d = 3, an unsorted ladder with a repeated N and a beta = 0 row between
     # betas > 0; the digest was recorded before the ladder was read off one
@@ -60,14 +75,14 @@ CASES = {
     "overlap_d3_ladder": (
         ["overlap", "--d", "3", "--n-grid", "12,5,12", "--beta-grid", "2,0,0.5",
          "--n-disorder", "3", "--n-pairs", "40", "--seed", "3"],
-        {"overlap.csv": "fcbba169519f5815ee348f841660b6f8e7fd9096fb7265b6141f681c53983896"},
+        {"overlap.csv": "eb2d59e1c14d15448f15bf60ba35bc5a85730058913868eff3231d47d4cf0352"},
     ),
     # block-beta mode; the digest was recorded before the block and
     # concatenation passes were batched over replicas
     "multi_temp_d1": (
         ["free-energy", "--d", "1", "--n-grid", "16,32", "--blocks", "2", "--block-betas",
          "0.5,1.5", "--n-disorder", "6", "--seed", "7"],
-        {"multi_temp.csv": "078136b32e4e6d9529131f770a1adfbba1c1165e1c5578bdb22e408c2ea2e163"},
+        {"multi_temp.csv": "212e3a050470211c727cb65f521bf18f0b50158896a523fd401031f7a84934b3"},
     ),
     "localize_d1": (
         ["localize", "--d", "1", "--n", "96", "--beta-grid", "0,2", "--delta", "0.25",

@@ -1,6 +1,10 @@
 import importlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import dataclass, field
 
@@ -27,6 +31,7 @@ from polymerlab.transfer import (
     _check_guard,
     _gather_logsum,
     _geometry,
+    _logaddexp,
     _PackedGeometry,
     _transfer,
     backward_layers,
@@ -67,6 +72,123 @@ class TestBetaProfile:
         assert hat.values.tolist() == [0.0] * 5 + [0.7] * 5
         assert BetaProfile.constant(0.0, 4).is_zero
         assert not const.is_zero
+
+
+def _within_ulps(got, want, terms=None, n=2):
+    """got equals want where want is infinite and elsewhere lies within n ulp
+    of the larger of |want| and |terms|.  A log-space sum near 0 comes from
+    terms away from 0, and both forms err by an ulp of those terms."""
+    assert got.dtype == want.dtype
+    inf = np.isinf(want)
+    assert np.array_equal(got[inf], want[inf])
+    scale = np.abs(want) if terms is None else np.maximum(np.abs(want), np.abs(terms))
+    assert np.all(np.abs(got[~inf] - want[~inf]) <= n * np.spacing(scale[~inf]))
+
+
+def _edge_pairs(dtype=np.float64):
+    """(x, y) covering equal terms, one or both -inf, and gaps past the point
+    (745 in float64) where exp(-gap) underflows to 0."""
+    gap = 1 - np.log(np.finfo(dtype).smallest_subnormal)
+    v = np.array([-1e4, -37.5, -1.0, 0.0, 0.25, 3.0, 700.0, 5e4], dtype=dtype)
+    inf = np.full_like(v, -np.inf)
+    x = np.concatenate([v, inf, v, inf, v, v, v - gap, v])
+    y = np.concatenate([v, v, inf, inf, v - gap, v - 10 * gap, v, v + 0.5])
+    return x, y
+
+
+class TestLogAddExp:
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_edge_cases_match_numpy(self, dtype):
+        x, y = _edge_pairs(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logaddexp(x, y)
+            want = np.logaddexp(x, y)
+        _within_ulps(got, want)
+        # blocks of n: a -inf term adds nothing (blocks 1, 2), -inf with -inf
+        # is -inf (3), and past the underflow gap the larger term comes back
+        # unchanged (4-6)
+        n = len(x) // 8
+        assert np.all(got[2 * n:4 * n] == np.maximum(x, y)[2 * n:4 * n])
+        assert np.all(got[n:2 * n] == y[n:2 * n])
+        assert np.all(got[4 * n:7 * n] == np.maximum(x, y)[4 * n:7 * n])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_random_pairs_match_numpy(self, dtype):
+        rng = np.random.default_rng(3)
+        x = (rng.standard_normal(20_000) * rng.choice([0.1, 1, 30, 1e3], 20_000)).astype(dtype)
+        y = (rng.standard_normal(20_000) * 30 + 2.0).astype(dtype)
+        x[::97] = -np.inf
+        _within_ulps(_logaddexp(x, y), np.logaddexp(x, y), np.maximum(x, y))
+
+    def test_out_may_be_x(self):
+        x, y = _edge_pairs()
+        want = _logaddexp(x, y)
+        out = x.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _logaddexp(out, y, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+    def test_one_temporary(self):
+        # besides its output the kernel holds one array of the output's size
+        x, y = np.random.default_rng(1).standard_normal((2, 1 << 16))
+        out = np.empty_like(x)
+        tracemalloc.start()
+        try:
+            _logaddexp(x, y, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.nbytes <= peak < 1.1 * x.nbytes
+
+    def test_bit_for_bit_on_numpys_scalar_loops(self):
+        # with numpy's AVX-512 targets disabled in a child process, its float64
+        # exp and log1p round as the libm calls inside np.logaddexp do, and
+        # the two forms agree to the bit
+        code = (
+            "import numpy as np\n"
+            "from polymerlab.transfer import _logaddexp\n"
+            "rng = np.random.default_rng(5)\n"
+            "x = rng.standard_normal(200_000) * rng.choice([0.1, 1, 30, 1e3], 200_000)\n"
+            "y = rng.standard_normal(200_000) * 30\n"
+            "x[::97] = -np.inf\n"
+            "y[::89] = -np.inf\n"
+            "print(int(np.sum(_logaddexp(x, y).view(np.int64) != np.logaddexp(x, y).view(np.int64))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(importlib.import_module("polymerlab").__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+                   PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split()[-1] == "0"
+
+
+class TestLargeBeta:
+    """At beta in {10, 50} the terms of each sum are far apart; log Z with the
+    kernel agrees with a reference pass on ``np.logaddexp``."""
+
+    @pytest.mark.parametrize("d, N", [(1, 1024), (2, 128), (3, 24)])
+    def test_log_z_matches_numpy_logaddexp(self, d, N, monkeypatch):
+        # the rolling ladder pass and the kept forward and backward tables
+        # cover every site of the kernel: forward and backward at d <= 2 and
+        # the gather at d >= 3
+        envs, betas = _ladder_envs(d, N, 2), (10.0, 50.0)
+
+        def log_zs():
+            ladder = log_partition_ladder(envs, [BetaProfile.constant(b, N) for b in betas], [N])
+            kept = [log_partition(build(env, BetaProfile.constant(b, N)))
+                    for build in (forward_layers, backward_layers) for env in envs for b in betas]
+            return np.concatenate([ladder.ravel(), kept])
+
+        got = log_zs()
+        monkeypatch.setattr(importlib.import_module("polymerlab.transfer"), "_logaddexp",
+                            np.logaddexp)
+        want = log_zs()
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 class TestLogPartition:
@@ -539,13 +661,16 @@ def test_kept_pass_frees_each_steps_maps_first(monkeypatch):
 
 
 def test_gather_holds_one_row():
-    # the 2d = 6 gathered rows are folded one at a time, with the bits of one
-    # reduce over all of them
+    # the 2d = 6 gathered rows are folded one at a time, in row order, with the
+    # bits of a row-order fold of the kernel and within 2 ulp of numpy's reduce
     geom, i = _PackedGeometry(3, 12, keep=True), 12
     maps = geom._maps(i - 1, geom.keys(i), -geom.steps)
     x = np.random.default_rng(0).standard_normal(len(geom.keys(i - 1)))
     x[::7] = -np.inf
-    want = np.logaddexp.reduce(np.append(x, -np.inf)[maps], axis=0)
+    rows = np.append(x, -np.inf)[maps]
+    want = rows[0]
+    for row in rows[1:]:
+        want = _logaddexp(want, row)
     tracemalloc.start()
     try:
         got = _gather_logsum(maps, x)
@@ -553,6 +678,8 @@ def test_gather_holds_one_row():
     finally:
         tracemalloc.stop()
     assert got.tobytes() == want.tobytes()
+    _within_ulps(got, np.logaddexp.reduce(rows, axis=0),
+                 np.abs(np.where(np.isfinite(rows), rows, 0)).max(axis=0))
     assert peak < 4 * 8 * len(geom.keys(i))
 
 
