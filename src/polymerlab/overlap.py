@@ -12,12 +12,13 @@ finite-N derivative identity from Gaussian integration by parts,
 common environments; in enum mode the pathwise half d/dbeta log Z = <H> is
 checked per environment, log Z enumerated, so only the O(h^2) bias remains.
 
-``sweep_overlaps`` makes every estimate for a beta grid and an N ladder from
-the passes free-energy makes: environments built once, at the largest N; per
-beta one kept forward table per environment (environment 0 only at beta = 0,
-where no field is read), whose first n layers give every n its samples, exact
-<R> and <H>; and one batched rolling pass for log Z at beta +/- h of every
-environment and n.  One table is kept at a time; no backward table is.
+``sweep_overlaps`` makes every estimate for a beta grid and an N ladder with
+each layer's work done once: environments built once, at the largest N; per
+beta one forward pass per environment (environment 0 only at beta = 0, where
+no field is read).  That pass keeps the table at beta, whose first n layers
+give every n its samples, exact <R> and <H>, and carries beta +/- h along,
+rolling, for log Z at every n, on the same hash of the field.  One table is
+kept at a time; no backward table is.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .transfer import (
     BetaProfile,
     brute_force_log_partition,
     forward_layers,
+    forward_layers_and_ladder,
     gibbs_enumeration,
-    log_partition_ladder,
     marginal_sums,
     sample_paths,
 )
@@ -164,7 +165,7 @@ def _disorder_terms(betas, h: float, params: LatticeParams, n_env: int, master_s
     """``OverlapSweep`` per (n, beta) of the ladder ``ns`` and the grid ``betas``,
     over ``n_env`` environments (environment 0 at beta = 0), from the passes the
     module docstring lists; replica pairs only with ``n_pairs``.  The identity's
-    log Z at beta +/- h is enumerated in enum mode, the rolling pass's in mc."""
+    log Z at beta +/- h is enumerated in enum mode, read off the pass in mc."""
     if n_env < 1:
         raise ValueError("need n_disorder >= 1")
     ns = list(dict.fromkeys(int(n) for n in ns))
@@ -172,13 +173,16 @@ def _disorder_terms(betas, h: float, params: LatticeParams, n_env: int, master_s
     modes = [_mode_at(mode, top.d, n) for n in ns]
     envs = [gaussian_env(derive_seed(master_seed, r), top) for r in range(n_env)]
     terms = {}
-    for beta in dict.fromkeys(float(b) for b in betas):
-        used, pm = envs if beta > 0.0 else envs[:1], (beta + h, beta - h)
+    # betas > 0 first: their pass holds the most, and it runs at the largest
+    # N, so a too-large N is refused before any work
+    for beta in sorted(dict.fromkeys(float(b) for b in betas), key=lambda b: b == 0.0):
+        used, pm = (envs, (beta + h, beta - h)) if beta > 0.0 else (envs[:1], ())
         overlaps, rhs = np.empty((len(ns), len(used))), np.empty((len(ns), len(used)))
-        logz, replicas = np.empty((len(ns), len(used), 2)), []
-        # the first kept table is at the largest N: a too-large N is refused before any work
+        rolled, replicas = np.empty((len(ns), len(used), len(pm))), []
+        logz = np.empty_like(rolled)
         for r, env in enumerate(used):
-            fwd = forward_layers(env, BetaProfile.constant(beta, top.N))
+            fwd, rolled[:, r] = forward_layers_and_ladder(
+                env, [BetaProfile.constant(b, top.N) for b in (beta,) + pm], ns)
             for j, (n, m) in enumerate(zip(ns, modes)):
                 part = fwd.prefix(n)
                 if r == 0:
@@ -192,10 +196,8 @@ def _disorder_terms(betas, h: float, params: LatticeParams, n_env: int, master_s
                     logz[j, r] = [brute_force_log_partition(part.env, BetaProfile.constant(b, n))
                                   for b in pm]
             del fwd, part  # before the next table is built
-        if beta > 0.0:
-            rolled = log_partition_ladder(envs, [BetaProfile.constant(b, top.N) for b in pm], ns)
-            mc = [m == "mc" for m in modes]
-            logz[mc] = rolled[mc]
+        mc = [m == "mc" for m in modes]
+        logz[mc] = rolled[mc]
         for j, (n, m) in enumerate(zip(ns, modes)):
             ibp = deriv = None
             if beta > 0.0:

@@ -9,7 +9,8 @@ so that log Z = logsumexp_x log W(N, x).  A matching backward recursion gives
 the conditional partition function from (i, x) onward; combining the two
 yields exact site marginals and a Markov split of log Z at any time.  Paths
 are sampled exactly (not approximately) by drawing the endpoint proportional
-to W(N, .) and walking backwards.
+to W(N, .) and walking backwards, every path's step drawn at once from
+candidates the geometry finds by index arithmetic (d <= 2) or index maps.
 
 One private driver, ``_transfer``, runs this recursion, forward or
 backward, over a layer geometry chosen from d:
@@ -28,15 +29,16 @@ act on the trailing layer axes, and at d >= 3 the keys and index maps serve
 the whole batch.  The driver holds the newest layers only and hands each
 layer, with its field, to a per-layer consumer: the kept tables, log Z at
 each N of a ladder (``log_partition_ladder``) and the forward x backward
-reduction behind the exact overlap are consumers.  It alone charges the
-cell budget ``LatticeParams.max_cells``, for what each pass holds, and the
-budget and ``BATCH_CELLS`` alone set how many environments share a pass.
+reduction behind the exact overlap are consumers.  A kept table may carry
+further profiles that roll along it, read for log Z at each N of a ladder
+(``forward_layers_and_ladder``).  The driver alone charges the cell budget
+``LatticeParams.max_cells``, for what each pass holds, and the budget and
+``BATCH_CELLS`` alone set how many environments share a rolling pass.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -197,15 +199,17 @@ class _DenseGeometry:
         return (i + 1,) * self.d
 
     def coords(self, i: int, idx=None) -> np.ndarray:
-        """Coordinates of the sites of layer i, or of its flat sites ``idx`` only."""
-        u = np.arange(-i, i + 1, 2, dtype=np.int64)
+        """Coordinates of the sites of layer i, or of its flat sites ``idx`` only.
+        In d = 2 entry (a0, a1) is the site (a0 + a1 - i, a0 - a1)."""
         if self.d == 1:
+            u = np.arange(-i, i + 1, 2, dtype=np.int64)
             return (u if idx is None else u[idx])[:, None]
-        if idx is None:
-            s, t = (a.ravel() for a in np.meshgrid(u, u, indexing="ij"))
-        else:
-            s, t = u[idx // (i + 1)], u[idx % (i + 1)]
-        return np.stack([(s + t) // 2, (s - t) // 2], axis=1)
+        a0, a1 = np.ogrid[:i + 1, :i + 1] if idx is None else np.divmod(idx, i + 1)
+        out = np.empty(np.broadcast_shapes(a0.shape, a1.shape) + (2,), dtype=np.int64)
+        np.add(a0, a1, out=out[..., 0])
+        out[..., 0] -= i
+        np.subtract(a0, a1, out=out[..., 1])
+        return out.reshape(-1, 2)
 
     def sum_into(self, i: int):
         """Neighbour log-sum of layer i-1 onto layer i, over the last d axes."""
@@ -215,17 +219,24 @@ class _DenseGeometry:
         """Neighbour log-sum of layer i back onto layer i-1, over the last d axes."""
         return functools.partial(_pairwise, d=self.d)
 
-    def predecessors(self, i: int, idx: np.ndarray) -> np.ndarray:
-        """(n, 2^d) flat indices in layer i-1 of the neighbours of the layer-i
-        sites idx; a neighbour off the layer gets the layer size i^d."""
-        a = np.unravel_index(idx, self.shape(i))
-        cols = []
-        for step in itertools.product((-1, 0), repeat=self.d):
-            b = [ak + sk for ak, sk in zip(a, step)]
-            ok = np.logical_and.reduce([(bk >= 0) & (bk < i) for bk in b])
-            flat = np.ravel_multi_index(b, self.shape(i - 1), mode="clip")
-            cols.append(np.where(ok, flat, i**self.d))
-        return np.stack(cols, axis=1)
+    def framed(self, i: int, layer: np.ndarray) -> np.ndarray:
+        """Layer i framed by one -inf cell on both sides of each axis, flat."""
+        out = np.full((i + 3,) * self.d, NEG_INF, dtype=layer.dtype)
+        out[(slice(1, -1),) * self.d] = layer
+        return out.ravel()
+
+    def predecessors(self, i: int, idx: np.ndarray):
+        """The neighbours in layer i-1 of the layer-i sites idx, entry a + s for
+        s in {-1, 0}^d in lexicographic order: (2^d, n) positions in
+        ``framed(i - 1)``, where an off-layer neighbour reads -inf, and the
+        (2^d, n) flat indices in layer i-1 of the same sites.  Entry a sits
+        at sum_k a_k (i+2)^(d-1-k) in the frame (idx plus a0 in d = 2) and
+        at idx - a0 in layer i-1; each s adds a fixed offset to both."""
+        if self.d == 1:
+            return idx + np.array([[0], [1]]), idx + np.array([[-1], [0]])
+        a0 = idx // (i + 1)
+        return (idx + a0 + np.array([[0], [1], [i + 2], [i + 3]]),
+                idx - a0 + np.array([[-i - 1], [-i], [-1], [0]]))
 
 
 class _PackedGeometry:
@@ -291,8 +302,16 @@ class _PackedGeometry:
     def sum_from(self, i: int):
         return functools.partial(_gather_logsum, self._maps(i, self.keys(i - 1), self.steps))
 
-    def predecessors(self, i: int, idx: np.ndarray) -> np.ndarray:
-        return self._maps(i - 1, self.keys(i)[idx], -self.steps).T
+    def framed(self, i: int, layer: np.ndarray) -> np.ndarray:
+        """Layer i with a -inf sentinel one past its end."""
+        return np.append(layer, NEG_INF)
+
+    def predecessors(self, i: int, idx: np.ndarray):
+        """The (2d, n) neighbours in layer i-1 of the layer-i sites idx, in step
+        order, as positions in ``framed(i - 1)`` and as flat indices: both are
+        the map rows, an off-layer neighbour on the sentinel."""
+        maps = self._maps(i - 1, self.keys(i)[idx], -self.steps)
+        return maps, maps
 
 
 def _geometry(d: int, N: int, keep: bool):
@@ -343,22 +362,25 @@ class LayerTable:
                           self.geometry, self.layers[:n + 1])
 
 
-def _check_guard(env: Environment, geom, n_profiles: int, keep: bool, n_envs: int = 1) -> int:
+def _check_guard(env: Environment, geom, n_profiles: int, keep: int, n_envs: int = 1) -> int:
     """The one cell budget, returning the cells charged for a pass over
-    ``n_envs`` environments like ``env``.  A kept table holds its cone, with
-    one cell per environment and profile and ``key_cells`` per site; a rolling
-    pass holds two layers per environment and profile, each no wider than
-    layer N; and one step holds the geometry's ``shared_cells`` per site of
-    layer N for the whole batch and ``work_cells`` per environment and site."""
+    ``n_envs`` environments like ``env`` that keeps its first ``keep``
+    profiles.  A kept profile holds its cone, one cell per environment, and
+    the pass ``key_cells`` per cone site; every other profile rolls, two
+    layers per environment, each no wider than layer N; and one step holds
+    the geometry's ``shared_cells`` per site of layer N for the whole batch
+    and ``work_cells`` per environment and site."""
     p = env.params
     width = reachable_set_size(p.N, p.d)
-    layers = n_envs * n_profiles
-    held = (reachable_cells_total(p.N, p.d, cap=p.max_cells) * (layers + geom.key_cells)
-            if keep else 2 * layers * width)
+    held = 2 * n_envs * (n_profiles - keep) * width
+    if keep:
+        held += reachable_cells_total(p.N, p.d, cap=p.max_cells) * (n_envs * keep + geom.key_cells)
     cells = held + width * (geom.shared_cells + n_envs * geom.work_cells)
     if cells > p.max_cells:
-        held = "a kept layer table" if keep else f"a rolling pass over {n_profiles} profile(s)"
-        raise MemoryGuardError(f"d={p.d}, N={p.N}: {held} needs more than {p.max_cells} cells")
+        what = (f"a rolling pass over {n_profiles} profile(s)" if not keep
+                else "a kept layer table" if n_profiles == keep
+                else f"a kept layer table with {n_profiles - keep} rolling profile(s)")
+        raise MemoryGuardError(f"d={p.d}, N={p.N}: {what} needs more than {p.max_cells} cells")
     return cells
 
 
@@ -399,9 +421,9 @@ def _transfer(envs, profiles, direction, dtype, keep, consume=lambda i, layers, 
     entry gets the arithmetic of a pass of its own.  Layers 0..N (forward) or
     N..0 (backward) go in that order to ``consume(i, layers, g)``: layer i as
     that array, which no later step writes to, and g(i, .) as (E, *layer
-    shape), or None where not generated.  ``keep`` states that the consumer
-    retains every layer, for the geometry and the guard.  Returns the
-    geometry and the last layers.
+    shape), or None where not generated.  ``keep`` is how many leading
+    profiles the consumer retains every layer of, for the geometry and the
+    guard.  Returns the geometry and the last layers.
     """
     env = envs[0]
     if any(other.params != env.params for other in envs):
@@ -409,7 +431,7 @@ def _transfer(envs, profiles, direction, dtype, keep, consume=lambda i, layers, 
     for pr in profiles:
         _check_forward_args(env, pr)
     d, N = env.params.d, env.params.N
-    geom = geometry(d, N, keep)
+    geom = geometry(d, N, bool(keep))
     _check_guard(env, geom, len(profiles), keep, len(envs))
     log2d = np.log(dtype(2.0 * d))
     forward = direction == "forward"
@@ -446,21 +468,51 @@ def _transfer(envs, profiles, direction, dtype, keep, consume=lambda i, layers, 
     return geom, layers
 
 
-def _kept_table(env: Environment, profile: BetaProfile, direction: str, dtype) -> LayerTable:
-    kept = [None] * (profile.N + 1)
-    geom, _ = _transfer([env], [profile], direction, dtype, True,
-                        lambda i, layers, g: kept.__setitem__(i, layers[0, 0]))
-    return LayerTable(env, profile, direction, geom, kept)
+def _rung_log_zs(layers: np.ndarray, profiles, n: int) -> list:
+    """log Z_n per environment and profile from layer n of a forward pass:
+    each entry's logsumexp, or exactly 0.0 for a profile that is 0 on 1..n."""
+    zero = [not pr.values[:n].any() for pr in profiles]
+    return [[0.0 if z else float(logsumexp(w)) for z, w in zip(zero, by_env)]
+            for by_env in layers]
+
+
+def _kept_table(env: Environment, profiles, direction: str, dtype, ns=()):
+    """The table of ``profiles[0]`` and, for a forward pass, log Z_n of the
+    other profiles at each n of ``ns``, from one pass that keeps the first
+    profile only; the others roll along with it."""
+    kept, rungs = [None] * (profiles[0].N + 1), _rungs(ns)
+    rode = np.empty((len(ns), len(profiles) - 1))
+
+    def consume(i, layers, g):
+        # a view of profile 0 would keep every profile's layer alive
+        kept[i] = layers[0, 0] if len(profiles) == 1 else layers[0, 0].copy()
+        if i in rungs:
+            rode[rungs[i]] = _rung_log_zs(layers[:, 1:], profiles[1:], i)[0]
+
+    geom, _ = _transfer([env], profiles, direction, dtype, 1, consume)
+    return LayerTable(env, profiles[0], direction, geom, kept), rode
 
 
 def forward_layers(env: Environment, profile: BetaProfile, dtype=np.float64) -> LayerTable:
     """Run the full forward recursion and keep every layer."""
-    return _kept_table(env, profile, "forward", dtype)
+    return _kept_table(env, [profile], "forward", dtype)[0]
+
+
+def forward_layers_and_ladder(env: Environment, profiles, ns,
+                              dtype=np.float64) -> tuple[LayerTable, np.ndarray]:
+    """``forward_layers`` of ``profiles[0]`` and, from the same pass, log Z_n
+    of each later profile at every n of ``ns``, shape (len(ns),
+    len(profiles) - 1), bit for bit those of ``log_partition_ladder``.  The
+    later profiles roll along, so the pass holds one cone and reads each
+    layer's field once for all of them."""
+    ns = [int(n) for n in ns]
+    _check_ladder(env.params.N, ns)
+    return _kept_table(env, list(profiles), "forward", dtype, ns)
 
 
 def backward_layers(env: Environment, profile: BetaProfile, dtype=np.float64) -> LayerTable:
     """Conditional partition functions B(i, x) from (i, x) onward, log-space."""
-    return _kept_table(env, profile, "backward", dtype)
+    return _kept_table(env, [profile], "backward", dtype)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +532,16 @@ def log_partition(table: LayerTable) -> float:
     return float(table.layer_logw(0)[0])
 
 
+def _rungs(ns) -> dict:
+    """The positions in the ladder ``ns`` of each of its n."""
+    return {n: [j for j, m in enumerate(ns) if m == n] for n in ns}
+
+
+def _check_ladder(N: int, ns) -> None:
+    if not all(1 <= n <= N for n in ns):
+        raise ValueError(f"every n of the ladder must lie in 1..{N}, got {list(ns)}")
+
+
 def log_partition_ladder(envs, profiles, ns, dtype=np.float64) -> np.ndarray:
     """log Z_n of every n in ``ns``, environment and profile, shape (len(ns),
     len(envs), len(profiles)); the environments share their ``LatticeParams``,
@@ -494,21 +556,16 @@ def log_partition_ladder(envs, profiles, ns, dtype=np.float64) -> np.ndarray:
     profiles, ns = list(profiles), [int(n) for n in ns]
     if not envs:
         raise ValueError("need at least one environment (n_disorder >= 1)")
-    N = envs[0].params.N
-    if not all(1 <= n <= N for n in ns):
-        raise ValueError(f"every n of the ladder must lie in 1..{N}, got {ns}")
+    _check_ladder(envs[0].params.N, ns)
     out = np.empty((len(ns), len(envs), len(profiles)))
-    rungs = {n: [j for j, m in enumerate(ns) if m == n] for n in ns}
-    zero = {n: [not pr.values[:n].any() for pr in profiles] for n in rungs}
+    rungs = _rungs(ns)
     size = _batch_size(envs[0], len(profiles), len(envs))
     for lo in range(0, len(envs), size):
         def consume(i, layers, g):
             if i in rungs:
-                out[rungs[i], lo:lo + len(layers)] = [
-                    [0.0 if z else float(logsumexp(w)) for z, w in zip(zero[i], by_env)]
-                    for by_env in layers]
+                out[rungs[i], lo:lo + len(layers)] = _rung_log_zs(layers, profiles, i)
 
-        _transfer(envs[lo:lo + size], profiles, "forward", dtype, False, consume)
+        _transfer(envs[lo:lo + size], profiles, "forward", dtype, 0, consume)
     return out
 
 
@@ -538,21 +595,24 @@ def log_partition_excluding_block(
 # Exact sampling and marginals
 # ---------------------------------------------------------------------------
 
-def _categorical_rows(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One draw per row from unnormalized log-weights."""
-    m = logits.max(axis=1, keepdims=True)
-    w = np.exp(logits - m)
-    c = np.cumsum(w, axis=1)
-    r = rng.random((logits.shape[0], 1)) * c[:, -1:]
-    return (r > c).sum(axis=1)
+def _categorical_columns(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw per column from unnormalized log-weights, taking one
+    ``rng.random`` double per column, in column order."""
+    c = np.exp(logits - logits.max(axis=0))
+    for row in range(1, len(c)):  # the cumsum over axis 0, a row at a time
+        c[row] += c[row - 1]
+    return (rng.random(logits.shape[1]) * c[-1] > c).sum(axis=0)
 
 
 def sample_paths(table: LayerTable, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n independent paths exactly from the Gibbs measure of the table.
 
     Endpoint first, proportional to W(N, .), by one CDF and a binary search
-    per draw; then each earlier site among the neighbors proportional to
-    W(i-1, .).  Returns (n, N+1, d) int64.
+    per draw; then each earlier site among its neighbours in layer i-1,
+    proportional to W(i-1, .).  The geometry gives the neighbours as
+    positions in a -inf framed copy of layer i-1 (by index arithmetic at
+    d <= 2, by the index maps at d >= 3), one column per draw, and only the
+    drawn sites are decoded.  Returns (n, N+1, d) int64.
     """
     if table.direction != "forward":
         raise ValueError("sampling requires a forward table")
@@ -562,10 +622,11 @@ def sample_paths(table: LayerTable, n: int, rng: np.random.Generator) -> np.ndar
     cdf = np.cumsum(np.exp(w - w.max()))
     idx = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="left")
     out[:, N] = geom.coords(N, idx)
+    draws = np.arange(n)
     for i in range(N, 0, -1):
-        cand = geom.predecessors(i, idx)
-        pick = _categorical_rows(np.append(table.layer_logw(i - 1), NEG_INF)[cand], rng)
-        idx = cand[np.arange(n), pick]
+        at, flat = geom.predecessors(i, idx)
+        pick = _categorical_columns(geom.framed(i - 1, table.layers[i - 1])[at], rng)
+        idx = flat[pick, draws]
         out[:, i - 1] = geom.coords(i - 1, idx)
     return out
 
@@ -614,7 +675,7 @@ def marginal_sums(fwd: LayerTable) -> tuple[float, float]:
         if g is not None:
             energies[i] = np.exp(lm) @ g[0].ravel()
 
-    _transfer([fwd.env], [fwd.profile], "backward", np.float64, False, consume,
+    _transfer([fwd.env], [fwd.profile], "backward", np.float64, 0, consume,
               lambda *_: fwd.geometry)
     # cumsum adds in index order; np.sum would pair the terms
     return float(np.cumsum(squares[1:])[-1]), float(np.cumsum(energies[1:])[-1])

@@ -220,19 +220,17 @@ class TestOnePassPerEnvironment:
         def table_key(env, prof):
             return env.params.N, float(prof.values[0]), env.seed
 
-        def rolling_key(envs, profs, direction, dtype, keep, *_):
+        def pass_key(envs, profs, direction, dtype, keep, *_):
             return (direction, keep, envs[0].params.N, tuple(env.seed for env in envs),
-                    tuple(sorted(float(p.values[0]) for p in profs)))
+                    tuple(float(p.values[0]) for p in profs))
 
         fwd = self._count(monkeypatch, "forward_layers", table_key)
         bwd = self._count(monkeypatch, "backward_layers", table_key)
         reduced = self._count(monkeypatch, "marginal_sums",
                               lambda table: table_key(table.env, table.profile))
-        passes = self._count(monkeypatch, "_transfer", rolling_key)
+        passes = self._count(monkeypatch, "_transfer", pass_key)
+        ladders = self._count(monkeypatch, "log_partition_ladder", lambda *_: "called")
         rolled = self._count(monkeypatch, "log_partitions", lambda env, *_: env.seed)
-        # batches of two environments: two profiles x 13 sites of layer 12 each
-        monkeypatch.setattr(importlib.import_module("polymerlab.transfer"), "BATCH_CELLS",
-                            2 * 2 * 13)
         ns, betas, h, seed = (8, 12, 8), (1.0, 0.0, 2.0), 1e-3, 4
         cmd_overlap(_cfg(
             command="overlap", seed=seed, d=1, n_values=ns, beta_values=betas,
@@ -241,18 +239,19 @@ class TestOnePassPerEnvironment:
         seeds = [derive_seed(seed, r) for r in range(3)]
         # a beta = 0 pass reads no field: environment 0's stands for all
         used = {b: seeds if b > 0 else seeds[:1] for b in betas}
-        # one kept table per (beta, environment used), at the largest N
-        assert fwd == {(12, b, s): 1 for b in betas for s in used[b]}
+        # one forward pass per (beta, environment used), at the largest N,
+        # keeping the table at beta; at beta > 0, beta +/- h ride along it, so
+        # the whole ladder's log Z comes from the same pass
+        forward = {k[1:]: c for k, c in passes.items() if k[0] == "forward"}
+        assert forward == {(1, 12, (s,), (b, b + h, b - h) if b > 0 else (b,)): 1
+                           for b in betas for s in used[b]}
         # one rolling backward pass per (N, beta, environment used), on the
         # table's first N layers; a repeated N is not run again
         assert reduced == {(n, b, s): 1 for n in set(ns) for b in betas for s in used[b]}
-        assert not bwd  # and no kept backward table
-        # log Z at beta +/- h: per beta > 0, one pass per batch over every
-        # environment, to the largest N, serves the whole ladder
-        forward_rolling = {k[2:]: c for k, c in passes.items() if k[:2] == ("forward", False)}
-        assert forward_rolling == {(12, batch, (b - h, b + h)): 1 for b in betas if b > 0
-                                   for batch in (tuple(seeds[:2]), tuple(seeds[2:]))}
-        assert not rolled
+        # and those are all the passes: the backward ones roll
+        assert sum(passes.values()) == sum(forward.values()) + sum(reduced.values())
+        assert all(k[1] == 0 for k in passes if k[0] == "backward")
+        assert not fwd and not bwd and not ladders and not rolled
         with (tmp_path / "overlap.csv").open() as fh:
             rows = [(int(r["N"]), float(r["beta"])) for r in csv.DictReader(fh)]
         assert rows == [(n, b) for n in ns for b in betas]

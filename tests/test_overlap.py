@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymerlab.free_energy import estimate_derivative
-from polymerlab.lattice import LatticeParams, as_path, derive_seed, gaussian_env, make_partition
+from polymerlab.lattice import (LatticeParams, MemoryGuardError, as_path, derive_seed,
+                                gaussian_env, make_partition)
 from polymerlab.overlap import (
     block_overlap,
     enumerated_two_replica_overlap,
@@ -260,6 +262,23 @@ class TestSweepOverlaps:
                                       "enum" if (2 * d) ** sw.N <= 4096 and mode == "auto"
                                       else "mc")
             assert sw == alone
+
+    @pytest.mark.parametrize("d, N", [(2, 655), (3, 122)])
+    def test_refuses_a_too_large_n_before_any_pass(self, d, N, monkeypatch):
+        # N fits a plain kept table (beta = 0) but not one with beta +/- h
+        # riding along; the betas > 0 run first, so no pass runs at all
+        transfer = importlib.import_module("polymerlab.transfer")
+        done = []
+
+        def counted(*args, _orig=transfer._transfer, **kw):
+            out = _orig(*args, **kw)
+            done.append(args[0][0].params.N)
+            return out
+
+        monkeypatch.setattr(transfer, "_transfer", counted)
+        with pytest.raises(MemoryGuardError, match=f"d={d}, N={N}: a kept layer table with 2"):
+            sweep_overlaps((0.0, 1.0), 1e-3, LatticeParams(d=d, N=N), 2, 0, 5, ns=(8, N))
+        assert done == []
 
     def test_preconditions(self):
         params = LatticeParams(d=1, N=8)

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import tracemalloc
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from polymerlab.lattice import (
     make_partition,
     perturb_env,
     reachable_set,
+    reachable_set_size,
     zero_env,
 )
 from polymerlab.transfer import (
@@ -38,6 +40,7 @@ from polymerlab.transfer import (
     brute_force_log_partition,
     endpoint_distribution,
     forward_layers,
+    forward_layers_and_ladder,
     gibbs_enumeration,
     layer_log_marginals,
     log_partition,
@@ -72,6 +75,20 @@ class TestBetaProfile:
         assert hat.values.tolist() == [0.0] * 5 + [0.7] * 5
         assert BetaProfile.constant(0.0, 4).is_zero
         assert not const.is_zero
+
+
+def _without_avx512(code: str) -> str:
+    """The last word ``code`` prints in a child process whose numpy has its
+    AVX-512 targets disabled; the child imports polymerlab and these tests."""
+    src = os.path.dirname(os.path.dirname(importlib.import_module("polymerlab").__file__))
+    path = os.pathsep.join(filter(None, [src, os.path.dirname(__file__),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()[-1]
 
 
 def _within_ulps(got, want, terms=None, n=2):
@@ -156,14 +173,7 @@ class TestLogAddExp:
             "y[::89] = -np.inf\n"
             "print(int(np.sum(_logaddexp(x, y).view(np.int64) != np.logaddexp(x, y).view(np.int64))))\n"
         )
-        src = os.path.dirname(os.path.dirname(importlib.import_module("polymerlab").__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
-                   PYTHONPATH=path)
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.split()[-1] == "0"
+        assert _without_avx512(code) == "0"
 
 
 class TestLargeBeta:
@@ -373,6 +383,68 @@ class TestSampling:
         monkeypatch.setattr(type(table.geometry), "coords", coords)
         sample_paths(table, 3, np.random.default_rng(0))
         assert len(rows) == 13 and max(rows) <= 3  # layer 12 has at least 13 sites
+
+
+def ref_sample_paths(table, n, rng):
+    """The sampler as it was before index arithmetic, the oracle for
+    ``sample_paths``: one row of candidates per draw, found at d <= 2 by
+    unravelling each site and checking each step against the layer's bounds,
+    and at d >= 3 as the transposed map rows; an off-layer candidate indexes
+    a -inf appended to layer i-1.  Sites are decoded from whole layers."""
+    N, geom, d = table.N, table.geometry, table.d
+    out = np.zeros((n, N + 1, d), dtype=np.int64)
+    w = table.layer_logw(N)
+    cdf = np.cumsum(np.exp(w - w.max()))
+    idx = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="left")
+    out[:, N] = table.layer_coords(N)[idx]
+    for i in range(N, 0, -1):
+        if d >= 3:
+            cand = geom._maps(i - 1, geom.keys(i)[idx], -geom.steps).T
+        else:
+            a, cols = np.unravel_index(idx, (i + 1,) * d), []
+            for step in itertools.product((-1, 0), repeat=d):
+                b = [ak + sk for ak, sk in zip(a, step)]
+                ok = np.logical_and.reduce([(bk >= 0) & (bk < i) for bk in b])
+                flat = np.ravel_multi_index(b, (i,) * d, mode="clip")
+                cols.append(np.where(ok, flat, i**d))
+            cand = np.stack(cols, axis=1)
+        logits = np.append(table.layer_logw(i - 1), -np.inf)[cand]
+        c = np.cumsum(np.exp(logits - logits.max(axis=1, keepdims=True)), axis=1)
+        pick = (rng.random((n, 1)) * c[:, -1:] > c).sum(axis=1)
+        idx = cand[np.arange(n), pick]
+        out[:, i - 1] = table.layer_coords(i - 1)[idx]
+    return out
+
+
+def sampler_mismatches() -> list:
+    """The (d, beta, N, n) at which ``sample_paths`` and ``ref_sample_paths``
+    differ by a byte, over d = 1..3, beta in {0, 1, 10, 50}, tables at N and
+    at N = 1 and prefixes of them, and 0, 1, 7 and 1000 draws."""
+    bad = []
+    for d, N in ((1, 24), (2, 10), (3, 6)):
+        for beta in (0.0, 1.0, 10.0, 50.0):
+            env = gaussian_env(derive_seed(11, d), LatticeParams(d=d, N=N))
+            top = forward_layers(env, BetaProfile.constant(beta, N))
+            one = forward_layers(replace(env, params=LatticeParams(d=d, N=1)),
+                                 BetaProfile.constant(beta, 1))
+            for table in (top, one, top.prefix(1), top.prefix(N // 2), top.prefix(N - 1)):
+                for n in (0, 1, 7, 1000):
+                    got = sample_paths(table, n, np.random.default_rng(n + 3))
+                    want = ref_sample_paths(table, n, np.random.default_rng(n + 3))
+                    if got.shape != want.shape or got.tobytes() != want.tobytes():
+                        bad.append((d, beta, table.N, n))
+    return bad
+
+
+class TestSamplerOracle:
+    def test_matches_the_row_sampler_byte_for_byte(self):
+        assert sampler_mismatches() == []
+
+    def test_matches_on_numpys_scalar_loops(self):
+        # the draw takes exp over a (candidates, draws) array, the oracle over
+        # its transpose; both dispatches give each entry the same bits
+        assert _without_avx512("import test_transfer\n"
+                               "print(len(test_transfer.sampler_mismatches()))") == "0"
 
 
 class TestEndpointDistribution:
@@ -744,3 +816,60 @@ def test_kept_table_limits_at_default_cap(d, last):
     env = gaussian_env(1, LatticeParams(d=d, N=last + 1))
     with pytest.raises(MemoryGuardError, match=f"d={d}, N={last + 1}: a kept layer table"):
         _check_guard(env, _geometry(d, last + 1, True), 1, keep=True)
+
+
+class TestRideAlong:
+    @pytest.mark.parametrize("d, N", [(1, 24), (2, 10), (3, 7)])
+    def test_kept_table_and_ladder_bit_for_bit(self, d, N):
+        # the kept profile's layers are forward_layers', and the profiles
+        # riding along give log_partition_ladder's log Z at every rung of an
+        # unsorted ladder with a repeat; a rider that is 0 (beta - h at
+        # beta = h) or 0 on the early rungs gives exactly 0.0 there
+        env, h, ns = gaussian_env(derive_seed(7, d), LatticeParams(d=d, N=N)), 1e-3, (N, 1, 3, N)
+        block = BetaProfile.from_blocks(make_partition(N, 2), [0.0, 1.3])
+        for betas in ((0.0,), (h, 2 * h, 0.0), (0.7, 0.7 + h, 0.7 - h), (50.0, 50.0 + h, 50.0 - h)):
+            profs = [BetaProfile.constant(b, N) for b in betas] + [block]
+            table, rode = forward_layers_and_ladder(env, profs, ns)
+            alone = forward_layers(env, profs[0])
+            assert (table.env, table.profile, table.direction) == (env, profs[0], "forward")
+            assert len(table.layers) == len(alone.layers)
+            for a, b in zip(table.layers, alone.layers):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            want = log_partition_ladder([env], profs[1:], ns)[:, 0]
+            assert rode.shape == want.shape == (len(ns), len(profs) - 1)
+            assert rode.tobytes() == want.tobytes()
+            assert np.all(rode[1, -1] == 0.0)
+
+    @pytest.mark.parametrize("d, N", [(2, 200), (3, 30)])
+    def test_pass_peak_within_charge(self, d, N):
+        # the kept layers are copies, so no layer pins the riders' values,
+        # and the pass is charged one cone and two rolling layers per rider
+        env = gaussian_env(2, LatticeParams(d=d, N=N))
+        profs = [BetaProfile.constant(b, N) for b in (0.8, 0.801, 0.799)]
+        charged = _check_guard(env, _geometry(d, N, True), 3, 1)
+        assert charged == (_check_guard(env, _geometry(d, N, True), 1, 1)
+                           + 2 * 2 * reachable_set_size(N, d))
+        tracemalloc.start()
+        try:
+            forward_layers_and_ladder(env, profs, [N // 2, N])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * charged
+
+    @pytest.mark.parametrize("d, last", [(2, 654), (3, 121)])
+    def test_limits_at_default_cap(self, d, last):
+        # with beta +/- h riding along, the sweep's pass at beta > 0 reaches
+        # N = 654 at d=2 and 121 at d=3; a plain kept table still reaches
+        # 658 and 123 (test_kept_table_limits_at_default_cap)
+        _check_guard(gaussian_env(1, LatticeParams(d=d, N=last)), _geometry(d, last, True), 3, 1)
+        env = gaussian_env(1, LatticeParams(d=d, N=last + 1))
+        with pytest.raises(MemoryGuardError,
+                           match=f"d={d}, N={last + 1}: a kept layer table with 2 rolling"):
+            _check_guard(env, _geometry(d, last + 1, True), 3, 1)
+        _check_guard(env, _geometry(d, last + 1, True), 1, 1)
+
+    def test_rungs_must_lie_in_the_pass(self):
+        env = gaussian_env(1, LatticeParams(d=1, N=8))
+        with pytest.raises(ValueError, match="1..8"):
+            forward_layers_and_ladder(env, [BetaProfile.constant(1.0, 8)] * 2, [0, 8])
