@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,8 @@ def derive_seed(master_seed: int, index: int) -> int:
     ``mix64(master_seed XOR mix64((index + 1) * SEED_SALT))`` where mix64 is
     the SplitMix64 finalizer.  Deterministic under any parallel schedule.
     """
-    return _mix64((master_seed & _MASK64) ^ _mix64((index + 1) * _SEED_SALT))
+    seed, index = operator.index(master_seed) & _MASK64, operator.index(index)
+    return _mix64(seed ^ _mix64((index + 1) * _SEED_SALT))
 
 
 @dataclass(frozen=True)
@@ -108,10 +110,10 @@ class Environment:
 
     @functools.cached_property
     def _seed_hash(self) -> int:
-        return _mix64((self.seed & _MASK64) ^ _GOLDEN)
+        return _mix64((operator.index(self.seed) & _MASK64) ^ _GOLDEN)
 
     def _layer_base(self, i: int) -> int:
-        return _mix64(self._seed_hash ^ ((i * _LAYER_SALT) & _MASK64))
+        return _mix64(self._seed_hash ^ ((operator.index(i) * _LAYER_SALT) & _MASK64))
 
     def values(self, i: int, coords: np.ndarray) -> np.ndarray:
         """Field values at layer i for an (n, d) array of lattice points."""

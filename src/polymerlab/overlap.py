@@ -12,13 +12,13 @@ finite-N derivative identity from Gaussian integration by parts,
 common environments; in enum mode the pathwise half d/dbeta log Z = <H> is
 checked per environment, log Z enumerated, so only the O(h^2) bias remains.
 
-``sweep_overlaps`` makes every estimate for a beta grid and an N ladder with
-each layer's work done once: environments built once, at the largest N; per
-beta one forward pass per environment (environment 0 only at beta = 0, where
-no field is read).  That pass keeps the table at beta, whose first n layers
-give every n its samples, exact <R> and <H>, and carries beta +/- h along,
-rolling, for log Z at every n, on the same hash of the field.  One table is
-kept at a time; no backward table is.
+``sweep_overlaps`` makes every estimate for a beta grid and an N ladder:
+environments built once, at the largest N; per beta one forward pass per
+environment (environment 0 only at beta = 0, where no field is read), which
+keeps the table at beta and carries beta +/- h along, rolling, for log Z at
+every n.  The table's first n layers give every n its samples and, by one
+rolling backward pass that hashes layers 1..n again, its exact <R>.  One
+forward table is kept at a time; only an enum rung's <H> builds a backward one.
 """
 
 from __future__ import annotations
@@ -32,10 +32,12 @@ from .lattice import (Environment, LatticeParams, PartitionScheme, derive_seed, 
                       path_columns)
 from .transfer import (
     BetaProfile,
+    backward_layers,
     brute_force_log_partition,
     forward_layers,
     forward_layers_and_ladder,
     gibbs_enumeration,
+    layer_log_marginals,
     marginal_sums,
     sample_paths,
 )
@@ -113,7 +115,18 @@ def mean_replica_overlap(
 
 def exact_two_replica_overlap(env: Environment, profile: BetaProfile) -> float:
     """Exact quenched <R> = (1/N) sum_i sum_x mu(sigma_i = x)^2."""
-    return marginal_sums(forward_layers(env, profile))[0] / profile.N
+    return marginal_sums(forward_layers(env, profile)) / profile.N
+
+
+def _mean_energy(fwd) -> float:
+    """sum_{i,x} g(i, x) mu_i(x) over the layers with beta_i != 0, added up in
+    i order, off the forward table and a backward table of its own: <H> where
+    no beta_i is 0.  Its dot is the package's one BLAS call on a field."""
+    bwd, energy = backward_layers(fwd.env, fwd.profile), 0.0
+    for i in (np.flatnonzero(fwd.profile.values) + 1).tolist():
+        mu = np.exp(layer_log_marginals(fwd, bwd, i))
+        energy += float(mu @ fwd.env.values(i, fwd.layer_coords(i)))
+    return energy
 
 
 @dataclass(frozen=True)
@@ -189,12 +202,12 @@ def _disorder_terms(betas, h: float, params: LatticeParams, n_env: int, master_s
                     rng = np.random.default_rng(derive_seed(master_seed, 1))
                     replicas.append(None if n_pairs is None
                                     else _replica_overlap(part, n_pairs, rng))
-                squares, energy = marginal_sums(part)
-                overlaps[j, r] = squares / n
-                rhs[j, r] = energy / n if m == "enum" else beta * (1.0 - overlaps[j, r])
+                overlaps[j, r] = marginal_sums(part) / n
+                rhs[j, r] = beta * (1.0 - overlaps[j, r])
                 if beta > 0.0 and m == "enum":
                     logz[j, r] = [brute_force_log_partition(part.env, BetaProfile.constant(b, n))
                                   for b in pm]
+                    rhs[j, r] = _mean_energy(part) / n
             del fwd, part  # before the next table is built
         mc = [m == "mc" for m in modes]
         logz[mc] = rolled[mc]

@@ -27,11 +27,11 @@ One pass carries E environments x P profiles as one (E, P, *layer shape)
 array: one hash call makes the E fields of a layer, the dense neighbour sums
 act on the trailing layer axes, and at d >= 3 the keys and index maps serve
 the whole batch.  The driver holds the newest layers only and hands each
-layer, with its field, to a per-layer consumer: the kept tables, log Z at
+layer, and nothing else, to a per-layer consumer: the kept tables, log Z at
 each N of a ladder (``log_partition_ladder``) and the forward x backward
-reduction behind the exact overlap are consumers.  A kept table may carry
-further profiles that roll along it, read for log Z at each N of a ladder
-(``forward_layers_and_ladder``).  The driver alone charges the cell budget
+reduction behind the exact overlap are consumers; no field leaves a pass.
+A kept table may carry further profiles that roll along it, read for log Z
+at each N of a ladder (``forward_layers_and_ladder``).  The driver alone charges the cell budget
 ``LatticeParams.max_cells``, for what each pass holds, and the budget and
 ``BATCH_CELLS`` alone set how many environments share a rolling pass.
 """
@@ -406,7 +406,7 @@ def _check_forward_args(env: Environment, profile: BetaProfile):
         )
 
 
-def _transfer(envs, profiles, direction, dtype, keep, consume=lambda i, layers, g: None,
+def _transfer(envs, profiles, direction, dtype, keep, consume=lambda i, layers: None,
               geometry=_geometry):
     """Run one recursion for several profiles over the fields of several
     environments that share their ``LatticeParams``.
@@ -419,9 +419,8 @@ def _transfer(envs, profiles, direction, dtype, keep, consume=lambda i, layers, 
     is 0.  The E environments x P profiles step as one (E, P, *layer shape)
     array, and the neighbour sums act on its trailing layer axes, so each
     entry gets the arithmetic of a pass of its own.  Layers 0..N (forward) or
-    N..0 (backward) go in that order to ``consume(i, layers, g)``: layer i as
-    that array, which no later step writes to, and g(i, .) as (E, *layer
-    shape), or None where not generated.  ``keep`` is how many leading
+    N..0 (backward) go in that order to ``consume(i, layers)``: layer i as
+    that array, which no later step writes to.  ``keep`` is how many leading
     profiles the consumer retains every layer of, for the geometry and the
     guard.  Returns the geometry and the last layers.
     """
@@ -436,35 +435,27 @@ def _transfer(envs, profiles, direction, dtype, keep, consume=lambda i, layers, 
     log2d = np.log(dtype(2.0 * d))
     forward = direction == "forward"
     layers = np.zeros((len(envs), len(profiles)) + geom.shape(0 if forward else N), dtype=dtype)
-    # betas[i - 1] is step i's beta per profile, shaped to scale an (E, P, ...) field
+    # betas[i - 1] is step i's beta per profile, shaped to scale an (E, 1, ...) field
     betas = np.array([pr.values for pr in profiles]).reshape(len(profiles), N).T
     read = betas.any(axis=1).tolist()
     betas = betas.reshape(betas.shape + (1,) * (layers.ndim - 2))
-    if forward:
-        consume(0, layers, None)
+    consume(0 if forward else N, layers)
     for i in range(1, N + 1) if forward else range(N, 0, -1):
-        g = None
-        if read[i - 1]:
-            g = layer_fields(envs, i, geom.coords(i)).reshape((len(envs),) + geom.shape(i))
-            g = g.astype(dtype, copy=False)
-        if not forward:
-            consume(i, layers, g)
+        g = (layer_fields(envs, i, geom.coords(i)).astype(dtype, copy=False)
+             .reshape((len(envs), 1) + geom.shape(i)) if read[i - 1] else None)
         # the neighbour sum is built and dropped in one statement, so this
         # step's index maps go before the drive and the next step's maps
         if forward:
             layers = geom.sum_into(i)(layers)
             if g is not None:
-                layers += betas[i - 1] * g[:, None]
+                layers += betas[i - 1] * g
         else:
             if g is not None:
-                drive = betas[i - 1] * g[:, None]
+                drive = betas[i - 1] * g
                 layers = np.add(drive, layers, out=drive)
             layers = geom.sum_from(i)(layers)
         layers -= log2d
-        if forward:
-            consume(i, layers, g)
-    if not forward:
-        consume(0, layers, None)
+        consume(i if forward else i - 1, layers)
     return geom, layers
 
 
@@ -483,7 +474,7 @@ def _kept_table(env: Environment, profiles, direction: str, dtype, ns=()):
     kept, rungs = [None] * (profiles[0].N + 1), _rungs(ns)
     rode = np.empty((len(ns), len(profiles) - 1))
 
-    def consume(i, layers, g):
+    def consume(i, layers):
         # a view of profile 0 would keep every profile's layer alive
         kept[i] = layers[0, 0] if len(profiles) == 1 else layers[0, 0].copy()
         if i in rungs:
@@ -561,7 +552,7 @@ def log_partition_ladder(envs, profiles, ns, dtype=np.float64) -> np.ndarray:
     rungs = _rungs(ns)
     size = _batch_size(envs[0], len(profiles), len(envs))
     for lo in range(0, len(envs), size):
-        def consume(i, layers, g):
+        def consume(i, layers):
             if i in rungs:
                 out[rungs[i], lo:lo + len(layers)] = _rung_log_zs(layers, profiles, i)
 
@@ -659,26 +650,19 @@ def layer_log_marginals(fwd: LayerTable, bwd: LayerTable, i: int) -> np.ndarray:
     return _log_marginal(fwd, i, bwd.layers[i])
 
 
-def marginal_sums(fwd: LayerTable) -> tuple[float, float]:
-    """sum_{i,x} mu_i(x)^2 and sum_{i,x} g(i, x) mu_i(x), each added up in i = 1..N.
+def marginal_sums(fwd: LayerTable) -> float:
+    """sum_{i,x} mu_i(x)^2, added up in i = 1..N, with mu_i from the kept
+    forward table and a rolling backward pass on its geometry (a fresh one at
+    d >= 3 drops the low layers' keys too early)."""
+    squares = np.zeros(fwd.N + 1)
 
-    mu_i comes from the kept forward table and a rolling backward pass on its
-    geometry (a fresh one at d >= 3 drops the low layers' keys too early).
-    The second sum skips the layers with beta_i = 0, where no field is read:
-    it is d/dt log Z with t added to every nonzero beta_i, <H> if none is 0.
-    """
-    squares, energies = np.zeros(fwd.N + 1), np.zeros(fwd.N + 1)
-
-    def consume(i, layers, g):
-        lm = _log_marginal(fwd, i, layers[0, 0])
-        squares[i] = np.exp(logsumexp(2.0 * lm))
-        if g is not None:
-            energies[i] = np.exp(lm) @ g[0].ravel()
+    def consume(i, layers):
+        squares[i] = np.exp(logsumexp(2.0 * _log_marginal(fwd, i, layers[0, 0])))
 
     _transfer([fwd.env], [fwd.profile], "backward", np.float64, 0, consume,
               lambda *_: fwd.geometry)
     # cumsum adds in index order; np.sum would pair the terms
-    return float(np.cumsum(squares[1:])[-1]), float(np.cumsum(energies[1:])[-1])
+    return float(np.cumsum(squares[1:])[-1])
 
 
 def markov_split_logz(fwd: LayerTable, bwd: LayerTable, i: int) -> float:

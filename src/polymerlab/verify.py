@@ -127,7 +127,7 @@ def suite_oracle_equivalence(seed: int, n_cases: int = 100) -> dict:
         d = int(rng.integers(1, 3))
         n = int(rng.integers(2, 9))
         params = LatticeParams(d=d, N=n)
-        env = gaussian_env(int(rng.integers(0, 2**63)), params)
+        env = gaussian_env(rng.integers(0, 2**63), params)
         kind = rng.integers(0, 3)
         if kind == 0:
             prof = BetaProfile.constant(float(rng.uniform(0, 3)), n)
@@ -150,7 +150,7 @@ def suite_markov_splitting(seed: int, n_cases: int = 25) -> dict:
         d = int(rng.integers(1, 3))
         n = int(rng.integers(2, 9))
         params = LatticeParams(d=d, N=n)
-        env = gaussian_env(int(rng.integers(0, 2**63)), params)
+        env = gaussian_env(rng.integers(0, 2**63), params)
         prof = BetaProfile(rng.uniform(0, 2.5, size=n))
         fwd = forward_layers(env, prof)
         bwd = backward_layers(env, prof)
@@ -300,7 +300,7 @@ def suite_hamiltonian_identities(seed: int) -> dict:
         L = int(rng.integers(1, min(n, 6) + 1))
         beta = float(rng.uniform(0, 2.5))
         params = LatticeParams(d=1, N=n)
-        env = gaussian_env(int(rng.integers(0, 2**63)), params)
+        env = gaussian_env(rng.integers(0, 2**63), params)
         p = make_partition(n, L)
         lz_multi, lz_single = log_partitions(
             env, [BetaProfile.from_blocks(p, [beta] * L), BetaProfile.constant(beta, n)]
@@ -316,7 +316,7 @@ def suite_hamiltonian_identities(seed: int) -> dict:
         ell = int(rng.integers(1, L + 1))
         beta = float(rng.uniform(0.3, 2.0))
         params = LatticeParams(d=d, N=n)
-        env = gaussian_env(int(rng.integers(0, 2**63)), params)
+        env = gaussian_env(rng.integers(0, 2**63), params)
         p = make_partition(n, L)
         full = BetaProfile.constant(beta, n)
         hat = BetaProfile.excluding_block(p, ell, beta)

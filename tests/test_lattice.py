@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -103,6 +104,19 @@ class TestEnvironment:
         assert pe.value(3, (-1,)) == env.value(3, (-1,))
         assert pe.value(4, (1,)) == env.value(4, (1,))
 
+    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint64])
+    def test_numpy_integer_seeds_and_layers(self, kind):
+        # a numpy integer enters the hash as the Python int it holds, with no
+        # overflow and no warning
+        params, coords = LatticeParams(d=2, N=8), reachable_set(3, 2)
+        want = gaussian_env(5, params).values(3, coords).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert derive_seed(kind(7), kind(2)) == derive_seed(7, 2)
+            assert gaussian_env(kind(5), params).values(kind(3), coords).tobytes() == want
+            assert gaussian_env(5, params).values(kind(3), coords).tobytes() == want
+            two = [gaussian_env(kind(5), params)] * 2
+            assert layer_fields(two, kind(3), coords)[1].tobytes() == want
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_batched_fields_equal_one_environment_at_a_time(self, d):

@@ -10,6 +10,7 @@ from polymerlab.free_energy import estimate_derivative
 from polymerlab.lattice import (LatticeParams, MemoryGuardError, as_path, derive_seed,
                                 gaussian_env, make_partition)
 from polymerlab.overlap import (
+    _mean_energy,
     block_overlap,
     enumerated_two_replica_overlap,
     exact_two_replica_overlap,
@@ -126,6 +127,7 @@ class TestExactTwoReplica:
         betas = (0.0, 0.7, 10.0, 50.0)
         profs = [BetaProfile.constant(b, n) for b in betas]
         profs.append(BetaProfile.from_blocks(make_partition(n, 3), [1.3, 0.0, 0.7]))
+        energies = []
         for prof in profs:
             # reference: kept forward and backward tables, terms summed in i order
             fwd, bwd = forward_layers(env, prof), backward_layers(env, prof)
@@ -133,15 +135,16 @@ class TestExactTwoReplica:
             for i in range(1, n + 1):
                 lm = layer_log_marginals(fwd, bwd, i)
                 squares += float(np.exp(logsumexp(2.0 * lm)))
-                if prof.values[i - 1] != 0.0:  # the layers whose field the pass reads
+                if prof.values[i - 1] != 0.0:
                     energy += float(np.exp(lm) @ env.values(i, fwd.layer_coords(i)))
-            assert marginal_sums(fwd) == (squares, energy)
+            assert marginal_sums(fwd) == squares
             assert exact_two_replica_overlap(env, prof) == squares / n
-        for beta in betas[1:]:
-            # the enum-mode right-hand side is <H>/N of the same reduction
+            assert _mean_energy(fwd) == energy  # over the layers with beta_i != 0
+            energies.append(energy)
+        for beta, energy in zip(betas[1:], energies[1:]):
+            # the enum-mode right-hand side is <H>/N off the same table pair
             est = ibp_residual(beta, 1e-3, params, 1, seed, mode="enum")
-            assert est.overlap_term == marginal_sums(
-                forward_layers(env, BetaProfile.constant(beta, n)))[1] / n
+            assert est.overlap_term == energy / n
 
     def test_monte_carlo_consistency(self):
         env = gaussian_env(5, LatticeParams(d=1, N=64))

@@ -515,10 +515,10 @@ class TestMarkovSplitting:
 
 def _pass(env, profiles, direction, keep, geometry=_geometry):
     """Run ``_transfer``; return its geometry, what it handed its consumer as
-    (i, per-profile layers, field) in pass order, and its last layers."""
+    (i, per-profile layers) in pass order, and its last layers."""
     handed = []
     geom, last = _transfer([env], profiles, direction, np.float64, keep,
-                           lambda i, layers, g: handed.append((i, layers[0], g)), geometry)
+                           lambda i, layers: handed.append((i, layers[0])), geometry)
     return geom, handed, last[0]
 
 
@@ -534,8 +534,8 @@ class TestGeometries:
             geom, fh, _ = _pass(env, [prof], "forward", True, geometry)
             _, bh, _ = _pass(env, [prof], "backward", True, geometry)
             _, _, rolled = _pass(env, [prof], "forward", False, geometry)
-            fwd = LayerTable(env, prof, "forward", geom, [layers[0] for _, layers, _ in fh])
-            bwd = LayerTable(env, prof, "backward", geom, [layers[0] for _, layers, _ in bh[::-1]])
+            fwd = LayerTable(env, prof, "forward", geom, [layers[0] for _, layers in fh])
+            bwd = LayerTable(env, prof, "backward", geom, [layers[0] for _, layers in bh[::-1]])
             marginals = []
             for i in range(n + 1):
                 order = np.lexsort(fwd.layer_coords(i).T)  # same site order in both
@@ -597,16 +597,16 @@ class TestFieldSkipping:
         env = CountingEnvironment(seed=5, params=LatticeParams(d=d, N=n))
         _, skipped, last = _pass(env, [prof], direction, keep)
         lo, hi = p.block_window(2)
-        assert sorted(env.layers) == list(range(lo, hi + 1))
-        # every layer goes to the consumer in pass order, with its field where read
+        # every layer goes to the consumer in pass order, and the field is read
+        # in that order on the layers with beta_i != 0 only
         order = list(range(n + 1)) if direction == "forward" else list(range(n, -1, -1))
-        assert [i for i, _, _ in skipped] == order
-        assert [i for i, _, g in skipped if g is not None] == [i for i in order if lo <= i <= hi]
+        assert [i for i, _ in skipped] == order
+        assert env.layers == [i for i in order if lo <= i <= hi]
         assert np.shares_memory(last, skipped[-1][1])
         # a constant profile alongside makes every layer's field be generated
         _, full, _ = _pass(env, [prof, BetaProfile.constant(0.4, n)], direction, keep)
         assert len(skipped) == len(full)
-        for (_, a, _), (_, b, _) in zip(skipped, full):
+        for (_, a), (_, b) in zip(skipped, full):
             assert a[0].tobytes() == b[0].tobytes()
 
 
