@@ -584,8 +584,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     for key in ("n_pairs", "n_samples", "L"):
         if getattr(cfg, key) < 1:
             raise ValidationError(f"{key} must be >= 1")
-    if not 0 < cfg.delta:
-        raise ValidationError("delta must be positive")
+    if not 0 < cfg.delta <= 1:  # an overlap fraction never exceeds 1
+        raise ValidationError("delta must lie in (0, 1]")
     if not 0 < cfg.epsilon < 1:
         raise ValidationError("epsilon must lie in (0, 1)")
     if cfg.h <= 0:

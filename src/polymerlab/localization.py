@@ -401,16 +401,25 @@ def pairwise_counts(centers: np.ndarray, samples: np.ndarray, boundaries) -> np.
 
     ``boundaries`` are partition boundaries; window w covers times
     boundaries[w]+1 .. boundaries[w+1].  Sites are compared as packed keys
-    one time step at a time, so besides the int32 result only one
-    (n_centers, n_samples) bool array is held.
+    one time step at a time.  Each step's equality goes into one reused
+    (n_centers, n_samples) bool array and is added, as uint8, to a window
+    counter of the narrowest unsigned dtype that holds the longest window
+    (uint8 up to 255 steps), which is exact because a window of w steps
+    counts at most w coincidences; each window's counts are then copied
+    into the int32 result.
     """
     keys = _site_keys(_as_stack(centers), _as_stack(samples))
     c, s = (np.ascontiguousarray(k.T) for k in keys)  # time-major
     cuts = np.asarray(boundaries)
     out = np.zeros((len(cuts) - 1, c.shape[1], s.shape[1]), dtype=np.int32)
-    for w, acc in enumerate(out):
+    eq = np.empty(out.shape[1:], dtype=bool)
+    acc = np.empty(out.shape[1:], dtype=np.min_scalar_type(np.diff(cuts).max(initial=0)))
+    for w, dst in enumerate(out):
+        acc.fill(0)
         for t in range(cuts[w] + 1, cuts[w + 1] + 1):
-            acc += c[t, :, None] == s[t]
+            np.equal(c[t, :, None], s[t], out=eq)
+            acc += eq.view(np.uint8)
+        dst[...] = acc
     return np.moveaxis(out, 0, 2)
 
 
@@ -423,21 +432,42 @@ def window_minima(centers, samples, min_len: int) -> np.ndarray:
     from below.  Each length's minimum count is divided by the length
     afterwards, and correctly rounded division is monotone, so the result
     equals the minimum of the window means bit for bit.
+
+    Length min_len is scanned for every pair first.  A pair with an empty
+    window of that length is final at 0.0, since no overlap is negative, so
+    only the other ("live") pairs are gathered and scanned over the longer
+    lengths; every division that reaches the result is the same as in a scan
+    of all pairs.
     """
     c, s = _site_keys(_as_stack(centers), _as_stack(samples))
     n = s.shape[1] - 1
     if not 1 <= min_len <= n:
         raise ValueError(f"window length {min_len} outside 1..{n}")
-    out = np.full((c.shape[0], s.shape[0]), np.inf)
+    out = np.empty((c.shape[0], s.shape[0]))
     tile = max(1, 2**22 // max(1, s.shape[0] * n))  # ~4M cells: temporaries of a few MB
     for lo in range(0, c.shape[0], tile):
-        eq = c[lo : lo + tile, None, 1:] == s[None, :, 1:]
-        acc = np.zeros(eq.shape[:2] + (n + 1,), np.min_scalar_type(n))
-        np.cumsum(eq, axis=2, out=acc[:, :, 1:])
-        best = out[lo : lo + tile]
-        for w in range(min_len, min(2 * min_len - 1, n) + 1):
-            np.minimum(best, (acc[:, :, w:] - acc[:, :, :-w]).min(axis=2) / w, out=best)
+        out[lo : lo + tile] = _tile_minima(c[lo : lo + tile], s, min_len)
     return out
+
+
+def _tile_minima(c: np.ndarray, s: np.ndarray, min_len: int) -> np.ndarray:
+    """``window_minima`` of site keys c (centers) against s (samples)."""
+    n = s.shape[1] - 1
+    # equality straight into the prefix-sum array, summed in place: no bool
+    # tensor and no cast copy of one
+    acc = np.zeros((len(c), len(s), n + 1), np.min_scalar_type(n))
+    np.equal(c[:, None, 1:], s[None, :, 1:], out=acc[:, :, 1:])
+    np.cumsum(acc, axis=2, out=acc)
+    first = (acc[:, :, min_len:] - acc[:, :, :-min_len]).min(axis=2)
+    best = first / min_len
+    live = np.flatnonzero(first)
+    rows = acc.reshape(-1, n + 1)[live]
+    del acc  # the live rows replace the tile's prefix sums under the scan
+    b = best.reshape(-1)[live]
+    for w in range(min_len + 1, min(2 * min_len - 1, n) + 1):
+        np.minimum(b, (rows[:, w:] - rows[:, :-w]).min(axis=1) / w, out=b)
+    best.reshape(-1)[live] = b
+    return best
 
 
 def _total(counts: np.ndarray) -> np.ndarray:

@@ -86,6 +86,11 @@ class TestConfig:
             config_from_args(ap.parse_args(["free-energy", "--tail-u", "0.1,0"]))
         with pytest.raises(ValidationError, match="ds_levels"):
             config_from_args(ap.parse_args(["localize", "--n", "16", "--ds-levels", "0"]))
+        localize = ["localize", "--d", "1", "--n", "16", "--eps", "0.5", "--blocks", "2",
+                    "--beta-grid", "2"]
+        with pytest.raises(ValidationError, match=r"delta must lie in \(0, 1\]"):
+            config_from_args(ap.parse_args(localize + ["--delta", "1.5"]))
+        assert config_from_args(ap.parse_args(localize + ["--delta", "1"])).delta == 1.0
         # overlap's default beta grid holds 0.5, so h = 0.7 is refused before the sweep
         with pytest.raises(ValidationError, match="h=0.7 too large for beta=0.5"):
             config_from_args(ap.parse_args(["overlap", "--h", "0.7"]))

@@ -187,6 +187,15 @@ def extreme_paths(rng, n_paths, n, d, parents=None):
     return out
 
 
+def perturbed(rng, path, k):
+    """``path`` moved off itself at up to k random times, by swapping two unequal steps."""
+    steps = np.diff(path, axis=0)
+    for t in rng.choice(len(steps) - 1, size=k, replace=False):
+        if not np.array_equal(steps[t], steps[t + 1]):
+            steps[[t, t + 1]] = steps[[t + 1, t]]
+    return np.concatenate([path[:1], path[0] + np.cumsum(steps, axis=0)])
+
+
 packed_cases = st.tuples(
     st.integers(0, 2**32 - 1),  # seed
     st.sampled_from([1, 2, 3]),  # d
@@ -642,6 +651,72 @@ class TestPackedKernels:
         )
         ref = [[ref_min_window_overlap(a, b, 5) for b in samples] for a in centers]
         assert np.array_equal(window_minima(centers, samples, 5), ref)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    def test_counters_at_lane_widths(self, rw, d, n):
+        # the long window has n steps: uint8 counters hold 255, uint16 from 256.
+        # Copies coincide at every step, so a count reaches n; independent
+        # walks leave empty windows and perturbed copies live ones, all in one tile
+        rng = np.random.default_rng(10 * n + d)
+        base = rw(rng, 3, n, d)
+        centers = np.stack([base[0], base[1], perturbed(rng, base[0], 40)])
+        samples = np.concatenate([base, [perturbed(rng, base[1], 10)]])
+        bounds = (0, 0, n, n)  # an empty block either side of the long window
+        got = pairwise_counts(centers, samples, bounds)
+        assert got.dtype == np.int32 and got.max() == n
+        assert np.array_equal(got, ref_pairwise_counts(centers, samples, bounds))
+        got = window_minima(centers, samples, 3)
+        assert got[0, 2] == 0.0 and 0.0 < got[2, 0] < 1.0
+        # 2*min_len - 1 below n, then past it
+        for min_len in (3, 100, 200):
+            got = window_minima(centers, samples, min_len)
+            ref = [[ref_min_window_overlap(a, b, min_len) for b in samples] for a in centers]
+            assert np.array_equal(got, ref) and got.max() == 1.0
+
+    def test_window_minima_across_tiles(self, monkeypatch):
+        # 8 samples of 2**18 steps fill a tile with two centers, so the third
+        # center is a second tile; the first tile holds a live and an empty pair
+        n, min_len = 2**18, 4
+        rng = np.random.default_rng(34)
+        samples = np.zeros((8, n + 1), dtype=np.int64)
+        samples[:, 1:] = np.cumsum(rng.choice((-1, 1), size=(8, n)), axis=1)
+        centers = np.stack([perturbed(rng, samples[3, :, None], 5000)[:, 0],
+                            np.concatenate([[0], np.cumsum(rng.choice((-1, 1), size=n))]),
+                            samples[7]])
+        tiles = []
+        tile_minima = localization._tile_minima
+
+        def spy(c, s, m):
+            tiles.append(len(c))
+            return tile_minima(c, s, m)
+
+        monkeypatch.setattr(localization, "_tile_minima", spy)
+        got = window_minima(centers, samples, min_len)
+        assert tiles == [2, 1]
+        ref = [[ref_min_window_overlap(a[:, None], b[:, None], min_len) for b in samples]
+               for a in centers]
+        assert np.array_equal(got, ref)
+        assert 0.0 < got[0, 3] < 1.0 and got[2, 7] == 1.0 and (got[1] == 0).all()
+
+    @pytest.mark.parametrize("live, bound", [(False, 13_113_951), (True, 13_113_935)])
+    def test_window_minima_peak_memory_bound(self, rw, live, bound):
+        # the localize_d1 shape: 10 centers, 500 samples, N = 512, min_len 52.
+        # bound is the tracemalloc peak (numpy 2.4.6) of the earlier scan of
+        # every length over all pairs, which held a bool tensor, its prefix
+        # sums and a cast copy at once; with every pair live the whole tile is
+        # gathered for the long scan
+        samples = rw(np.random.default_rng(33), 500, 512)
+        if live:
+            samples = np.repeat(samples[:1], 500, axis=0)
+        tracemalloc.start()
+        try:
+            got = window_minima(samples[:10], samples, 52)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got > 0).all() if live else (got == 0).mean() > 0.99
+        assert peak <= bound
 
     def test_pairwise_counts_peak_memory_bound(self, rw):
         samples = rw(np.random.default_rng(31), 500, 512)
