@@ -581,7 +581,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValidationError("d must be >= 1")
     if cfg.n_disorder < 2:
         raise ValidationError("n_disorder must be >= 2")
-    for key in ("n_pairs", "n_samples", "L"):
+    for key in ("n_pairs", "n_samples", "L", "max_j"):
         if getattr(cfg, key) < 1:
             raise ValidationError(f"{key} must be >= 1")
     if not 0 < cfg.delta <= 1:  # an overlap fraction never exceeds 1

@@ -16,9 +16,10 @@ checked per environment, log Z enumerated, so only the O(h^2) bias remains.
 environments built once, at the largest N; per beta one forward pass per
 environment (environment 0 only at beta = 0, where no field is read), which
 keeps the table at beta and carries beta +/- h along, rolling, for log Z at
-every n.  The table's first n layers give every n its samples and, by one
-rolling backward pass that hashes layers 1..n again, its exact <R>.  One
-forward table is kept at a time; only an enum rung's <H> builds a backward one.
+every n.  The table's first n layers give every n its samples, and one
+descent of the reverse chain down the table (``marginal_sums``), which reads
+no field, gives every n its exact <R>.  One forward table is kept at a time;
+only an enum rung's <H> builds a backward one.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def mean_replica_overlap(
 
 def exact_two_replica_overlap(env: Environment, profile: BetaProfile) -> float:
     """Exact quenched <R> = (1/N) sum_i sum_x mu(sigma_i = x)^2."""
-    return marginal_sums(forward_layers(env, profile)) / profile.N
+    return float(marginal_sums(forward_layers(env, profile))[0]) / profile.N
 
 
 def _mean_energy(fwd) -> float:
@@ -196,14 +197,14 @@ def _disorder_terms(betas, h: float, params: LatticeParams, n_env: int, master_s
         for r, env in enumerate(used):
             fwd, rolled[:, r] = forward_layers_and_ladder(
                 env, [BetaProfile.constant(b, top.N) for b in (beta,) + pm], ns)
+            overlaps[:, r] = marginal_sums(fwd, ns) / ns
+            rhs[:, r] = beta * (1.0 - overlaps[:, r])
             for j, (n, m) in enumerate(zip(ns, modes)):
                 part = fwd.prefix(n)
                 if r == 0:
                     rng = np.random.default_rng(derive_seed(master_seed, 1))
                     replicas.append(None if n_pairs is None
                                     else _replica_overlap(part, n_pairs, rng))
-                overlaps[j, r] = marginal_sums(part) / n
-                rhs[j, r] = beta * (1.0 - overlaps[j, r])
                 if beta > 0.0 and m == "enum":
                     logz[j, r] = [brute_force_log_partition(part.env, BetaProfile.constant(b, n))
                                   for b in pm]

@@ -27,9 +27,11 @@ One pass carries E environments x P profiles as one (E, P, *layer shape)
 array: one hash call makes the E fields of a layer, the dense neighbour sums
 act on the trailing layer axes, and at d >= 3 the keys and index maps serve
 the whole batch.  The driver holds the newest layers only and hands each
-layer, and nothing else, to a per-layer consumer: the kept tables, log Z at
-each N of a ladder (``log_partition_ladder``) and the forward x backward
-reduction behind the exact overlap are consumers; no field leaves a pass.
+layer, and nothing else, to a per-layer consumer: the kept tables and log Z
+at each N of a ladder (``log_partition_ladder``) are consumers; no field
+leaves a pass.  The exact overlap runs no pass: ``marginal_sums`` walks the
+site marginals down a kept forward table by the reverse chain of
+forward-filtering/backward-smoothing, on the geometry's neighbour sums.
 A kept table may carry further profiles that roll along it, read for log Z
 at each N of a ladder (``forward_layers_and_ladder``).  The driver alone charges the cell budget
 ``LatticeParams.max_cells``, for what each pass holds, and the budget and
@@ -178,6 +180,21 @@ def _gather_logsum(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scatter_logsum(maps: np.ndarray, size: int, x: np.ndarray) -> np.ndarray:
+    """log sum_r exp of x put through ``maps[r]`` onto ``size`` cells, -inf where
+    no entry lands: each row an injective scatter into a -inf filled buffer,
+    the rows folded in row order.  With the rows of a map set from layer i-1
+    onto layer i, that is the neighbour log-sum of ``_gather_logsum`` through
+    the map set of layer i onto layer i-1, bit for bit."""
+    out, row_buf = np.full(size, NEG_INF, dtype=x.dtype), np.empty(size, dtype=x.dtype)
+    out[maps[0]] = x
+    for row in maps[1:]:
+        row_buf.fill(NEG_INF)
+        row_buf[row] = x
+        _logaddexp(out, row_buf, out=out)
+    return out
+
+
 class _DenseGeometry:
     """d <= 2: layer i is a dense (i+1)^d array in rotated coordinates.
 
@@ -191,6 +208,10 @@ class _DenseGeometry:
     # cells per site held besides the layers during one step, none per pass and,
     # per environment, coordinates, the field, the drive and the neighbour sums
     shared_cells, work_cells = 0, 10
+    # cells per site of one reverse-chain step besides the kept table: the
+    # neighbour sum onto layer i and its temporaries, and per rung its log
+    # marginal and the two-axis pairwise sum back with its temporary
+    chain_shared_cells, chain_rung_cells = 3, 4
 
     def __init__(self, d: int):
         self.d = d
@@ -218,6 +239,10 @@ class _DenseGeometry:
     def sum_from(self, i: int):
         """Neighbour log-sum of layer i back onto layer i-1, over the last d axes."""
         return functools.partial(_pairwise, d=self.d)
+
+    def chain_sums(self, i: int):
+        """``sum_into(i)`` and ``sum_from(i)``, for one step of the reverse chain."""
+        return self.sum_into(i), self.sum_from(i)
 
     def framed(self, i: int, layer: np.ndarray) -> np.ndarray:
         """Layer i framed by one -inf cell on both sides of each axis, flat."""
@@ -266,6 +291,10 @@ class _PackedGeometry:
         # per site, one step holds two layers' keys and 2d candidate keys or map
         # rows for the whole batch, and per environment the field and its hash
         self.shared_cells, self.work_cells = 2 * d + 5, 4
+        # a reverse-chain step holds one map set, the neighbour sum onto layer i
+        # with a scatter row and a temporary (or the gather's layer copy, row and
+        # temporary), and per rung its log marginal and the sum back
+        self.chain_shared_cells, self.chain_rung_cells = 2 * d + 3, 2
         self._keys = [N * self.radix.sum(keepdims=True)]
 
     def keys(self, i: int) -> np.ndarray:
@@ -300,7 +329,15 @@ class _PackedGeometry:
         return functools.partial(_gather_logsum, self._maps(i - 1, self.keys(i), -self.steps))
 
     def sum_from(self, i: int):
-        return functools.partial(_gather_logsum, self._maps(i, self.keys(i - 1), self.steps))
+        return self.chain_sums(i)[1]
+
+    def chain_sums(self, i: int):
+        """``sum_into(i)`` for one layer and ``sum_from(i)`` off the one map set
+        of ``sum_from``: each of its rows takes layer i-1 injectively into layer
+        i, the set of the neighbours of layer i-1."""
+        maps = self._maps(i, self.keys(i - 1), self.steps)
+        return (functools.partial(_scatter_logsum, maps, len(self.keys(i))),
+                functools.partial(_gather_logsum, maps))
 
     def framed(self, i: int, layer: np.ndarray) -> np.ndarray:
         """Layer i with a -inf sentinel one past its end."""
@@ -362,22 +399,29 @@ class LayerTable:
                           self.geometry, self.layers[:n + 1])
 
 
-def _check_guard(env: Environment, geom, n_profiles: int, keep: int, n_envs: int = 1) -> int:
+def _check_guard(env: Environment, geom, n_profiles: int, keep: int, n_envs: int = 1,
+                 rungs: int = 0) -> int:
     """The one cell budget, returning the cells charged for a pass over
     ``n_envs`` environments like ``env`` that keeps its first ``keep``
     profiles.  A kept profile holds its cone, one cell per environment, and
     the pass ``key_cells`` per cone site; every other profile rolls, two
     layers per environment, each no wider than layer N; and one step holds
     the geometry's ``shared_cells`` per site of layer N for the whole batch
-    and ``work_cells`` per environment and site."""
+    and ``work_cells`` per environment and site.  With ``rungs``, the charge
+    is of a reverse-chain descent down one kept table (``marginal_sums``):
+    that cone, and per site of layer N the geometry's ``chain_shared_cells``
+    and ``chain_rung_cells`` per rung."""
     p = env.params
     width = reachable_set_size(p.N, p.d)
     held = 2 * n_envs * (n_profiles - keep) * width
     if keep:
         held += reachable_cells_total(p.N, p.d, cap=p.max_cells) * (n_envs * keep + geom.key_cells)
-    cells = held + width * (geom.shared_cells + n_envs * geom.work_cells)
+    step = (geom.chain_shared_cells + rungs * geom.chain_rung_cells if rungs
+            else geom.shared_cells + n_envs * geom.work_cells)
+    cells = held + width * step
     if cells > p.max_cells:
-        what = (f"a rolling pass over {n_profiles} profile(s)" if not keep
+        what = (f"a descent of {rungs} rung(s) down a kept layer table" if rungs
+                else f"a rolling pass over {n_profiles} profile(s)" if not keep
                 else "a kept layer table" if n_profiles == keep
                 else f"a kept layer table with {n_profiles - keep} rolling profile(s)")
         raise MemoryGuardError(f"d={p.d}, N={p.N}: {what} needs more than {p.max_cells} cells")
@@ -639,30 +683,57 @@ def endpoint_distribution(table: LayerTable) -> dict:
     return {tuple(int(v) for v in c): float(p) for c, p in zip(coords, probs)}
 
 
-def _log_marginal(fwd: LayerTable, i: int, bwd_layer: np.ndarray) -> np.ndarray:
-    """log mu(sigma_i = x) over layer i, flat, from log A(i) + log B(i)."""
-    s = fwd.layer_logw(i) + bwd_layer.ravel()
+def layer_log_marginals(fwd: LayerTable, bwd: LayerTable, i: int) -> np.ndarray:
+    """log mu(sigma_i = x) over layer i, flat, normalized within the layer,
+    from log A(i) + log B(i)."""
+    s = fwd.layer_logw(i) + bwd.layers[i].ravel()
     return s - logsumexp(s)
 
 
-def layer_log_marginals(fwd: LayerTable, bwd: LayerTable, i: int) -> np.ndarray:
-    """log mu(sigma_i = x) over layer i, flat, normalized within the layer."""
-    return _log_marginal(fwd, i, bwd.layers[i])
+def _renormalise(lm: np.ndarray) -> np.ndarray:
+    """sum_x mu(x)^2 of each row of the (R, sites) log weights ``lm``, which it
+    normalizes in place, from one exp per cell: mu = exp(lm - m), z = sum mu."""
+    m = lm.max(axis=1, keepdims=True)
+    mu = np.subtract(lm, m)
+    np.exp(mu, out=mu)
+    z = mu.sum(axis=1)
+    lm -= m + np.log(z)[:, None]
+    mu *= mu
+    return mu.sum(axis=1) / (z * z)
 
 
-def marginal_sums(fwd: LayerTable) -> float:
-    """sum_{i,x} mu_i(x)^2, added up in i = 1..N, with mu_i from the kept
-    forward table and a rolling backward pass on its geometry (a fresh one at
-    d >= 3 drops the low layers' keys too early)."""
-    squares = np.zeros(fwd.N + 1)
+def marginal_sums(fwd: LayerTable, ns=None) -> np.ndarray:
+    """sum_{i <= n} sum_x mu_i(x)^2 for each n of the ladder ``ns`` (default
+    the table's N), with mu_i the site law at time i of the table's first n
+    steps, from one descent of the reverse chain down the kept forward table A:
 
-    def consume(i, layers):
-        squares[i] = np.exp(logsumexp(2.0 * _log_marginal(fwd, i, layers[0, 0])))
+        log mu_n = A_n - logsumexp A_n,
+        log mu_{i-1}(y) = A_{i-1}(y) + log sum_{x ~ y} exp(log mu_i(x) - LS_i(x)),
 
-    _transfer([fwd.env], [fwd.profile], "backward", np.float64, 0, consume,
-              lambda *_: fwd.geometry)
-    # cumsum adds in index order; np.sum would pair the terms
-    return float(np.cumsum(squares[1:])[-1])
+    where LS_i is the neighbour log-sum of A_{i-1} onto layer i.  It reads no
+    field and runs no pass.  Rung n joins the stack of log marginals at layer
+    n, every step serves all live rungs with one LS_i, and each rung is
+    renormalized at every layer; each rung's arithmetic is its own, so its
+    sum is bit for bit that of ``marginal_sums(fwd.prefix(n))``."""
+    if fwd.direction != "forward":
+        raise ValueError("the reverse chain needs a forward table")
+    ns = [fwd.N] if ns is None else [int(n) for n in ns]
+    _check_ladder(fwd.N, ns)
+    tops = sorted(set(ns), reverse=True)  # row k of the stack is rung tops[k]
+    _check_guard(fwd.env, fwd.geometry, 1, 1, rungs=len(tops))
+    layers, sums = fwd.layers, np.zeros(len(tops))
+    lm = np.empty((0,) + layers[tops[0]].shape, dtype=layers[tops[0]].dtype)
+    for i in range(tops[0], 0, -1):
+        if i in tops:
+            lm = np.concatenate([lm, layers[i][None]])
+        sums[:len(lm)] += _renormalise(lm.reshape(len(lm), -1))
+        if i > 1:
+            into, back = fwd.geometry.chain_sums(i)
+            lm -= into(layers[i - 1])
+            lm = back(lm)
+            lm += layers[i - 1]
+            del into, back  # this step's maps go before the next step's are built
+    return sums[[tops.index(n) for n in ns]]
 
 
 def markov_split_logz(fwd: LayerTable, bwd: LayerTable, i: int) -> float:

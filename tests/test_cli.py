@@ -90,6 +90,10 @@ class TestConfig:
                     "--beta-grid", "2"]
         with pytest.raises(ValidationError, match=r"delta must lie in \(0, 1\]"):
             config_from_args(ap.parse_args(localize + ["--delta", "1.5"]))
+        # a cover budget below one path picks nothing and reads as no coverage
+        for max_j in ("0", "-3"):
+            with pytest.raises(ValidationError, match="max_j must be >= 1"):
+                config_from_args(ap.parse_args(localize + ["--delta", "0.5", "--max-j", max_j]))
         assert config_from_args(ap.parse_args(localize + ["--delta", "1"])).delta == 1.0
         # overlap's default beta grid holds 0.5, so h = 0.7 is refused before the sweep
         with pytest.raises(ValidationError, match="h=0.7 too large for beta=0.5"):
@@ -232,7 +236,7 @@ class TestOnePassPerEnvironment:
         fwd = self._count(monkeypatch, "forward_layers", table_key)
         bwd = self._count(monkeypatch, "backward_layers", table_key)
         reduced = self._count(monkeypatch, "marginal_sums",
-                              lambda table: table_key(table.env, table.profile))
+                              lambda table, ns: table_key(table.env, table.profile) + (tuple(ns),))
         passes = self._count(monkeypatch, "_transfer", pass_key)
         ladders = self._count(monkeypatch, "log_partition_ladder", lambda *_: "called")
         rolled = self._count(monkeypatch, "log_partitions", lambda env, *_: env.seed)
@@ -250,12 +254,14 @@ class TestOnePassPerEnvironment:
         forward = {k[1:]: c for k, c in passes.items() if k[0] == "forward"}
         assert forward == {(1, 12, (s,), (b, b + h, b - h) if b > 0 else (b,)): 1
                            for b in betas for s in used[b]}
-        # one rolling backward pass per (N, beta, environment used), on the
-        # table's first N layers; a repeated N is not run again
-        assert reduced == {(n, b, s): 1 for n in set(ns) for b in betas for s in used[b]}
-        # and those are all the passes: the backward ones roll
-        assert sum(passes.values()) == sum(forward.values()) + sum(reduced.values())
-        assert all(k[1] == 0 for k in passes if k[0] == "backward")
+        # one reverse-chain descent per (beta, environment used), down the
+        # table at the largest N, for the whole ladder; a repeated N is not
+        # run again
+        assert reduced == {(12, b, s, (8, 12)): 1 for b in betas for s in used[b]}
+        # and those are all the passes: the chain runs none, and mc mode runs
+        # no backward pass
+        assert sum(passes.values()) == sum(forward.values())
+        assert not any(k[0] == "backward" for k in passes)
         assert not fwd and not bwd and not ladders and not rolled
         with (tmp_path / "overlap.csv").open() as fh:
             rows = [(int(r["N"]), float(r["beta"])) for r in csv.DictReader(fh)]

@@ -13,7 +13,11 @@ output bits on purpose (e.g. a new kernel) updates the digests here and
 says so in CHANGES.md.  The ``free_energy_d3``, ``multi_temp_d1``,
 ``overlap_d1_mixed``, ``overlap_d2`` and ``overlap_d3_ladder`` digests were
 taken again when the neighbour sums moved from ``np.logaddexp`` to
-``transfer._logaddexp`` (last-bit changes, at most 1.4e-14 relative).
+``transfer._logaddexp`` (last-bit changes, at most 1.4e-14 relative), and
+the three overlap digests again when the exact <R> moved from a backward pass
+to the reverse chain down the forward table (``exact_overlap`` and the mc
+``ibp_residual`` and ``ibp_stderr`` columns: at most 4.5e-16 absolute and
+3.4e-15 relative).
 
 The digests also depend on the CPU: numpy dispatches float64 ``exp``,
 ``log`` and ``log1p`` to AVX-512 loops (target ``X86_V4``) where the CPU has
@@ -62,20 +66,20 @@ CASES = {
     "overlap_d1_mixed": (
         ["overlap", "--d", "1", "--n-grid", "8,24", "--beta-grid", "0,0.5,1",
          "--n-disorder", "55", "--n-pairs", "50", "--seed", "7"],
-        {"overlap.csv": "078a8303f5a9ce7a573e285bf915920b94f16c674ba20618a02ee0badf0dda86"},
+        {"overlap.csv": "72465af5249ef99e8a0c121157d1ae37549c85437866c0a7a9ca098ecf40e6b0"},
     ),
     "overlap_d2": (
         ["overlap", "--d", "2", "--n-grid", "3,16", "--beta-grid", "0,1",
          "--n-disorder", "2", "--n-pairs", "100", "--seed", "7"],
-        {"overlap.csv": "ae58ecca2ec2509be88b899006dad7858c2cd8fd4640fa4dbcd660e380c84984"},
+        {"overlap.csv": "6669c80fb50cf2df2b18812d80f4b48cce0b89119013b084b73aa6987b40111d"},
     ),
     # d = 3, an unsorted ladder with a repeated N and a beta = 0 row between
-    # betas > 0; the digest was recorded before the ladder was read off one
-    # kept table per (beta, environment)
+    # betas > 0, whose exact <R> comes from one reverse-chain descent per
+    # (beta, environment) for the whole ladder
     "overlap_d3_ladder": (
         ["overlap", "--d", "3", "--n-grid", "12,5,12", "--beta-grid", "2,0,0.5",
          "--n-disorder", "3", "--n-pairs", "40", "--seed", "3"],
-        {"overlap.csv": "eb2d59e1c14d15448f15bf60ba35bc5a85730058913868eff3231d47d4cf0352"},
+        {"overlap.csv": "54bc2b84560c7e5f8f1776dd712b974295677bce066834ac41042641f3df6326"},
     ),
     # block-beta mode; the digest was recorded before the block and
     # concatenation passes were batched over replicas

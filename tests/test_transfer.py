@@ -562,6 +562,20 @@ class TestGeometries:
             idx = rng.integers(0, len(full), size=9)
             assert np.array_equal(geom.coords(i, idx), full[idx])
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_chain_sums_are_the_pass_sums(self, d):
+        # the reverse chain's two neighbour sums are the passes' sums bit for
+        # bit; at d >= 3 both come off one map set, the sum onto layer i by
+        # scattering layer i-1 through its rows
+        rng = np.random.default_rng(d)
+        for geom in (_geometry(d, 6, True), _PackedGeometry(d, 6, keep=True)):
+            for i in (1, 4, 6):
+                below = rng.normal(scale=30.0, size=geom.shape(i - 1))
+                above = rng.normal(scale=30.0, size=(2,) + geom.shape(i))
+                into, back = geom.chain_sums(i)
+                assert into(below).tobytes() == geom.sum_into(i)(below).tobytes()
+                assert back(above).tobytes() == geom.sum_from(i)(above).tobytes()
+
     def test_packed_keys_wider_than_62_bits_refused(self):
         with pytest.raises(MemoryGuardError, match="overflow int64"):
             _PackedGeometry(8, 256, keep=True)
@@ -608,6 +622,76 @@ class TestFieldSkipping:
         assert len(skipped) == len(full)
         for (_, a), (_, b) in zip(skipped, full):
             assert a[0].tobytes() == b[0].tobytes()
+
+
+class TestReverseChain:
+    @pytest.mark.parametrize("d, N", [(1, 40), (2, 96), (3, 9)])
+    @pytest.mark.parametrize("beta", [0.0, 0.7, 50.0])
+    def test_every_rung_equals_its_own_descent(self, d, N, beta):
+        # one descent over an unsorted ladder with a repeated n gives, bit for
+        # bit, each rung's descent down the table's prefix alone: stacking
+        # rungs changes no rung's arithmetic (at d=2 N=96 a layer holds more
+        # cells than one numpy reduction buffer)
+        fwd = forward_layers(gaussian_env(derive_seed(3, d), LatticeParams(d=d, N=N)),
+                             BetaProfile.constant(beta, N))
+        ns = (N // 2, N, 1, N // 2, N - 1)
+        got = marginal_sums(fwd, ns)
+        assert got.shape == (len(ns),)
+        for k, n in enumerate(ns):
+            alone = marginal_sums(fwd.prefix(n))
+            assert alone.shape == (1,) and got[k].tobytes() == alone[0].tobytes()
+        assert marginal_sums(fwd).tobytes() == marginal_sums(fwd, [N]).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_reads_no_field(self, d, monkeypatch):
+        env = CountingEnvironment(seed=4, params=LatticeParams(d=d, N=8))
+        fwd = forward_layers(env, BetaProfile.constant(1.3, 8))
+        assert env.layers == list(range(1, 9))
+
+        def refuse(*_):
+            raise AssertionError("the reverse chain hashed a field")
+
+        for mod in ("lattice", "transfer"):
+            monkeypatch.setattr(importlib.import_module(f"polymerlab.{mod}"), "layer_fields",
+                                refuse)
+        env.layers.clear()
+        marginal_sums(fwd, [8, 3, 5])
+        assert env.layers == []
+
+    def test_needs_a_forward_table_and_rungs_in_it(self):
+        env = gaussian_env(5, LatticeParams(d=1, N=6))
+        fwd = forward_layers(env, BetaProfile.constant(1.0, 6))
+        with pytest.raises(ValueError, match="1..6"):
+            marginal_sums(fwd, [3, 7])
+        with pytest.raises(ValueError, match="forward table"):
+            marginal_sums(backward_layers(env, BetaProfile.constant(1.0, 6)))
+
+    @pytest.mark.parametrize("d, N", [(2, 256), (3, 24)])
+    def test_descent_peak_within_charge(self, d, N):
+        # the kept table it reads and everything a 3-rung descent allocates
+        # stay within the cells the descent is charged
+        env = gaussian_env(2, LatticeParams(d=d, N=N))
+        fwd = forward_layers(env, BetaProfile.constant(0.8, N))
+        held = sum(a.nbytes for a in fwd.layers)
+        held += sum(k.nbytes for k in getattr(fwd.geometry, "_keys", []))
+        charged = _check_guard(env, fwd.geometry, 1, 1, rungs=3)
+        tracemalloc.start()
+        try:
+            marginal_sums(fwd, [N // 4, N, N // 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held + peak <= 8 * charged
+
+    def test_long_ladder_refused_before_the_descent(self):
+        # the charge grows with the rungs, and a ladder past the budget is
+        # refused before any rung is stacked
+        N = 64
+        env = gaussian_env(2, LatticeParams(d=2, N=N, max_cells=150_000))
+        fwd = forward_layers(env, BetaProfile.constant(0.8, N))
+        marginal_sums(fwd, [N, N // 2])
+        with pytest.raises(MemoryGuardError, match="d=2, N=64: a descent of 10 rung"):
+            marginal_sums(fwd, range(N, 0, -7))
 
 
 def _ladder_envs(d, N, n_plain):
