@@ -10,7 +10,11 @@ and the sliding-window statistic.
 Each rule has one owner, and every caller goes through it:
 
 - bridge: ``_bridge``, behind ``connecting_path``, ``_splice_batch`` (which
-  ``splice_paths`` wraps) and the planted instances' ``_anchored_path``;
+  ``splice_paths`` wraps), the induction's ``_splice_codes`` and the planted
+  instances' ``_anchored_path``;
+- step code: ``_step_codes`` (-e_k -> k, +e_k -> d + k), behind
+  ``encode_path`` and the induction's paths, which ``_decode`` turns back
+  into sites;
 - meeting time: ``_meeting_times``, behind ``meeting_time`` and the induction;
 - cover: ``_cover``, behind every mode of ``greedy_favorite_paths`` and
   ``coverage_report`` (the global mode is the one-block case).
@@ -21,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +78,10 @@ def _bridge(x, gap, u):
     np.clip(out, 0, size, out=out)
     out *= np.sign(gap)
     out += x
-    out[..., 0] += np.maximum(u - size.sum(axis=-1), 0) & 1
+    tail = u - size.sum(axis=-1)  # steps past the last gap step
+    np.maximum(tail, 0, out=tail)
+    tail &= 1
+    out[..., 0] += tail
     return out
 
 
@@ -144,17 +152,26 @@ def concatenate(
 class DistinguishedSet:
     """Paths accumulated by the concatenation induction up to ``level``.
 
+    Path i is held as its start site starts[i] (d int64) and one step code
+    per step, codes[i] ((T - 1) uint8, ``_step_codes``; read-only);
+    ``paths`` decodes them once, on first access, into a tuple of (T, d)
+    int64 site arrays.
     provenance[i] is None for seed paths and (i_prime, i_dprime, k, t) for a
     path spliced from paths i_prime, i_dprime at sub-boundary k, meeting at t.
     """
 
     level: int
     K: int
-    paths: tuple
+    starts: np.ndarray
+    codes: np.ndarray
     provenance: tuple
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.codes)
+
+    @cached_property
+    def paths(self) -> tuple:
+        return tuple(_decode(self.starts, self.codes, np.arange(self.codes.shape[1] + 1)))
 
 
 def _meeting_times(anchors: np.ndarray, ms: np.ndarray, targets: np.ndarray, lo: int):
@@ -186,6 +203,21 @@ def _splice_batch(head: np.ndarray, tails: np.ndarray, m: np.ndarray, t: np.ndar
     return out
 
 
+def _splice_codes(head, tails, x, y, m, t) -> np.ndarray:
+    """Step codes of ``_splice_batch``'s paths, (B, T - 1), from code rows.
+
+    head is the anchor's code row and tails the partners' (B, T - 1) rows;
+    x is the anchor's site at m[b] and y the partner's at t[b].  Steps before
+    m[b] are the anchor's, steps from t[b] the partner's, and the t[b] - m[b]
+    steps between are ``_bridge``'s from x to y.
+    """
+    u = np.arange(tails.shape[1] + 1) - m[:, None]  # (B, T)
+    out = _step_codes(_bridge(x[:, None], (y - x)[:, None], u), check=False)
+    np.copyto(out, head, where=u[:, 1:] <= 0)
+    np.copyto(out, tails, where=u[:, :-1] >= (t - m)[:, None])
+    return out
+
+
 def build_distinguished_sets(
     d1_paths,
     p: PartitionScheme,
@@ -200,61 +232,87 @@ def build_distinguished_sets(
     taken in (anchor, partner, boundary) order and kept when new.  The
     growth obeys |D_{level+1}| <= K |D_level|^2, which explodes quickly;
     ``max_paths`` guards against runaway configurations (MemoryGuardError).
+    A seed that is not a nearest-neighbour path is refused (ValueError).
 
-    Each level's paths are stacked once; per anchor path, the meeting times
-    and splices for a tile of partners are array operations whose
-    temporaries hold about 64K cells.  Spliced paths are int64.
+    Each path is kept once, as its dedup key: the start site (8d bytes)
+    and one uint8 step code per step (T - 1 bytes), against 8Td bytes for
+    an int64 path and as many again for a key of its sites.  A level reads
+    its paths from one buffer of the joined keys and decodes int64 sites
+    only at the anchor times and over the next block's window, for the
+    meeting times.  Per anchor path, the meeting times and splices for a
+    tile of partners are array operations whose temporaries hold about 64K
+    cells, and candidates are spliced straight into code rows.
     """
     K = default_refinement(delta) if K is None else int(K)
     if p.N // p.L < K:
         raise ValueError(
             f"floor(N/L) = {p.N // p.L} < K = {K}; N too small for this delta"
         )
-    paths = []
-    seen = set()
-    prov = []
+    keys, seen, prov = [], set(), []  # keys[i]: start bytes + code bytes of path i
+    shape = None
     for a in map(path_columns, d1_paths):
-        key = a.tobytes()
+        if shape not in (None, a.shape):
+            raise ValueError("seed paths must share one (T, d) shape")
+        shape = a.shape
+        codes = _step_codes(a)
+        key = a[0].astype(np.int64).tobytes() + codes.tobytes()
         if key not in seen:
             seen.add(key)
-            paths.append(a)
+            keys.append(key)
             prov.append(None)
+    if shape is None:
+        raise ValueError("the induction needs at least one seed path")
+    d = shape[1]
+    starts, codes = _unpack(keys, d, codes.dtype)
     for ell in range(1, p.L):
         ms = np.asarray(make_subpartition(p, ell, K).boundaries[1:K])
+        if not len(ms):  # K = 1: no interior sub-boundary, no candidates
+            continue
         lo, hi = p.block_window(ell + 1)
-        level = np.stack(paths).astype(np.int64, copy=False)
-        n, T, d = level.shape
+        n, T = len(keys), codes.shape[1] + 1
+        anchors = _decode(starts, codes, ms)  # (n, K-1, d)
+        window = _decode(starts, codes, np.arange(lo, hi + 1))  # (n, W, d)
         # ~64K cells per temporary: small enough to stay in cache
         tile = max(1, 2**16 // (len(ms) * max(hi - lo + 1, T * d)))
         for ia in range(n):
-            head = level[ia]
             for j0 in range(0, n, tile):
-                tails = level[j0 : j0 + tile]
-                meet = _meeting_times(head[ms], ms, tails[:, lo : hi + 1], lo)
+                meet = _meeting_times(anchors[ia], ms, window[j0 : j0 + tile], lo)
                 if j0 <= ia < j0 + tile:
                     meet[ia - j0] = -1
                 jj, kk = np.nonzero(meet >= 0)
                 tt = meet[jj, kk]
-                cands = _splice_batch(head, tails[jj], ms[kk], tt)
-                rows = cands.reshape(len(jj), T * d)  # one bytes key per candidate
-                keys = rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel().tolist()
+                cands = _splice_codes(codes[ia], codes[j0 + jj], anchors[ia, kk],
+                                      window[j0 + jj, tt - lo], ms[kk], tt)
+                rows = np.empty((len(jj), 8 * d + cands.shape[1] * cands.itemsize), np.uint8)
+                rows[:, : 8 * d] = starts[ia].view(np.uint8)  # the anchor's start
+                rows[:, 8 * d :] = cands.view(np.uint8)
                 new = []
-                for c, key in enumerate(keys):
+                for c, key in enumerate(rows.view(f"V{rows.shape[1]}").ravel().tolist()):
                     if key in seen:
                         continue
                     seen.add(key)
+                    keys.append(key)
                     new.append(c)
-                    if len(paths) + len(new) > max_paths:
+                    if len(prov) + len(new) > max_paths:
                         raise MemoryGuardError(
                             f"distinguished set exceeded {max_paths} paths at level {ell + 1}"
                         )
-                paths.extend(cands[new])
                 prov.extend(
                     (ia, ib, k, t)
                     for ib, k, t in zip((jj[new] + j0).tolist(), (kk[new] + 1).tolist(),
                                         tt[new].tolist())
                 )
-    return DistinguishedSet(level=p.L, K=K, paths=tuple(paths), provenance=tuple(prov))
+        starts, codes = _unpack(keys, d, codes.dtype)
+    return DistinguishedSet(level=p.L, K=K, starts=starts, codes=codes, provenance=tuple(prov))
+
+
+def _unpack(keys: list, d: int, code) -> tuple:
+    """Starts (n, d) int64 and step codes (n, T - 1) of the induction's path keys.
+
+    The codes are a read-only view of one buffer that holds every key.
+    """
+    rows = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
+    return rows[:, : 8 * d].copy().view(np.int64), rows[:, 8 * d :].view(code)
 
 
 def cardinality_bound(J: int, delta: float, L: int) -> float:
@@ -769,16 +827,57 @@ def _step_tokens(d: int) -> list:
     return ["-" + nm for nm in names] + ["+" + nm for nm in names]
 
 
+def _step_codes(sites: np.ndarray, check: bool = True) -> np.ndarray:
+    """Step codes of (..., T, d) sites: (..., T - 1), -e_k -> k and +e_k -> d + k.
+
+    The dtype is the narrowest unsigned one holding 2d - 1 (uint8 up to
+    d = 128).  Raises ValueError unless every step is a unit step +-e_k;
+    ``check=False`` is for callers whose steps are unit steps by construction.
+    """
+    d = sites.shape[-1]
+    code = np.min_scalar_type(2 * d - 1).type
+    codes = np.zeros(sites.shape[:-2] + (sites.shape[-2] - 1,), dtype=code)
+    moved = np.zeros(codes.shape, dtype=np.intp) if check else None
+    for k in range(d):  # one axis at a time, in code-sized arithmetic
+        a, b = sites[..., :-1, k], sites[..., 1:, k]
+        codes += (b > a).view(np.uint8) * code(d + k)
+        codes += (b < a).view(np.uint8) * code(k)
+        if check:
+            s = b - a
+            if np.any((s < -1) | (s > 1)):
+                raise ValueError("every step must be a unit step +-e_k along one axis")
+            moved += s != 0
+    if check and np.any(moved != 1):
+        raise ValueError("every step must be a unit step +-e_k along one axis")
+    return codes
+
+
+def _decode(starts: np.ndarray, codes: np.ndarray, times) -> np.ndarray:
+    """Sites of the paths (starts[i], codes[i]) at the given times: (n, len(times), d) int64.
+
+    Decoded in row chunks whose walks hold about 64K cells.
+    """
+    n, d = starts.shape
+    eye = np.eye(d, dtype=np.int64)
+    unit = np.concatenate([-eye, eye])  # the step of each code
+    times = np.asarray(times, dtype=np.intp)
+    top = int(times.max(initial=0))
+    out = np.empty((n, len(times), d), dtype=np.int64)
+    rows = max(1, 2**16 // ((top + 1) * d))
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        walk = np.zeros((r1 - r0, top + 1, d), dtype=np.int64)
+        np.cumsum(unit[codes[r0:r1, :top]], axis=1, out=walk[:, 1:])
+        walk += starts[r0:r1, None]
+        out[r0:r1] = walk[:, times]
+    return out
+
+
 def encode_path(path: np.ndarray) -> str:
     """Compact step-direction string, e.g. '+x,-y,+x'."""
     arr = path_columns(path)
-    steps = np.diff(arr, axis=0)
-    if np.any(np.count_nonzero(steps, axis=1) != 1):
-        raise ValueError("every step must move along exactly one axis")
-    axis = np.argmax(steps != 0, axis=1)
-    up = steps[np.arange(steps.shape[0]), axis] > 0
     toks = _step_tokens(arr.shape[1])
-    return ",".join([toks[i] for i in (axis + up * arr.shape[1]).tolist()])
+    return ",".join([toks[i] for i in _step_codes(arr).tolist()])
 
 
 def decode_path(spec: str, d: int) -> np.ndarray:

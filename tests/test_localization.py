@@ -155,11 +155,14 @@ def ref_build_distinguished_sets(d1_paths, p, delta, K=None, max_paths=200_000):
 
 
 def assert_same_sets(ds, ref):
+    """Same provenance, and every decoded path equal to the oracle's, as (T, d) int64."""
     paths, prov = ref
     assert ds.provenance == tuple(prov)
-    assert len(ds.paths) == len(paths)
+    assert len(ds) == len(ds.paths) == len(paths)
+    shape = np.shape(paths[0])
     for got, want in zip(ds.paths, paths):
-        assert got.dtype == want.dtype
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape == shape
         assert np.array_equal(got, want)
 
 
@@ -434,6 +437,35 @@ class TestDistinguishedSets:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_localize_sized_peak_memory_bound(self, rw):
+        # the localize_d1 induction: 10 favourite paths, N = 512, two levels,
+        # K = 60; about 5,000 paths kept from about 5,300 candidates
+        seeds = list(rw(np.random.default_rng(7), 10, 512))
+        tracemalloc.start()
+        try:
+            ds = build_distinguished_sets(seeds, make_partition(512, 2), 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) > 4000
+        # int64 paths and their bytes keys would hold about 8 KB per path
+        assert peak < 10 * 2**20
+        assert ds.codes.dtype == np.uint8 and ds.codes.shape == (len(ds), 512)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_sub_block_keeps_the_seeds(self, rw, d):
+        walks = list(rw(np.random.default_rng(17 + d), 3, 30, d))
+        args = (walks + [walks[1].copy()], make_partition(30, 3), 1.0, 1)
+        ds = build_distinguished_sets(*args)
+        assert len(ds) == 3
+        assert_same_sets(ds, ref_build_distinguished_sets(*args))
+
+    def test_refuses_a_seed_that_is_not_a_nearest_neighbour_path(self, rw):
+        a, b = rw(np.random.default_rng(19), 2, 40)
+        b[5:] += 4
+        with pytest.raises(ValueError, match="unit step"):
+            build_distinguished_sets([a, b], make_partition(40, 2), 1.0, 5)
 
     def test_requires_wide_blocks(self, rw):
         paths = list(rw(np.random.default_rng(7), 2, 20))
@@ -880,7 +912,8 @@ class TestPathEncoding:
         with pytest.raises(ValueError, match="malformed step token"):
             decode_path(spec, 2)
 
-    @pytest.mark.parametrize("bad", [[[0, 0], [0, 0]], [[0, 0], [1, 1]]])
+    @pytest.mark.parametrize("bad", [[[0, 0], [0, 0]], [[0, 0], [1, 1]], [[0], [2], [1]],
+                                     [[0, 0], [0, -3]]])
     def test_rejects_non_unit_steps(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unit step"):
             encode_path(np.array(bad))
