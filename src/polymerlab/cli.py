@@ -302,61 +302,23 @@ def cmd_localize(cfg: ExperimentConfig) -> RunRecord:
     t0 = time.time()
     part = make_partition(n, cfg.L)
     env = gaussian_env(derive_seed(cfg.seed, 0), LatticeParams(d=cfg.d, N=n))
+    # the int32 counts and the bool cover relation each hold one cell per
+    # (sample, sample, block): refuse before a table or a sample exists
+    cells = 2 * cfg.n_samples**2 * part.L
+    if cells > env.params.max_cells:
+        raise MemoryGuardError(
+            f"localize: {cfg.n_samples} samples over {part.L} blocks need {cells} cells "
+            f"for the coincidence counts and cover relation, more than {env.params.max_cells}"
+        )
     ds_part = make_partition(n, cfg.ds_levels)
-    K = default_refinement(cfg.delta)
 
     jsonl = out / "localize.jsonl"
     window_rows = []
     ds_records = []
     for k, beta in enumerate(betas):
-        table = forward_layers(env, BetaProfile.constant(beta, n))
-        if k == 0:  # the kept-table budget has admitted N: replace any old output
-            jsonl.write_text("")
-        samples = sample_paths(
-            table, cfg.n_samples, np.random.default_rng(derive_seed(cfg.seed, 3))
-        )
-        # one coincidence tensor feeds every mode and the coverage report
-        counts = pairwise_counts(samples, samples, part.boundaries)
-        reports = []
-        for mode in MODES:
-            rep = greedy_favorite_paths(
-                samples, cfg.delta, cfg.epsilon, mode,
-                p=part if mode != "global" else None, max_centers=cfg.max_j,
-                counts=counts,
-            )
-            reports.append(rep)
-        global_rep = reports[0]
-        # keep only the chosen rows, so the full tensor is not alive under
-        # the window statistic's peak memory
-        counts = counts[global_rep.path_indices]
-        if global_rep.paths:
-            cov = coverage_report(
-                np.stack(global_rep.paths), samples, cfg.delta, part,
-                mode="global", epsilon=cfg.epsilon, counts=counts,
-            )
-            reports.append(cov)
-            for si, stat in enumerate(cov.window_stats.tolist()):
-                window_rows.append((beta, n, cfg.epsilon, cfg.delta, si, stat))
-        # distinguished-set induction seeded with the extracted paths; a beta
-        # it cannot run on, or whose induction passes DS_MAX_PATHS, gets a
-        # record that says why
-        ds_rec = {"beta": beta, "levels": ds_part.L, "K": K,
-                  "n_seed_paths": len(global_rep.paths)}
-        if not global_rep.paths:
-            ds_rec["skipped"] = "the global cover found no paths"
-        elif n // ds_part.L < K:
-            ds_rec["skipped"] = f"N // levels = {n // ds_part.L} < K"
-        else:
-            try:
-                ds = build_distinguished_sets(
-                    list(global_rep.paths), ds_part, cfg.delta, max_paths=DS_MAX_PATHS
-                )
-            except MemoryGuardError as exc:
-                ds_rec["skipped"] = str(exc)
-            else:
-                ds_rec["n_paths"] = len(ds)
+        rows, ds_rec = _localize_beta(cfg, env, beta, part, ds_part, jsonl, fresh=k == 0)
+        window_rows.extend(rows)
         ds_records.append(ds_rec)
-        report_to_jsonl(reports, jsonl, seed=cfg.seed)
 
     write_csv(
         out / "windows.csv",
@@ -372,6 +334,65 @@ def cmd_localize(cfg: ExperimentConfig) -> RunRecord:
          "distinguished_json": "distinguished.json", **_grids([n], betas)},
         t0,
     )
+
+
+def _localize_beta(cfg: ExperimentConfig, env, beta: float, part, ds_part, jsonl: Path,
+                   fresh: bool) -> tuple:
+    """One beta of ``localize``: appends its reports to ``jsonl`` (emptied
+    first when ``fresh``) and returns its windows.csv rows and its
+    distinguished.json record.  The table, samples, counts and reports die
+    with the call, so none of them is alive under the next beta's peak."""
+    n = env.params.N
+    table = forward_layers(env, BetaProfile.constant(beta, n))
+    if fresh:  # the kept-table budget has admitted N: replace any old output
+        jsonl.write_text("")
+    samples = sample_paths(
+        table, cfg.n_samples, np.random.default_rng(derive_seed(cfg.seed, 3))
+    )
+    del table
+    # one coincidence tensor feeds every mode and the coverage report
+    counts = pairwise_counts(samples, samples, part.boundaries)
+    reports = []
+    for mode in MODES:
+        rep = greedy_favorite_paths(
+            samples, cfg.delta, cfg.epsilon, mode,
+            p=part if mode != "global" else None, max_centers=cfg.max_j,
+            counts=counts,
+        )
+        reports.append(rep)
+    global_rep = reports[0]
+    # keep only the chosen rows, so the full tensor is not alive under
+    # the window statistic's peak memory
+    counts = counts[global_rep.path_indices]
+    window_rows = []
+    if global_rep.paths:
+        cov = coverage_report(
+            np.stack(global_rep.paths), samples, cfg.delta, part,
+            mode="global", epsilon=cfg.epsilon, counts=counts,
+        )
+        reports.append(cov)
+        for si, stat in enumerate(cov.window_stats.tolist()):
+            window_rows.append((beta, n, cfg.epsilon, cfg.delta, si, stat))
+    report_to_jsonl(reports, jsonl, seed=cfg.seed)
+    # distinguished-set induction seeded with the extracted paths; a beta
+    # it cannot run on, or whose induction passes DS_MAX_PATHS, gets a
+    # record that says why
+    seeds = [np.array(p) for p in global_rep.paths]  # copies: the samples can go
+    del reports, global_rep, samples  # the reports' paths are views of the samples
+    K = default_refinement(cfg.delta)
+    ds_rec = {"beta": beta, "levels": ds_part.L, "K": K, "n_seed_paths": len(seeds)}
+    if not seeds:
+        ds_rec["skipped"] = "the global cover found no paths"
+    elif n // ds_part.L < K:
+        ds_rec["skipped"] = f"N // levels = {n // ds_part.L} < K"
+    else:
+        try:
+            ds = build_distinguished_sets(seeds, ds_part, cfg.delta, max_paths=DS_MAX_PATHS)
+        except MemoryGuardError as exc:
+            ds_rec["skipped"] = str(exc)
+        else:
+            ds_rec["n_paths"] = len(ds)
+    return window_rows, ds_rec
 
 
 def cmd_verify(cfg: ExperimentConfig) -> tuple[RunRecord, int]:

@@ -29,6 +29,7 @@ _SEED_SALT = 0x8BB84B93962EACC9
 _COORD_SALT = 0xC2B2AE3D27D4EB4F
 
 DEFAULT_MAX_CELLS = 100_000_000
+_U_MAX = np.array(1.0 - 2.0**-53)  # the largest float64 below 1 (0-d: the cheapest operand)
 
 
 class MemoryGuardError(ValueError):
@@ -93,8 +94,13 @@ def _normals(bases, coords) -> np.ndarray:
     with np.errstate(over="ignore"):
         for k in range(coords.shape[1]):
             h = _mix64_arr(h ^ (coords[:, k].astype(np.uint64) * np.uint64(_coord_salt(k))))
-    u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    u = (h >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    # (2^53 - 1) + 0.5 rounds to 2^53, so the all-ones hash gives u = 1 and an
+    # infinite normal; every other u is at most 1 - 2^-52 and keeps its bits
+    np.minimum(u, _U_MAX, out=u)
+    return ndtri(u, out=u)
 
 
 @dataclass(frozen=True)

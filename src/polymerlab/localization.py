@@ -240,7 +240,7 @@ def build_distinguished_sets(
     its paths from one buffer of the joined keys and decodes int64 sites
     only at the anchor times and over the next block's window, for the
     meeting times.  Per anchor path, the meeting times and splices for a
-    tile of partners are array operations whose temporaries hold about 64K
+    tile of partners are array operations whose temporaries hold about 16K
     cells, and candidates are spliced straight into code rows.
     """
     K = default_refinement(delta) if K is None else int(K)
@@ -272,8 +272,9 @@ def build_distinguished_sets(
         n, T = len(keys), codes.shape[1] + 1
         anchors = _decode(starts, codes, ms)  # (n, K-1, d)
         window = _decode(starts, codes, np.arange(lo, hi + 1))  # (n, W, d)
-        # ~64K cells per temporary: small enough to stay in cache
-        tile = max(1, 2**16 // (len(ms) * max(hi - lo + 1, T * d)))
+        # ~16K cells (128 KB of int64) per temporary: in cache, and under
+        # glibc's mmap threshold, so no tile maps and unmaps its temporaries
+        tile = max(1, 2**14 // (len(ms) * max(hi - lo + 1, T * d)))
         for ia in range(n):
             for j0 in range(0, n, tile):
                 meet = _meeting_times(anchors[ia], ms, window[j0 : j0 + tile], lo)
@@ -432,20 +433,35 @@ def _site_keys(*stacks) -> list:
     """One integer per (path, time) site of each (n, T, d) stack, equal iff the sites are.
 
     Per-axis offsets are packed in mixed radix into the narrowest unsigned
-    dtype that holds every key; ranges too wide for 63 bits are ranked instead.
+    dtype that holds every key, one axis at a time straight into that dtype;
+    ranges too wide for 63 bits are ranked instead.  An array passed twice is
+    keyed once, and both places in the result hold the same key array.
     """
-    sites = [a.reshape(-1, a.shape[-1]) for a in stacks]
-    flat = np.concatenate(sites)
-    lo = flat.min(axis=0, initial=0)
-    span = flat.max(axis=0, initial=0) - lo + 1
+    distinct = list({id(a): a for a in stacks}.values())
+    axes = tuple(range(distinct[0].ndim - 1))
+    lo = np.min([a.min(axis=axes, initial=0) for a in distinct], axis=0)
+    span = np.max([a.max(axis=axes, initial=0) for a in distinct], axis=0) - lo + 1
     size = math.prod(int(v) for v in span)
     if size <= 2**63:
-        radix = np.cumprod(np.concatenate([[1], span[:-1]]))
-        keys = ((flat - lo) @ radix).astype(np.min_scalar_type(size - 1))
+        code = np.min_scalar_type(size - 1)
+        radix = np.cumprod(np.concatenate([[1], span[:-1]])).astype(code)
+        keys = []
+        for a in distinct:
+            key = np.empty(a.shape[:-1], code)
+            part = np.empty_like(key) if a.shape[-1] > 1 else None
+            np.subtract(a[..., 0], lo[0], out=key, casting="unsafe")
+            for k in range(1, a.shape[-1]):  # each term and sum < size: no overflow
+                np.subtract(a[..., k], lo[k], out=part, casting="unsafe")
+                part *= radix[k]
+                key += part
+            keys.append(key)
     else:
-        keys = np.unique(flat, axis=0, return_inverse=True)[1].reshape(-1)
-    cuts = np.cumsum([len(x) for x in sites])[:-1]
-    return [k.reshape(a.shape[:-1]) for k, a in zip(np.split(keys, cuts), stacks)]
+        sites = [a.reshape(-1, a.shape[-1]) for a in distinct]
+        ranks = np.unique(np.concatenate(sites), axis=0, return_inverse=True)[1].reshape(-1)
+        cuts = np.cumsum([len(x) for x in sites])[:-1]
+        keys = [k.reshape(a.shape[:-1]) for k, a in zip(np.split(ranks, cuts), distinct)]
+    by_id = {id(a): k for a, k in zip(distinct, keys)}
+    return [by_id[id(a)] for a in stacks]
 
 
 def _as_stack(paths) -> np.ndarray:
@@ -466,8 +482,9 @@ def pairwise_counts(centers: np.ndarray, samples: np.ndarray, boundaries) -> np.
     counts at most w coincidences; each window's counts are then copied
     into the int32 result.
     """
-    keys = _site_keys(_as_stack(centers), _as_stack(samples))
-    c, s = (np.ascontiguousarray(k.T) for k in keys)  # time-major
+    kc, ks = _site_keys(_as_stack(centers), _as_stack(samples))
+    c = np.ascontiguousarray(kc.T)  # time-major
+    s = c if ks is kc else np.ascontiguousarray(ks.T)
     cuts = np.asarray(boundaries)
     out = np.zeros((len(cuts) - 1, c.shape[1], s.shape[1]), dtype=np.int32)
     eq = np.empty(out.shape[1:], dtype=bool)
@@ -502,7 +519,7 @@ def window_minima(centers, samples, min_len: int) -> np.ndarray:
     if not 1 <= min_len <= n:
         raise ValueError(f"window length {min_len} outside 1..{n}")
     out = np.empty((c.shape[0], s.shape[0]))
-    tile = max(1, 2**22 // max(1, s.shape[0] * n))  # ~4M cells: temporaries of a few MB
+    tile = max(1, 2**20 // max(1, s.shape[0] * n))  # ~1M cells: temporaries of 1-2 MB
     for lo in range(0, c.shape[0], tile):
         out[lo : lo + tile] = _tile_minima(c[lo : lo + tile], s, min_len)
     return out
@@ -628,7 +645,24 @@ def _cover(cent: np.ndarray, samp: np.ndarray, delta: float, mode: str, p, count
     if mode == "global":
         counts = _total(counts)
     counts = _checked(counts, (len(cent), len(samp), len(sizes)))
-    return counts + 1e-9 >= delta * np.asarray(sizes)[None, None, :]
+    return counts >= _count_thresholds(delta, sizes).astype(counts.dtype)
+
+
+def _count_thresholds(delta: float, sizes) -> np.ndarray:
+    """Per block size s, the least count c with ``c + 1e-9 >= delta * s`` in float64.
+
+    The test is monotone in c, and its least passing count is c0 =
+    max(ceil(delta * s) - 1, 0) or c0 + 1 (c0 - 1 falls short by more than
+    1), so comparing integer counts with these thresholds makes the float
+    test's decisions without a float copy of the counts.  No block of s
+    steps counts more than s, so a threshold is capped at s + 1, which no
+    count reaches.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    need = delta * sizes
+    c = np.maximum(np.ceil(need) - 1, 0)
+    c += c + 1e-9 < need
+    return np.minimum(c, sizes + 1).astype(np.int64)
 
 
 def greedy_favorite_paths(

@@ -7,6 +7,7 @@ import platform
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,20 @@ class TestLocalizeCommand:
         ))
         assert calls == {"pairwise_counts": 3, "gaussian_env": 1}
 
+    def test_localize_d1_peak_memory_bound(self, tmp_path):
+        # the README localize config: 20.5 MiB with a float64 copy of the counts
+        # under the cover, site keys built through int64 temporaries, and beta
+        # = 0's table, samples, reports and seeds alive while beta = 2 ran
+        argv = ["localize", "--d", "1", "--n", "512", "--beta-grid", "0,2", "--delta", "0.2",
+                "--eps", "0.1", "--n-samples", "500", "--blocks", "4", "--seed", "7",
+                "--threads", "1", "--out", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
     @pytest.mark.parametrize("n, delta, reason", [
         (48, 0.25, "N // levels = 24 < K"),
@@ -475,6 +490,30 @@ class TestMainEntry:
             assert len(err) == 1
             assert err[0].startswith(f"polymerlab: d=2, N={n}:")
         assert earlier.read_text() == '{"earlier": "run"}\n'  # refused before truncation
+
+    @pytest.mark.parametrize("n_samples, refused", [(20_000, True), (3536, True), (3535, False)])
+    def test_localize_refuses_too_many_samples_before_sampling(self, tmp_path, capsys,
+                                                               monkeypatch, n_samples, refused):
+        # the int32 counts and the bool cover relation hold 2 * n_samples^2 *
+        # blocks cells: at 4 blocks the 1e8-cell budget admits 3535 samples
+        class Sampled(Exception):
+            pass
+
+        def sample_paths(*args, **kw):
+            raise Sampled
+
+        monkeypatch.setattr("polymerlab.cli.sample_paths", sample_paths)
+        argv = ["localize", "--d", "1", "--n", "512", "--n-samples", str(n_samples),
+                "--blocks", "4", "--out", str(tmp_path)]
+        if not refused:
+            with pytest.raises(Sampled):
+                main(argv)
+            return
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"polymerlab: localize: {n_samples} samples over 4 blocks")
+        assert not (tmp_path / "localize.jsonl").exists()
 
     def test_overlap_refuses_a_too_large_n_before_any_work(self, tmp_path, capsys,
                                                           monkeypatch):

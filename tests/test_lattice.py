@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from polymerlab.lattice import (
     LatticeParams,
@@ -46,6 +48,18 @@ def test_memory_guard_at_construction():
 
 
 class TestEnvironment:
+    def test_all_ones_hash_gives_a_finite_value(self, monkeypatch):
+        # a hash whose top 53 bits are all ones gave u = (2^53 - 1 + 0.5) 2^-53,
+        # which rounds to 1.0, and ndtri(1.0) = inf; the next hash down keeps
+        # its u = 1 - 2^-52
+        lattice = importlib.import_module("polymerlab.lattice")
+        env = gaussian_env(3, LatticeParams(d=2, N=4))
+        for top, u in ((2**53 - 1, 1 - 2**-53), (2**53 - 2, 1 - 2**-52)):
+            h = np.uint64((top << 11) | 0x7FF)
+            monkeypatch.setattr(lattice, "_mix64_arr", lambda a, h=h: np.full_like(a, h))
+            v = env.values(1, np.array([[0, 0], [1, 0]]))
+            assert np.array_equal(v, [ndtri(u)] * 2) and np.isfinite(v).all()
+
     def test_repeated_queries_identical(self):
         env = gaussian_env(42, LatticeParams(d=2, N=32))
         coords = np.array([[0, 2], [-1, 1], [3, -3]])

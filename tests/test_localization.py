@@ -707,13 +707,13 @@ class TestPackedKernels:
             assert np.array_equal(got, ref) and got.max() == 1.0
 
     def test_window_minima_across_tiles(self, monkeypatch):
-        # 8 samples of 2**18 steps fill a tile with two centers, so the third
+        # 8 samples of 2**16 steps fill a tile with two centers, so the third
         # center is a second tile; the first tile holds a live and an empty pair
-        n, min_len = 2**18, 4
+        n, min_len = 2**16, 4
         rng = np.random.default_rng(34)
         samples = np.zeros((8, n + 1), dtype=np.int64)
         samples[:, 1:] = np.cumsum(rng.choice((-1, 1), size=(8, n)), axis=1)
-        centers = np.stack([perturbed(rng, samples[3, :, None], 5000)[:, 0],
+        centers = np.stack([perturbed(rng, samples[3, :, None], 1250)[:, 0],
                             np.concatenate([[0], np.cumsum(rng.choice((-1, 1), size=n))]),
                             samples[7]])
         tiles = []
@@ -760,6 +760,25 @@ class TestPackedKernels:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_shared_stack_keyed_once(self, rw):
+        # pairwise_counts(samples, samples, ...) keys the samples once, straight
+        # into the narrow key dtype: the int64 concatenation, offsets and
+        # products of both copies peaked at 11.7 MiB, 3.8 MiB of it the result
+        samples = rw(np.random.default_rng(31), 500, 512)
+        kc, ks = _site_keys(samples, samples)
+        assert kc is ks and kc.dtype == np.uint8 and kc.shape == (500, 513)
+        a, b = _site_keys(samples, samples.copy())
+        assert a is not b and np.array_equal(a, b)
+        bounds = make_partition(512, 4).boundaries
+        tracemalloc.start()
+        try:
+            got = pairwise_counts(samples, samples, bounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < got.nbytes + 1.5 * 2**20
+        assert np.array_equal(got, pairwise_counts(samples, samples.copy(), bounds))
 
     def test_coverage_report_keeps_window_statistic(self, rw):
         rng = np.random.default_rng(32)
@@ -809,6 +828,16 @@ class TestGreedyExtraction:
         rep15 = greedy_favorite_paths(samples, delta=0.15, epsilon=0.1, max_centers=10)
         assert rep15.coverage < 0.9
         assert not rep15.localized
+
+    @pytest.mark.parametrize("delta", [0.1, 0.2, 0.25, 1 / 3, 0.5, 1.0])
+    def test_count_thresholds_make_the_float_tests_decisions(self, delta):
+        # the cover compares integer counts with one threshold per block size
+        # instead of testing c + 1e-9 >= delta * s on a float64 copy of them
+        sizes = np.arange(1, 513)
+        assert (delta * sizes == np.round(delta * sizes)).any()  # integer delta * s
+        counts = np.arange(514)[:, None]
+        got = counts >= localization._count_thresholds(delta, sizes)
+        assert np.array_equal(got, counts + 1e-9 >= delta * sizes)
 
     def test_block_modes_need_partition(self, rw):
         samples = rw(np.random.default_rng(19), 10, 20)
