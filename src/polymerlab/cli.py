@@ -24,6 +24,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 import typing
@@ -134,7 +135,8 @@ class RunRecord:
 
 
 def _read(key: str, kind, raw):
-    """``raw`` as a value of ``kind``; ValidationError when it cannot be read."""
+    """``raw`` as a value of ``kind``; ValidationError when it cannot be read,
+    or when it is a float that is not finite (no setting takes nan or inf)."""
     try:
         if kind is bool:
             if isinstance(raw, bool):
@@ -142,9 +144,12 @@ def _read(key: str, kind, raw):
             return configparser.ConfigParser.BOOLEAN_STATES[str(raw).strip().lower()]
         if kind is int and isinstance(raw, float) and not raw.is_integer():
             raise ValueError
-        return kind(raw)
+        value = kind(raw)
     except (KeyError, TypeError, ValueError):
         raise ValidationError(f"{key}: cannot read {raw!r} as {kind.__name__}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValidationError(f"{key}: {raw!r} is not a finite number")
+    return value
 
 
 def _coerce_value(key: str, raw):
@@ -302,8 +307,9 @@ def cmd_localize(cfg: ExperimentConfig) -> RunRecord:
     t0 = time.time()
     part = make_partition(n, cfg.L)
     env = gaussian_env(derive_seed(cfg.seed, 0), LatticeParams(d=cfg.d, N=n))
-    # the int32 counts and the bool cover relation each hold one cell per
-    # (sample, sample, block): refuse before a table or a sample exists
+    # the counts (uint8, uint16 past 255-step blocks) and the bool cover relation
+    # each hold one cell per (sample, sample, block): refuse before a table or a
+    # sample exists
     cells = 2 * cfg.n_samples**2 * part.L
     if cells > env.params.max_cells:
         raise MemoryGuardError(

@@ -295,26 +295,3 @@ def multi_temp_consistency(
         )
     return out
 
-
-@dataclass(frozen=True)
-class LowTempGap:
-    beta: float
-    N: int
-    d: int
-    gap: float  # beta^2/2 - estimated per-step free energy
-    stderr: float
-    estimate: FreeEnergyEstimate
-
-
-def low_temp_gap(
-    beta: float,
-    params: LatticeParams,
-    n_disorder: int = 200,
-    master_seed: int = 0,
-) -> LowTempGap:
-    """Annealed-minus-quenched gap; a gap >> stderr evidences low temperature."""
-    est = estimate_free_energy(beta, params, n_disorder, master_seed)
-    return LowTempGap(
-        beta=beta, N=params.N, d=params.d,
-        gap=annealed_bound(beta) - est.mean, stderr=est.stderr, estimate=est,
-    )

@@ -9,12 +9,12 @@ and the sliding-window statistic.
 
 Each rule has one owner, and every caller goes through it:
 
-- bridge: ``_bridge``, behind ``connecting_path``, ``_splice_batch`` (which
-  ``splice_paths`` wraps), the induction's ``_splice_codes`` and the planted
-  instances' ``_anchored_path``;
+- bridge: ``_bridge``, behind ``connecting_path`` (which ``splice_paths``
+  calls), the induction's ``_splice_codes`` and the planted instances'
+  ``_anchored_path``;
 - step code: ``_step_codes`` (-e_k -> k, +e_k -> d + k), behind
-  ``encode_path`` and the induction's paths, which ``_decode`` turns back
-  into sites;
+  ``encode_path`` and the induction's paths; ``_decode`` turns codes back
+  into sites, behind ``decode_path`` and the induction;
 - meeting time: ``_meeting_times``, behind ``meeting_time`` and the induction;
 - cover: ``_cover``, behind every mode of ``greedy_favorite_paths`` and
   ``coverage_report`` (the global mode is the one-block case).
@@ -118,8 +118,7 @@ def meeting_time(sigma1: np.ndarray, sigma2: np.ndarray, m: int, window) -> int 
 def splice_paths(sigma1: np.ndarray, sigma2: np.ndarray, m: int, t: int) -> np.ndarray:
     """Follow sigma1 to time m, connect to sigma2[t], then follow sigma2."""
     a, b = path_columns(sigma1), path_columns(sigma2)
-    _require_path(a[m], b[t], t - m)
-    return _splice_batch(a, b[None], np.array([m]), np.array([t]))[0]
+    return np.concatenate([a[:m], connecting_path(a[m], m, b[t], t), b[t + 1 :]])
 
 
 def concatenate(
@@ -190,21 +189,8 @@ def _meeting_times(anchors: np.ndarray, ms: np.ndarray, targets: np.ndarray, lo:
     return np.where(feasible.any(axis=2), lo + first, -1)
 
 
-def _splice_batch(head: np.ndarray, tails: np.ndarray, m: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``splice_paths(head, tails[b], m[b], t[b])`` for every b, as one (B, T, d) array.
-
-    (m[b], t[b]) must be feasible; ``splice_paths`` checks it.
-    """
-    u = np.arange(head.shape[0]) - m[:, None]  # (B, T)
-    x, y = head[m], tails[np.arange(tails.shape[0]), t]
-    out = _bridge(x[:, None], (y - x)[:, None], u)
-    np.copyto(out, head, where=(u <= 0)[:, :, None])
-    np.copyto(out, tails, where=(u > (t - m)[:, None])[:, :, None])
-    return out
-
-
 def _splice_codes(head, tails, x, y, m, t) -> np.ndarray:
-    """Step codes of ``_splice_batch``'s paths, (B, T - 1), from code rows.
+    """Step codes of the paths ``splice_paths`` would build, (B, T - 1), from code rows.
 
     head is the anchor's code row and tails the partners' (B, T - 1) rows;
     x is the anchor's site at m[b] and y the partner's at t[b].  Steps before
@@ -476,25 +462,22 @@ def pairwise_counts(centers: np.ndarray, samples: np.ndarray, boundaries) -> np.
     ``boundaries`` are partition boundaries; window w covers times
     boundaries[w]+1 .. boundaries[w+1].  Sites are compared as packed keys
     one time step at a time.  Each step's equality goes into one reused
-    (n_centers, n_samples) bool array and is added, as uint8, to a window
-    counter of the narrowest unsigned dtype that holds the longest window
-    (uint8 up to 255 steps), which is exact because a window of w steps
-    counts at most w coincidences; each window's counts are then copied
-    into the int32 result.
+    (n_centers, n_samples) bool array and is added, as uint8, to that
+    window's slice of the result, whose dtype is the narrowest unsigned one
+    that holds the longest window (uint8 up to 255 steps, uint16 beyond):
+    exact, because a window of w steps counts at most w coincidences.
     """
     kc, ks = _site_keys(_as_stack(centers), _as_stack(samples))
     c = np.ascontiguousarray(kc.T)  # time-major
     s = c if ks is kc else np.ascontiguousarray(ks.T)
     cuts = np.asarray(boundaries)
-    out = np.zeros((len(cuts) - 1, c.shape[1], s.shape[1]), dtype=np.int32)
+    out = np.zeros((len(cuts) - 1, c.shape[1], s.shape[1]),
+                   dtype=np.min_scalar_type(np.diff(cuts).max(initial=0)))
     eq = np.empty(out.shape[1:], dtype=bool)
-    acc = np.empty(out.shape[1:], dtype=np.min_scalar_type(np.diff(cuts).max(initial=0)))
     for w, dst in enumerate(out):
-        acc.fill(0)
         for t in range(cuts[w] + 1, cuts[w + 1] + 1):
             np.equal(c[t, :, None], s[t], out=eq)
-            acc += eq.view(np.uint8)
-        dst[...] = acc
+            dst += eq.view(np.uint8)
     return np.moveaxis(out, 0, 2)
 
 
@@ -645,7 +628,8 @@ def _cover(cent: np.ndarray, samp: np.ndarray, delta: float, mode: str, p, count
     if mode == "global":
         counts = _total(counts)
     counts = _checked(counts, (len(cent), len(samp), len(sizes)))
-    return counts >= _count_thresholds(delta, sizes).astype(counts.dtype)
+    # int64 thresholds: a cap of s + 1 need not fit the counts' dtype
+    return counts >= _count_thresholds(delta, sizes)
 
 
 def _count_thresholds(delta: float, sizes) -> np.ndarray:
@@ -915,15 +899,14 @@ def encode_path(path: np.ndarray) -> str:
 
 
 def decode_path(spec: str, d: int) -> np.ndarray:
-    """Inverse of ``encode_path``; returns an (M+1, d) path from the origin."""
+    """Inverse of ``encode_path``, the reader of ``localize.jsonl``'s paths:
+    an (M+1, d) path from the origin."""
     index = {tok: i for i, tok in enumerate(_step_tokens(d))}
     try:
-        idx = [index[tok] for tok in spec.split(",")] if spec else []
+        codes = np.array([[index[tok] for tok in spec.split(",")] if spec else []], np.intp)
     except KeyError as err:
         raise ValueError(f"malformed step token {err.args[0]!r} for d = {d}") from None
-    eye = np.eye(d, dtype=np.int64)
-    steps = np.concatenate([-eye, eye])[np.array(idx, dtype=np.intp)]
-    return np.concatenate([np.zeros((1, d), dtype=np.int64), np.cumsum(steps, axis=0)])
+    return _decode(np.zeros((1, d), np.int64), codes, np.arange(codes.shape[1] + 1))[0]
 
 
 def report_to_jsonl(reports, path, seed: int | None = None) -> None:

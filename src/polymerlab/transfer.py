@@ -614,18 +614,6 @@ def log_partitions(env: Environment, profiles, dtype=np.float64) -> np.ndarray:
     return log_partition_ladder([env], profiles, [env.params.N], dtype)[0, 0]
 
 
-def log_partition_multi(env: Environment, p: PartitionScheme, betas) -> float:
-    """Multi-temperature log Z for per-block inverse temperatures."""
-    return float(log_partitions(env, [BetaProfile.from_blocks(p, betas)])[0])
-
-
-def log_partition_excluding_block(
-    env: Environment, p: PartitionScheme, ell: int, beta: float
-) -> float:
-    """log Z with the disorder of block ell suppressed and beta elsewhere."""
-    return float(log_partitions(env, [BetaProfile.excluding_block(p, ell, beta)])[0])
-
-
 # ---------------------------------------------------------------------------
 # Exact sampling and marginals
 # ---------------------------------------------------------------------------
@@ -664,23 +652,6 @@ def sample_paths(table: LayerTable, n: int, rng: np.random.Generator) -> np.ndar
         idx = flat[pick, draws]
         out[:, i - 1] = geom.coords(i - 1, idx)
     return out
-
-
-def sample_path(table: LayerTable, rng: np.random.Generator) -> np.ndarray:
-    """Single exact Gibbs draw, shape (N+1, d)."""
-    return sample_paths(table, 1, rng)[0]
-
-
-def endpoint_distribution(table: LayerTable) -> dict:
-    """Map x in D_N to mu(sigma_N = x); values sum to 1 (within 1e-12)."""
-    if table.direction != "forward":
-        raise ValueError("endpoint distribution requires a forward table")
-    w = table.layer_logw(table.N)
-    probs = np.exp(w - logsumexp(w))
-    coords = table.layer_coords(table.N)
-    if table.d == 1:
-        return {int(c[0]): float(p) for c, p in zip(coords, probs)}
-    return {tuple(int(v) for v in c): float(p) for c, p in zip(coords, probs)}
 
 
 def layer_log_marginals(fwd: LayerTable, bwd: LayerTable, i: int) -> np.ndarray:

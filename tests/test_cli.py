@@ -75,7 +75,7 @@ class TestConfig:
         cfg = config_from_args(args)
         assert cfg.seed == 11
 
-    def test_validation_errors(self):
+    def test_validation_errors(self, tmp_path):
         ap = build_parser()
         cfg = config_from_args(ap.parse_args(["free-energy"]))
         assert cfg.n_disorder == 200
@@ -99,6 +99,16 @@ class TestConfig:
         # overlap's default beta grid holds 0.5, so h = 0.7 is refused before the sweep
         with pytest.raises(ValidationError, match="h=0.7 too large for beta=0.5"):
             config_from_args(ap.parse_args(["overlap", "--h", "0.7"]))
+        # no float setting takes nan or +-inf, from a flag or from a config file
+        for flag, command in (("--h", "overlap"), ("--beta-grid", "free-energy"),
+                              ("--block-betas", "free-energy"), ("--tail-u", "free-energy"),
+                              ("--beta-grid", "localize")):
+            for raw in ("nan", "inf", "-inf") + (("0.5,nan",) if flag != "--h" else ()):
+                with pytest.raises(ValidationError, match="not a finite number"):
+                    config_from_args(ap.parse_args([command, f"{flag}={raw}"]))
+        (tmp_path / "run.json").write_text('{"overlap": {"h": NaN}}')
+        with pytest.raises(ValidationError, match="h: nan is not a finite number"):
+            load_config_file(str(tmp_path / "run.json"), "overlap")
 
 
 def _cfg(**kw):
@@ -447,6 +457,12 @@ MALFORMED = {
     "overlap_no_pairs": (["overlap", "--n-pairs", "0"], None),
     "localize_no_samples": (["localize", "--n", "64", "--n-samples", "0"], None),
     "localize_no_blocks": (["localize", "--n", "64", "--blocks", "0"], None),
+    # a non-finite float is refused where it is read, not by a traceback later
+    "overlap_h_nan": (["overlap", "--h", "nan"], None),
+    "free_energy_beta_inf": (["free-energy", "--beta-grid", "inf"], None),
+    "localize_beta_nan": (["localize", "--beta-grid", "nan"], None),
+    "tail_u_nan": (["free-energy", "--tail-u", "nan"], None),
+    "json_h_nan": (["overlap"], ("run.json", '{"overlap": {"h": NaN}}')),
     # N = 8 could run, N = 30 is past the enumeration cap: refused before either
     "overlap_enum_past_cap": (["overlap", "--n-grid", "8,30", "--mode", "enum"], None),
     # the multi-temperature ladder writes no concentration tails

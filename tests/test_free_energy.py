@@ -8,7 +8,6 @@ from polymerlab.free_energy import (
     estimate_derivative,
     estimate_free_energies,
     estimate_free_energy,
-    low_temp_gap,
     multi_temp_consistency,
     multi_temp_gap,
 )
@@ -156,21 +155,27 @@ class TestMultiTemperature:
             multi_temp_gap(make_partition(16, 2), [1.0], d=1, n_disorder=4, master_seed=0)
 
 
+def low_temp_gap(beta, params, n_disorder, master_seed):
+    """Annealed-minus-quenched gap and its stderr; a gap >> stderr evidences low temperature."""
+    (est,) = estimate_free_energies([beta], params, n_disorder, master_seed)
+    return annealed_bound(beta) - est.mean, est.stderr
+
+
 class TestLowTempGap:
     def test_beta_zero(self):
-        r = low_temp_gap(0.0, LatticeParams(d=1, N=64), 8, master_seed=13)
-        assert r.gap == 0.0
+        gap, _ = low_temp_gap(0.0, LatticeParams(d=1, N=64), 8, master_seed=13)
+        assert gap == 0.0
 
     def test_jensen_floor_any_n(self):
         for n in (16, 64, 256):
-            r = low_temp_gap(1.0, LatticeParams(d=1, N=n), 40, master_seed=14)
-            assert r.gap >= -3 * r.stderr
+            gap, stderr = low_temp_gap(1.0, LatticeParams(d=1, N=n), 40, master_seed=14)
+            assert gap >= -3 * stderr
 
     def test_strong_disorder_at_large_beta(self):
-        r = low_temp_gap(2.0, LatticeParams(d=1, N=256), 60, master_seed=15)
-        assert r.gap > 10 * r.stderr
+        gap, stderr = low_temp_gap(2.0, LatticeParams(d=1, N=256), 60, master_seed=15)
+        assert gap > 10 * stderr
 
     def test_strong_disorder_regression_n1024(self):
-        r = low_temp_gap(2.0, LatticeParams(d=1, N=1024), 100, master_seed=6)
-        assert r.gap > 10 * r.stderr
-        assert r.gap > 0.8  # frozen: baseline run gives 0.8607(17)
+        gap, stderr = low_temp_gap(2.0, LatticeParams(d=1, N=1024), 100, master_seed=6)
+        assert gap > 10 * stderr
+        assert gap > 0.8  # frozen: baseline run gives 0.8607(17)

@@ -344,6 +344,19 @@ class TestConcatenate:
             assert np.array_equal(out[t:], b[t:])
             done += 1
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_splice_is_prefix_bridge_suffix(self, rw, d):
+        rng, done = np.random.default_rng(40 + d), 0
+        while done < 50:
+            a, b = rw(rng, 2, 30, d)
+            m, t = np.sort(rng.integers(0, 31, size=2))
+            if step_feasible(a[m], b[t], t - m):
+                out = splice_paths(a, b, m, t)
+                assert out.dtype == np.int64 and out.shape == a.shape
+                assert np.array_equal(out[:m], a[:m]) and np.array_equal(out[t + 1 :], b[t + 1 :])
+                assert np.array_equal(out[m : t + 1], ref_connecting_path(a[m], b[t], t - m))
+                done += 1
+
     def test_same_path_round_trip(self, rw):
         a = rw(np.random.default_rng(2), 1, 40)[0]
         p = make_partition(40, 2)
@@ -696,7 +709,7 @@ class TestPackedKernels:
         samples = np.concatenate([base, [perturbed(rng, base[1], 10)]])
         bounds = (0, 0, n, n)  # an empty block either side of the long window
         got = pairwise_counts(centers, samples, bounds)
-        assert got.dtype == np.int32 and got.max() == n
+        assert got.dtype == (np.uint8 if n <= 255 else np.uint16) and got.max() == n
         assert np.array_equal(got, ref_pairwise_counts(centers, samples, bounds))
         got = window_minima(centers, samples, 3)
         assert got[0, 2] == 0.0 and 0.0 < got[2, 0] < 1.0
@@ -896,6 +909,14 @@ class TestCoverageReport:
         for mode in ("global", "per-block-any", "per-block-uniform"):
             rep = coverage_report(samples[:5], samples, 1.5, p, mode=mode)
             assert rep.coverage == 0.0
+
+    def test_threshold_cap_past_the_count_dtype(self, rw):
+        # a 255-step block counts in uint8; its threshold at delta > 1 is 256
+        samples = np.repeat(rw(np.random.default_rng(25), 1, 255), 3, axis=0)
+        p = make_partition(255, 1)
+        for mode in ("per-block-any", "per-block-uniform"):
+            assert coverage_report(samples, samples, 1.01, p, mode=mode).coverage == 0.0
+            assert greedy_favorite_paths(samples, 1.01, 0.1, mode, p).coverage == 0.0
 
     def test_event_containment_chain(self, rw):
         # uniform(delta) <= any(delta) <= global(delta/(2L)) on a common set

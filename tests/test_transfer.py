@@ -38,20 +38,16 @@ from polymerlab.transfer import (
     _transfer,
     backward_layers,
     brute_force_log_partition,
-    endpoint_distribution,
     forward_layers,
     forward_layers_and_ladder,
     gibbs_enumeration,
     layer_log_marginals,
     log_partition,
-    log_partition_excluding_block,
     log_partition_ladder,
-    log_partition_multi,
     log_partitions,
     logsumexp,
     marginal_sums,
     markov_split_logz,
-    sample_path,
     sample_paths,
 )
 
@@ -266,30 +262,32 @@ class TestMultiTemperature:
     def test_equal_blocks_equal_constant(self):
         env = gaussian_env(3, LatticeParams(d=1, N=12))
         p = make_partition(12, 3)
-        lz_multi = log_partition_multi(env, p, [0.9, 0.9, 0.9])
+        lz_multi = log_partitions(env, [BetaProfile.from_blocks(p, [0.9, 0.9, 0.9])])[0]
         lz_const = log_partitions(env, [BetaProfile.constant(0.9, 12)])[0]
         assert lz_multi == lz_const
 
     def test_zero_vector(self):
         env = gaussian_env(3, LatticeParams(d=1, N=12))
-        assert log_partition_multi(env, make_partition(12, 3), [0, 0, 0]) == 0.0
+        prof = BetaProfile.from_blocks(make_partition(12, 3), [0, 0, 0])
+        assert log_partitions(env, [prof])[0] == 0.0
 
     def test_against_brute_force(self):
         env = gaussian_env(3, LatticeParams(d=1, N=8))
-        p = make_partition(8, 2)
-        lz = log_partition_multi(env, p, [0.5, 1.5])
-        bf = brute_force_log_partition(env, BetaProfile.from_blocks(p, [0.5, 1.5]))
-        assert abs(lz - bf) < 1e-10
+        prof = BetaProfile.from_blocks(make_partition(8, 2), [0.5, 1.5])
+        lz = log_partitions(env, [prof])[0]
+        assert abs(lz - brute_force_log_partition(env, prof)) < 1e-10
 
 
 class TestExcludingBlock:
     def test_whole_interval_suppressed(self):
         env = gaussian_env(6, LatticeParams(d=1, N=10))
-        assert log_partition_excluding_block(env, make_partition(10, 1), 1, 2.0) == 0.0
+        prof = BetaProfile.excluding_block(make_partition(10, 1), 1, 2.0)
+        assert log_partitions(env, [prof])[0] == 0.0
 
     def test_beta_zero(self):
         env = gaussian_env(6, LatticeParams(d=1, N=10))
-        assert log_partition_excluding_block(env, make_partition(10, 2), 1, 0.0) == 0.0
+        prof = BetaProfile.excluding_block(make_partition(10, 2), 1, 0.0)
+        assert log_partitions(env, [prof])[0] == 0.0
 
     @pytest.mark.parametrize("ell", [1, 2, 3])
     def test_ratio_identity_both_routes(self, ell):
@@ -297,13 +295,9 @@ class TestExcludingBlock:
         env = gaussian_env(21, LatticeParams(d=1, N=8))
         p = make_partition(8, 3)
         beta = 1.1
-        full = BetaProfile.constant(beta, 8)
-        lhs = log_partitions(env, [full])[0] - log_partition_excluding_block(
-            env, p, ell, beta
-        )
-        rhs = brute_force_log_partition(env, full) - brute_force_log_partition(
-            env, BetaProfile.excluding_block(p, ell, beta)
-        )
+        full, hat = BetaProfile.constant(beta, 8), BetaProfile.excluding_block(p, ell, beta)
+        lhs = log_partitions(env, [full])[0] - log_partitions(env, [hat])[0]
+        rhs = brute_force_log_partition(env, full) - brute_force_log_partition(env, hat)
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -311,8 +305,8 @@ class TestSampling:
     def test_identical_stream_identical_path(self):
         env = gaussian_env(2, LatticeParams(d=2, N=12))
         table = forward_layers(env, BetaProfile.constant(0.9, 12))
-        p1 = sample_path(table, np.random.default_rng(123))
-        p2 = sample_path(table, np.random.default_rng(123))
+        p1 = sample_paths(table, 1, np.random.default_rng(123))[0]
+        p2 = sample_paths(table, 1, np.random.default_rng(123))[0]
         assert np.array_equal(p1, p2)
 
     def test_step_distribution_uniform_at_beta_zero(self):
@@ -447,26 +441,33 @@ class TestSamplerOracle:
                                "print(len(test_transfer.sampler_mismatches()))") == "0"
 
 
+def endpoint_law(table):
+    """{x: mu(sigma_N = x)} over D_N, off the last layer of a forward table."""
+    w = table.layer_logw(table.N)
+    probs = np.exp(w - logsumexp(w))
+    return dict(zip(map(tuple, table.layer_coords(table.N).tolist()), probs.tolist()))
+
+
 class TestEndpointDistribution:
     def test_binomial_at_beta_zero(self):
         env = gaussian_env(1, LatticeParams(d=1, N=2))
         table = forward_layers(env, BetaProfile.constant(0.0, 2))
-        dist = endpoint_distribution(table)
-        assert dist == {-2: 0.25, 0: 0.5, 2: 0.25}
+        dist = endpoint_law(table)
+        assert dist == {(-2,): 0.25, (0,): 0.5, (2,): 0.25}
 
     def test_normalization(self):
         env = gaussian_env(9, LatticeParams(d=2, N=9))
         table = forward_layers(env, BetaProfile.constant(1.4, 9))
-        assert abs(sum(endpoint_distribution(table).values()) - 1.0) < 1e-12
+        assert abs(sum(endpoint_law(table).values()) - 1.0) < 1e-12
 
     def test_matches_enumeration_pointwise(self):
         env = gaussian_env(11, LatticeParams(d=1, N=6))
         prof = BetaProfile.constant(2.0, 6)
-        dist = endpoint_distribution(forward_layers(env, prof))
+        dist = endpoint_law(forward_layers(env, prof))
         paths, probs = gibbs_enumeration(env, prof)
         ref = {}
         for pth, pr in zip(paths, probs):
-            ref[int(pth[-1, 0])] = ref.get(int(pth[-1, 0]), 0.0) + pr
+            ref[tuple(pth[-1])] = ref.get(tuple(pth[-1]), 0.0) + pr
         for x, pr in ref.items():
             assert abs(dist[x] - pr) < 1e-10
 
@@ -488,7 +489,7 @@ class TestPrefix:
             assert marginal_sums(part) == marginal_sums(alone)
             draws = [sample_paths(t, 50, np.random.default_rng(9)) for t in (part, alone)]
             assert np.array_equal(*draws)
-            assert endpoint_distribution(part) == endpoint_distribution(alone)
+            assert endpoint_law(part) == endpoint_law(alone)
 
     def test_prefix_bounds(self):
         env = gaussian_env(5, LatticeParams(d=1, N=6))
