@@ -40,6 +40,7 @@ from .free_energy import (
     multi_temp_consistency,
 )
 from .lattice import (
+    DEFAULT_MAX_CELLS,
     LatticeParams,
     MemoryGuardError,
     derive_seed,
@@ -55,7 +56,7 @@ from .localization import (
     pairwise_counts,
     report_to_jsonl,
 )
-from .overlap import IBP_MODES, sweep_overlaps
+from .overlap import IBP_MODES, enum_steps, sweep_overlaps
 from .transfer import BRUTE_FORCE_CAP, BetaProfile, forward_layers, sample_paths
 
 # default free-energy sweep: beta <= 3, N <= 1024, d <= 2 (per dimension)
@@ -621,6 +622,15 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValidationError("beta values must be >= 0")
     if any(n < 1 for n in cfg.n_values):
         raise ValidationError("N values must be >= 1")
+    # layer N alone holds |D_N| >= (N+1)^min(d,2) cells: refuse an N past the
+    # budget here, before anything N long is built
+    ns = (cfg.n_values if cfg.command == "localize"
+          else _resolve_grids(cfg)[0] if cfg.command in ("free-energy", "overlap") else ())
+    for n in ns:
+        cells = (n + 1) ** min(cfg.d, 2)
+        if cells > DEFAULT_MAX_CELLS:
+            raise ValidationError(f"d={cfg.d}, N={n}: layer N alone holds at least {cells} "
+                                  f"cells, more than {DEFAULT_MAX_CELLS}")
     if any(u <= 0 for u in cfg.tail_u):
         raise ValidationError("tail u values must be positive")
     if cfg.command == "free-energy" and cfg.block_betas:
@@ -644,7 +654,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad = [b for b in betas if 0.0 < b < cfg.h]
         if bad:
             raise ValidationError(f"h={cfg.h} too large for beta={bad[0]}")
-        bad = [n for n in ns if cfg.mode == "enum" and (2 * cfg.d) ** n > BRUTE_FORCE_CAP]
+        bad = [n for n in ns if cfg.mode == "enum" and n > enum_steps(cfg.d, BRUTE_FORCE_CAP)]
         if bad:
             raise ValidationError(f"mode enum: (2d)^N > {BRUTE_FORCE_CAP} paths for N in {bad}")
     if cfg.command == "localize":

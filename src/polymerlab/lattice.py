@@ -45,11 +45,13 @@ def _mix64(h: int) -> int:
 
 
 def _mix64_arr(h: np.ndarray) -> np.ndarray:
-    h = h ^ (h >> np.uint64(30))
-    h = h * np.uint64(0xBF58476D1CE4E5B9)
-    h = h ^ (h >> np.uint64(27))
-    h = h * np.uint64(0x94D049BB133111EB)
-    return h ^ (h >> np.uint64(31))
+    """The SplitMix64 finalizer of the uint64 array h, in place; returns h."""
+    h ^= h >> np.uint64(30)
+    h *= np.uint64(0xBF58476D1CE4E5B9)
+    h ^= h >> np.uint64(27)
+    h *= np.uint64(0x94D049BB133111EB)
+    h ^= h >> np.uint64(31)
+    return h
 
 
 def _coord_salt(k: int) -> int:
@@ -85,17 +87,26 @@ class LatticeParams:
             raise ValueError("max_cells must be positive")
 
 
-def _normals(bases, coords) -> np.ndarray:
+def _normals(bases, coords, out=None) -> np.ndarray:
     """Standard normals hashed from layer bases (uint64, any shape B) and the
-    (n, d) sites ``coords``: shape B + (n,).  Every value depends on its own
-    base and site only, so a batch of bases gives the bits of one at a time."""
-    coords = path_columns(np.ascontiguousarray(coords, dtype=np.int64))
-    h = np.asarray(bases, dtype=np.uint64)[..., None]
+    (n, d) sites ``coords``: shape B + (n,), written into ``out`` when given,
+    which also holds the hash; besides it one temporary of its size is held.
+    Every value depends on its own base and site only, so a batch of bases
+    gives the bits of one at a time."""
+    coords = path_columns(np.asarray(coords, dtype=np.int64))
+    bases = np.asarray(bases, dtype=np.uint64)
+    out = np.empty(bases.shape + (len(coords),)) if out is None else out
+    h = out.view(np.uint64)
+    h[...] = bases[..., None]
     with np.errstate(over="ignore"):
         for k in range(coords.shape[1]):
-            h = _mix64_arr(h ^ (coords[:, k].astype(np.uint64) * np.uint64(_coord_salt(k))))
-    u = (h >> np.uint64(11)).astype(np.float64)
-    u += 0.5
+            col = coords[:, k].astype(np.uint64)
+            col *= np.uint64(_coord_salt(k))
+            h ^= col
+            h = _mix64_arr(h)
+    # out holds the hash, so the shifted bits go through a temporary: numpy
+    # copies an input that overlaps its output with another dtype
+    u = np.add(h >> np.uint64(11), 0.5, out=out)
     u *= 2.0**-53
     # (2^53 - 1) + 0.5 rounds to 2^53, so the all-ones hash gives u = 1 and an
     # infinite normal; every other u is at most 1 - 2^-52 and keeps its bits
@@ -169,8 +180,9 @@ def perturb_env(base: Environment, layer: int, point, delta: float) -> Perturbed
     )
 
 
-def layer_fields(envs, i: int, coords: np.ndarray) -> np.ndarray:
-    """g(i, .) of each environment at the (n, d) sites ``coords``: (len(envs), n).
+def layer_fields(envs, i: int, coords: np.ndarray, out=None) -> np.ndarray:
+    """g(i, .) of each environment at the (n, d) sites ``coords``: (len(envs), n),
+    written into ``out`` when given.
 
     Several environments that keep ``Environment.values`` share one hash call
     over their ``_layer_base(i)``.  A lone environment, or a batch holding one
@@ -178,8 +190,9 @@ def layer_fields(envs, i: int, coords: np.ndarray) -> np.ndarray:
     a time.
     """
     if len(envs) > 1 and all(type(env).values is Environment.values for env in envs):
-        return _normals(np.array([env._layer_base(i) for env in envs], dtype=np.uint64), coords)
-    out = np.empty((len(envs), len(coords)))
+        return _normals(np.array([env._layer_base(i) for env in envs], dtype=np.uint64), coords,
+                        out)
+    out = np.empty((len(envs), len(coords))) if out is None else out
     for row, env in zip(out, envs):
         row[:] = env.values(i, coords)
     return out

@@ -147,9 +147,18 @@ class IbpEstimate:
 IBP_MODES = ("auto", "mc", "enum")
 
 
+def enum_steps(d: int, cap: int) -> int:
+    """The largest n with (2d)^n <= cap paths.  N is compared with it, so a
+    huge N never raises 2d to its power."""
+    n, paths = 0, 2 * d
+    while paths <= cap:
+        n, paths = n + 1, paths * 2 * d
+    return n
+
+
 def _mode_at(mode: str, d: int, n: int) -> str:
     """The identity's mode at (d, N): auto is enum where (2d)^N <= 4096 paths, else mc."""
-    return mode if mode != "auto" else "enum" if (2 * d) ** n <= 4096 else "mc"
+    return mode if mode != "auto" else "enum" if n <= enum_steps(d, 4096) else "mc"
 
 
 def _check_ibp_args(beta: float, h: float, mode: str) -> None:

@@ -16,26 +16,36 @@ One private driver, ``_transfer``, runs this recursion, forward or
 backward, over a layer geometry chosen from d:
   d<=2  dense (i+1)^d array per layer in rotated coordinates (x in d=1;
         s = x1+x2, t = x1-x2 in d=2), where the walk factorizes into
-        independent one-dimensional walks, the reachable cone is a full cube
-        and the neighbour sum is one pairwise ``_logaddexp`` per axis;
+        independent one-dimensional walks and the reachable cone is a full
+        cube.  The one dense kernel, ``_shifted_sums``, sums neighbours along
+        an axis of flat stride s as one contiguous ``_logaddexp`` of the
+        layer with itself shifted by s, over the whole batch: onto the next
+        layer from a layer framed by one -inf cell past the end of each
+        axis, back onto the last one read through its leading window;
   d>=3  sorted int64 site keys per layer, stepped by key arithmetic and
         joined via searchsorted; coordinates are decoded only on demand,
         and the neighbour sum folds 2d gathered rows with ``_logaddexp``.
 ``_logaddexp`` is the one log-space sum of two terms: max(x, y) +
-log1p(exp(-|x - y|)) on numpy's vector exp and log1p.
+log1p(exp(-|x - y|)) on numpy's vector exp and log1p, with its temporary
+in scratch it is handed.
 One pass carries E environments x P profiles as one (E, P, *layer shape)
 array: one hash call makes the E fields of a layer, the dense neighbour sums
 act on the trailing layer axes, and at d >= 3 the keys and index maps serve
-the whole batch.  The driver holds the newest layers only and hands each
-layer, and nothing else, to a per-layer consumer: the kept tables and log Z
-at each N of a ladder (``log_partition_ladder``) are consumers; no field
-leaves a pass.  The exact overlap runs no pass: ``marginal_sums`` walks the
-site marginals down a kept forward table by the reverse chain of
+the whole batch.  A pass allocates its buffers once, room for layer N: the
+geometry's layer buffers (the layer, its neighbour sum and, dense, the
+kernel's scratch) and one for the field, so a step allocates no array the
+size of a layer (the packed keys and index maps excepted).  The driver hands
+each layer, and nothing else, to a per-layer consumer, as a view into a pass
+buffer that is valid only until the consumer returns: the kept tables copy
+it, and log Z at each N of a ladder (``log_partition_ladder``) reads it; no
+field leaves a pass.  The exact overlap runs no pass: ``marginal_sums`` walks
+the site marginals down a kept forward table by the reverse chain of
 forward-filtering/backward-smoothing, on the geometry's neighbour sums.
 A kept table may carry further profiles that roll along it, read for log Z
-at each N of a ladder (``forward_layers_and_ladder``).  The driver alone charges the cell budget
-``LatticeParams.max_cells``, for what each pass holds, and the budget and
-``BATCH_CELLS`` alone set how many environments share a rolling pass.
+at each N of a ladder (``forward_layers_and_ladder``).  The driver alone
+charges the cell budget ``LatticeParams.max_cells``, for what each pass
+holds, and the budget and ``BATCH_CELLS`` alone set how many environments
+share a rolling pass.
 """
 
 from __future__ import annotations
@@ -126,12 +136,13 @@ def _offsets(d: int) -> np.ndarray:
     return out
 
 
-def _logaddexp(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+def _logaddexp(x: np.ndarray, y: np.ndarray, out=None, t=None) -> np.ndarray:
     """log(exp(x) + exp(y)) as max(x, y) + log1p(exp(-|x - y|)), on numpy's
-    vector exp and log1p; ``out`` may be x.  It holds one temporary the size
-    of the output, -|x - y| taken as min - max.  Where both are -inf that is
-    NaN, which fmin takes to 0, so the sum stays -inf."""
-    t = np.minimum(x, y)
+    vector exp and log1p; ``out`` may be x.  Its one temporary, -|x - y|
+    taken as min - max, goes in ``t`` (the output's shape, none of x, y and
+    out) or else in an array of its own.  Where both are -inf that is NaN,
+    which fmin takes to 0, so the sum stays -inf."""
+    t = np.minimum(x, y, out=t)
     out = np.maximum(x, y, out=out)
     with np.errstate(invalid="ignore"):
         np.subtract(t, out, out=t)
@@ -142,57 +153,69 @@ def _logaddexp(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _pairwise(x: np.ndarray, d: int) -> np.ndarray:
-    """``_logaddexp`` of neighbouring entries along each of the last d axes, last first."""
-    for k in range(d):
-        tail = (slice(None),) * k
-        x = _logaddexp(x[(..., slice(None, -1)) + tail], x[(..., slice(1, None)) + tail])
-    return x
+def _shifted_sums(x: np.ndarray, y: np.ndarray, t: np.ndarray, strides, back: bool) -> np.ndarray:
+    """The neighbour log-sum of the flat layers in x along each of ``strides``
+    in turn, into y; x, y and t have one length, and x and t are scratch.
+    Each stride s is one contiguous ``_logaddexp`` of x with itself shifted
+    by s, over every layer at once: onto the next layer out[s:] = x[:-s] +
+    x[s:] and out[:s] = x[:s], back onto the last one out[:-s] = x[:-s] +
+    x[s:] and out[-s:] = x[-s:].  Onward, x carries one -inf cell past the
+    end of each axis, so that every end entry, and the first entry of every
+    later layer, sums with a -inf term and comes out a copy; back, the
+    previous layer sits in the leading window of each axis."""
+    src = x
+    for k, s in enumerate(strides):
+        dst, tmp = (y, t) if (len(strides) - k) % 2 else (t, y)  # the last sum lands in y
+        tmp = x if tmp is src else tmp
+        if back:
+            into, end = slice(None, -s), slice(-s, None)
+        else:
+            into, end = slice(s, None), slice(None, s)
+        _logaddexp(src[:-s], src[s:], out=dst[into], t=tmp[into])
+        dst[end] = src[end]
+        src = dst
+    return y
 
 
-def _padded_pairwise(x: np.ndarray, d: int) -> np.ndarray:
-    """``_pairwise`` of x framed by one -inf cell on every side of its last d
-    axes.  The sum of -inf and v is v, so each axis's two end entries are
-    copies and the frame itself is never built."""
-    for k in range(d):
-        tail = (slice(None),) * k
-        ax = x.ndim - 1 - k
-        out = np.empty(x.shape[:ax] + (x.shape[ax] + 1,) + x.shape[ax + 1:], dtype=x.dtype)
-        _logaddexp(x[(..., slice(None, -1)) + tail], x[(..., slice(1, None)) + tail],
-                   out=out[(..., slice(1, -1)) + tail])
-        out[(..., 0) + tail] = x[(..., 0) + tail]
-        out[(..., -1) + tail] = x[(..., -1) + tail]
-        x = out
-    return x
-
-
-def _gather_logsum(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log sum_r exp(x[..., maps[r]]), where index x.shape[-1] stands for a -inf
-    term; the rows fold into one output in row order.  The leading entries of
-    x go one at a time, so besides x and the output one gathered row, the
-    kernel's temporary and one copy of a single layer are held."""
-    out = np.empty(x.shape[:-1] + maps.shape[1:], dtype=x.dtype)
-    for layer, acc in zip(x.reshape(-1, x.shape[-1]), out.reshape(-1, maps.shape[1])):
-        layer = np.append(layer, NEG_INF)
-        np.take(layer, maps[0], out=acc)
+def _gather_logsum(maps: np.ndarray, size: int, x: np.ndarray, y: np.ndarray, t: np.ndarray,
+                   lead: tuple) -> np.ndarray:
+    """log sum_r exp(layer[maps[r]]) of each of the prod(lead) layers of
+    ``size`` sites at the head of x, where index ``size`` stands for a -inf
+    term; the rows fold into y in row order, shape lead + (maps.shape[1],).
+    The layers go one at a time through the rows of t, (3, > size): a copy
+    of the layer with the -inf sentinel, one gathered row and the kernel's
+    temporary."""
+    rows, m = math.prod(lead), maps.shape[1]
+    layer, got, tmp = t[0, :size + 1], t[1, :m], t[2, :m]
+    layer[size] = NEG_INF
+    out = y[:rows * m].reshape(rows, m)
+    for src, acc in zip(x[:rows * size].reshape(rows, size), out):
+        layer[:size] = src
+        # every index lies in the layer or on its sentinel; "clip" writes
+        # straight into out, where "raise" buffers a copy of it
+        np.take(layer, maps[0], out=acc, mode="clip")
         for row in maps[1:]:
-            _logaddexp(acc, layer[row], out=acc)
-    return out
+            np.take(layer, row, out=got, mode="clip")
+            _logaddexp(acc, got, out=acc, t=tmp)
+    return out.reshape(lead + (m,))
 
 
-def _scatter_logsum(maps: np.ndarray, size: int, x: np.ndarray) -> np.ndarray:
-    """log sum_r exp of x put through ``maps[r]`` onto ``size`` cells, -inf where
-    no entry lands: each row an injective scatter into a -inf filled buffer,
-    the rows folded in row order.  With the rows of a map set from layer i-1
-    onto layer i, that is the neighbour log-sum of ``_gather_logsum`` through
-    the map set of layer i onto layer i-1, bit for bit."""
-    out, row_buf = np.full(size, NEG_INF, dtype=x.dtype), np.empty(size, dtype=x.dtype)
+def _scatter_logsum(maps: np.ndarray, size: int, x: np.ndarray, y: np.ndarray, t: np.ndarray,
+                    lead: tuple) -> np.ndarray:
+    """log sum_r exp of the one layer at the head of x put through ``maps[r]``
+    onto ``size`` cells, -inf where no entry lands, into y, shape lead +
+    (size,) with lead (1,): each row an injective scatter into a -inf filled
+    row of t, the rows folded in row order.  With the rows of a map set from
+    layer i-1 onto layer i, that is the neighbour log-sum of ``_gather_logsum``
+    through the map set of layer i onto layer i-1, bit for bit."""
+    x, out, row_buf, tmp = x[:maps.shape[1]], y[:size], t[0, :size], t[1, :size]
+    out.fill(NEG_INF)
     out[maps[0]] = x
     for row in maps[1:]:
         row_buf.fill(NEG_INF)
         row_buf[row] = x
-        _logaddexp(out, row_buf, out=out)
-    return out
+        _logaddexp(out, row_buf, out=out, t=tmp)
+    return out.reshape(lead + (size,))
 
 
 class _DenseGeometry:
@@ -201,23 +224,62 @@ class _DenseGeometry:
     The coordinates u = x in d = 1 and u = (x1+x2, x1-x2) in d = 2 each move
     by +-1 at every step, independently, so layer i is the full cube
     {-i, -i+2, ..., i}^d (entry a of an axis holds -i + 2a) and the neighbour
-    sum splits into one pairwise ``_logaddexp`` per axis.
+    sum splits into one shifted ``_logaddexp`` per axis (``_shifted_sums``).
     """
 
     key_cells = 0  # per site of a kept layer, besides its values
-    # cells per site held besides the layers during one step, none per pass and,
-    # per environment, coordinates, the field, the drive and the neighbour sums
-    shared_cells, work_cells = 0, 10
-    # cells per site of one reverse-chain step besides the kept table: the
-    # neighbour sum onto layer i and its temporaries, and per rung its log
-    # marginal and the two-axis pairwise sum back with its temporary
-    chain_shared_cells, chain_rung_cells = 3, 4
+    # per environment, profile and site of layer N a pass holds three layer
+    # buffers: the framed layer, the neighbour sum and the kernel's temporary;
+    # per site, for the whole batch, the coordinates and one column of them,
+    # and per environment the field, its hash temporary and, for a lone
+    # environment, the copy ``values`` returns
+    layer_cells, shared_cells, work_cells = 3, 3, 3
+    # cells per site of one reverse-chain step besides the kept table: layer
+    # i-1 framed and its sum onto layer i (and one more for numpy's buffers of
+    # strided operations), and per rung its log marginal, its sum back and
+    # the kernel's temporary
+    chain_shared_cells, chain_rung_cells = 3, 3
 
-    def __init__(self, d: int):
-        self.d = d
+    def __init__(self, d: int, N: int):
+        self.d, self.N = d, N
 
     def shape(self, i: int) -> tuple:
         return (i + 1,) * self.d
+
+    def buffers(self, rows: int, dtype) -> list:
+        """Three flat buffers, each room for ``rows`` layers N."""
+        return [np.empty(rows * (self.N + 1) ** self.d, dtype=dtype) for _ in range(3)]
+
+    def lay(self, i: int, buf: np.ndarray, lead: tuple, framed: bool = False) -> np.ndarray:
+        """Layers i at the head of the flat ``buf``, shape lead + shape(i);
+        ``framed``, each axis one -inf cell longer, the window leaving it out."""
+        n = i + 1 + framed
+        v = buf[:math.prod(lead) * n ** self.d].reshape(lead + (n,) * self.d)
+        if not framed:
+            return v
+        for k in range(self.d):
+            v[(..., i + 1) + (slice(None),) * k] = NEG_INF
+        return v[(...,) + (slice(None, i + 1),) * self.d]
+
+    def _sums(self, i: int, back: bool, x, y, t, lead: tuple) -> np.ndarray:
+        n = math.prod(lead) * (i + 1) ** self.d
+        strides = [(i + 1) ** k for k in range(self.d)]  # last axis first
+        out = _shifted_sums(x[:n], y[:n], t[:n], strides, back).reshape(lead + self.shape(i))
+        return out[(...,) + (slice(None, i),) * self.d] if back else out
+
+    def sum_into(self, i: int):
+        """f(x, y, t, lead): the neighbour log-sum onto layers i of layers i-1,
+        framed in x as ``lay`` leaves them, into y, shape lead + shape(i)."""
+        return functools.partial(self._sums, i, False)
+
+    def sum_from(self, i: int):
+        """f(x, y, t, lead): the neighbour log-sum back onto layers i-1 of layers
+        i laid in x, into y, read through the leading window of shape(i)."""
+        return functools.partial(self._sums, i, True)
+
+    def chain_sums(self, i: int):
+        """``sum_into(i)`` and ``sum_from(i)``, for one step of the reverse chain."""
+        return self.sum_into(i), self.sum_from(i)
 
     def coords(self, i: int, idx=None) -> np.ndarray:
         """Coordinates of the sites of layer i, or of its flat sites ``idx`` only.
@@ -231,18 +293,6 @@ class _DenseGeometry:
         out[..., 0] -= i
         np.subtract(a0, a1, out=out[..., 1])
         return out.reshape(-1, 2)
-
-    def sum_into(self, i: int):
-        """Neighbour log-sum of layer i-1 onto layer i, over the last d axes."""
-        return functools.partial(_padded_pairwise, d=self.d)
-
-    def sum_from(self, i: int):
-        """Neighbour log-sum of layer i back onto layer i-1, over the last d axes."""
-        return functools.partial(_pairwise, d=self.d)
-
-    def chain_sums(self, i: int):
-        """``sum_into(i)`` and ``sum_from(i)``, for one step of the reverse chain."""
-        return self.sum_into(i), self.sum_from(i)
 
     def framed(self, i: int, layer: np.ndarray) -> np.ndarray:
         """Layer i framed by one -inf cell on both sides of each axis, flat."""
@@ -279,6 +329,9 @@ class _PackedGeometry:
     """
 
     key_cells = 1  # per site of a kept layer, besides its values
+    # per environment, profile and site of layer N a pass holds two layer
+    # buffers: the layer and the neighbour sum
+    layer_cells = 2
 
     def __init__(self, d: int, N: int, keep: bool):
         base = 2 * N + 1
@@ -288,13 +341,15 @@ class _PackedGeometry:
         self.radix = base ** np.arange(d - 1, -1, -1, dtype=np.int64)
         # the key moves of the steps +e1, -e1, +e2, ...
         self.steps = np.stack([self.radix, -self.radix], axis=1).ravel()
-        # per site, one step holds two layers' keys and 2d candidate keys or map
-        # rows for the whole batch, and per environment the field and its hash
-        self.shared_cells, self.work_cells = 2 * d + 5, 4
-        # a reverse-chain step holds one map set, the neighbour sum onto layer i
-        # with a scatter row and a temporary (or the gather's layer copy, row and
-        # temporary), and per rung its log marginal and the sum back
-        self.chain_shared_cells, self.chain_rung_cells = 2 * d + 3, 2
+        # per site, one step holds two layers' keys, 2d candidate keys or map
+        # rows and the kernel's three rows for the whole batch, and per
+        # environment the field, its hash temporary and, for a lone
+        # environment, the copy ``values`` returns
+        self.shared_cells, self.work_cells = 2 * d + 5, 3
+        # a reverse-chain step holds one map set and its search temporaries,
+        # layer i-1, its sum onto layer i and the kernel's three rows, and per
+        # rung its log marginal and the sum back
+        self.chain_shared_cells, self.chain_rung_cells = 2 * d + 8, 2
         self._keys = [N * self.radix.sum(keepdims=True)]
 
     def keys(self, i: int) -> np.ndarray:
@@ -308,6 +363,18 @@ class _PackedGeometry:
 
     def shape(self, i: int) -> tuple:
         return self.keys(i).shape
+
+    def buffers(self, rows: int, dtype) -> list:
+        """Two flat buffers, each room for ``rows`` layers N, and the three
+        rows of ``_gather_logsum``."""
+        n = reachable_set_size(self.N, len(self.radix))
+        return [np.empty(rows * n, dtype=dtype), np.empty(rows * n, dtype=dtype),
+                np.empty((3, n + 1), dtype=dtype)]
+
+    def lay(self, i: int, buf: np.ndarray, lead: tuple, framed: bool = False) -> np.ndarray:
+        """Layers i at the head of the flat ``buf``, shape lead + shape(i); the
+        gather frames each layer as it reads it."""
+        return buf[:math.prod(lead) * len(self.keys(i))].reshape(lead + self.shape(i))
 
     def coords(self, i: int, idx=None) -> np.ndarray:
         keys = self.keys(i) if idx is None else self.keys(i)[idx]
@@ -326,7 +393,8 @@ class _PackedGeometry:
         return maps
 
     def sum_into(self, i: int):
-        return functools.partial(_gather_logsum, self._maps(i - 1, self.keys(i), -self.steps))
+        return functools.partial(_gather_logsum, self._maps(i - 1, self.keys(i), -self.steps),
+                                 len(self.keys(i - 1)))
 
     def sum_from(self, i: int):
         return self.chain_sums(i)[1]
@@ -337,7 +405,7 @@ class _PackedGeometry:
         i, the set of the neighbours of layer i-1."""
         maps = self._maps(i, self.keys(i - 1), self.steps)
         return (functools.partial(_scatter_logsum, maps, len(self.keys(i))),
-                functools.partial(_gather_logsum, maps))
+                functools.partial(_gather_logsum, maps, len(self.keys(i))))
 
     def framed(self, i: int, layer: np.ndarray) -> np.ndarray:
         """Layer i with a -inf sentinel one past its end."""
@@ -353,7 +421,7 @@ class _PackedGeometry:
 
 def _geometry(d: int, N: int, keep: bool):
     """The layer geometry of the recursion, chosen here and only here."""
-    return _DenseGeometry(d) if d <= 2 else _PackedGeometry(d, N, keep)
+    return _DenseGeometry(d, N) if d <= 2 else _PackedGeometry(d, N, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -404,20 +472,19 @@ def _check_guard(env: Environment, geom, n_profiles: int, keep: int, n_envs: int
     """The one cell budget, returning the cells charged for a pass over
     ``n_envs`` environments like ``env`` that keeps its first ``keep``
     profiles.  A kept profile holds its cone, one cell per environment, and
-    the pass ``key_cells`` per cone site; every other profile rolls, two
-    layers per environment, each no wider than layer N; and one step holds
-    the geometry's ``shared_cells`` per site of layer N for the whole batch
-    and ``work_cells`` per environment and site.  With ``rungs``, the charge
-    is of a reverse-chain descent down one kept table (``marginal_sums``):
-    that cone, and per site of layer N the geometry's ``chain_shared_cells``
-    and ``chain_rung_cells`` per rung."""
+    the pass ``key_cells`` per cone site; per site of layer N the pass holds
+    the geometry's ``layer_cells`` per environment and profile (its buffers,
+    allocated once), ``shared_cells`` for the whole batch and ``work_cells``
+    per environment.  With ``rungs``, the charge is of a reverse-chain
+    descent down one kept table (``marginal_sums``): that cone, and per site
+    of layer N the geometry's ``chain_shared_cells`` and
+    ``chain_rung_cells`` per rung."""
     p = env.params
     width = reachable_set_size(p.N, p.d)
-    held = 2 * n_envs * (n_profiles - keep) * width
-    if keep:
-        held += reachable_cells_total(p.N, p.d, cap=p.max_cells) * (n_envs * keep + geom.key_cells)
+    held = (reachable_cells_total(p.N, p.d, cap=p.max_cells) * (n_envs * keep + geom.key_cells)
+            if keep else 0)
     step = (geom.chain_shared_cells + rungs * geom.chain_rung_cells if rungs
-            else geom.shared_cells + n_envs * geom.work_cells)
+            else geom.shared_cells + n_envs * (geom.work_cells + n_profiles * geom.layer_cells))
     cells = held + width * step
     if cells > p.max_cells:
         what = (f"a descent of {rungs} rung(s) down a kept layer table" if rungs
@@ -462,11 +529,14 @@ def _transfer(envs, profiles, direction, dtype, keep, consume=lambda i, layers: 
     environment and fed to every profile, and not at all where every beta_i
     is 0.  The E environments x P profiles step as one (E, P, *layer shape)
     array, and the neighbour sums act on its trailing layer axes, so each
-    entry gets the arithmetic of a pass of its own.  Layers 0..N (forward) or
-    N..0 (backward) go in that order to ``consume(i, layers)``: layer i as
-    that array, which no later step writes to.  ``keep`` is how many leading
-    profiles the consumer retains every layer of, for the geometry and the
-    guard.  Returns the geometry and the last layers.
+    entry gets the arithmetic of a pass of its own.  Every step works in
+    buffers the pass allocates once: the geometry's (the layer, its neighbour
+    sum and the kernels' scratch) and one for the field.  Layers 0..N (forward)
+    or N..0 (backward) go in that order to ``consume(i, layers)``: layer i as
+    that array, a view into a pass buffer that is valid only until
+    ``consume`` returns.  ``keep`` is how many leading profiles the consumer
+    copies every layer of, for the geometry and the guard.  Returns the
+    geometry and the last layers.
     """
     env = envs[0]
     if any(other.params != env.params for other in envs):
@@ -478,26 +548,40 @@ def _transfer(envs, profiles, direction, dtype, keep, consume=lambda i, layers: 
     _check_guard(env, geom, len(profiles), keep, len(envs))
     log2d = np.log(dtype(2.0 * d))
     forward = direction == "forward"
-    layers = np.zeros((len(envs), len(profiles)) + geom.shape(0 if forward else N), dtype=dtype)
+    lead = (len(envs), len(profiles))
+    bufs = geom.buffers(math.prod(lead), dtype)
     # betas[i - 1] is step i's beta per profile, shaped to scale an (E, 1, ...) field
     betas = np.array([pr.values for pr in profiles]).reshape(len(profiles), N).T
     read = betas.any(axis=1).tolist()
-    betas = betas.reshape(betas.shape + (1,) * (layers.ndim - 2))
+    betas = betas.reshape(betas.shape + (1,) * len(geom.shape(0)))
+    field = np.empty(len(envs) * reachable_set_size(N, d)) if any(read) else None
+    # forward, layer i sits framed in bufs[0] and its sum lands in bufs[1];
+    # backward, layer i plus its drive sits in bufs[0] and layer i-1 lands in
+    # bufs[1]; bufs[2] is the kernels' scratch
+    layers = geom.lay(0 if forward else N, bufs[0 if forward else 1], lead, framed=forward)
+    layers.fill(0.0)
     consume(0 if forward else N, layers)
     for i in range(1, N + 1) if forward else range(N, 0, -1):
-        g = (layer_fields(envs, i, geom.coords(i)).astype(dtype, copy=False)
-             .reshape((len(envs), 1) + geom.shape(i)) if read[i - 1] else None)
-        # the neighbour sum is built and dropped in one statement, so this
-        # step's index maps go before the drive and the next step's maps
+        g = None
+        if read[i - 1]:
+            coords = geom.coords(i)
+            g = layer_fields(envs, i, coords, out=field[:len(envs) * len(coords)]
+                             .reshape(len(envs), -1)).reshape((len(envs), 1) + geom.shape(i))
+            del coords
         if forward:
-            layers = geom.sum_into(i)(layers)
-            if g is not None:
-                layers += betas[i - 1] * g
+            # the sum is built and its index maps dropped in one statement, so
+            # this step's maps go before the next step's are built
+            total = geom.sum_into(i)(*bufs, lead)
+            layers = geom.lay(i, bufs[0], lead, framed=i < N)
         else:
-            if g is not None:
-                drive = betas[i - 1] * g
-                layers = np.add(drive, layers, out=drive)
-            layers = geom.sum_from(i)(layers)
+            total, layers = layers, geom.lay(i, bufs[0], lead)
+        if g is None:
+            layers[...] = total
+        else:
+            np.multiply(betas[i - 1], g, out=layers, dtype=dtype)
+            layers += total
+        if not forward:
+            layers = geom.sum_from(i)(*bufs, lead)
         layers -= log2d
         consume(i if forward else i - 1, layers)
     return geom, layers
@@ -519,8 +603,7 @@ def _kept_table(env: Environment, profiles, direction: str, dtype, ns=()):
     rode = np.empty((len(ns), len(profiles) - 1))
 
     def consume(i, layers):
-        # a view of profile 0 would keep every profile's layer alive
-        kept[i] = layers[0, 0] if len(profiles) == 1 else layers[0, 0].copy()
+        kept[i] = layers[0, 0].copy()  # the pass writes its next layer over this one
         if i in rungs:
             rode[rungs[i]] = _rung_log_zs(layers[:, 1:], profiles[1:], i)[0]
 
@@ -661,11 +744,12 @@ def layer_log_marginals(fwd: LayerTable, bwd: LayerTable, i: int) -> np.ndarray:
     return s - logsumexp(s)
 
 
-def _renormalise(lm: np.ndarray) -> np.ndarray:
+def _renormalise(lm: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """sum_x mu(x)^2 of each row of the (R, sites) log weights ``lm``, which it
-    normalizes in place, from one exp per cell: mu = exp(lm - m), z = sum mu."""
+    normalizes in place, from one exp per cell into ``mu``, of lm's shape:
+    mu = exp(lm - m), z = sum mu."""
     m = lm.max(axis=1, keepdims=True)
-    mu = np.subtract(lm, m)
+    mu = np.subtract(lm, m, out=mu)
     np.exp(mu, out=mu)
     z = mu.sum(axis=1)
     lm -= m + np.log(z)[:, None]
@@ -692,16 +776,26 @@ def marginal_sums(fwd: LayerTable, ns=None) -> np.ndarray:
     _check_ladder(fwd.N, ns)
     tops = sorted(set(ns), reverse=True)  # row k of the stack is rung tops[k]
     _check_guard(fwd.env, fwd.geometry, 1, 1, rungs=len(tops))
-    layers, sums = fwd.layers, np.zeros(len(tops))
-    lm = np.empty((0,) + layers[tops[0]].shape, dtype=layers[tops[0]].dtype)
+    layers, sums, geom = fwd.layers, np.zeros(len(tops)), fwd.geometry
+    # the stack of log marginals, its sum back (first the renormalisation's
+    # scratch) and the kernels' scratch; layer i-1 and its sum onto layer i
+    stack = geom.buffers(len(tops), layers[0].dtype)
+    below = np.empty((2, reachable_set_size(fwd.N, fwd.d)), dtype=layers[0].dtype)
+    rungs = 0
     for i in range(tops[0], 0, -1):
+        rungs += i in tops
+        lm = geom.lay(i, stack[0], (rungs,))
         if i in tops:
-            lm = np.concatenate([lm, layers[i][None]])
-        sums[:len(lm)] += _renormalise(lm.reshape(len(lm), -1))
+            lm[-1] = layers[i]
+        sums[:rungs] += _renormalise(lm.reshape(rungs, -1),
+                                     stack[1][:lm.size].reshape(rungs, -1))
         if i > 1:
-            into, back = fwd.geometry.chain_sums(i)
-            lm -= into(layers[i - 1])
-            lm = back(lm)
+            into, back = geom.chain_sums(i)
+            geom.lay(i - 1, below[0], (1,), framed=True)[0] = layers[i - 1]
+            lm -= into(*below, stack[2], (1,))
+            # copied out of its window, then added, as numpy buffers a strided add
+            lm = geom.lay(i - 1, stack[0], (rungs,))
+            np.copyto(lm, back(*stack, (rungs,)))
             lm += layers[i - 1]
             del into, back  # this step's maps go before the next step's are built
     return sums[[tops.index(n) for n in ns]]

@@ -489,10 +489,41 @@ class TestMainEntry:
         assert len(err) == 1 and err[0].startswith("polymerlab:")
         assert not (tmp_path / "out").exists()  # refused before any work
 
+    @pytest.mark.parametrize("argv, config", [
+        (["free-energy", "--n-grid", "10000000000", "--beta-grid", "1", "--n-disorder", "4"],
+         None),
+        (["free-energy", "--n-grid", "100000000000000000000"], None),
+        (["overlap", "--n-grid", "100000000000000000000"], None),
+        (["localize", "--n", "100000000000000000000"], None),
+        (["free-energy"], ("run.json", '{"free-energy": {"n_values": [64, 1e30]}}')),
+    ], ids=["free_energy_1e10", "free_energy_1e20", "overlap_1e20", "localize_1e20",
+            "json_1e30"])
+    def test_huge_n_refused_before_anything_n_long(self, argv, config, tmp_path, capsys,
+                                                   monkeypatch):
+        # layer N alone holds at least N + 1 cells, so such an N is refused
+        # where it is read; a refusal that came later would first build an
+        # N-long profile, which raises here instead of allocating
+        def built(*args, **kw):
+            raise AssertionError("an N-long profile was built")
+
+        monkeypatch.setattr(importlib.import_module("polymerlab.transfer").BetaProfile,
+                            "constant", built)
+        argv = argv + ["--out", str(tmp_path / "out")]
+        if config is not None:
+            path = tmp_path / config[0]
+            path.write_text(config[1])
+            argv += ["--config", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("polymerlab: d=1, N=1")
+        assert "layer N alone holds at least" in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_memory_guard_exit_code(self, tmp_path, capsys):
-        # free-energy rolls two layers per profile, plus working cells per site:
-        # 8001^2 * (2 + 10) cells is over the cap; overlap and localize keep
-        # whole tables: the d=2, N=1024 cone is 359.5M cells
+        # free-energy holds three layer buffers per profile, plus working
+        # cells per site: 8001^2 * (3 + 3 + 3) cells is over the cap, while
+        # layer N alone (64M cells) is not; overlap and localize keep whole
+        # tables: the d=2, N=1024 cone is 359.5M cells
         earlier = tmp_path / "localize" / "localize.jsonl"
         earlier.parent.mkdir()
         earlier.write_text('{"earlier": "run"}\n')

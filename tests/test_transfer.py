@@ -31,6 +31,7 @@ from polymerlab.transfer import (
     LayerTable,
     _batch_size,
     _check_guard,
+    _DenseGeometry,
     _gather_logsum,
     _geometry,
     _logaddexp,
@@ -144,16 +145,22 @@ class TestLogAddExp:
         assert out.tobytes() == want.tobytes()
 
     def test_one_temporary(self):
-        # besides its output the kernel holds one array of the output's size
+        # besides its output the kernel holds one array of the output's size,
+        # and nothing when it is handed that array as scratch
         x, y = np.random.default_rng(1).standard_normal((2, 1 << 16))
-        out = np.empty_like(x)
-        tracemalloc.start()
-        try:
-            _logaddexp(x, y, out=out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert x.nbytes <= peak < 1.1 * x.nbytes
+        out, t = np.empty_like(x), np.empty_like(x)
+        want = _logaddexp(x, y)
+        peaks = []
+        for scratch in (None, t):
+            tracemalloc.start()
+            try:
+                _logaddexp(x, y, out=out, t=scratch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert out.tobytes() == want.tobytes()
+        assert x.nbytes <= peaks[0] < 1.1 * x.nbytes
+        assert peaks[1] < 0.01 * x.nbytes
 
     def test_bit_for_bit_on_numpys_scalar_loops(self):
         # with numpy's AVX-512 targets disabled in a child process, its float64
@@ -191,7 +198,7 @@ class TestLargeBeta:
 
         got = log_zs()
         monkeypatch.setattr(importlib.import_module("polymerlab.transfer"), "_logaddexp",
-                            np.logaddexp)
+                            lambda x, y, out=None, t=None: np.logaddexp(x, y, out=out))
         want = log_zs()
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
@@ -515,12 +522,22 @@ class TestMarkovSplitting:
 
 
 def _pass(env, profiles, direction, keep, geometry=_geometry):
-    """Run ``_transfer``; return its geometry, what it handed its consumer as
-    (i, per-profile layers) in pass order, and its last layers."""
+    """Run ``_transfer``; return its geometry, a copy of what it handed its
+    consumer as (i, per-profile layers) in pass order (a handed layer is valid
+    only until the consumer returns), and its last layers."""
     handed = []
     geom, last = _transfer([env], profiles, direction, np.float64, keep,
-                           lambda i, layers: handed.append((i, layers[0])), geometry)
+                           lambda i, layers: handed.append((i, layers[0].copy())), geometry)
     return geom, handed, last[0]
+
+
+def _sum(geom, kernel, i, layers, onto):
+    """One neighbour sum of ``geom`` through fresh pass buffers on the plain
+    (R, *shape(i)) ``layers``, laid as a pass lays layer i for it: framed for
+    a sum onto layer i + 1 (``onto``), plain for a sum back onto layer i - 1."""
+    bufs, lead = geom.buffers(len(layers), layers.dtype), (len(layers),)
+    geom.lay(i, bufs[0], lead, framed=onto)[...] = layers
+    return kernel(*bufs, lead).copy()
 
 
 class TestGeometries:
@@ -571,11 +588,13 @@ class TestGeometries:
         rng = np.random.default_rng(d)
         for geom in (_geometry(d, 6, True), _PackedGeometry(d, 6, keep=True)):
             for i in (1, 4, 6):
-                below = rng.normal(scale=30.0, size=geom.shape(i - 1))
+                below = rng.normal(scale=30.0, size=(1,) + geom.shape(i - 1))
                 above = rng.normal(scale=30.0, size=(2,) + geom.shape(i))
                 into, back = geom.chain_sums(i)
-                assert into(below).tobytes() == geom.sum_into(i)(below).tobytes()
-                assert back(above).tobytes() == geom.sum_from(i)(above).tobytes()
+                assert (_sum(geom, into, i - 1, below, True).tobytes()
+                        == _sum(geom, geom.sum_into(i), i - 1, below, True).tobytes())
+                assert (_sum(geom, back, i, above, False).tobytes()
+                        == _sum(geom, geom.sum_from(i), i, above, False).tobytes())
 
     def test_packed_keys_wider_than_62_bits_refused(self):
         with pytest.raises(MemoryGuardError, match="overflow int64"):
@@ -617,7 +636,7 @@ class TestFieldSkipping:
         order = list(range(n + 1)) if direction == "forward" else list(range(n, -1, -1))
         assert [i for i, _ in skipped] == order
         assert env.layers == [i for i in order if lo <= i <= hi]
-        assert np.shares_memory(last, skipped[-1][1])
+        assert last.tobytes() == skipped[-1][1].tobytes()
         # a constant profile alongside makes every layer's field be generated
         _, full, _ = _pass(env, [prof, BetaProfile.constant(0.4, n)], direction, keep)
         assert len(skipped) == len(full)
@@ -753,9 +772,11 @@ class TestLadder:
 
     def test_batch_size_bounded_by_the_cell_budget(self):
         # each environment of a rolling pass over four profiles at d=1 N=1024
-        # is charged 1025 * (2 * 4 + 10) cells; 50,000 cells leave room for two
+        # is charged 1025 * (3 * 4 + 3) cells (three layer buffers per profile,
+        # the field and its hash) and the batch 1025 * 3 for its coordinates;
+        # 50,000 cells leave room for three
         env = gaussian_env(1, LatticeParams(d=1, N=1024, max_cells=50_000))
-        assert _batch_size(env, 4, 100) == 2
+        assert _batch_size(env, 4, 100) == 3
         with pytest.raises(MemoryGuardError, match="a rolling pass"):
             _batch_size(gaussian_env(1, LatticeParams(d=1, N=1024, max_cells=10_000)), 4, 100)
 
@@ -767,7 +788,7 @@ class TestLadder:
         # with BATCH_CELLS out of the way the batch is the largest the guard
         # admits: E environments pass it and E + 1 are refused.  At d >= 3 the
         # cells a step shares are charged once per pass, not once per
-        # environment: d=3 N=32 on one profile under 2,000,000 cells takes 12
+        # environment: d=3 N=32 on one profile under 2,000,000 cells takes 14
         monkeypatch.setattr(importlib.import_module("polymerlab.transfer"), "BATCH_CELLS",
                             1 << 40)
         env = gaussian_env(1, LatticeParams(d=d, N=N, max_cells=max_cells))
@@ -778,7 +799,7 @@ class TestLadder:
         with pytest.raises(MemoryGuardError, match="a rolling pass"):
             _check_guard(env, geom, n_profiles, False, size + 1)
         if (d, N, max_cells, n_profiles) == (3, 32, 2_000_000, 1):
-            assert size == 12
+            assert size == 14
 
     def test_refuses_an_empty_batch(self):
         with pytest.raises(ValueError, match="at least one environment"):
@@ -819,30 +840,35 @@ def test_kept_pass_frees_each_steps_maps_first(monkeypatch):
 
 def test_gather_holds_one_row():
     # the 2d = 6 gathered rows are folded one at a time, in row order, with the
-    # bits of a row-order fold of the kernel and within 2 ulp of numpy's reduce
+    # bits of a row-order fold of the kernel and within 2 ulp of numpy's reduce;
+    # the layer's sentinel copy, the gathered row and the kernel's temporary
+    # are rows of the scratch it is handed, so it allocates no array
     geom, i = _PackedGeometry(3, 12, keep=True), 12
     maps = geom._maps(i - 1, geom.keys(i), -geom.steps)
-    x = np.random.default_rng(0).standard_normal(len(geom.keys(i - 1)))
-    x[::7] = -np.inf
-    rows = np.append(x, -np.inf)[maps]
+    n = len(geom.keys(i - 1))
+    x = np.random.default_rng(0).standard_normal((2, n))
+    x[:, ::7] = -np.inf
+    rows = np.append(x[1], -np.inf)[maps]
     want = rows[0]
     for row in rows[1:]:
         want = _logaddexp(want, row)
+    y, t = np.empty(2 * len(geom.keys(i))), np.empty((3, len(geom.keys(i)) + 1))
     tracemalloc.start()
     try:
-        got = _gather_logsum(maps, x)
+        got = _gather_logsum(maps, n, x.ravel(), y, t, (2,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got.tobytes() == want.tobytes()
-    _within_ulps(got, np.logaddexp.reduce(rows, axis=0),
+    assert got.shape == (2, len(geom.keys(i))) and np.shares_memory(got, y)
+    assert got[1].tobytes() == want.tobytes()
+    _within_ulps(got[1], np.logaddexp.reduce(rows, axis=0),
                  np.abs(np.where(np.isfinite(rows), rows, 0)).max(axis=0))
-    assert peak < 4 * 8 * len(geom.keys(i))
+    assert peak < 8 * len(geom.keys(i)) / 4
 
 
 def test_rolling_pass_not_charged_for_the_cone():
     # the cone is 2,003,001 cells; a rolling pass with four profiles is charged
-    # 2001 * (2 * 4 + 10) = 36,018
+    # 2001 * (3 * 4 + 3 + 3) = 36,018
     small = LatticeParams(d=1, N=2000, max_cells=40_000)
     full = LatticeParams(d=1, N=2000)
     betas = (0.5, 1.0, 2.0, 3.0)
@@ -891,11 +917,63 @@ def test_kept_table_peak_within_charge(d, N, build):
     assert peak <= 8 * charged
 
 
-@pytest.mark.parametrize("d, last", [(2, 658), (3, 123)])
+@pytest.mark.parametrize("d, N", [(1, 48), (2, 20), (3, 9)])
+def test_rolling_steps_allocate_nothing(d, N):
+    # every step of a rolling pass works in buffers the pass allocates once,
+    # so what is allocated when a layer is handed over is the same at every
+    # step from step 2 on, besides the packed geometry's keys of its two
+    # newest layers and the list that holds them
+    envs, profs = _ladder_envs(d, N, 3), [BetaProfile.constant(b, N) for b in (0.5, 2.0)]
+    geoms, sizes = [], np.zeros(N + 1, dtype=np.int64)
+
+    def geometry(*args):
+        geoms.append(_geometry(*args))
+        return geoms[-1]
+
+    def consume(i, layers):
+        traced = tracemalloc.get_traced_memory()[0]
+        keys = getattr(geoms[0], "_keys", [])
+        sizes[i] = traced - sum(k.nbytes for k in keys if k is not None) - sys.getsizeof(keys)
+
+    tracemalloc.start()
+    try:
+        _transfer(envs, profs, "forward", np.float64, 0, consume, geometry)
+    finally:
+        tracemalloc.stop()
+    assert np.all(sizes[2:] == sizes[2]), sizes
+
+
+@pytest.mark.parametrize("d, N", [(1, 12), (2, 8), (3, 5)])
+def test_kept_tables_own_their_layers(d, N, monkeypatch):
+    # a layer handed to a consumer lives in a pass buffer that the next step
+    # writes over, so each kept layer is a copy of its own, with one profile
+    # as with profiles riding along: it shares memory with no pass buffer
+    # and with no other layer
+    bufs = []
+    for cls in (_DenseGeometry, _PackedGeometry):
+        def recorded(self, *args, _orig=cls.buffers):
+            bufs.extend(_orig(self, *args))
+            return bufs[-3:]
+
+        monkeypatch.setattr(cls, "buffers", recorded)
+    env = gaussian_env(derive_seed(9, d), LatticeParams(d=d, N=N))
+    profs = [BetaProfile.constant(b, N) for b in (0.7, 0.701, 0.699)]
+    for build in (lambda: forward_layers(env, profs[0]), lambda: backward_layers(env, profs[0]),
+                  lambda: forward_layers_and_ladder(env, profs, [N])[0]):
+        table = build()
+        assert bufs
+        for k, layer in enumerate(table.layers):
+            assert layer.flags.owndata
+            assert not any(np.shares_memory(layer, buf) for buf in bufs)
+            assert not any(np.shares_memory(layer, other) for other in table.layers[:k])
+        bufs.clear()
+
+
+@pytest.mark.parametrize("d, last", [(2, 659), (3, 122)])
 def test_kept_table_limits_at_default_cap(d, last):
     # a kept table is charged its cone for the layer values, its cone again
-    # for the keys at d >= 3, and one step's shared and work cells per site
-    # of layer N
+    # for the keys at d >= 3, and per site of layer N the pass's layer
+    # buffers and one step's shared and work cells
     _check_guard(gaussian_env(1, LatticeParams(d=d, N=last)), _geometry(d, last, True), 1,
                  keep=True)
     env = gaussian_env(1, LatticeParams(d=d, N=last + 1))
@@ -928,12 +1006,14 @@ class TestRideAlong:
     @pytest.mark.parametrize("d, N", [(2, 200), (3, 30)])
     def test_pass_peak_within_charge(self, d, N):
         # the kept layers are copies, so no layer pins the riders' values,
-        # and the pass is charged one cone and two rolling layers per rider
+        # and the pass is charged one cone and the geometry's layer buffers
+        # per rider
         env = gaussian_env(2, LatticeParams(d=d, N=N))
         profs = [BetaProfile.constant(b, N) for b in (0.8, 0.801, 0.799)]
-        charged = _check_guard(env, _geometry(d, N, True), 3, 1)
-        assert charged == (_check_guard(env, _geometry(d, N, True), 1, 1)
-                           + 2 * 2 * reachable_set_size(N, d))
+        geom = _geometry(d, N, True)
+        charged = _check_guard(env, geom, 3, 1)
+        assert charged == (_check_guard(env, geom, 1, 1)
+                           + 2 * geom.layer_cells * reachable_set_size(N, d))
         tracemalloc.start()
         try:
             forward_layers_and_ladder(env, profs, [N // 2, N])
@@ -942,11 +1022,11 @@ class TestRideAlong:
             tracemalloc.stop()
         assert peak <= 8 * charged
 
-    @pytest.mark.parametrize("d, last", [(2, 654), (3, 121)])
+    @pytest.mark.parametrize("d, last", [(2, 653), (3, 121)])
     def test_limits_at_default_cap(self, d, last):
         # with beta +/- h riding along, the sweep's pass at beta > 0 reaches
-        # N = 654 at d=2 and 121 at d=3; a plain kept table still reaches
-        # 658 and 123 (test_kept_table_limits_at_default_cap)
+        # N = 653 at d=2 and 121 at d=3; a plain kept table reaches 659 and
+        # 122 (test_kept_table_limits_at_default_cap)
         _check_guard(gaussian_env(1, LatticeParams(d=d, N=last)), _geometry(d, last, True), 3, 1)
         env = gaussian_env(1, LatticeParams(d=d, N=last + 1))
         with pytest.raises(MemoryGuardError,
