@@ -490,16 +490,18 @@ def _grids(ns, betas) -> dict:
 
 def _platform() -> dict:
     """The interpreter and library versions, and the SIMD target numpy runs
-    float64 exp, log and log1p on: the last bits of every log-space sum, and
-    so the metric files' digests, depend on it."""
-    import scipy
+    float64 exp, log and log1p on: the last bits of every log-space sum and
+    of the field's tail, and so the metric files' digests, depend on it.
+    scipy is recorded where it is loaded already (``verify``'s chi-square),
+    and None where it is not: no other command uses it, and importing it
+    here would cost every run its start-up."""
     from numpy.lib.introspect import opt_func_info
 
     targets = opt_func_info(func_name="^(exp|log|log1p)$", signature="float64")
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         "float64_targets": {name: next(iter(by_sig.values()))["current"]
                             for name, by_sig in sorted(targets.items())},
     }

@@ -56,8 +56,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lattice import (Environment, MemoryGuardError, PartitionScheme, layer_fields,
-                      reachable_cells_total, reachable_set_size)
+from .lattice import (FIELD_BLOCK, FIELD_SCRATCH_CELLS, Environment, MemoryGuardError,
+                      PartitionScheme, field_layers, field_scratch, reachable_cells_total,
+                      reachable_set_size)
 
 NEG_INF = -np.inf
 
@@ -231,9 +232,8 @@ class _DenseGeometry:
     # per environment, profile and site of layer N a pass holds three layer
     # buffers: the framed layer, the neighbour sum and the kernel's temporary;
     # per site, for the whole batch, the coordinates and one column of them,
-    # and per environment the field, its hash temporary and, for a lone
-    # environment, the copy ``values`` returns
-    layer_cells, shared_cells, work_cells = 3, 3, 3
+    # and per environment its layer of the field block
+    layer_cells, shared_cells, work_cells = 3, 3, 1
     # cells per site of one reverse-chain step besides the kept table: layer
     # i-1 framed and its sum onto layer i (and one more for numpy's buffers of
     # strided operations), and per rung its log marginal, its sum back and
@@ -325,7 +325,9 @@ class _PackedGeometry:
     built once per layer and shared by every environment and profile of the
     pass; a site off the layer maps one past its end, where a -inf sentinel
     sits.  Coordinates are decoded only where asked for.
-    Without ``keep`` only the two newest layers are held.
+    Without ``keep``, building a layer's keys drops those below the layer
+    the last step summed from, so a rolling pass holds the keys of its field
+    block (``lattice.field_layers``) and of the layer before it.
     """
 
     key_cells = 1  # per site of a kept layer, besides its values
@@ -338,14 +340,14 @@ class _PackedGeometry:
         if d * math.log2(base) > 62:
             raise MemoryGuardError("packed site keys would overflow int64")
         self.N, self.keep, self.base = N, keep, base
+        self._floor = 0  # without keep, the lowest layer whose keys are read again
         self.radix = base ** np.arange(d - 1, -1, -1, dtype=np.int64)
         # the key moves of the steps +e1, -e1, +e2, ...
         self.steps = np.stack([self.radix, -self.radix], axis=1).ravel()
         # per site, one step holds two layers' keys, 2d candidate keys or map
         # rows and the kernel's three rows for the whole batch, and per
-        # environment the field, its hash temporary and, for a lone
-        # environment, the copy ``values`` returns
-        self.shared_cells, self.work_cells = 2 * d + 5, 3
+        # environment its layer of the field block
+        self.shared_cells, self.work_cells = 2 * d + 5, 1
         # a reverse-chain step holds one map set and its search temporaries,
         # layer i-1, its sum onto layer i and the kernel's three rows, and per
         # rung its log marginal and the sum back
@@ -357,8 +359,8 @@ class _PackedGeometry:
             cand = (self._keys[-1] + self.steps[:, None]).ravel()
             cand.sort()
             self._keys.append(cand[np.append(True, cand[1:] != cand[:-1])])
-            if not self.keep and len(self._keys) > 2:
-                self._keys[-3] = None
+            if not self.keep:
+                self._keys[:self._floor] = [None] * self._floor
         return self._keys[i]
 
     def shape(self, i: int) -> tuple:
@@ -393,6 +395,7 @@ class _PackedGeometry:
         return maps
 
     def sum_into(self, i: int):
+        self._floor = i - 1
         return functools.partial(_gather_logsum, self._maps(i - 1, self.keys(i), -self.steps),
                                  len(self.keys(i - 1)))
 
@@ -475,7 +478,10 @@ def _check_guard(env: Environment, geom, n_profiles: int, keep: int, n_envs: int
     the pass ``key_cells`` per cone site; per site of layer N the pass holds
     the geometry's ``layer_cells`` per environment and profile (its buffers,
     allocated once), ``shared_cells`` for the whole batch and ``work_cells``
-    per environment.  With ``rungs``, the charge is of a reverse-chain
+    per environment, and once the rest of the field block, FIELD_BLOCK
+    values (and their layers' keys at d >= 3), and its scratch.  An
+    environment that overrides ``Environment.values`` is charged as one that
+    keeps it.  With ``rungs``, the charge is of a reverse-chain
     descent down one kept table (``marginal_sums``): that cone, and per site
     of layer N the geometry's ``chain_shared_cells`` and
     ``chain_rung_cells`` per rung."""
@@ -485,7 +491,8 @@ def _check_guard(env: Environment, geom, n_profiles: int, keep: int, n_envs: int
             if keep else 0)
     step = (geom.chain_shared_cells + rungs * geom.chain_rung_cells if rungs
             else geom.shared_cells + n_envs * (geom.work_cells + n_profiles * geom.layer_cells))
-    cells = held + width * step
+    field = 0 if rungs else FIELD_BLOCK * (1 + geom.key_cells) + FIELD_SCRATCH_CELLS
+    cells = held + width * step + field
     if cells > p.max_cells:
         what = (f"a descent of {rungs} rung(s) down a kept layer table" if rungs
                 else f"a rolling pass over {n_profiles} profile(s)" if not keep
@@ -531,7 +538,9 @@ def _transfer(envs, profiles, direction, dtype, keep, consume=lambda i, layers: 
     array, and the neighbour sums act on its trailing layer axes, so each
     entry gets the arithmetic of a pass of its own.  Every step works in
     buffers the pass allocates once: the geometry's (the layer, its neighbour
-    sum and the kernels' scratch) and one for the field.  Layers 0..N (forward)
+    sum and the kernels' scratch) and the field block and its scratch, which
+    ``lattice.field_layers`` fills a block of layers ahead of the step, in
+    pass order.  Layers 0..N (forward)
     or N..0 (backward) go in that order to ``consume(i, layers)``: layer i as
     that array, a view into a pass buffer that is valid only until
     ``consume`` returns.  ``keep`` is how many leading profiles the consumer
@@ -554,35 +563,45 @@ def _transfer(envs, profiles, direction, dtype, keep, consume=lambda i, layers: 
     betas = np.array([pr.values for pr in profiles]).reshape(len(profiles), N).T
     read = betas.any(axis=1).tolist()
     betas = betas.reshape(betas.shape + (1,) * len(geom.shape(0)))
-    field = np.empty(len(envs) * reachable_set_size(N, d)) if any(read) else None
+    order = range(1, N + 1) if forward else range(N, 0, -1)
+    if any(read):
+        fields = field_layers(envs, [i for i in order if read[i - 1]], geom.coords,
+                              np.empty(len(envs) * reachable_set_size(N, d) + FIELD_BLOCK),
+                              field_scratch())
+
+    def field(i):  # g(i, .) of each environment, shaped to scale an (E, 1, ...) layer
+        return next(fields).reshape((len(envs), 1) + geom.shape(i))
+
     # forward, layer i sits framed in bufs[0] and its sum lands in bufs[1];
     # backward, layer i plus its drive sits in bufs[0] and layer i-1 lands in
     # bufs[1]; bufs[2] is the kernels' scratch
     layers = geom.lay(0 if forward else N, bufs[0 if forward else 1], lead, framed=forward)
     layers.fill(0.0)
     consume(0 if forward else N, layers)
-    for i in range(1, N + 1) if forward else range(N, 0, -1):
-        g = None
-        if read[i - 1]:
-            coords = geom.coords(i)
-            g = layer_fields(envs, i, coords, out=field[:len(envs) * len(coords)]
-                             .reshape(len(envs), -1)).reshape((len(envs), 1) + geom.shape(i))
-            del coords
+    for i in order:
         if forward:
             # the sum is built and its index maps dropped in one statement, so
-            # this step's maps go before the next step's are built
+            # this step's maps go before the next step's are built.  The drive
+            # runs on the sum, which is contiguous (sum + beta g is beta g +
+            # sum, bit for bit), and is then copied to layer i's place in
+            # bufs[0]: a framed window at d <= 2, which numpy would run each
+            # pass of the drive through its iteration buffers
             total = geom.sum_into(i)(*bufs, lead)
+            if read[i - 1]:
+                total += np.multiply(betas[i - 1], field(i), out=geom.lay(i, bufs[0], lead),
+                                     dtype=dtype)
+            total -= log2d
             layers = geom.lay(i, bufs[0], lead, framed=i < N)
+            np.copyto(layers, total)
         else:
             total, layers = layers, geom.lay(i, bufs[0], lead)
-        if g is None:
-            layers[...] = total
-        else:
-            np.multiply(betas[i - 1], g, out=layers, dtype=dtype)
-            layers += total
-        if not forward:
+            if read[i - 1]:
+                np.multiply(betas[i - 1], field(i), out=layers, dtype=dtype)
+                layers += total
+            else:
+                layers[...] = total
             layers = geom.sum_from(i)(*bufs, lead)
-        layers -= log2d
+            layers -= log2d
         consume(i if forward else i - 1, layers)
     return geom, layers
 

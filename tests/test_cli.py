@@ -622,11 +622,38 @@ class TestReadmeExamples:
         assert cfg.seed == 7 and cfg.n_values == (64, 256, 1024)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # only the verify command uses scipy.stats; importing the CLI must not pay for it
+def test_platform_records_scipy_once_verify_loads_it():
+    # run_record.json names scipy's version where it is loaded, as in a
+    # verify run, whose suites import its chi-square, and null elsewhere
     src = str(Path(polymerlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, polymerlab.cli; print('scipy.stats' in sys.modules)"
+    code = ("import json, polymerlab.cli as cli\n"
+            "before = cli._platform()['scipy']\n"
+            "import polymerlab.verify, scipy\n"
+            "print(json.dumps([before, cli._platform()['scipy'], scipy.__version__]))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    before, after, version = json.loads(out.stdout)
+    assert before is None and after == version
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # only the verify command uses scipy (its chi-square); importing the CLI
+    # and running free-energy, overlap and localize must not load any of it
+    src = str(Path(polymerlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    runs = [["free-energy", "--d", "1", "--n-grid", "8", "--beta-grid", "1", "--n-disorder", "2"],
+            ["overlap", "--d", "1", "--n-grid", "8", "--beta-grid", "0,1", "--n-disorder", "2",
+             "--n-pairs", "5"],
+            ["localize", "--d", "1", "--n", "16", "--beta-grid", "2", "--n-samples", "20",
+             "--blocks", "2"]]
+    code = ("import json, sys, polymerlab.cli\n"
+            f"for k, argv in enumerate({runs!r}):\n"
+            f"    assert polymerlab.cli.main(argv + ['--out', {str(tmp_path)!r} + f'/{{k}}']) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == []
+    for k in range(len(runs)):
+        assert json.loads((tmp_path / str(k) / "run_record.json").read_text())["platform"][
+            "scipy"] is None

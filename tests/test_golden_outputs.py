@@ -6,27 +6,35 @@ was rebuilt around one driver (the ``free_energy_tail_d1`` and
 ``overlap_d1_mixed`` digests: before the free-energy beta grid and the
 overlap estimators shared one pass per environment; the ``localize_d2``
 digests: before the localization reports shared one coincidence tensor and
-the distinguished-set induction was batched), so refactors must
-leave the outputs byte-identical.  The digests were taken with Python 3.11.7, numpy 2.4.6 and
-scipy 1.17.1; other versions may round differently.  A change that alters
-output bits on purpose (e.g. a new kernel) updates the digests here and
-says so in CHANGES.md.  The ``free_energy_d3``, ``multi_temp_d1``,
-``overlap_d1_mixed``, ``overlap_d2`` and ``overlap_d3_ladder`` digests were
-taken again when the neighbour sums moved from ``np.logaddexp`` to
-``transfer._logaddexp`` (last-bit changes, at most 1.4e-14 relative), and
-the three overlap digests again when the exact <R> moved from a backward pass
-to the reverse chain down the forward table (``exact_overlap`` and the mc
-``ibp_residual`` and ``ibp_stderr`` columns: at most 4.5e-16 absolute and
-3.4e-15 relative).
+the distinguished-set induction was batched), so refactors must leave the
+outputs byte-identical.  The digests were taken with Python 3.11.7 and numpy
+2.4.6; other versions may round differently.  They do not depend on scipy,
+which only ``verify``'s chi-square uses.  A change that alters output bits
+on purpose (e.g. a new kernel) updates the digests here and says so in
+CHANGES.md.  The ``free_energy_d3``, ``multi_temp_d1``, ``overlap_d1_mixed``,
+``overlap_d2`` and ``overlap_d3_ladder`` digests were taken again when the
+neighbour sums moved from ``np.logaddexp`` to ``transfer._logaddexp``
+(last-bit changes, at most 1.4e-14 relative), and the three overlap digests
+again when the exact <R> moved from a backward pass to the reverse chain
+down the forward table (``exact_overlap`` and the mc ``ibp_residual`` and
+``ibp_stderr`` columns: at most 4.5e-16 absolute and 3.4e-15 relative).
+Every free-energy and overlap digest was taken again when the field's
+inverse normal moved from scipy's ``ndtri`` to the package's AS241
+(``lattice._ndtri``, within 2e-15 relative): at most 4.4e-16 absolute on
+the free-energy cases and 9.6e-14 on ``overlap_d3_ladder``, in its
+finite-difference columns; the localize digests did not move.
 
 The digests also depend on the CPU: numpy dispatches float64 ``exp``,
 ``log`` and ``log1p`` to AVX-512 loops (target ``X86_V4``) where the CPU has
 them, and those round differently in the last bit from the AVX2 and
-baseline loops.  They were recorded on an AVX-512 machine.  With
+baseline loops; the field's tail runs through that ``log``.  They were
+recorded on an AVX-512 machine.  With
 ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` set on that
-machine, ``free_energy_d3``, ``free_energy_tail_d1``, ``overlap_d1_mixed``,
-``overlap_d2`` and ``overlap_d3_ladder`` fail here, and so does the verify
-digest of ``test_c10`` (before the kernel change: ``free_energy_tail_d1``,
+machine, every free-energy and overlap case but ``free_energy_d3`` fails
+here, and so does the verify digest of ``test_c10`` (before the field's
+inverse normal moved: ``free_energy_d3``, ``free_energy_tail_d1``,
+``overlap_d1_mixed``, ``overlap_d2``, ``overlap_d3_ladder`` and
+``test_c10``; before the kernel change: ``free_energy_tail_d1``,
 ``multi_temp_d1``, ``overlap_d1_mixed``, ``overlap_d3_ladder`` and
 ``test_c10``).  So a mismatch on another runner is first checked against
 the targets that ``run_record.json`` and ``numpy.show_runtime()`` report.
@@ -40,7 +48,7 @@ from polymerlab.cli import main
 
 FREE_ENERGY_D1 = ["free-energy", "--d", "1", "--n-grid", "16,64", "--beta-grid", "0,0.5,2",
                   "--n-disorder", "4", "--seed", "7"]
-FREE_ENERGY_D1_DIGEST = "c3af9afca9dff5cac1e1a1213d3ba5b85298420ae4edb7ced04db3fc5108d248"
+FREE_ENERGY_D1_DIGEST = "f08140bf0c2af52905bb4859aa5894ce622bab23e6b56d1186bcb4c6ec85a751"
 
 CASES = {
     "free_energy_d1": (FREE_ENERGY_D1, {"free_energy.csv": FREE_ENERGY_D1_DIGEST}),
@@ -51,13 +59,13 @@ CASES = {
     "free_energy_d3": (
         ["free-energy", "--d", "3", "--n-grid", "4,10", "--beta-grid", "0.5,2",
          "--n-disorder", "2", "--seed", "7"],
-        {"free_energy.csv": "961206e2912e5a4516f2ce29aaeef42352c1aa25455a603bbae9b9a1ebae790e"},
+        {"free_energy.csv": "0d54c17f8ba67325b80576261559fa6cfd98b4a1d1fbb2d193ae1dd8f850313f"},
     ),
     "free_energy_tail_d1": (
         ["free-energy", "--d", "1", "--n-grid", "16,64", "--beta-grid", "0,0.5,2",
          "--n-disorder", "6", "--tail-u", "0.02,0.1,0.4", "--seed", "7"],
         {
-            "free_energy.csv": "1914f1488de792feef2cf9baf116fb77cb86251eeabced9be66dd57c1667d0d4",
+            "free_energy.csv": "f822475cd834955b074ebc033a1a11c68898641a6fff9913e44450783eb93be9",
             "concentration.csv": "a419a9ac962ab01c1523a25906be6357b7f44d9dbb5be79f1a8d8157275f181c",
         },
     ),
@@ -66,12 +74,12 @@ CASES = {
     "overlap_d1_mixed": (
         ["overlap", "--d", "1", "--n-grid", "8,24", "--beta-grid", "0,0.5,1",
          "--n-disorder", "55", "--n-pairs", "50", "--seed", "7"],
-        {"overlap.csv": "72465af5249ef99e8a0c121157d1ae37549c85437866c0a7a9ca098ecf40e6b0"},
+        {"overlap.csv": "2c6887e4868f460928a34873db2f3ece606cb61cb478f581381f1c10f72fa216"},
     ),
     "overlap_d2": (
         ["overlap", "--d", "2", "--n-grid", "3,16", "--beta-grid", "0,1",
          "--n-disorder", "2", "--n-pairs", "100", "--seed", "7"],
-        {"overlap.csv": "6669c80fb50cf2df2b18812d80f4b48cce0b89119013b084b73aa6987b40111d"},
+        {"overlap.csv": "f39ddea59f2c8d40ad02920e8b9919221bc910e6e58cac8d2da7409de3311ea4"},
     ),
     # d = 3, an unsorted ladder with a repeated N and a beta = 0 row between
     # betas > 0, whose exact <R> comes from one reverse-chain descent per
@@ -79,14 +87,14 @@ CASES = {
     "overlap_d3_ladder": (
         ["overlap", "--d", "3", "--n-grid", "12,5,12", "--beta-grid", "2,0,0.5",
          "--n-disorder", "3", "--n-pairs", "40", "--seed", "3"],
-        {"overlap.csv": "54bc2b84560c7e5f8f1776dd712b974295677bce066834ac41042641f3df6326"},
+        {"overlap.csv": "fbcc42a4160aae0a599d2558d5becbc346e372481be357e6529fc61e375bcb76"},
     ),
     # block-beta mode; the digest was recorded before the block and
     # concatenation passes were batched over replicas
     "multi_temp_d1": (
         ["free-energy", "--d", "1", "--n-grid", "16,32", "--blocks", "2", "--block-betas",
          "0.5,1.5", "--n-disorder", "6", "--seed", "7"],
-        {"multi_temp.csv": "212e3a050470211c727cb65f521bf18f0b50158896a523fd401031f7a84934b3"},
+        {"multi_temp.csv": "4d7500a7ae485d0ac47612db6153e13eaf215fc969a40fc7fa921f1eee28bae8"},
     ),
     "localize_d1": (
         ["localize", "--d", "1", "--n", "96", "--beta-grid", "0,2", "--delta", "0.25",

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from polymerlab.lattice import (
+    FIELD_BLOCK,
     LatticeParams,
     MemoryGuardError,
     derive_seed,
+    field_scratch,
     gaussian_env,
     is_valid_path,
     layer_fields,
@@ -27,6 +29,8 @@ from polymerlab.lattice import (
 )
 from polymerlab.free_energy import BlockConcatEnvironment
 from polymerlab.transfer import BetaProfile, backward_layers, forward_layers
+
+lattice = importlib.import_module("polymerlab.lattice")
 
 
 def test_params_validation():
@@ -47,18 +51,79 @@ def test_memory_guard_at_construction():
     gaussian_env(1, LatticeParams(d=1, N=512))  # well under the default cap
 
 
+def _quantiles(u, chunk=FIELD_BLOCK, order=None):
+    """The package's inverse normal of each u, a chunk at a time, the chunks
+    taken in ``order`` (default first to last)."""
+    out = np.array(u, dtype=np.float64)
+    t = field_scratch(chunk)
+    starts = range(0, len(out), chunk)
+    for lo in (starts if order is None else order(starts)):
+        lattice._ndtri(out[lo:lo + chunk], t)
+    return out
+
+
+def _uniform(h):
+    """The u of the field for each uint64 hash h."""
+    return np.minimum(((h >> np.uint64(11)) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
+
+
+def _assert_near_scipy(got, u):
+    want = ndtri(u)
+    assert np.isfinite(got).all()
+    assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+
+
+class TestInverseNormal:
+    def test_matches_scipy_over_hashed_uniforms(self):
+        # 3M uniforms of the field's hash, both far tails (u < e^-25, where
+        # the far rational takes over) and the two all-ones hashes: within
+        # 2e-15 relative of scipy.special.ndtri, through the hash's own path
+        env = gaussian_env(11, LatticeParams(d=2, N=8))
+        sites = np.stack(np.divmod(np.arange(3_000_000), 2000), axis=1) - 1000
+        h = np.empty(len(sites)).view(np.uint64)
+        lattice._hash(h, np.array([env._layer_base(5)], dtype=np.uint64), sites,
+                      field_scratch()[0].view(np.uint64))
+        low = np.arange(0, 130_000, dtype=np.uint64) << np.uint64(11)
+        ones = np.uint64(2**64 - 1) - low
+        h = np.concatenate([h, low, ones, [np.uint64(2**64 - 1), np.uint64(2**64 - 1 - 2**11)]])
+        u = _uniform(h)
+        assert u.min() < 1e-16 and 1 - u.max() < 2e-16 and (u < np.exp(-25)).sum() > 100_000
+        got = lattice._gaussians(h.copy(), field_scratch()).copy()
+        assert got.tobytes() == _quantiles(u).tobytes()
+        _assert_near_scipy(got, u)
+        assert env.values(5, sites).tobytes() == got[:len(sites)].tobytes()
+
+    def test_odd_symmetry_where_one_minus_u_is_exact(self):
+        u = _uniform(np.random.default_rng(3).integers(0, 2**64, 1_000_000, dtype=np.uint64))
+        u = np.concatenate([u, np.exp(-np.linspace(25, 37, 1000))])
+        exact = (1.0 - (1.0 - u)) == u
+        assert exact.mean() > 0.4
+        x, y = _quantiles(u[exact]), _quantiles(1.0 - u[exact])
+        assert np.array_equal(x, -y) and np.array_equal(np.signbit(x), ~np.signbit(y))
+        _assert_near_scipy(y, 1.0 - u[exact])
+
+    def test_bits_do_not_depend_on_chunk_or_order(self):
+        u = _uniform(np.random.default_rng(5).integers(0, 2**64, 200_000, dtype=np.uint64))
+        u[::997] = np.exp(-np.linspace(25, 37, len(u[::997])))
+        want = _quantiles(u)
+        for chunk in (1, 7, 1000, 4096, FIELD_BLOCK, len(u)):
+            part = u if chunk >= 1000 else u[:3000]  # a call per chunk
+            got, rev = _quantiles(part, chunk), _quantiles(part, chunk, order=reversed)
+            assert got.tobytes() == rev.tobytes() == want[:len(part)].tobytes()
+
+
 class TestEnvironment:
     def test_all_ones_hash_gives_a_finite_value(self, monkeypatch):
-        # a hash whose top 53 bits are all ones gave u = (2^53 - 1 + 0.5) 2^-53,
-        # which rounds to 1.0, and ndtri(1.0) = inf; the next hash down keeps
-        # its u = 1 - 2^-52
-        lattice = importlib.import_module("polymerlab.lattice")
+        # a hash whose top 53 bits are all ones gives u = (2^53 - 1 + 0.5) 2^-53,
+        # which rounds to 1.0, whose quantile is inf, so u is clamped to
+        # 1 - 2^-53; the next hash down keeps its u = 1 - 2^-52
         env = gaussian_env(3, LatticeParams(d=2, N=4))
         for top, u in ((2**53 - 1, 1 - 2**-53), (2**53 - 2, 1 - 2**-52)):
             h = np.uint64((top << 11) | 0x7FF)
-            monkeypatch.setattr(lattice, "_mix64_arr", lambda a, h=h: np.full_like(a, h))
+            monkeypatch.setattr(lattice, "_mix64_arr", lambda a, t, h=h: a.fill(h) or a)
             v = env.values(1, np.array([[0, 0], [1, 0]]))
-            assert np.array_equal(v, [ndtri(u)] * 2) and np.isfinite(v).all()
+            assert v.tobytes() == _quantiles([u, u]).tobytes()
+            _assert_near_scipy(v, np.array([u, u]))
 
     def test_repeated_queries_identical(self):
         env = gaussian_env(42, LatticeParams(d=2, N=32))

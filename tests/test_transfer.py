@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from polymerlab.free_energy import estimate_free_energies
+from polymerlab.free_energy import BlockConcatEnvironment, estimate_free_energies
 from polymerlab.lattice import (
+    FIELD_BLOCK,
+    FIELD_SCRATCH_CELLS,
     Environment,
     LatticeParams,
     MemoryGuardError,
@@ -644,6 +646,82 @@ class TestFieldSkipping:
             assert a[0].tobytes() == b[0].tobytes()
 
 
+def _field_envs(kind, d, N):
+    """Environments for a pass: one or three plain ones, three block
+    concatenations (which set their own ``_layer_base``), or one that shifts
+    a cell of layer 3 (which overrides ``values``) with two plain ones."""
+    params = LatticeParams(d=d, N=N)
+    plain = [gaussian_env(derive_seed(29, r), params) for r in range(3)]
+    if kind == "concat":
+        p = make_partition(N, 3)
+        return [BlockConcatEnvironment(
+            seed=r, params=params, boundaries=p.boundaries,
+            blocks=tuple(gaussian_env(derive_seed(31, 3 * r + ell), LatticeParams(d=d, N=s))
+                         for ell, s in enumerate(p.sizes))) for r in range(3)]
+    if kind == "perturbed":
+        return [perturb_env(plain[0], 3, (1,) + (0,) * (d - 1), 0.5)] + plain[1:]
+    return plain[:1] if kind == "one" else plain
+
+
+class TestFieldBlocks:
+    @pytest.mark.parametrize("d, N", [(1, 30), (2, 12), (3, 7)])
+    @pytest.mark.parametrize("direction, keep", [("forward", 0), ("forward", 1),
+                                                 ("backward", 0), ("backward", 1)])
+    @pytest.mark.parametrize("kind", ["one", "three", "concat", "perturbed"])
+    def test_every_layer_is_hashed_as_alone(self, d, N, direction, keep, kind, monkeypatch):
+        # a pass hashes the field of a block of consecutive layers per call;
+        # each layer's field is bit for bit that of hashing the layer alone,
+        # one environment at a time, and the layers the pass hands over do not
+        # depend on how many layers a block holds.  The middle third of the
+        # profiles is 0, so its layers are skipped, not hashed
+        lattice = importlib.import_module("polymerlab.lattice")
+        envs, p = _field_envs(kind, d, N), make_partition(N, 3)
+        profs = [BetaProfile.from_blocks(p, [1.3, 0.0, 0.9]),
+                 BetaProfile.from_blocks(p, [0.4, 0.0, 2.0])]
+        order = range(1, N + 1) if direction == "forward" else range(N, 0, -1)
+        lo, hi = p.block_window(2)
+        read = [i for i in order if not lo <= i <= hi]
+        seen, calls, passes = [], [], {}
+
+        def recorded(envs, layers, coords, out, t, _orig=lattice.field_layers):
+            for i, g in zip(layers, _orig(envs, layers, coords, out, t)):
+                seen.append((i, g.copy(), coords(i)))
+                yield g
+
+        def counted(h, t, _orig=lattice._gaussians):
+            calls.append(len(h))
+            return _orig(h, t)
+
+        monkeypatch.setattr(importlib.import_module("polymerlab.transfer"), "field_layers",
+                            recorded)
+        monkeypatch.setattr(lattice, "_gaussians", counted)
+        # an environment that overrides values is asked one layer at a time,
+        # whatever the block
+        for block in (FIELD_BLOCK,) if kind == "perturbed" else (1, 50, FIELD_BLOCK):
+            monkeypatch.setattr(lattice, "FIELD_BLOCK", block)
+            seen.clear(), calls.clear()
+            handed = []
+            _transfer(envs, profs, direction, np.float64, keep,
+                      lambda i, layers: handed.append((i, layers.tobytes())))
+            passes[block] = handed, list(seen), list(calls)
+        monkeypatch.setattr(lattice, "FIELD_BLOCK", FIELD_BLOCK)
+        for block, (handed, fields, made) in passes.items():
+            assert handed == passes[FIELD_BLOCK][0]
+            assert [i for i, _, _ in fields] == read
+            for i, g, sites in fields:
+                assert g.tobytes() == np.stack([env.values(i, sites) for env in envs]).tobytes()
+            if kind == "perturbed":
+                continue
+            # a call per block: the fewest read layers in pass order that hold
+            # ``block`` values, or all that are left
+            want, at = [], 0
+            for i in read:
+                at += len(envs) * reachable_set_size(i, d)
+                if at >= block:
+                    want, at = want + [at], 0
+            assert made == want + [at] * (at > 0)
+
+
 class TestReverseChain:
     @pytest.mark.parametrize("d, N", [(1, 40), (2, 96), (3, 9)])
     @pytest.mark.parametrize("beta", [0.0, 0.7, 50.0])
@@ -671,9 +749,8 @@ class TestReverseChain:
         def refuse(*_):
             raise AssertionError("the reverse chain hashed a field")
 
-        for mod in ("lattice", "transfer"):
-            monkeypatch.setattr(importlib.import_module(f"polymerlab.{mod}"), "layer_fields",
-                                refuse)
+        for mod, name in (("lattice", "_hash"), ("transfer", "field_layers")):
+            monkeypatch.setattr(importlib.import_module(f"polymerlab.{mod}"), name, refuse)
         env.layers.clear()
         marginal_sums(fwd, [8, 3, 5])
         assert env.layers == []
@@ -705,10 +782,12 @@ class TestReverseChain:
 
     def test_long_ladder_refused_before_the_descent(self):
         # the charge grows with the rungs, and a ladder past the budget is
-        # refused before any rung is stacked
+        # refused before any rung is stacked; the table is built under the
+        # default budget, as its pass is charged the field block's fixed
+        # cells besides
         N = 64
-        env = gaussian_env(2, LatticeParams(d=2, N=N, max_cells=150_000))
-        fwd = forward_layers(env, BetaProfile.constant(0.8, N))
+        fwd = forward_layers(gaussian_env(2, LatticeParams(d=2, N=N)), BetaProfile.constant(0.8, N))
+        fwd = replace(fwd, env=gaussian_env(2, LatticeParams(d=2, N=N, max_cells=150_000)))
         marginal_sums(fwd, [N, N // 2])
         with pytest.raises(MemoryGuardError, match="d=2, N=64: a descent of 10 rung"):
             marginal_sums(fwd, range(N, 0, -7))
@@ -772,13 +851,16 @@ class TestLadder:
 
     def test_batch_size_bounded_by_the_cell_budget(self):
         # each environment of a rolling pass over four profiles at d=1 N=1024
-        # is charged 1025 * (3 * 4 + 3) cells (three layer buffers per profile,
-        # the field and its hash) and the batch 1025 * 3 for its coordinates;
-        # 50,000 cells leave room for three
-        env = gaussian_env(1, LatticeParams(d=1, N=1024, max_cells=50_000))
+        # is charged 1025 * (3 * 4 + 1) cells (three layer buffers per profile
+        # and its layer of the field block) and the batch 1025 * 3 for its
+        # coordinates and the field block's 196,608 fixed cells; 50,000 cells
+        # besides these leave room for three
+        field = FIELD_BLOCK + FIELD_SCRATCH_CELLS
+        env = gaussian_env(1, LatticeParams(d=1, N=1024, max_cells=50_000 + field))
         assert _batch_size(env, 4, 100) == 3
         with pytest.raises(MemoryGuardError, match="a rolling pass"):
-            _batch_size(gaussian_env(1, LatticeParams(d=1, N=1024, max_cells=10_000)), 4, 100)
+            _batch_size(gaussian_env(1, LatticeParams(d=1, N=1024, max_cells=10_000 + field)),
+                        4, 100)
 
     @pytest.mark.parametrize("d, N, max_cells", [(1, 1024, 120_000), (2, 64, 200_000),
                                                  (3, 32, 2_000_000), (3, 16, 600_000)])
@@ -788,18 +870,20 @@ class TestLadder:
         # with BATCH_CELLS out of the way the batch is the largest the guard
         # admits: E environments pass it and E + 1 are refused.  At d >= 3 the
         # cells a step shares are charged once per pass, not once per
-        # environment: d=3 N=32 on one profile under 2,000,000 cells takes 14
+        # environment: d=3 N=32 on one profile under 2,000,000 cells, besides
+        # the field block's fixed cells, takes 24
         monkeypatch.setattr(importlib.import_module("polymerlab.transfer"), "BATCH_CELLS",
                             1 << 40)
-        env = gaussian_env(1, LatticeParams(d=d, N=N, max_cells=max_cells))
-        size = _batch_size(env, n_profiles, 10_000)
         geom = _geometry(d, N, False)
+        field = FIELD_BLOCK * (1 + geom.key_cells) + FIELD_SCRATCH_CELLS
+        env = gaussian_env(1, LatticeParams(d=d, N=N, max_cells=max_cells + field))
+        size = _batch_size(env, n_profiles, 10_000)
         assert 1 < size < 10_000
         _check_guard(env, geom, n_profiles, False, size)
         with pytest.raises(MemoryGuardError, match="a rolling pass"):
             _check_guard(env, geom, n_profiles, False, size + 1)
         if (d, N, max_cells, n_profiles) == (3, 32, 2_000_000, 1):
-            assert size == 14
+            assert size == 24
 
     def test_refuses_an_empty_batch(self):
         with pytest.raises(ValueError, match="at least one environment"):
@@ -868,8 +952,8 @@ def test_gather_holds_one_row():
 
 def test_rolling_pass_not_charged_for_the_cone():
     # the cone is 2,003,001 cells; a rolling pass with four profiles is charged
-    # 2001 * (3 * 4 + 3 + 3) = 36,018
-    small = LatticeParams(d=1, N=2000, max_cells=40_000)
+    # 2001 * (3 * 4 + 3 + 1) = 32,016 and the field block's 196,608 fixed cells
+    small = LatticeParams(d=1, N=2000, max_cells=40_000 + FIELD_BLOCK + FIELD_SCRATCH_CELLS)
     full = LatticeParams(d=1, N=2000)
     betas = (0.5, 1.0, 2.0, 3.0)
     profs = [BetaProfile.constant(b, 2000) for b in betas]
@@ -969,11 +1053,11 @@ def test_kept_tables_own_their_layers(d, N, monkeypatch):
         bufs.clear()
 
 
-@pytest.mark.parametrize("d, last", [(2, 659), (3, 122)])
+@pytest.mark.parametrize("d, last", [(2, 660), (3, 123)])
 def test_kept_table_limits_at_default_cap(d, last):
     # a kept table is charged its cone for the layer values, its cone again
-    # for the keys at d >= 3, and per site of layer N the pass's layer
-    # buffers and one step's shared and work cells
+    # for the keys at d >= 3, per site of layer N the pass's layer buffers
+    # and one step's shared and work cells, and the field block's fixed cells
     _check_guard(gaussian_env(1, LatticeParams(d=d, N=last)), _geometry(d, last, True), 1,
                  keep=True)
     env = gaussian_env(1, LatticeParams(d=d, N=last + 1))
@@ -1022,11 +1106,11 @@ class TestRideAlong:
             tracemalloc.stop()
         assert peak <= 8 * charged
 
-    @pytest.mark.parametrize("d, last", [(2, 653), (3, 121)])
+    @pytest.mark.parametrize("d, last", [(2, 654), (3, 121)])
     def test_limits_at_default_cap(self, d, last):
         # with beta +/- h riding along, the sweep's pass at beta > 0 reaches
-        # N = 653 at d=2 and 121 at d=3; a plain kept table reaches 659 and
-        # 122 (test_kept_table_limits_at_default_cap)
+        # N = 654 at d=2 and 121 at d=3; a plain kept table reaches 660 and
+        # 123 (test_kept_table_limits_at_default_cap)
         _check_guard(gaussian_env(1, LatticeParams(d=d, N=last)), _geometry(d, last, True), 3, 1)
         env = gaussian_env(1, LatticeParams(d=d, N=last + 1))
         with pytest.raises(MemoryGuardError,
