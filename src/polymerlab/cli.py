@@ -20,9 +20,7 @@ config file.  Exit codes: 0 success, 1 validation error, 2 suite failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
-import hashlib
 import json
 import math
 import sys
@@ -32,6 +30,14 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+try:  # the builtin module, which loads no OpenSSL (``_sha2`` from Python 3.12)
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .free_energy import (
     annealed_bound,
@@ -121,7 +127,7 @@ _LIST_ITEMS = {k: typing.get_args(t)[0] for k, t in _KINDS.items()
 
 def config_content_hash(cfg: ExperimentConfig) -> str:
     blob = json.dumps(cfg.to_dict(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 @dataclass
@@ -135,6 +141,11 @@ class RunRecord:
     platform: dict = field(default_factory=dict)
 
 
+# the boolean spellings of ``configparser.ConfigParser.BOOLEAN_STATES``
+_BOOLEANS = {"1": True, "yes": True, "true": True, "on": True,
+             "0": False, "no": False, "false": False, "off": False}
+
+
 def _read(key: str, kind, raw):
     """``raw`` as a value of ``kind``; ValidationError when it cannot be read,
     or when it is a float that is not finite (no setting takes nan or inf)."""
@@ -142,7 +153,7 @@ def _read(key: str, kind, raw):
         if kind is bool:
             if isinstance(raw, bool):
                 return raw
-            return configparser.ConfigParser.BOOLEAN_STATES[str(raw).strip().lower()]
+            return _BOOLEANS[str(raw).strip().lower()]
         if kind is int and isinstance(raw, float) and not raw.is_integer():
             raise ValueError
         value = kind(raw)
@@ -167,6 +178,8 @@ def _coerce_value(key: str, raw):
 
 def load_config_file(path: str, command: str) -> dict:
     """Read [run] plus [<command>] keys from an INI file, or the JSON twin."""
+    import configparser  # only a run with a config file pays for it
+
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"config file not found: {path}")

@@ -10,7 +10,7 @@ the conditional partition function from (i, x) onward; combining the two
 yields exact site marginals and a Markov split of log Z at any time.  Paths
 are sampled exactly (not approximately) by drawing the endpoint proportional
 to W(N, .) and walking backwards, every path's step drawn at once from
-candidates the geometry finds by index arithmetic (d <= 2) or index maps.
+candidates the geometry finds by index arithmetic (d <= 2) or its column maps.
 
 One private driver, ``_transfer``, runs this recursion, forward or
 backward, over a layer geometry chosen from d:
@@ -22,19 +22,21 @@ backward, over a layer geometry chosen from d:
         layer with itself shifted by s, over the whole batch: onto the next
         layer from a layer framed by one -inf cell past the end of each
         axis, back onto the last one read through its leading window;
-  d>=3  sorted int64 site keys per layer, stepped by key arithmetic and
-        joined via searchsorted; coordinates are decoded only on demand,
-        and the neighbour sum folds 2d gathered rows with ``_logaddexp``.
+  d>=3  the sites of a layer in lexicographic order, as a run of columns
+        that share x_1..x_{d-1}: a step moves a column's sites to one
+        column of the next layer, shifted by 0 or 1, so a pass builds its
+        index maps a column at a time, from table sums and no search; the
+        neighbour sum folds 2d gathered rows with ``_logaddexp``.
 ``_logaddexp`` is the one log-space sum of two terms: max(x, y) +
 log1p(exp(-|x - y|)) on numpy's vector exp and log1p, with its temporary
 in scratch it is handed.
 One pass carries E environments x P profiles as one (E, P, *layer shape)
 array: one hash call makes the E fields of a layer, the dense neighbour sums
-act on the trailing layer axes, and at d >= 3 the keys and index maps serve
-the whole batch.  A pass allocates its buffers once, room for layer N: the
+act on the trailing layer axes, and at d >= 3 the index maps serve the
+whole batch.  A pass allocates its buffers once, room for layer N: the
 geometry's layer buffers (the layer, its neighbour sum and, dense, the
 kernel's scratch) and one for the field, so a step allocates no array the
-size of a layer (the packed keys and index maps excepted).  The driver hands
+size of a layer (the index maps at d >= 3 excepted).  The driver hands
 each layer, and nothing else, to a per-layer consumer, as a view into a pass
 buffer that is valid only until the consumer returns: the kept tables copy
 it, and log Z at each N of a ladder (``log_partition_ladder``) reads it; no
@@ -228,7 +230,6 @@ class _DenseGeometry:
     sum splits into one shifted ``_logaddexp`` per axis (``_shifted_sums``).
     """
 
-    key_cells = 0  # per site of a kept layer, besides its values
     # per environment, profile and site of layer N a pass holds three layer
     # buffers: the framed layer, the neighbour sum and the kernel's temporary;
     # per site, for the whole batch, the coordinates and one column of them,
@@ -314,117 +315,201 @@ class _DenseGeometry:
                 idx - a0 + np.array([[-i - 1], [-i], [-1], [0]]))
 
 
-class _PackedGeometry:
-    """d >= 3: layer i is the sorted int64 keys of its sites and nothing else.
+class _ColumnGeometry:
+    """d >= 3: layer i is a run of columns, each the sites of one prefix.
 
-    key(x) = sum_k (x_k + N) (2N+1)^(d-1-k) orders sites lexicographically, and
-    the step +-e_k moves a key by +-(2N+1)^(d-1-k).  A move to |x_k| = N+1 can
-    only alias a site with a coordinate +-N, which no layer it is looked up in
-    holds.  Layer i is the set of neighbours of layer i-1.  Neighbour sums
-    gather along the last axis through index maps found by ``searchsorted``,
-    built once per layer and shared by every environment and profile of the
-    pass; a site off the layer maps one past its end, where a -inf sentinel
-    sits.  Coordinates are decoded only where asked for.
-    Without ``keep``, building a layer's keys drops those below the layer
-    the last step summed from, so a rolling pass holds the keys of its field
-    block (``lattice.field_layers``) and of the layer before it.
+    A prefix p = (x_1, ..., x_{d-1}) with |p|_1 <= i holds the sites with
+    x_d in {-k, -k+2, ..., k}, k = i - |p|_1, at positions q = (x_d + k)/2,
+    and the columns follow each other in lexicographic order of p, so the
+    sites are in lexicographic order.  A step +-e_d keeps a site in its
+    column and a step +-e_j, j < d, takes it to the column p +- e_j; either
+    way its position moves by a shift of 0 or +-1 that is the same for the
+    whole column, and only the first or last site of a column can step off
+    the next layer.  The first site of column p in layer r is a sum of table
+    entries over the coordinates of p (``_first``), so a map from the sites
+    of one layer to their neighbours in the next is built a column at a time
+    and spread over its sites by one ``np.repeat``, shared by every
+    environment and profile of the pass; a site off the layer maps one past
+    its end, where a -inf sentinel sits.  Nothing is kept between steps.
+    The sampler finds the columns of its drawn sites by a search of the
+    tables (``_locate``), and builds the moves of those columns only.
     """
 
-    key_cells = 1  # per site of a kept layer, besides its values
     # per environment, profile and site of layer N a pass holds two layer
     # buffers: the layer and the neighbour sum
     layer_cells = 2
 
-    def __init__(self, d: int, N: int, keep: bool):
-        base = 2 * N + 1
-        if d * math.log2(base) > 62:
-            raise MemoryGuardError("packed site keys would overflow int64")
-        self.N, self.keep, self.base = N, keep, base
-        self._floor = 0  # without keep, the lowest layer whose keys are read again
-        self.radix = base ** np.arange(d - 1, -1, -1, dtype=np.int64)
-        # the key moves of the steps +e1, -e1, +e2, ...
-        self.steps = np.stack([self.radix, -self.radix], axis=1).ravel()
-        # per site, one step holds two layers' keys, 2d candidate keys or map
-        # rows and the kernel's three rows for the whole batch, and per
-        # environment its layer of the field block
-        self.shared_cells, self.work_cells = 2 * d + 5, 1
-        # a reverse-chain step holds one map set and its search temporaries,
-        # layer i-1, its sum onto layer i and the kernel's three rows, and per
-        # rung its log marginal and the sum back
-        self.chain_shared_cells, self.chain_rung_cells = 2 * d + 8, 2
-        self._keys = [N * self.radix.sum(keepdims=True)]
+    def __init__(self, d: int, N: int):
+        self.d, self.N = d, N
+        # per column of layer N a step holds the columns of its layer (d + 1
+        # cells each), its moves (2d offsets and their flags), the tables of
+        # ``_first`` and the temporaries that build them: 6d + 8 cells cover
+        # what tracemalloc sees of them at d = 3 to 5, charged per site of
+        # layer N (a column has one site or more)
+        columns = reachable_set_size(N, d - 1) + reachable_set_size(N - 1, d - 1)
+        spread = -(-(6 * d + 8) * columns // reachable_set_size(N, d))
+        # per site, one step holds the 2d rows of its map and the site
+        # numbers that build it, and the gather's three rows, for the whole
+        # batch, and per environment its layer of the field block
+        self.shared_cells, self.work_cells = 2 * d + 4 + spread, 1
+        # a reverse-chain step holds one map and the site numbers, layer i-1
+        # and its sum onto layer i and the kernel's three rows, and per rung
+        # its log marginal and the sum back
+        self.chain_shared_cells, self.chain_rung_cells = 2 * d + 6 + spread, 2
 
-    def keys(self, i: int) -> np.ndarray:
-        while len(self._keys) <= i:
-            cand = (self._keys[-1] + self.steps[:, None]).ravel()
-            cand.sort()
-            self._keys.append(cand[np.append(True, cand[1:] != cand[:-1])])
-            if not self.keep:
-                self._keys[:self._floor] = [None] * self._floor
-        return self._keys[i]
+    @functools.cached_property
+    def _tables(self):
+        """The tables of ``_first`` and ``_locate`` and the layer sizes |D_0|,
+        ..., |D_N|.  With W_0(r) = r + 1 sites in a column of radius r left
+        and W_n(r) those under the n-coordinate prefixes of radius r, entry
+        r (2N+1) + a + N of the table of coordinate t (of d - 1) holds
+        F_{d-1-t}(r, a) = sum_{b=-r}^{a-1} W_{d-2-t}(r - |b|), the sites
+        before a at radius r, plus r (|D_N| + 1), which sorts each table.
+        Built on first use, which follows the guard."""
+        N = self.N
+        left = np.arange(N + 1)[:, None] - np.abs(np.arange(-N, N + 1))
+        w, tables = np.arange(1, N + 2), []
+        for _ in range(self.d - 1):
+            terms = np.where(left >= 0, w[np.maximum(left, 0)], 0)
+            tables.append(np.cumsum(terms, axis=1) - terms)
+            w = terms.sum(axis=1)
+        lift = (w[-1] + 1) * np.arange(N + 1)[:, None]
+        return [(f + lift).ravel() for f in tables[::-1]], w.tolist()
+
+    def _first(self, pre: np.ndarray, r: int) -> np.ndarray:
+        """The first site in layer r of the column of each prefix of the
+        (d-1, C) ``pre``; where that column is not in layer r, any index in
+        the table."""
+        (tables, sizes), width = self._tables, 2 * self.N + 1
+        out = np.zeros(pre.shape[1], dtype=np.intp)
+        for a, table in zip(pre, tables):
+            out += table.take(r * width + a + self.N, mode="clip") - r * (sizes[-1] + 1)
+            r = r - np.abs(a)
+        return out
+
+    def _locate(self, i: int, idx: np.ndarray):
+        """The columns of the flat sites ``idx`` of layer i: their (d-1, n)
+        prefixes, ks and first sites.  Coordinate t of a site's prefix is the
+        last a whose sites before it, in the table's row of the radius left,
+        are at most the site's rank left: one search of the sorted table."""
+        (tables, sizes), width = self._tables, 2 * self.N + 1
+        pre = np.empty((self.d - 1, len(idx)), dtype=np.intp)
+        rest, r = idx, np.full(len(idx), i)
+        for a, table in zip(pre, tables):
+            lifted = rest + r * (sizes[-1] + 1)
+            at = np.searchsorted(table, lifted, side="right") - 1
+            np.subtract(at - self.N, r * width, out=a)
+            rest = lifted - table[at]
+            r = r - np.abs(a)
+        return pre, r, idx - rest
+
+    def _columns(self, i: int):
+        """The (d-1, C) prefixes of layer i in lexicographic order, each
+        column's k and its first site (C + 1 of them, the last |D_i|)."""
+        pre, k = np.zeros((0, 1), dtype=np.intp), np.array([i])
+        for _ in range(self.d - 1):  # one coordinate of the prefixes at a time
+            n = 2 * k + 1
+            up = np.repeat(np.arange(len(k)), n)
+            a = np.arange(len(up)) - np.repeat(np.cumsum(n) - n + k, n)
+            pre, k = np.vstack((pre[:, up], a)), k[up] - np.abs(a)
+        start = np.zeros(len(k) + 1, dtype=np.intp)
+        np.cumsum(k + 1, out=start[1:])
+        return pre, k, start
+
+    def _moves(self, src: int, dst: int, pre, k, heads):
+        """The steps from layer src to layer dst = src +- 1, -+e1, +-e1, -+e2,
+        ... (the sign of dst - src first), of the C columns of layer src with
+        prefixes ``pre``, ks ``k`` and first sites ``heads``: (2d, C) offsets
+        from each site to its neighbour in layer dst, and whether the first
+        and the last site of the column has none."""
+        delta = np.empty((2 * self.d, len(k)), dtype=np.intp)
+        first_off, last_off = np.empty(delta.shape, dtype=bool), np.empty(delta.shape, dtype=bool)
+        for r, step in enumerate((dst - src) * _offsets(self.d)):
+            moved = pre + step[:-1, None]  # the prefixes of the target columns
+            k2 = dst - np.abs(moved).sum(axis=0)  # k' = dst - |p'|
+            # x_d = 2q - k = 2q' - k' - dx with dx the step along e_d
+            shift = (step[-1] + k2 - k) // 2
+            np.subtract(self._first(moved, dst) + shift, heads, out=delta[r])
+            np.less(shift, 0, out=first_off[r])
+            np.less(k2 - shift, k, out=last_off[r])
+        return delta, first_off, last_off
 
     def shape(self, i: int) -> tuple:
-        return self.keys(i).shape
+        return (self._tables[1][i],)
 
     def buffers(self, rows: int, dtype) -> list:
         """Two flat buffers, each room for ``rows`` layers N, and the three
         rows of ``_gather_logsum``."""
-        n = reachable_set_size(self.N, len(self.radix))
+        n = self.shape(self.N)[0]
         return [np.empty(rows * n, dtype=dtype), np.empty(rows * n, dtype=dtype),
                 np.empty((3, n + 1), dtype=dtype)]
 
     def lay(self, i: int, buf: np.ndarray, lead: tuple, framed: bool = False) -> np.ndarray:
         """Layers i at the head of the flat ``buf``, shape lead + shape(i); the
         gather frames each layer as it reads it."""
-        return buf[:math.prod(lead) * len(self.keys(i))].reshape(lead + self.shape(i))
+        return buf[:math.prod(lead) * self.shape(i)[0]].reshape(lead + self.shape(i))
 
     def coords(self, i: int, idx=None) -> np.ndarray:
-        keys = self.keys(i) if idx is None else self.keys(i)[idx]
-        return keys[:, None] // self.radix % self.base - self.N
+        """Coordinates of the sites of layer i, or of its flat sites ``idx``
+        only, whose columns ``_locate`` finds."""
+        if idx is not None:
+            pre, k, heads = self._locate(i, idx)
+            return np.column_stack((*pre, 2 * (idx - heads) - k))
+        pre, k, start = self._columns(i)
+        lens, out = k + 1, np.empty((start[-1], self.d), dtype=np.int64)
+        for t, a in enumerate(pre):
+            out[:, t] = np.repeat(a, lens)
+        np.subtract(2 * np.arange(start[-1]), np.repeat(2 * start[:-1] + k, lens), out=out[:, -1])
+        return out
 
-    def _maps(self, i: int, keys: np.ndarray, moves: np.ndarray) -> np.ndarray:
-        """Positions in layer i of keys + move, one row per move, built a row at a
-        time to hold one row's search temporaries; off-layer sites get its size."""
-        layer = self.keys(i)
-        maps = np.empty((len(moves), len(keys)), dtype=np.intp)
-        for row, move in zip(maps, moves):
-            k = keys + move
-            row[:] = np.searchsorted(layer, k)
-            np.minimum(row, len(layer) - 1, out=row)
-            row[layer[row] != k] = len(layer)
+    def _maps(self, src: int, dst: int) -> np.ndarray:
+        """(2d, |D_src|) positions in layer dst of the neighbours of the sites
+        of layer src, in the order of ``_moves``; an off-layer one gets |D_dst|:
+        each site plus its column's offset."""
+        pre, k, start = self._columns(src)
+        heads, off = start[:-1], self.shape(dst)[0]
+        delta, first_off, last_off = self._moves(src, dst, pre, k, heads)
+        maps = np.repeat(delta, k + 1, axis=1)
+        maps += np.arange(start[-1])
+        for row, lo, hi in zip(maps, first_off, last_off):
+            row[heads[lo]] = off
+            row[(heads + k)[hi]] = off
         return maps
 
     def sum_into(self, i: int):
-        self._floor = i - 1
-        return functools.partial(_gather_logsum, self._maps(i - 1, self.keys(i), -self.steps),
-                                 len(self.keys(i - 1)))
+        return functools.partial(_gather_logsum, self._maps(i, i - 1), self.shape(i - 1)[0])
 
     def sum_from(self, i: int):
         return self.chain_sums(i)[1]
 
     def chain_sums(self, i: int):
-        """``sum_into(i)`` for one layer and ``sum_from(i)`` off the one map set
-        of ``sum_from``: each of its rows takes layer i-1 injectively into layer
-        i, the set of the neighbours of layer i-1."""
-        maps = self._maps(i, self.keys(i - 1), self.steps)
-        return (functools.partial(_scatter_logsum, maps, len(self.keys(i))),
-                functools.partial(_gather_logsum, maps, len(self.keys(i))))
+        """``sum_into(i)`` for one layer and ``sum_from(i)`` off the one map
+        of ``sum_from``: each of its rows takes layer i-1 injectively into
+        layer i, the set of the neighbours of layer i-1."""
+        maps, size = self._maps(i - 1, i), self.shape(i)[0]
+        return (functools.partial(_scatter_logsum, maps, size),
+                functools.partial(_gather_logsum, maps, size))
 
     def framed(self, i: int, layer: np.ndarray) -> np.ndarray:
         """Layer i with a -inf sentinel one past its end."""
         return np.append(layer, NEG_INF)
 
     def predecessors(self, i: int, idx: np.ndarray):
-        """The (2d, n) neighbours in layer i-1 of the layer-i sites idx, in step
-        order, as positions in ``framed(i - 1)`` and as flat indices: both are
-        the map rows, an off-layer neighbour on the sentinel."""
-        maps = self._maps(i - 1, self.keys(i)[idx], -self.steps)
+        """The (2d, n) neighbours in layer i-1 of the layer-i sites idx, in the
+        order of ``_moves``, as positions in ``framed(i - 1)`` and as flat
+        indices: both are the map's entries at idx, an off-layer neighbour on
+        the sentinel.  The moves are those of the drawn sites' columns only."""
+        pre, k, heads = self._locate(i, idx)
+        delta, first_off, last_off = self._moves(i, i - 1, pre, k, heads)
+        q = idx - heads
+        maps = idx + delta
+        maps[(first_off & (q == 0)) | (last_off & (q == k))] = self.shape(i - 1)[0]
         return maps, maps
 
 
-def _geometry(d: int, N: int, keep: bool):
+def _geometry(d: int, N: int):
     """The layer geometry of the recursion, chosen here and only here."""
-    return _DenseGeometry(d, N) if d <= 2 else _PackedGeometry(d, N, keep)
+    return _DenseGeometry(d, N) if d <= 2 else _ColumnGeometry(d, N)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +547,7 @@ class LayerTable:
     def prefix(self, n: int) -> "LayerTable":
         """Layers 0..n of a forward table, over the first n betas and the
         environment with N = n: bit for bit the table of a pass that stops at n
-        (layer i reads g(1..i, .) only; packed keys keep their order for any N)."""
+        (layer i reads g(1..i, .) only, and its site order does not depend on N)."""
         if self.direction != "forward" or not 1 <= n <= self.N:
             raise ValueError(f"a prefix needs a forward table and 1 <= n <= {self.N}")
         env = replace(self.env, params=replace(self.env.params, N=n))
@@ -474,12 +559,13 @@ def _check_guard(env: Environment, geom, n_profiles: int, keep: int, n_envs: int
                  rungs: int = 0) -> int:
     """The one cell budget, returning the cells charged for a pass over
     ``n_envs`` environments like ``env`` that keeps its first ``keep``
-    profiles.  A kept profile holds its cone, one cell per environment, and
-    the pass ``key_cells`` per cone site; per site of layer N the pass holds
+    profiles.  A kept profile holds its cone, one cell per environment and
+    cone site, and nothing else does; per site of layer N the pass holds
     the geometry's ``layer_cells`` per environment and profile (its buffers,
-    allocated once), ``shared_cells`` for the whole batch and ``work_cells``
-    per environment, and once the rest of the field block, FIELD_BLOCK
-    values (and their layers' keys at d >= 3), and its scratch.  An
+    allocated once), ``shared_cells`` for the whole batch (at d >= 3 with
+    the column-level work spread over the sites) and ``work_cells`` per
+    environment, and once the rest of the field block, FIELD_BLOCK values,
+    and its scratch.  An
     environment that overrides ``Environment.values`` is charged as one that
     keeps it.  With ``rungs``, the charge is of a reverse-chain
     descent down one kept table (``marginal_sums``): that cone, and per site
@@ -487,11 +573,10 @@ def _check_guard(env: Environment, geom, n_profiles: int, keep: int, n_envs: int
     ``chain_rung_cells`` per rung."""
     p = env.params
     width = reachable_set_size(p.N, p.d)
-    held = (reachable_cells_total(p.N, p.d, cap=p.max_cells) * (n_envs * keep + geom.key_cells)
-            if keep else 0)
+    held = reachable_cells_total(p.N, p.d, cap=p.max_cells) * n_envs * keep if keep else 0
     step = (geom.chain_shared_cells + rungs * geom.chain_rung_cells if rungs
             else geom.shared_cells + n_envs * (geom.work_cells + n_profiles * geom.layer_cells))
-    field = 0 if rungs else FIELD_BLOCK * (1 + geom.key_cells) + FIELD_SCRATCH_CELLS
+    field = 0 if rungs else FIELD_BLOCK + FIELD_SCRATCH_CELLS
     cells = held + width * step + field
     if cells > p.max_cells:
         what = (f"a descent of {rungs} rung(s) down a kept layer table" if rungs
@@ -511,7 +596,7 @@ def _batch_size(env: Environment, n_profiles: int, n_envs: int) -> int:
     """Environments per rolling pass: at most ``BATCH_CELLS`` per step and the
     most the guard admits, read off its charge (linear in the batch) for none
     and for one; at least one, as the guard refuses a pass that cannot hold it."""
-    p, geom = env.params, _geometry(env.params.d, env.params.N, False)
+    p, geom = env.params, _geometry(env.params.d, env.params.N)
     base, one = (_check_guard(env, geom, n_profiles, False, k) for k in (0, 1))
     wide = BATCH_CELLS // (max(n_profiles, 1) * reachable_set_size(p.N, p.d))
     return max(1, min(n_envs, wide, (p.max_cells - base) // (one - base)))
@@ -553,7 +638,7 @@ def _transfer(envs, profiles, direction, dtype, keep, consume=lambda i, layers: 
     for pr in profiles:
         _check_forward_args(env, pr)
     d, N = env.params.d, env.params.N
-    geom = geometry(d, N, bool(keep))
+    geom = geometry(d, N)
     _check_guard(env, geom, len(profiles), keep, len(envs))
     log2d = np.log(dtype(2.0 * d))
     forward = direction == "forward"
@@ -686,8 +771,8 @@ def log_partition_ladder(envs, profiles, ns, dtype=np.float64) -> np.ndarray:
 
     The environments go in batches of ``_batch_size``, one rolling forward
     pass to N per batch.  Layer n of that pass depends only on g(1..n, .) and
-    the profiles' first n entries, and at d >= 3 its packed keys keep their
-    order for any N, so its logsumexp is, bit for bit, log Z of a pass that
+    the profiles' first n entries, and its site order does not depend on N,
+    so its logsumexp is, bit for bit, log Z of a pass that
     stops at n.  A profile that is 0 on 1..n gives exactly 0.0 there.
     """
     profiles, ns = list(profiles), [int(n) for n in ns]
@@ -736,7 +821,7 @@ def sample_paths(table: LayerTable, n: int, rng: np.random.Generator) -> np.ndar
     per draw; then each earlier site among its neighbours in layer i-1,
     proportional to W(i-1, .).  The geometry gives the neighbours as
     positions in a -inf framed copy of layer i-1 (by index arithmetic at
-    d <= 2, by the index maps at d >= 3), one column per draw, and only the
+    d <= 2, by the column maps at d >= 3), one column per draw, and only the
     drawn sites are decoded.  Returns (n, N+1, d) int64.
     """
     if table.direction != "forward":

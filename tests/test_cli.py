@@ -657,3 +657,31 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     for k in range(len(runs)):
         assert json.loads((tmp_path / str(k) / "run_record.json").read_text())["platform"][
             "scipy"] is None
+
+
+def test_free_energy_loads_no_openssl(tmp_path):
+    # free-energy takes its config digest from the builtin SHA-256 and reads
+    # no config file, so neither OpenSSL (hashlib, _hashlib) nor configparser
+    # is loaded; the digest is hashlib's, and the boolean spellings the CLI
+    # keeps are configparser's
+    src = str(Path(polymerlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["free-energy", "--d", "3", "--n-grid", "4", "--beta-grid", "1", "--n-disorder", "2",
+            "--out", str(tmp_path)]
+    code = ("import json, sys, polymerlab.cli as cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(json.dumps(sorted(m for m in ('hashlib', '_hashlib', 'configparser')"
+            " if m in sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == []
+    import hashlib
+
+    record = json.loads((tmp_path / "run_record.json").read_text())
+    cfg = ExperimentConfig.from_dict(record["config"])
+    want = hashlib.sha256(json.dumps(cfg.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert config_content_hash(cfg) == record["content_hash"] == want
+    import configparser
+
+    assert importlib.import_module("polymerlab.cli")._BOOLEANS == \
+        configparser.ConfigParser.BOOLEAN_STATES

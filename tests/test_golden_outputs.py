@@ -115,9 +115,10 @@ CASES = {
             "distinguished.json": "96fa81f3abe9e1f0d95b3bfd23e258567192d4124be126f7e80e6e8705658ef1",
         },
     ),
-    # d = 3: the packed-key sampler and site keys; the induction builds 1646
-    # paths at beta = 0 and 1314 at beta = 2.  The digests were recorded
-    # before an induction past its cap became a skipped beta
+    # d = 3: the column geometry's sampler and localize's site keys; the
+    # induction builds 1646 paths at beta = 0 and 1314 at beta = 2.  The
+    # digests were recorded before an induction past its cap became a
+    # skipped beta
     "localize_d3": (
         ["localize", "--d", "3", "--n", "48", "--beta-grid", "0,2", "--delta", "0.5",
          "--eps", "0.1", "--n-samples", "40", "--blocks", "3", "--seed", "5"],

@@ -286,7 +286,7 @@ class TestSweepOverlaps:
                                       else "mc")
             assert sw == alone
 
-    @pytest.mark.parametrize("d, N", [(2, 655), (3, 122)])
+    @pytest.mark.parametrize("d, N", [(2, 655), (3, 140)])
     def test_refuses_a_too_large_n_before_any_pass(self, d, N, monkeypatch):
         # N fits a plain kept table (beta = 0) but not one with beta +/- h
         # riding along; the betas > 0 run first, so no pass runs at all
@@ -329,7 +329,7 @@ def test_overlap_holds_one_forward_table(d, N, estimate):
         "exact": lambda: exact_two_replica_overlap(env, BetaProfile.constant(1.0, N)),
         "ibp": lambda: ibp_residual(1.0, 1e-3, params, 1, seed, "mc"),
     }[estimate]
-    charged = _check_guard(env, _geometry(d, N, True), 1, keep=True)
+    charged = _check_guard(env, _geometry(d, N), 1, keep=True)
     tracemalloc.start()
     try:
         run()

@@ -1,3 +1,5 @@
+import bisect
+import functools
 import importlib
 import itertools
 import math
@@ -33,11 +35,11 @@ from polymerlab.transfer import (
     LayerTable,
     _batch_size,
     _check_guard,
+    _ColumnGeometry,
     _DenseGeometry,
     _gather_logsum,
     _geometry,
     _logaddexp,
-    _PackedGeometry,
     _transfer,
     backward_layers,
     brute_force_log_partition,
@@ -326,7 +328,7 @@ class TestSampling:
         counts = np.array([(steps == 1).sum(), (steps == -1).sum()])
         assert stats.chisquare(counts).pvalue > 0.001
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_sampled_paths_valid(self, d):
         from polymerlab.lattice import is_valid_path
 
@@ -335,7 +337,7 @@ class TestSampling:
         paths = sample_paths(table, 64, np.random.default_rng(0))
         assert all(is_valid_path(p) for p in paths)
 
-    @pytest.mark.parametrize("d,n", [(1, 4), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("d,n", [(1, 4), (2, 4), (3, 3), (4, 3)])
     def test_empirical_matches_enumeration_small(self, d, n):
         env = gaussian_env(31, LatticeParams(d=d, N=n))
         prof = BetaProfile.constant(1.0, n)
@@ -388,13 +390,32 @@ class TestSampling:
         assert len(rows) == 13 and max(rows) <= 3  # layer 12 has at least 13 sites
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_maps(d, src, dst):
+    """Positions in ``reachable_set(dst, d)`` of the sites of
+    ``reachable_set(src, d)`` moved by -+e1, +-e1, -+e2, ... (the sign of
+    dst - src first), one row per move, each found by a lexicographic search
+    of the sorted sites; a move off layer dst gets |D_dst|."""
+    sites = reachable_set(src, d).tolist()
+    target = list(map(tuple, reachable_set(dst, d).tolist()))
+    out = np.full((2 * d, len(sites)), len(target), dtype=np.intp)
+    for r, (j, s) in enumerate(itertools.product(range(d), (dst - src, src - dst))):
+        for k, x in enumerate(sites):
+            x[j] += s
+            at = bisect.bisect_left(target, tuple(x))
+            if at < len(target) and target[at] == tuple(x):
+                out[r, k] = at
+            x[j] -= s
+    return out
+
+
 def ref_sample_paths(table, n, rng):
     """The sampler as it was before index arithmetic, the oracle for
     ``sample_paths``: one row of candidates per draw, found at d <= 2 by
     unravelling each site and checking each step against the layer's bounds,
-    and at d >= 3 as the transposed map rows; an off-layer candidate indexes
-    a -inf appended to layer i-1.  Sites are decoded from whole layers."""
-    N, geom, d = table.N, table.geometry, table.d
+    and at d >= 3 by ``oracle_maps``; an off-layer candidate indexes a -inf
+    appended to layer i-1.  Sites are decoded from whole layers."""
+    N, d = table.N, table.d
     out = np.zeros((n, N + 1, d), dtype=np.int64)
     w = table.layer_logw(N)
     cdf = np.cumsum(np.exp(w - w.max()))
@@ -402,7 +423,7 @@ def ref_sample_paths(table, n, rng):
     out[:, N] = table.layer_coords(N)[idx]
     for i in range(N, 0, -1):
         if d >= 3:
-            cand = geom._maps(i - 1, geom.keys(i)[idx], -geom.steps).T
+            cand = oracle_maps(d, i, i - 1)[:, idx].T
         else:
             a, cols = np.unravel_index(idx, (i + 1,) * d), []
             for step in itertools.product((-1, 0), repeat=d):
@@ -482,7 +503,7 @@ class TestEndpointDistribution:
 
 
 class TestPrefix:
-    @pytest.mark.parametrize("d, N", [(1, 24), (2, 10), (3, 7)])
+    @pytest.mark.parametrize("d, N", [(1, 24), (2, 10), (3, 7), (4, 5)])
     @pytest.mark.parametrize("beta", [0.7, 10.0])
     def test_prefix_equals_a_table_built_at_n(self, d, N, beta):
         top = forward_layers(gaussian_env(5, LatticeParams(d=d, N=N)),
@@ -545,12 +566,12 @@ def _sum(geom, kernel, i, layers, onto):
 class TestGeometries:
     @pytest.mark.parametrize("d,n", [(1, 12), (2, 7)])
     def test_packed_matches_dense(self, d, n):
-        # the packed geometry is only used for d >= 3; run it at d <= 2 too
+        # the column geometry is only used for d >= 3; run it at d <= 2 too
         rng = np.random.default_rng(40 + d)
         env = gaussian_env(int(rng.integers(0, 2**62)), LatticeParams(d=d, N=n))
         prof = BetaProfile(rng.uniform(0.0, 2.0, size=n))
         out = {}
-        for geometry in (_geometry, _PackedGeometry):
+        for geometry in (_geometry, _ColumnGeometry):
             geom, fh, _ = _pass(env, [prof], "forward", True, geometry)
             _, bh, _ = _pass(env, [prof], "backward", True, geometry)
             _, _, rolled = _pass(env, [prof], "forward", False, geometry)
@@ -570,13 +591,32 @@ class TestGeometries:
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_packed_coords_decode_in_lexicographic_order(self, d):
-        geom = _PackedGeometry(d, 6, keep=True)
+        geom = _ColumnGeometry(d, 6)
         for i in range(7):
             assert np.array_equal(geom.coords(i), reachable_set(i, d))
 
+    @pytest.mark.parametrize("d, N", [(3, 7), (4, 5), (5, 4)])
+    def test_column_geometry_matches_the_oracle(self, d, N):
+        # the sites of drawn positions, and the maps onto the layer below
+        # (the forward gather and the sampler's candidates) and onto the
+        # layer above (the reverse chain's scatter), are those of a
+        # lexicographic search of the reachable set
+        geom, rng = _ColumnGeometry(d, N), np.random.default_rng(d)
+        for i in range(N + 1):
+            assert geom.shape(i) == (reachable_set_size(i, d),)
+            size = geom.shape(i)[0]
+            idx = np.append(rng.integers(0, size, size=17), [0, size - 1])
+            assert np.array_equal(geom.coords(i, idx), reachable_set(i, d)[idx])
+            if i:
+                back = oracle_maps(d, i, i - 1)
+                assert np.array_equal(geom._maps(i, i - 1), back)
+                assert np.array_equal(geom._maps(i - 1, i), oracle_maps(d, i - 1, i))
+                at, flat = geom.predecessors(i, idx)
+                assert np.array_equal(at, back[:, idx]) and np.array_equal(flat, back[:, idx])
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_coords_of_chosen_sites(self, d):
-        geom, rng = _geometry(d, 6, keep=True), np.random.default_rng(d)
+        geom, rng = _geometry(d, 6), np.random.default_rng(d)
         for i in range(7):
             full = geom.coords(i)
             idx = rng.integers(0, len(full), size=9)
@@ -588,7 +628,7 @@ class TestGeometries:
         # bit; at d >= 3 both come off one map set, the sum onto layer i by
         # scattering layer i-1 through its rows
         rng = np.random.default_rng(d)
-        for geom in (_geometry(d, 6, True), _PackedGeometry(d, 6, keep=True)):
+        for geom in (_geometry(d, 6), _ColumnGeometry(d, 6)):
             for i in (1, 4, 6):
                 below = rng.normal(scale=30.0, size=(1,) + geom.shape(i - 1))
                 above = rng.normal(scale=30.0, size=(2,) + geom.shape(i))
@@ -599,8 +639,12 @@ class TestGeometries:
                         == _sum(geom, geom.sum_from(i), i, above, False).tobytes())
 
     def test_packed_keys_wider_than_62_bits_refused(self):
-        with pytest.raises(MemoryGuardError, match="overflow int64"):
-            _PackedGeometry(8, 256, keep=True)
+        # d=8, N=256, whose sorted int64 site keys would need 8 log2(513) > 62
+        # bits: the cell budget refuses its kept pass before the geometry
+        # builds a table
+        env = gaussian_env(1, LatticeParams(d=8, N=256))
+        with pytest.raises(MemoryGuardError, match="d=8, N=256: a kept layer table"):
+            forward_layers(env, BetaProfile.constant(1.0, 256))
 
 
 @dataclass(frozen=True)
@@ -770,7 +814,6 @@ class TestReverseChain:
         env = gaussian_env(2, LatticeParams(d=d, N=N))
         fwd = forward_layers(env, BetaProfile.constant(0.8, N))
         held = sum(a.nbytes for a in fwd.layers)
-        held += sum(k.nbytes for k in getattr(fwd.geometry, "_keys", []))
         charged = _check_guard(env, fwd.geometry, 1, 1, rungs=3)
         tracemalloc.start()
         try:
@@ -840,7 +883,7 @@ class TestLadder:
         envs = _ladder_envs(d, N, size)
         profs = [BetaProfile.constant(b, N) for b in (0.5, 1.0, 2.0, 3.0)]
         assert _batch_size(envs[0], len(profs), 10 * size) == size
-        charged = _check_guard(envs[0], _geometry(d, N, False), len(profs), False, size)
+        charged = _check_guard(envs[0], _geometry(d, N), len(profs), False, size)
         tracemalloc.start()
         try:
             log_partition_ladder(envs, profs, [N])
@@ -871,11 +914,11 @@ class TestLadder:
         # admits: E environments pass it and E + 1 are refused.  At d >= 3 the
         # cells a step shares are charged once per pass, not once per
         # environment: d=3 N=32 on one profile under 2,000,000 cells, besides
-        # the field block's fixed cells, takes 24
+        # the field block's fixed cells, takes 23
         monkeypatch.setattr(importlib.import_module("polymerlab.transfer"), "BATCH_CELLS",
                             1 << 40)
-        geom = _geometry(d, N, False)
-        field = FIELD_BLOCK * (1 + geom.key_cells) + FIELD_SCRATCH_CELLS
+        geom = _geometry(d, N)
+        field = FIELD_BLOCK + FIELD_SCRATCH_CELLS
         env = gaussian_env(1, LatticeParams(d=d, N=N, max_cells=max_cells + field))
         size = _batch_size(env, n_profiles, 10_000)
         assert 1 < size < 10_000
@@ -883,7 +926,7 @@ class TestLadder:
         with pytest.raises(MemoryGuardError, match="a rolling pass"):
             _check_guard(env, geom, n_profiles, False, size + 1)
         if (d, N, max_cells, n_profiles) == (3, 32, 2_000_000, 1):
-            assert size == 24
+            assert size == 23
 
     def test_refuses_an_empty_batch(self):
         with pytest.raises(ValueError, match="at least one environment"):
@@ -911,13 +954,13 @@ def test_kept_pass_frees_each_steps_maps_first(monkeypatch):
     # the index maps of a step are dead before the next step builds its own
     maps, live = [], []
 
-    def counted(self, *args, _orig=_PackedGeometry._maps):
+    def counted(self, *args, _orig=_ColumnGeometry._maps):
         live.append(sum(ref() is not None for ref in maps))
         out = _orig(self, *args)
         maps.append(weakref.ref(out))
         return out
 
-    monkeypatch.setattr(_PackedGeometry, "_maps", counted)
+    monkeypatch.setattr(_ColumnGeometry, "_maps", counted)
     forward_layers(gaussian_env(3, LatticeParams(d=3, N=40)), BetaProfile.constant(1.0, 40))
     assert live == [0] * 40
 
@@ -926,28 +969,30 @@ def test_gather_holds_one_row():
     # the 2d = 6 gathered rows are folded one at a time, in row order, with the
     # bits of a row-order fold of the kernel and within 2 ulp of numpy's reduce;
     # the layer's sentinel copy, the gathered row and the kernel's temporary
-    # are rows of the scratch it is handed, so it allocates no array
-    geom, i = _PackedGeometry(3, 12, keep=True), 12
-    maps = geom._maps(i - 1, geom.keys(i), -geom.steps)
-    n = len(geom.keys(i - 1))
+    # are rows of the scratch it is handed, so it allocates no array: a
+    # quarter of a row is more than the 2-3.5 KB of views and numpy's small
+    # caches a call may take
+    i = 16
+    maps, m = oracle_maps(3, i, i - 1), reachable_set_size(i, 3)
+    n = reachable_set_size(i - 1, 3)
     x = np.random.default_rng(0).standard_normal((2, n))
     x[:, ::7] = -np.inf
     rows = np.append(x[1], -np.inf)[maps]
     want = rows[0]
     for row in rows[1:]:
         want = _logaddexp(want, row)
-    y, t = np.empty(2 * len(geom.keys(i))), np.empty((3, len(geom.keys(i)) + 1))
+    y, t = np.empty(2 * m), np.empty((3, m + 1))
     tracemalloc.start()
     try:
         got = _gather_logsum(maps, n, x.ravel(), y, t, (2,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got.shape == (2, len(geom.keys(i))) and np.shares_memory(got, y)
+    assert got.shape == (2, m) and np.shares_memory(got, y)
     assert got[1].tobytes() == want.tobytes()
     _within_ulps(got[1], np.logaddexp.reduce(rows, axis=0),
                  np.abs(np.where(np.isfinite(rows), rows, 0)).max(axis=0))
-    assert peak < 8 * len(geom.keys(i)) / 4
+    assert peak < 8 * m / 4
 
 
 def test_rolling_pass_not_charged_for_the_cone():
@@ -975,14 +1020,14 @@ def test_rolling_pass_not_charged_for_the_cone():
 @pytest.mark.parametrize("d, N", [(2, 7000), (3, 300)])
 def test_rolling_pass_charged_working_cells(d, N):
     # one profile is charged 2 cells per site of layer N, but the pass also
-    # holds coordinates, keys, index maps and temporaries: 49M sites at d=2
+    # holds coordinates, index maps and temporaries: 49M sites at d=2
     # and 18.2M at d=3 would need gigabytes, so the default cap refuses them
     env = gaussian_env(1, LatticeParams(d=d, N=N))
-    geom = _geometry(d, N, False)
+    geom = _geometry(d, N)
     with pytest.raises(MemoryGuardError, match=f"d={d}, N={N}: a rolling pass"):
         _check_guard(env, geom, 1, keep=False)
     small = gaussian_env(1, LatticeParams(d=d, N=N // 10))
-    _check_guard(small, _geometry(d, N // 10, False), 4, keep=False)
+    _check_guard(small, _geometry(d, N // 10), 4, keep=False)
 
 
 @pytest.mark.parametrize("d, N", [(2, 200), (3, 30)])
@@ -991,7 +1036,7 @@ def test_kept_table_peak_within_charge(d, N, build):
     # everything a kept pass allocates, its returned table included, stays
     # within the float64 cells it is charged
     env = gaussian_env(2, LatticeParams(d=d, N=N))
-    charged = _check_guard(env, _geometry(d, N, True), 1, keep=True)
+    charged = _check_guard(env, _geometry(d, N), 1, keep=True)
     tracemalloc.start()
     try:
         build(env, BetaProfile.constant(0.8, N))
@@ -1005,23 +1050,20 @@ def test_kept_table_peak_within_charge(d, N, build):
 def test_rolling_steps_allocate_nothing(d, N):
     # every step of a rolling pass works in buffers the pass allocates once,
     # so what is allocated when a layer is handed over is the same at every
-    # step from step 2 on, besides the packed geometry's keys of its two
-    # newest layers and the list that holds them
+    # step from step 2 on.  What is counted is numpy's array data: Python
+    # keeps the small objects it frees (tuples, iterators, array headers) on
+    # free lists, which the d >= 3 geometry's column steps fill a step at a time
     envs, profs = _ladder_envs(d, N, 3), [BetaProfile.constant(b, N) for b in (0.5, 2.0)]
-    geoms, sizes = [], np.zeros(N + 1, dtype=np.int64)
-
-    def geometry(*args):
-        geoms.append(_geometry(*args))
-        return geoms[-1]
+    sizes = np.zeros(N + 1, dtype=np.int64)
+    arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
 
     def consume(i, layers):
-        traced = tracemalloc.get_traced_memory()[0]
-        keys = getattr(geoms[0], "_keys", [])
-        sizes[i] = traced - sum(k.nbytes for k in keys if k is not None) - sys.getsizeof(keys)
+        traces = tracemalloc.take_snapshot().filter_traces([arrays]).traces
+        sizes[i] = sum(trace.size for trace in traces)
 
     tracemalloc.start()
     try:
-        _transfer(envs, profs, "forward", np.float64, 0, consume, geometry)
+        _transfer(envs, profs, "forward", np.float64, 0, consume)
     finally:
         tracemalloc.stop()
     assert np.all(sizes[2:] == sizes[2]), sizes
@@ -1034,7 +1076,7 @@ def test_kept_tables_own_their_layers(d, N, monkeypatch):
     # as with profiles riding along: it shares memory with no pass buffer
     # and with no other layer
     bufs = []
-    for cls in (_DenseGeometry, _PackedGeometry):
+    for cls in (_DenseGeometry, _ColumnGeometry):
         def recorded(self, *args, _orig=cls.buffers):
             bufs.extend(_orig(self, *args))
             return bufs[-3:]
@@ -1053,16 +1095,28 @@ def test_kept_tables_own_their_layers(d, N, monkeypatch):
         bufs.clear()
 
 
-@pytest.mark.parametrize("d, last", [(2, 660), (3, 123)])
+@pytest.mark.parametrize("d, last", [(2, 660), (3, 142)])
 def test_kept_table_limits_at_default_cap(d, last):
-    # a kept table is charged its cone for the layer values, its cone again
-    # for the keys at d >= 3, per site of layer N the pass's layer buffers
-    # and one step's shared and work cells, and the field block's fixed cells
-    _check_guard(gaussian_env(1, LatticeParams(d=d, N=last)), _geometry(d, last, True), 1,
+    # a kept table is charged its cone for the layer values, per site of
+    # layer N the pass's layer buffers and one step's shared and work cells,
+    # and the field block's fixed cells
+    _check_guard(gaussian_env(1, LatticeParams(d=d, N=last)), _geometry(d, last), 1,
                  keep=True)
     env = gaussian_env(1, LatticeParams(d=d, N=last + 1))
     with pytest.raises(MemoryGuardError, match=f"d={d}, N={last + 1}: a kept layer table"):
-        _check_guard(env, _geometry(d, last + 1, True), 1, keep=True)
+        _check_guard(env, _geometry(d, last + 1), 1, keep=True)
+
+
+@pytest.mark.parametrize("d, last", [(2, 2496), (3, 194)])
+def test_rolling_limits_at_default_cap(d, last):
+    # free-energy on four betas rolls one environment at a time at its
+    # limit: per site of layer N four profiles' layer buffers and one step's
+    # shared and work cells, and the field block's fixed cells
+    _check_guard(gaussian_env(1, LatticeParams(d=d, N=last)), _geometry(d, last), 4, False)
+    env = gaussian_env(1, LatticeParams(d=d, N=last + 1))
+    with pytest.raises(MemoryGuardError,
+                       match=f"d={d}, N={last + 1}: a rolling pass over 4 profile"):
+        _check_guard(env, _geometry(d, last + 1), 4, False)
 
 
 class TestRideAlong:
@@ -1094,7 +1148,7 @@ class TestRideAlong:
         # per rider
         env = gaussian_env(2, LatticeParams(d=d, N=N))
         profs = [BetaProfile.constant(b, N) for b in (0.8, 0.801, 0.799)]
-        geom = _geometry(d, N, True)
+        geom = _geometry(d, N)
         charged = _check_guard(env, geom, 3, 1)
         assert charged == (_check_guard(env, geom, 1, 1)
                            + 2 * geom.layer_cells * reachable_set_size(N, d))
@@ -1106,17 +1160,17 @@ class TestRideAlong:
             tracemalloc.stop()
         assert peak <= 8 * charged
 
-    @pytest.mark.parametrize("d, last", [(2, 654), (3, 121)])
+    @pytest.mark.parametrize("d, last", [(2, 654), (3, 139)])
     def test_limits_at_default_cap(self, d, last):
         # with beta +/- h riding along, the sweep's pass at beta > 0 reaches
-        # N = 654 at d=2 and 121 at d=3; a plain kept table reaches 660 and
-        # 123 (test_kept_table_limits_at_default_cap)
-        _check_guard(gaussian_env(1, LatticeParams(d=d, N=last)), _geometry(d, last, True), 3, 1)
+        # N = 654 at d=2 and 139 at d=3; a plain kept table reaches 660 and
+        # 142 (test_kept_table_limits_at_default_cap)
+        _check_guard(gaussian_env(1, LatticeParams(d=d, N=last)), _geometry(d, last), 3, 1)
         env = gaussian_env(1, LatticeParams(d=d, N=last + 1))
         with pytest.raises(MemoryGuardError,
                            match=f"d={d}, N={last + 1}: a kept layer table with 2 rolling"):
-            _check_guard(env, _geometry(d, last + 1, True), 3, 1)
-        _check_guard(env, _geometry(d, last + 1, True), 1, 1)
+            _check_guard(env, _geometry(d, last + 1), 3, 1)
+        _check_guard(env, _geometry(d, last + 1), 1, 1)
 
     def test_rungs_must_lie_in_the_pass(self):
         env = gaussian_env(1, LatticeParams(d=1, N=8))
