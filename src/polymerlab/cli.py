@@ -141,11 +141,6 @@ class RunRecord:
     platform: dict = field(default_factory=dict)
 
 
-# the boolean spellings of ``configparser.ConfigParser.BOOLEAN_STATES``
-_BOOLEANS = {"1": True, "yes": True, "true": True, "on": True,
-             "0": False, "no": False, "false": False, "off": False}
-
-
 def _read(key: str, kind, raw):
     """``raw`` as a value of ``kind``; ValidationError when it cannot be read,
     or when it is a float that is not finite (no setting takes nan or inf)."""
@@ -153,7 +148,9 @@ def _read(key: str, kind, raw):
         if kind is bool:
             if isinstance(raw, bool):
                 return raw
-            return _BOOLEANS[str(raw).strip().lower()]
+            import configparser  # only a value spelt as a string pays for it
+
+            return configparser.ConfigParser.BOOLEAN_STATES[str(raw).strip().lower()]
         if kind is int and isinstance(raw, float) and not raw.is_integer():
             raise ValueError
         value = kind(raw)

@@ -243,6 +243,10 @@ class _DenseGeometry:
 
     def __init__(self, d: int, N: int):
         self.d, self.N = d, N
+        # the step from a site to its neighbour in each row of
+        # ``predecessors``: u' = u + 1 + 2s in d = 1, and in d = 2
+        # (x1', x2') = (x1 + s0 + s1 + 1, x2 + s0 - s1)
+        self.back_steps = np.array([[-1], [1]] if d == 1 else [[-1, 0], [0, -1], [0, 1], [1, 0]])
 
     def shape(self, i: int) -> tuple:
         return (i + 1,) * self.d
@@ -301,13 +305,14 @@ class _DenseGeometry:
         out[(slice(1, -1),) * self.d] = layer
         return out.ravel()
 
-    def predecessors(self, i: int, idx: np.ndarray):
+    def predecessors(self, i: int, idx: np.ndarray, x: np.ndarray):
         """The neighbours in layer i-1 of the layer-i sites idx, entry a + s for
         s in {-1, 0}^d in lexicographic order: (2^d, n) positions in
         ``framed(i - 1)``, where an off-layer neighbour reads -inf, and the
         (2^d, n) flat indices in layer i-1 of the same sites.  Entry a sits
         at sum_k a_k (i+2)^(d-1-k) in the frame (idx plus a0 in d = 2) and
-        at idx - a0 in layer i-1; each s adds a fixed offset to both."""
+        at idx - a0 in layer i-1; each s adds a fixed offset to both.  The
+        sites' (n, d) coordinates ``x`` are not needed here."""
         if self.d == 1:
             return idx + np.array([[0], [1]]), idx + np.array([[-1], [0]])
         a0 = idx // (i + 1)
@@ -331,8 +336,8 @@ class _ColumnGeometry:
     and spread over its sites by one ``np.repeat``, shared by every
     environment and profile of the pass; a site off the layer maps one past
     its end, where a -inf sentinel sits.  Nothing is kept between steps.
-    The sampler finds the columns of its drawn sites by a search of the
-    tables (``_locate``), and builds the moves of those columns only.
+    The sampler carries its drawn sites' coordinates, which name their
+    columns, and builds the moves of those columns only.
     """
 
     # per environment, profile and site of layer N a pass holds two layer
@@ -356,6 +361,7 @@ class _ColumnGeometry:
         # and its sum onto layer i and the kernel's three rows, and per rung
         # its log marginal and the sum back
         self.chain_shared_cells, self.chain_rung_cells = 2 * d + 6 + spread, 2
+        self.back_steps = -_offsets(d)  # the step of each row of ``predecessors``
 
     @functools.cached_property
     def _tables(self):
@@ -378,10 +384,10 @@ class _ColumnGeometry:
 
     def _first(self, pre: np.ndarray, r: int) -> np.ndarray:
         """The first site in layer r of the column of each prefix of the
-        (d-1, C) ``pre``; where that column is not in layer r, any index in
+        (d-1, ...) ``pre``; where that column is not in layer r, any index in
         the table."""
         (tables, sizes), width = self._tables, 2 * self.N + 1
-        out = np.zeros(pre.shape[1], dtype=np.intp)
+        out = np.zeros(pre.shape[1:], dtype=np.intp)
         for a, table in zip(pre, tables):
             out += table.take(r * width + a + self.N, mode="clip") - r * (sizes[-1] + 1)
             r = r - np.abs(a)
@@ -410,29 +416,22 @@ class _ColumnGeometry:
         for _ in range(self.d - 1):  # one coordinate of the prefixes at a time
             n = 2 * k + 1
             up = np.repeat(np.arange(len(k)), n)
-            a = np.arange(len(up)) - np.repeat(np.cumsum(n) - n + k, n)
+            a = np.arange(len(up)) - np.repeat(np.add.accumulate(n) - n + k, n)
             pre, k = np.vstack((pre[:, up], a)), k[up] - np.abs(a)
         start = np.zeros(len(k) + 1, dtype=np.intp)
-        np.cumsum(k + 1, out=start[1:])
+        np.add.accumulate(k + 1, out=start[1:])
         return pre, k, start
 
-    def _moves(self, src: int, dst: int, pre, k, heads):
-        """The steps from layer src to layer dst = src +- 1, -+e1, +-e1, -+e2,
-        ... (the sign of dst - src first), of the C columns of layer src with
-        prefixes ``pre``, ks ``k`` and first sites ``heads``: (2d, C) offsets
-        from each site to its neighbour in layer dst, and whether the first
-        and the last site of the column has none."""
-        delta = np.empty((2 * self.d, len(k)), dtype=np.intp)
-        first_off, last_off = np.empty(delta.shape, dtype=bool), np.empty(delta.shape, dtype=bool)
-        for r, step in enumerate((dst - src) * _offsets(self.d)):
-            moved = pre + step[:-1, None]  # the prefixes of the target columns
-            k2 = dst - np.abs(moved).sum(axis=0)  # k' = dst - |p'|
-            # x_d = 2q - k = 2q' - k' - dx with dx the step along e_d
-            shift = (step[-1] + k2 - k) // 2
-            np.subtract(self._first(moved, dst) + shift, heads, out=delta[r])
-            np.less(shift, 0, out=first_off[r])
-            np.less(k2 - shift, k, out=last_off[r])
-        return delta, first_off, last_off
+    def _moves(self, dst: int, steps: np.ndarray, pre, k, heads):
+        """The (R, d) ``steps`` into layer dst of the C columns with prefixes
+        ``pre``, ks ``k`` and first sites ``heads``: (R, C) offsets from each
+        site to its neighbour in layer dst, and whether the first and the
+        last site of the column has none."""
+        moved = pre[:, None] + steps.T[:-1, :, None]  # the prefixes of the target columns
+        k2 = dst - np.abs(moved).sum(axis=0)  # k' = dst - |p'|
+        # x_d = 2q - k = 2q' - k' - dx with dx the step along e_d
+        shift = (steps[:, -1:] + k2 - k) // 2
+        return self._first(moved, dst) + shift - heads, shift < 0, k2 - shift < k
 
     def shape(self, i: int) -> tuple:
         return (self._tables[1][i],)
@@ -463,12 +462,17 @@ class _ColumnGeometry:
         return out
 
     def _maps(self, src: int, dst: int) -> np.ndarray:
-        """(2d, |D_src|) positions in layer dst of the neighbours of the sites
-        of layer src, in the order of ``_moves``; an off-layer one gets |D_dst|:
-        each site plus its column's offset."""
+        """(2d, |D_src|) positions in layer dst = src +- 1 of the neighbours of
+        the sites of layer src, along -+e1, +-e1, -+e2, ... (the sign of
+        dst - src first); an off-layer one gets |D_dst|: each site plus its
+        column's offset."""
         pre, k, start = self._columns(src)
         heads, off = start[:-1], self.shape(dst)[0]
-        delta, first_off, last_off = self._moves(src, dst, pre, k, heads)
+        steps = (dst - src) * _offsets(self.d)
+        delta = np.empty((len(steps), len(k)), dtype=np.intp)
+        first_off, last_off = np.empty(delta.shape, dtype=bool), np.empty(delta.shape, dtype=bool)
+        for r in range(len(steps)):  # a step at a time, to keep the temporaries to one row
+            delta[r], first_off[r], last_off[r] = self._moves(dst, steps[r:r + 1], pre, k, heads)
         maps = np.repeat(delta, k + 1, axis=1)
         maps += np.arange(start[-1])
         for row, lo, hi in zip(maps, first_off, last_off):
@@ -494,14 +498,17 @@ class _ColumnGeometry:
         """Layer i with a -inf sentinel one past its end."""
         return np.append(layer, NEG_INF)
 
-    def predecessors(self, i: int, idx: np.ndarray):
-        """The (2d, n) neighbours in layer i-1 of the layer-i sites idx, in the
-        order of ``_moves``, as positions in ``framed(i - 1)`` and as flat
-        indices: both are the map's entries at idx, an off-layer neighbour on
-        the sentinel.  The moves are those of the drawn sites' columns only."""
-        pre, k, heads = self._locate(i, idx)
-        delta, first_off, last_off = self._moves(i, i - 1, pre, k, heads)
-        q = idx - heads
+    def predecessors(self, i: int, idx: np.ndarray, x: np.ndarray):
+        """The (2d, n) neighbours in layer i-1 of the layer-i sites idx, at
+        coordinates x (n, d), in the order of ``_maps``, as positions in
+        ``framed(i - 1)`` and as flat indices: both are the map's entries at
+        idx, an off-layer neighbour on the sentinel.  A site's prefix, k and
+        position q = (x_d + k)/2 come from x, and the moves are those of the
+        drawn sites' columns only."""
+        pre = x[:, :-1].T
+        k = i - np.abs(pre).sum(axis=0)
+        q = (x[:, -1] + k) // 2
+        delta, first_off, last_off = self._moves(i - 1, self.back_steps, pre, k, idx - q)
         maps = idx + delta
         maps[(first_off & (q == 0)) | (last_off & (q == k))] = self.shape(i - 1)[0]
         return maps, maps
@@ -821,8 +828,9 @@ def sample_paths(table: LayerTable, n: int, rng: np.random.Generator) -> np.ndar
     per draw; then each earlier site among its neighbours in layer i-1,
     proportional to W(i-1, .).  The geometry gives the neighbours as
     positions in a -inf framed copy of layer i-1 (by index arithmetic at
-    d <= 2, by the column maps at d >= 3), one column per draw, and only the
-    drawn sites are decoded.  Returns (n, N+1, d) int64.
+    d <= 2, by the column maps at d >= 3), one column per draw; only the
+    endpoints are decoded, and each earlier site is the later one plus the
+    chosen row's step.  Returns (n, N+1, d) int64.
     """
     if table.direction != "forward":
         raise ValueError("sampling requires a forward table")
@@ -834,10 +842,10 @@ def sample_paths(table: LayerTable, n: int, rng: np.random.Generator) -> np.ndar
     out[:, N] = geom.coords(N, idx)
     draws = np.arange(n)
     for i in range(N, 0, -1):
-        at, flat = geom.predecessors(i, idx)
+        at, flat = geom.predecessors(i, idx, out[:, i])
         pick = _categorical_columns(geom.framed(i - 1, table.layers[i - 1])[at], rng)
         idx = flat[pick, draws]
-        out[:, i - 1] = geom.coords(i - 1, idx)
+        np.add(out[:, i], geom.back_steps[pick], out=out[:, i - 1])
     return out
 
 

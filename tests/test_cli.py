@@ -662,8 +662,7 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
 def test_free_energy_loads_no_openssl(tmp_path):
     # free-energy takes its config digest from the builtin SHA-256 and reads
     # no config file, so neither OpenSSL (hashlib, _hashlib) nor configparser
-    # is loaded; the digest is hashlib's, and the boolean spellings the CLI
-    # keeps are configparser's
+    # is loaded; the digest is hashlib's
     src = str(Path(polymerlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     argv = ["free-energy", "--d", "3", "--n-grid", "4", "--beta-grid", "1", "--n-disorder", "2",
@@ -681,7 +680,3 @@ def test_free_energy_loads_no_openssl(tmp_path):
     cfg = ExperimentConfig.from_dict(record["config"])
     want = hashlib.sha256(json.dumps(cfg.to_dict(), sort_keys=True).encode()).hexdigest()
     assert config_content_hash(cfg) == record["content_hash"] == want
-    import configparser
-
-    assert importlib.import_module("polymerlab.cli")._BOOLEANS == \
-        configparser.ConfigParser.BOOLEAN_STATES

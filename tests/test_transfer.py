@@ -387,7 +387,9 @@ class TestSampling:
 
         monkeypatch.setattr(type(table.geometry), "coords", coords)
         sample_paths(table, 3, np.random.default_rng(0))
-        assert len(rows) == 13 and max(rows) <= 3  # layer 12 has at least 13 sites
+        # the three endpoints are decoded, and each earlier site is the later
+        # one plus its step: no layer (layer 12 has at least 13 sites) is
+        assert rows == [3]
 
 
 @functools.lru_cache(maxsize=None)
@@ -611,8 +613,14 @@ class TestGeometries:
                 back = oracle_maps(d, i, i - 1)
                 assert np.array_equal(geom._maps(i, i - 1), back)
                 assert np.array_equal(geom._maps(i - 1, i), oracle_maps(d, i - 1, i))
-                at, flat = geom.predecessors(i, idx)
+                x = reachable_set(i, d)[idx]
+                at, flat = geom.predecessors(i, idx, x)
                 assert np.array_equal(at, back[:, idx]) and np.array_equal(flat, back[:, idx])
+                # the sampler steps a site's coordinates by the chosen row's step
+                below = np.vstack((reachable_set(i - 1, d), np.full(d, np.iinfo(int).max)))
+                on = flat < len(below) - 1
+                for r, step in enumerate(geom.back_steps):
+                    assert np.array_equal(below[flat[r]][on[r]], (x + step)[on[r]])
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_coords_of_chosen_sites(self, d):
@@ -1050,16 +1058,12 @@ def test_kept_table_peak_within_charge(d, N, build):
 def test_rolling_steps_allocate_nothing(d, N):
     # every step of a rolling pass works in buffers the pass allocates once,
     # so what is allocated when a layer is handed over is the same at every
-    # step from step 2 on.  What is counted is numpy's array data: Python
-    # keeps the small objects it frees (tuples, iterators, array headers) on
-    # free lists, which the d >= 3 geometry's column steps fill a step at a time
+    # step from step 2 on
     envs, profs = _ladder_envs(d, N, 3), [BetaProfile.constant(b, N) for b in (0.5, 2.0)]
     sizes = np.zeros(N + 1, dtype=np.int64)
-    arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
 
     def consume(i, layers):
-        traces = tracemalloc.take_snapshot().filter_traces([arrays]).traces
-        sizes[i] = sum(trace.size for trace in traces)
+        sizes[i] = tracemalloc.get_traced_memory()[0]
 
     tracemalloc.start()
     try:
