@@ -411,7 +411,9 @@ class _ColumnGeometry:
 
     def _columns(self, i: int):
         """The (d-1, C) prefixes of layer i in lexicographic order, each
-        column's k and its first site (C + 1 of them, the last |D_i|)."""
+        column's k and its first site (C + 1 of them, the last |D_i|).  The
+        sums are ``np.add.accumulate``: ``np.cumsum`` now and then leaves a
+        small object behind, which a step of a pass must not."""
         pre, k = np.zeros((0, 1), dtype=np.intp), np.array([i])
         for _ in range(self.d - 1):  # one coordinate of the prefixes at a time
             n = 2 * k + 1
@@ -839,13 +841,13 @@ def sample_paths(table: LayerTable, n: int, rng: np.random.Generator) -> np.ndar
     w = table.layer_logw(N)
     cdf = np.cumsum(np.exp(w - w.max()))
     idx = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="left")
-    out[:, N] = geom.coords(N, idx)
+    x = out[:, N] = geom.coords(N, idx)
     draws = np.arange(n)
     for i in range(N, 0, -1):
-        at, flat = geom.predecessors(i, idx, out[:, i])
+        at, flat = geom.predecessors(i, idx, x)
         pick = _categorical_columns(geom.framed(i - 1, table.layers[i - 1])[at], rng)
         idx = flat[pick, draws]
-        np.add(out[:, i], geom.back_steps[pick], out=out[:, i - 1])
+        x = out[:, i - 1] = x + geom.back_steps.take(pick, axis=0)
     return out
 
 
