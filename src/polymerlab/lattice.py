@@ -297,23 +297,6 @@ def _hashes_plain(envs) -> bool:
     return all(type(env).values is Environment.values for env in envs)
 
 
-def layer_fields(envs, i: int, coords: np.ndarray, out=None) -> np.ndarray:
-    """g(i, .) of each environment at the (n, d) sites ``coords``: (len(envs), n),
-    written into ``out`` when given.
-
-    Environments that keep ``Environment.values`` share one hash call over
-    their ``_layer_base(i)``; a batch holding one that overrides ``values``
-    is asked through ``values``, one environment at a time.
-    """
-    if _hashes_plain(envs):
-        return _normals(np.array([env._layer_base(i) for env in envs], dtype=np.uint64), coords,
-                        out)
-    out = np.empty((len(envs), len(coords))) if out is None else out
-    for row, env in zip(out, envs):
-        row[:] = env.values(i, coords)
-    return out
-
-
 def field_layers(envs, layers, coords, out: np.ndarray, t: np.ndarray):
     """g(i, .) of each environment at the sites ``coords(i)``, shape
     (len(envs), n_i), for each layer i of ``layers`` in turn: views into the
@@ -324,15 +307,20 @@ def field_layers(envs, layers, coords, out: np.ndarray, t: np.ndarray):
     (or all that are left), so ``out`` has room for FIELD_BLOCK values
     besides the largest layer of the batch; the scratch ``t``
     (``field_scratch``) serves every block.  Each value keeps its own
-    ``_layer_base(i)`` and site, so its bits are those of ``layer_fields``.
-    A batch holding an environment that overrides ``values`` is asked one
-    layer at a time through ``layer_fields``.
+    ``_layer_base(i)`` and site, so its bits are those of
+    ``Environment.values``, however the layers fall into blocks.  A batch
+    holding an environment that overrides ``values`` is asked one layer at a
+    time through ``values``, one environment at a time.  ``coords(i)`` is
+    asked once per entry of ``layers``, in their order.
     """
     n_envs, h = len(envs), out.view(np.uint64)
     if not _hashes_plain(envs):
         for i in layers:
             sites = coords(i)
-            yield layer_fields(envs, i, sites, out[:n_envs * len(sites)].reshape(n_envs, -1))
+            block = out[:n_envs * len(sites)].reshape(n_envs, -1)
+            for row, env in zip(block, envs):
+                row[:] = env.values(i, sites)
+            yield block
         return
     k = 0
     while k < len(layers):
@@ -372,43 +360,18 @@ def reachable_set(i: int, d: int) -> np.ndarray:
     return np.array(sorted(pts), dtype=np.int64).reshape(len(pts), d)
 
 
-def _shell_count(r: int, d: int) -> int:
-    """Number of lattice points with ||x||_1 == r."""
-    if r == 0:
-        return 1
-    return sum(
-        (2**k) * math.comb(d, k) * math.comb(r - 1, k - 1)
-        for k in range(1, min(d, r) + 1)
-    )
-
-
 def reachable_set_size(i: int, d: int) -> int:
-    """|D_i| without enumeration."""
+    """|D_i| = sum_{j<d} C(d-1, j) C(i-j+d, d), the coefficient of t^i in
+    ((1+t)/(1-t))^d / (1-t^2), the generating function of the shells
+    ||x||_1 = r summed over r = i, i-2, ..."""
     if i < 0:
         raise ValueError("step index must be >= 0")
-    if d == 1:
-        return i + 1
-    if d == 2:
-        return (i + 1) ** 2
-    return sum(_shell_count(r, d) for r in range(i % 2, i + 1, 2))
+    return sum(math.comb(d - 1, j) * math.comb(i - j + d, d) for j in range(d))
 
 
-def reachable_cells_total(N: int, d: int, cap: int | None = None) -> int:
-    """Sum of |D_i| over layers i = 0..N; stops early once past ``cap``."""
-    if d == 1:
-        return (N + 1) * (N + 2) // 2
-    if d == 2:
-        return (N + 1) * (N + 2) * (2 * N + 3) // 6
-    # parity classes let |D_i| grow incrementally: D_i = D_{i-2} + shell_i
-    size = [1, _shell_count(1, d)]  # |D_0|, |D_1|
-    total = size[0] + (size[1] if N >= 1 else 0)
-    for i in range(2, N + 1):
-        s = size[i % 2] + _shell_count(i, d)
-        size[i % 2] = s
-        total += s
-        if cap is not None and total > cap:
-            return total
-    return total
+def reachable_cells_total(N: int, d: int) -> int:
+    """Sum of |D_i| over layers i = 0..N: sum_{j<d} C(d-1, j) C(N-j+d+1, d+1)."""
+    return sum(math.comb(d - 1, j) * math.comb(N - j + d + 1, d + 1) for j in range(d))
 
 
 # ---------------------------------------------------------------------------

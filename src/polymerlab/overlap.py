@@ -17,9 +17,10 @@ environments built once, at the largest N; per beta one forward pass per
 environment (environment 0 only at beta = 0, where no field is read), which
 keeps the table at beta and carries beta +/- h along, rolling, for log Z at
 every n.  The table's first n layers give every n its samples, and one
-descent of the reverse chain down the table (``marginal_sums``), which reads
-no field, gives every n its exact <R>.  One forward table is kept at a time;
-only an enum rung's <H> builds a backward one.
+descent of the reverse chain down the table (``marginal_sums``) gives every
+n its exact <R> and each enum rung its <H>, sum_x g(i, x) mu_i(x) added up
+layer by layer with numpy sums, reading the field of the enum rungs' layers
+only.  One forward table is kept at a time, and no backward one.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ from .lattice import (Environment, LatticeParams, PartitionScheme, derive_seed, 
                       path_columns)
 from .transfer import (
     BetaProfile,
-    backward_layers,
     brute_force_log_partition,
     forward_layers,
     forward_layers_and_ladder,
     gibbs_enumeration,
-    layer_log_marginals,
     marginal_sums,
     sample_paths,
 )
@@ -119,17 +118,6 @@ def exact_two_replica_overlap(env: Environment, profile: BetaProfile) -> float:
     return float(marginal_sums(forward_layers(env, profile))[0]) / profile.N
 
 
-def _mean_energy(fwd) -> float:
-    """sum_{i,x} g(i, x) mu_i(x) over the layers with beta_i != 0, added up in
-    i order, off the forward table and a backward table of its own: <H> where
-    no beta_i is 0.  Its dot is the package's one BLAS call on a field."""
-    bwd, energy = backward_layers(fwd.env, fwd.profile), 0.0
-    for i in (np.flatnonzero(fwd.profile.values) + 1).tolist():
-        mu = np.exp(layer_log_marginals(fwd, bwd, i))
-        energy += float(mu @ fwd.env.values(i, fwd.layer_coords(i)))
-    return energy
-
-
 @dataclass(frozen=True)
 class IbpEstimate:
     """Residual of the finite-N derivative identity, with its noise scale."""
@@ -203,21 +191,24 @@ def _disorder_terms(betas, h: float, params: LatticeParams, n_env: int, master_s
         overlaps, rhs = np.empty((len(ns), len(used))), np.empty((len(ns), len(used)))
         rolled, replicas = np.empty((len(ns), len(used), len(pm))), []
         logz = np.empty_like(rolled)
+        enum = [j for j, m in enumerate(modes) if m == "enum" and beta > 0.0]
+        enum_ns = [ns[j] for j in enum]
         for r, env in enumerate(used):
             fwd, rolled[:, r] = forward_layers_and_ladder(
                 env, [BetaProfile.constant(b, top.N) for b in (beta,) + pm], ns)
-            overlaps[:, r] = marginal_sums(fwd, ns) / ns
+            sums, energies = marginal_sums(fwd, ns, energy=enum_ns)
+            overlaps[:, r] = sums / ns
             rhs[:, r] = beta * (1.0 - overlaps[:, r])
-            for j, (n, m) in enumerate(zip(ns, modes)):
+            rhs[enum, r] = energies / enum_ns
+            for j, n in enumerate(ns):
                 part = fwd.prefix(n)
                 if r == 0:
                     rng = np.random.default_rng(derive_seed(master_seed, 1))
                     replicas.append(None if n_pairs is None
                                     else _replica_overlap(part, n_pairs, rng))
-                if beta > 0.0 and m == "enum":
+                if j in enum:
                     logz[j, r] = [brute_force_log_partition(part.env, BetaProfile.constant(b, n))
                                   for b in pm]
-                    rhs[j, r] = _mean_energy(part) / n
             del fwd, part  # before the next table is built
         mc = [m == "mc" for m in modes]
         logz[mc] = rolled[mc]

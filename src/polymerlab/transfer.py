@@ -42,7 +42,8 @@ buffer that is valid only until the consumer returns: the kept tables copy
 it, and log Z at each N of a ladder (``log_partition_ladder``) reads it; no
 field leaves a pass.  The exact overlap runs no pass: ``marginal_sums`` walks
 the site marginals down a kept forward table by the reverse chain of
-forward-filtering/backward-smoothing, on the geometry's neighbour sums.
+forward-filtering/backward-smoothing, on the geometry's neighbour sums, and
+reads the field of its first layers only where <H> of a short rung is asked.
 A kept table may carry further profiles that roll along it, read for log Z
 at each N of a ladder (``forward_layers_and_ladder``).  The driver alone
 charges the cell budget ``LatticeParams.max_cells``, for what each pass
@@ -565,7 +566,7 @@ class LayerTable:
 
 
 def _check_guard(env: Environment, geom, n_profiles: int, keep: int, n_envs: int = 1,
-                 rungs: int = 0) -> int:
+                 rungs: int = 0, energy: int = 0) -> int:
     """The one cell budget, returning the cells charged for a pass over
     ``n_envs`` environments like ``env`` that keeps its first ``keep``
     profiles.  A kept profile holds its cone, one cell per environment and
@@ -579,13 +580,17 @@ def _check_guard(env: Environment, geom, n_profiles: int, keep: int, n_envs: int
     keeps it.  With ``rungs``, the charge is of a reverse-chain
     descent down one kept table (``marginal_sums``): that cone, and per site
     of layer N the geometry's ``chain_shared_cells`` and
-    ``chain_rung_cells`` per rung."""
+    ``chain_rung_cells`` per rung; with ``energy``, the last layer whose
+    field the descent reads, also the field block and its scratch, and per
+    site of that layer its field, its coordinates and one column of them."""
     p = env.params
     width = reachable_set_size(p.N, p.d)
-    held = reachable_cells_total(p.N, p.d, cap=p.max_cells) * n_envs * keep if keep else 0
+    held = reachable_cells_total(p.N, p.d) * n_envs * keep if keep else 0
     step = (geom.chain_shared_cells + rungs * geom.chain_rung_cells if rungs
             else geom.shared_cells + n_envs * (geom.work_cells + n_profiles * geom.layer_cells))
-    field = 0 if rungs else FIELD_BLOCK + FIELD_SCRATCH_CELLS
+    field = 0 if rungs and not energy else FIELD_BLOCK + FIELD_SCRATCH_CELLS
+    if energy:
+        field += (p.d + 2) * reachable_set_size(energy, p.d)
     cells = held + width * step + field
     if cells > p.max_cells:
         what = (f"a descent of {rungs} rung(s) down a kept layer table" if rungs
@@ -871,7 +876,7 @@ def _renormalise(lm: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return mu.sum(axis=1) / (z * z)
 
 
-def marginal_sums(fwd: LayerTable, ns=None) -> np.ndarray:
+def marginal_sums(fwd: LayerTable, ns=None, energy=None):
     """sum_{i <= n} sum_x mu_i(x)^2 for each n of the ladder ``ns`` (default
     the table's N), with mu_i the site law at time i of the table's first n
     steps, from one descent of the reverse chain down the kept forward table A:
@@ -879,30 +884,50 @@ def marginal_sums(fwd: LayerTable, ns=None) -> np.ndarray:
         log mu_n = A_n - logsumexp A_n,
         log mu_{i-1}(y) = A_{i-1}(y) + log sum_{x ~ y} exp(log mu_i(x) - LS_i(x)),
 
-    where LS_i is the neighbour log-sum of A_{i-1} onto layer i.  It reads no
-    field and runs no pass.  Rung n joins the stack of log marginals at layer
-    n, every step serves all live rungs with one LS_i, and each rung is
-    renormalized at every layer; each rung's arithmetic is its own, so its
-    sum is bit for bit that of ``marginal_sums(fwd.prefix(n))``."""
+    where LS_i is the neighbour log-sum of A_{i-1} onto layer i.  It runs no
+    pass.  Rung n joins the stack of log marginals at layer n, every step
+    serves all live rungs with one LS_i, and each rung is renormalized at
+    every layer; each rung's arithmetic is its own, so its sum is bit for
+    bit that of ``marginal_sums(fwd.prefix(n))``.
+
+    With ``energy``, a list of n, returns (those sums, <H> of each n of
+    ``energy``): sum_{i <= n} sum_x g(i, x) mu_i(x) over the layers with
+    beta_i != 0, each layer's terms added up by ``np.sum`` off the rung's
+    renormalized row, in descent order.  Only then is a field read: the
+    layers up to the largest n of ``energy``, a block of layers per hash
+    call as a pass reads them (``lattice.field_layers``)."""
     if fwd.direction != "forward":
         raise ValueError("the reverse chain needs a forward table")
     ns = [fwd.N] if ns is None else [int(n) for n in ns]
-    _check_ladder(fwd.N, ns)
-    tops = sorted(set(ns), reverse=True)  # row k of the stack is rung tops[k]
-    _check_guard(fwd.env, fwd.geometry, 1, 1, rungs=len(tops))
-    layers, sums, geom = fwd.layers, np.zeros(len(tops)), fwd.geometry
+    asked = [] if energy is None else [int(n) for n in energy]
+    _check_ladder(fwd.N, ns + asked)
+    tops = sorted(set(ns + asked), reverse=True)  # row k of the stack is rung tops[k]
+    rows, last = [tops.index(n) for n in asked], max(asked, default=0)
+    _check_guard(fwd.env, fwd.geometry, 1, 1, rungs=len(tops), energy=last)
+    layers, geom = fwd.layers, fwd.geometry
+    sums, energies = np.zeros(len(tops)), np.zeros(len(tops))
     # the stack of log marginals, its sum back (first the renormalisation's
-    # scratch) and the kernels' scratch; layer i-1 and its sum onto layer i
+    # scratch, then each <H> term's) and the kernels' scratch; layer i-1 and
+    # its sum onto layer i
     stack = geom.buffers(len(tops), layers[0].dtype)
     below = np.empty((2, reachable_set_size(fwd.N, fwd.d)), dtype=layers[0].dtype)
+    read = [i for i in range(last, 0, -1) if fwd.profile.values[i - 1]]
+    if read:
+        fields = field_layers([fwd.env], read, geom.coords,
+                              np.empty(reachable_set_size(last, fwd.d) + FIELD_BLOCK),
+                              field_scratch())
     rungs = 0
     for i in range(tops[0], 0, -1):
         rungs += i in tops
         lm = geom.lay(i, stack[0], (rungs,))
         if i in tops:
             lm[-1] = layers[i]
-        sums[:rungs] += _renormalise(lm.reshape(rungs, -1),
-                                     stack[1][:lm.size].reshape(rungs, -1))
+        logmu, mu = lm.reshape(rungs, -1), stack[1][:lm.size].reshape(rungs, -1)
+        sums[:rungs] += _renormalise(logmu, mu)
+        if i <= last and fwd.profile.values[i - 1]:
+            g = next(fields)[0]
+            for k in (k for k in rows if k < rungs):
+                energies[k] += np.multiply(np.exp(logmu[k], out=mu[0]), g, out=mu[0]).sum()
         if i > 1:
             into, back = geom.chain_sums(i)
             geom.lay(i - 1, below[0], (1,), framed=True)[0] = layers[i - 1]
@@ -912,7 +937,8 @@ def marginal_sums(fwd: LayerTable, ns=None) -> np.ndarray:
             np.copyto(lm, back(*stack, (rungs,)))
             lm += layers[i - 1]
             del into, back  # this step's maps go before the next step's are built
-    return sums[[tops.index(n) for n in ns]]
+    sums = sums[[tops.index(n) for n in ns]]
+    return sums if energy is None else (sums, energies[rows])
 
 
 def markov_split_logz(fwd: LayerTable, bwd: LayerTable, i: int) -> float:

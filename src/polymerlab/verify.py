@@ -3,15 +3,17 @@
 Each suite returns a dict with a boolean ``pass`` plus the metrics it
 measured.  Every number is a pure function of the master seed, so the
 assembled summary is byte-identical across runs.  Everything runs in
-index order on one thread.  ``suite_env_determinism`` checks on every run
-that field values do not depend on how they are evaluated: one chunk at a
-time, or through the batched ``lattice.layer_fields`` hash the estimators
-use, in other pieces and another order.
+index order on one thread, and no suite calls a threaded library (BLAS):
+sums of products are numpy sums.  ``suite_env_determinism`` checks on every
+run that field values do not depend on how they are evaluated: one chunk
+at a time, or through the block hash of the estimators' passes
+(``lattice.field_layers``), in other pieces and another order.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -19,10 +21,12 @@ from scipy.special import chdtrc
 
 from .free_energy import concentration_profile
 from .lattice import (
+    FIELD_BLOCK,
     LatticeParams,
     derive_seed,
+    field_layers,
+    field_scratch,
     gaussian_env,
-    layer_fields,
     make_partition,
     make_subpartition,
     perturb_env,
@@ -86,7 +90,7 @@ def suite_partition_arithmetic(seed: int, n_max: int = 10_000, l_max: int = 32,
 
 def suite_env_determinism(seed: int, inject_fault: bool = False) -> dict:
     """Hash of 1e4 field values, computed one chunk at a time and again through
-    the estimators' batched ``layer_fields``, in uneven pieces, last chunk first."""
+    the estimators' block hash ``field_layers``, in uneven pieces, last chunk first."""
     params = LatticeParams(d=2, N=64)
     env = gaussian_env(seed, params)
     rng = np.random.default_rng(seed)
@@ -94,13 +98,17 @@ def suite_env_determinism(seed: int, inject_fault: bool = False) -> dict:
     coords = rng.integers(-30, 31, size=(100, 100, 2)).astype(np.int64)
     first = [env.values(int(layers[c]), coords[c]).tobytes() for c in range(100)]
     env2 = perturb_env(env, int(layers[0]), coords[0][0], 1e-3) if inject_fault else env
-    # a batch of two plain environments shares one hash call; row 0 is env2's
+    # a batch of two plain environments, every piece a layer of one block
+    # hash; row 0 is env2's
     batch = (env2, gaussian_env(derive_seed(seed, 1), params))
+    pieces = [(c, coords[c][a:b]) for c in reversed(range(100))
+              for a, b in itertools.pairwise((0, 1 + c % 7, 37 + c % 23, 100))]
+    sites = iter([piece for _, piece in pieces])
+    fields = field_layers(batch, [int(layers[c]) for c, _ in pieces], lambda i: next(sites),
+                          np.empty(2 * 100 + FIELD_BLOCK), field_scratch())
     second = [b""] * 100
-    for c in reversed(range(100)):
-        cuts = (0, 1 + c % 7, 37 + c % 23, 100)
-        second[c] = b"".join(layer_fields(batch, int(layers[c]), coords[c][a:b])[0].tobytes()
-                             for a, b in zip(cuts, cuts[1:]))
+    for (c, _), g in zip(pieces, fields):
+        second[c] += g[0].tobytes()
     h1 = hashlib.sha256(b"".join(first)).hexdigest()
     h2 = hashlib.sha256(b"".join(second)).hexdigest()
     return {"pass": h1 == h2, "hash_first": h1, "hash_second": h2}
@@ -112,7 +120,9 @@ def suite_env_moments(seed: int) -> dict:
     coords = np.arange(1_000_000, dtype=np.int64)[:, None] - 500_000
     v = env.values(3, coords)
     mean, var = float(v.mean()), float(v.var())
-    corr = float(np.corrcoef(v[:100_000 - 1], v[1:100_000])[0, 1])
+    a, b = v[:100_000 - 1], v[1:100_000]
+    a, b = a - a.mean(), b - b.mean()  # the lag-1 correlation by sums, not BLAS
+    corr = float((a * b).sum() / math.sqrt((a * a).sum() * (b * b).sum()))
     tol = 3.0 / math.sqrt(100_000)
     ok = abs(mean) <= 0.01 and abs(var - 1.0) <= 0.01 and abs(corr) <= tol
     return {"pass": bool(ok), "mean": mean, "var": var, "lag1_corr": corr,

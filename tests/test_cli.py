@@ -237,6 +237,14 @@ class TestOnePassPerEnvironment:
         return calls
 
     def test_overlap_passes(self, tmp_path, monkeypatch):
+        self._overlap_passes(tmp_path, monkeypatch, "mc", 12)
+
+    def test_overlap_passes_with_an_enum_rung(self, tmp_path, monkeypatch):
+        # auto makes N = 8 an enum rung at d=1 (2^8 <= 4096 paths) and N = 16
+        # an mc one, so the descent gives rung 8 its <H> as well
+        self._overlap_passes(tmp_path, monkeypatch, "auto", 16)
+
+    def _overlap_passes(self, tmp_path, monkeypatch, mode, top):
         def table_key(env, prof):
             return env.params.N, float(prof.values[0]), env.seed
 
@@ -251,10 +259,10 @@ class TestOnePassPerEnvironment:
         passes = self._count(monkeypatch, "_transfer", pass_key)
         ladders = self._count(monkeypatch, "log_partition_ladder", lambda *_: "called")
         rolled = self._count(monkeypatch, "log_partitions", lambda env, *_: env.seed)
-        ns, betas, h, seed = (8, 12, 8), (1.0, 0.0, 2.0), 1e-3, 4
+        ns, betas, h, seed = (8, top, 8), (1.0, 0.0, 2.0), 1e-3, 4
         cmd_overlap(_cfg(
             command="overlap", seed=seed, d=1, n_values=ns, beta_values=betas,
-            n_disorder=3, n_pairs=5, h=h, mode="mc", out=str(tmp_path),
+            n_disorder=3, n_pairs=5, h=h, mode=mode, out=str(tmp_path),
         ))
         seeds = [derive_seed(seed, r) for r in range(3)]
         # a beta = 0 pass reads no field: environment 0's stands for all
@@ -263,14 +271,14 @@ class TestOnePassPerEnvironment:
         # keeping the table at beta; at beta > 0, beta +/- h ride along it, so
         # the whole ladder's log Z comes from the same pass
         forward = {k[1:]: c for k, c in passes.items() if k[0] == "forward"}
-        assert forward == {(1, 12, (s,), (b, b + h, b - h) if b > 0 else (b,)): 1
+        assert forward == {(1, top, (s,), (b, b + h, b - h) if b > 0 else (b,)): 1
                            for b in betas for s in used[b]}
         # one reverse-chain descent per (beta, environment used), down the
-        # table at the largest N, for the whole ladder; a repeated N is not
-        # run again
-        assert reduced == {(12, b, s, (8, 12)): 1 for b in betas for s in used[b]}
-        # and those are all the passes: the chain runs none, and mc mode runs
-        # no backward pass
+        # table at the largest N, for the whole ladder and an enum rung's
+        # <H>; a repeated N is not run again
+        assert reduced == {(top, b, s, (8, top)): 1 for b in betas for s in used[b]}
+        # and those are all the passes: the chain runs none, and no mode runs
+        # a backward pass
         assert sum(passes.values()) == sum(forward.values())
         assert not any(k[0] == "backward" for k in passes)
         assert not fwd and not bwd and not ladders and not rolled

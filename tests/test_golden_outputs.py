@@ -23,6 +23,12 @@ inverse normal moved from scipy's ``ndtri`` to the package's AS241
 (``lattice._ndtri``, within 2e-15 relative): at most 4.4e-16 absolute on
 the free-energy cases and 9.6e-14 on ``overlap_d3_ladder``, in its
 finite-difference columns; the localize digests did not move.
+``overlap_d1_mixed`` and ``overlap_d2`` were taken again when an enum
+rung's <H> moved from a backward table and a BLAS dot per layer to numpy
+sums on the reverse-chain descent that gives <R> (``marginal_sums``):
+only the enum rows' ``ibp_residual`` and ``ibp_stderr`` moved, by at most
+1.1e-16 absolute, a residual of about 1e-10 being a difference of two
+near-equal terms.
 
 The digests also depend on the CPU: numpy dispatches float64 ``exp``,
 ``log`` and ``log1p`` to AVX-512 loops (target ``X86_V4``) where the CPU has
@@ -74,12 +80,12 @@ CASES = {
     "overlap_d1_mixed": (
         ["overlap", "--d", "1", "--n-grid", "8,24", "--beta-grid", "0,0.5,1",
          "--n-disorder", "55", "--n-pairs", "50", "--seed", "7"],
-        {"overlap.csv": "2c6887e4868f460928a34873db2f3ece606cb61cb478f581381f1c10f72fa216"},
+        {"overlap.csv": "cbba20e17d904b87b0cedd0286a3f3df2ad3cd3237bfd611dbcd13260d40abcf"},
     ),
     "overlap_d2": (
         ["overlap", "--d", "2", "--n-grid", "3,16", "--beta-grid", "0,1",
          "--n-disorder", "2", "--n-pairs", "100", "--seed", "7"],
-        {"overlap.csv": "f39ddea59f2c8d40ad02920e8b9919221bc910e6e58cac8d2da7409de3311ea4"},
+        {"overlap.csv": "33de4bce909d58a1cce2e1fd7df938f1e83ce8ea34e4ea6db408f2096cb81019"},
     ),
     # d = 3, an unsorted ladder with a repeated N and a beta = 0 row between
     # betas > 0, whose exact <R> comes from one reverse-chain descent per

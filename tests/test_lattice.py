@@ -1,6 +1,8 @@
 import hashlib
 import importlib
 import itertools
+import math
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,10 +17,10 @@ from polymerlab.lattice import (
     LatticeParams,
     MemoryGuardError,
     derive_seed,
+    field_layers,
     field_scratch,
     gaussian_env,
     is_valid_path,
-    layer_fields,
     make_partition,
     make_subpartition,
     perturb_env,
@@ -28,7 +30,7 @@ from polymerlab.lattice import (
     zero_env,
 )
 from polymerlab.free_energy import BlockConcatEnvironment
-from polymerlab.transfer import BetaProfile, backward_layers, forward_layers
+from polymerlab.transfer import BetaProfile, backward_layers, forward_layers, log_partitions
 
 lattice = importlib.import_module("polymerlab.lattice")
 
@@ -49,6 +51,13 @@ def test_memory_guard_at_construction():
     with pytest.raises(MemoryGuardError):
         backward_layers(env, prof)
     gaussian_env(1, LatticeParams(d=1, N=512))  # well under the default cap
+
+
+def _fields(envs, i, coords):
+    """g(i, .) of each environment at the (n, d) sites ``coords``, (len(envs),
+    n), through the block hash of a pass (``field_layers``)."""
+    out = np.empty(len(envs) * len(coords) + FIELD_BLOCK)
+    return next(field_layers(envs, [i], lambda _: coords, out, field_scratch())).copy()
 
 
 def _quantiles(u, chunk=FIELD_BLOCK, order=None):
@@ -195,7 +204,7 @@ class TestEnvironment:
             assert gaussian_env(kind(5), params).values(kind(3), coords).tobytes() == want
             assert gaussian_env(5, params).values(kind(3), coords).tobytes() == want
             two = [gaussian_env(kind(5), params)] * 2
-            assert layer_fields(two, kind(3), coords)[1].tobytes() == want
+            assert _fields(two, kind(3), coords)[1].tobytes() == want
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_batched_fields_equal_one_environment_at_a_time(self, d):
@@ -206,7 +215,7 @@ class TestEnvironment:
         mixed = plain + [zero_env(params), perturb_env(plain[0], 5, coords[0], 0.5)]
         for envs in (plain, mixed, plain[:1]):
             want = np.stack([env.values(5, coords) for env in envs])
-            assert layer_fields(envs, 5, coords).tobytes() == want.tobytes()
+            assert _fields(envs, 5, coords).tobytes() == want.tobytes()
         # concatenations of blocks: layer i is layer i - n_{ell-1} of block ell
         p = make_partition(12, 3)
         blocks = [[gaussian_env(derive_seed(9, 3 * r + ell), LatticeParams(d=d, N=s))
@@ -220,7 +229,7 @@ class TestEnvironment:
                 for envs, want in ((cats, by_cat), (cats[:1], by_cat[:1]),
                                    (cats + plain, by_cat + [e.values(i, coords) for e in plain]),
                                    (cats + [zero_env(params)], by_cat + [np.zeros(len(coords))])):
-                    got = layer_fields(envs, i, coords)
+                    got = _fields(envs, i, coords)
                     assert got.tobytes() == np.stack(want).tobytes()
 
 
@@ -279,6 +288,31 @@ class TestReachableSets:
     def test_cells_total_closed_form_large_n(self, d):
         n = 5000
         assert reachable_cells_total(n, d) == sum(reachable_set_size(i, d) for i in range(n + 1))
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_closed_forms_match_shell_sums(self, d):
+        # |D_i| as the shells ||x||_1 = r of i's parity up to i, each counted
+        # by its k nonzero coordinates: 2^k C(d, k) C(r-1, k-1)
+        def shell(r):
+            return 1 if r == 0 else sum(2**k * math.comb(d, k) * math.comb(r - 1, k - 1)
+                                        for k in range(1, min(d, r) + 1))
+
+        total = 0
+        for i in range(60):
+            size = sum(shell(r) for r in range(i % 2, i + 1, 2))
+            total += size
+            assert reachable_set_size(i, d) == size
+            assert reachable_cells_total(i, d) == total
+
+    def test_huge_n_refused_at_once(self):
+        # the cone sizes are closed forms, so a d=3 pass at N = 10^6 is
+        # refused without a loop over its layers
+        env = gaussian_env(1, LatticeParams(d=3, N=10**6))
+        profile = BetaProfile.constant(1.0, 10**6)
+        start = time.perf_counter()
+        with pytest.raises(MemoryGuardError, match="d=3, N=1000000"):
+            log_partitions(env, [profile])
+        assert time.perf_counter() - start < 0.1
 
 
 class TestPaths:

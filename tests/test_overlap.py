@@ -10,7 +10,6 @@ from polymerlab.free_energy import estimate_derivative
 from polymerlab.lattice import (LatticeParams, MemoryGuardError, as_path, derive_seed,
                                 gaussian_env, make_partition)
 from polymerlab.overlap import (
-    _mean_energy,
     block_overlap,
     enumerated_two_replica_overlap,
     exact_two_replica_overlap,
@@ -124,7 +123,7 @@ class TestExactTwoReplica:
     def test_reduction_matches_table_pair(self, d, n):
         params, seed = LatticeParams(d=d, N=n), 13
         env = gaussian_env(derive_seed(seed, 0), params)
-        betas = (0.0, 0.7, 10.0, 50.0)
+        betas = (0.0, 0.5, 0.7, 2.0, 10.0, 50.0)
         profs = [BetaProfile.constant(b, n) for b in betas]
         profs.append(BetaProfile.from_blocks(make_partition(n, 3), [1.3, 0.0, 0.7]))
         energies = []
@@ -141,12 +140,15 @@ class TestExactTwoReplica:
             assert marginal_sums(fwd)[0] == pytest.approx(squares, rel=1e-12, abs=0)
             assert exact_two_replica_overlap(env, prof) == pytest.approx(squares / n, rel=1e-12,
                                                                          abs=0)
-            assert _mean_energy(fwd) == energy  # over the layers with beta_i != 0
+            # <H> from the same descent, over the layers with beta_i != 0
+            sums, got = marginal_sums(fwd, energy=[n])
+            assert sums.tobytes() == marginal_sums(fwd).tobytes()
+            assert got[0] == pytest.approx(energy, rel=1e-12, abs=0)
             energies.append(energy)
         for beta, energy in zip(betas[1:], energies[1:]):
-            # the enum-mode right-hand side is <H>/N off the same table pair
+            # the enum-mode right-hand side is <H>/N, against the same table pair
             est = ibp_residual(beta, 1e-3, params, 1, seed, mode="enum")
-            assert est.overlap_term == energy / n
+            assert est.overlap_term == pytest.approx(energy / n, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("d, N", [(1, 1024), (2, 128), (3, 24)])
     def test_chain_matches_table_pair_at_large_beta(self, d, N):

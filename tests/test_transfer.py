@@ -818,18 +818,20 @@ class TestReverseChain:
     @pytest.mark.parametrize("d, N", [(2, 256), (3, 24)])
     def test_descent_peak_within_charge(self, d, N):
         # the kept table it reads and everything a 3-rung descent allocates
-        # stay within the cells the descent is charged
+        # stay within the cells the descent is charged, also where it gives
+        # two rungs their <H>, reading the field up to layer N
         env = gaussian_env(2, LatticeParams(d=d, N=N))
         fwd = forward_layers(env, BetaProfile.constant(0.8, N))
         held = sum(a.nbytes for a in fwd.layers)
-        charged = _check_guard(env, fwd.geometry, 1, 1, rungs=3)
-        tracemalloc.start()
-        try:
-            marginal_sums(fwd, [N // 4, N, N // 2])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert held + peak <= 8 * charged
+        for energy in (None, [N, N // 4]):
+            charged = _check_guard(env, fwd.geometry, 1, 1, rungs=3, energy=max(energy or [0]))
+            tracemalloc.start()
+            try:
+                marginal_sums(fwd, [N // 4, N, N // 2], energy)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert held + peak <= 8 * charged
 
     def test_long_ladder_refused_before_the_descent(self):
         # the charge grows with the rungs, and a ladder past the budget is
