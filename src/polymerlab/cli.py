@@ -54,6 +54,7 @@ from .lattice import (
     make_partition,
 )
 from .localization import (
+    DS_MAX_PATHS,
     MODES,
     build_distinguished_sets,
     coverage_report,
@@ -62,16 +63,14 @@ from .localization import (
     pairwise_counts,
     report_to_jsonl,
 )
-from .overlap import IBP_MODES, enum_steps, sweep_overlaps
-from .transfer import BRUTE_FORCE_CAP, BetaProfile, forward_layers, sample_paths
+from .overlap import IBP_MODES, sweep_overlaps
+from .transfer import BetaProfile, forward_layers, sample_paths
 
 # default free-energy sweep: beta <= 3, N <= 1024, d <= 2 (per dimension)
 DEFAULT_BETA_GRID = (0.5, 1.0, 2.0, 3.0)
 DEFAULT_N_LADDER = {1: (64, 256, 1024), 2: (64, 256)}
 _OVERLAP_BETAS = (0.0, 0.5, 1.0, 2.0)
 _OVERLAP_NS = (64, 128, 256)
-# paths one distinguished-set induction may build; a beta past it is skipped
-DS_MAX_PATHS = 100_000
 
 
 class ValidationError(ValueError):
@@ -660,15 +659,12 @@ def _validate(cfg: ExperimentConfig) -> None:
                 f"violated by N in {bad}"
             )
     if cfg.command == "overlap":
-        ns, betas = _resolve_grids(cfg)
+        betas = _resolve_grids(cfg)[1]
         if cfg.mode not in IBP_MODES:
             raise ValidationError(f"mode must be one of {IBP_MODES}, got {cfg.mode!r}")
         bad = [b for b in betas if 0.0 < b < cfg.h]
         if bad:
             raise ValidationError(f"h={cfg.h} too large for beta={bad[0]}")
-        bad = [n for n in ns if cfg.mode == "enum" and n > enum_steps(cfg.d, BRUTE_FORCE_CAP)]
-        if bad:
-            raise ValidationError(f"mode enum: (2d)^N > {BRUTE_FORCE_CAP} paths for N in {bad}")
     if cfg.command == "localize":
         if len(cfg.n_values) != 1:
             raise ValidationError(

@@ -33,6 +33,9 @@ from .lattice import (MemoryGuardError, PartitionScheme, SubPartition, make_subp
                       path_columns)
 
 AXIS_NAMES = ("x", "y", "z")
+# paths one distinguished-set induction may build (``build_distinguished_sets``
+# raises MemoryGuardError past it; ``localize`` records that beta as skipped)
+DS_MAX_PATHS = 100_000
 
 
 class InfeasibleConnectionError(ValueError):
@@ -209,7 +212,7 @@ def build_distinguished_sets(
     p: PartitionScheme,
     delta: float,
     K: int | None = None,
-    max_paths: int = 200_000,
+    max_paths: int = DS_MAX_PATHS,
 ) -> DistinguishedSet:
     """Run the concatenation induction from level 1 to level L.
 

@@ -10,17 +10,19 @@ finite-N derivative identity from Gaussian integration by parts,
 
 ``ibp_residual`` checks it: in mc mode both sides are disorder averages over
 common environments; in enum mode the pathwise half d/dbeta log Z = <H> is
-checked per environment, log Z enumerated, so only the O(h^2) bias remains.
+checked per environment, so only the O(h^2) bias remains.
 
 ``sweep_overlaps`` makes every estimate for a beta grid and an N ladder:
 environments built once, at the largest N; per beta one forward pass per
 environment (environment 0 only at beta = 0, where no field is read), which
 keeps the table at beta and carries beta +/- h along, rolling, for log Z at
-every n.  The table's first n layers give every n its samples, and one
-descent of the reverse chain down the table (``marginal_sums``) gives every
-n its exact <R> and each enum rung its <H>, sum_x g(i, x) mu_i(x) added up
-layer by layer with numpy sums, reading the field of the enum rungs' layers
-only.  One forward table is kept at a time, and no backward one.
+every n, in either mode.  The table's first n layers give environment 0's
+samples at every n, and one descent of the reverse chain down the table
+(``marginal_sums``) gives every n its exact <R> and each enum rung its <H>,
+sum_x g(i, x) mu_i(x) added up layer by layer with numpy sums, reading the
+field of the enum rungs' layers only.  One forward table is kept at a time,
+and no backward one; no path is enumerated but by the test oracle
+``enumerated_two_replica_overlap``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .lattice import (Environment, LatticeParams, PartitionScheme, derive_seed, 
                       path_columns)
 from .transfer import (
     BetaProfile,
-    brute_force_log_partition,
     forward_layers,
     forward_layers_and_ladder,
     gibbs_enumeration,
@@ -124,7 +125,7 @@ class IbpEstimate:
 
     residual: float
     stderr: float
-    derivative: float  # centered finite difference of per-step free energy
+    derivative: float  # centered difference of per-step log Z, off the pass's rolling profiles
     overlap_term: float  # beta * (1 - E<R>) in mc mode; <H>/N in enum mode
     beta: float
     h: float
@@ -135,18 +136,10 @@ class IbpEstimate:
 IBP_MODES = ("auto", "mc", "enum")
 
 
-def enum_steps(d: int, cap: int) -> int:
-    """The largest n with (2d)^n <= cap paths.  N is compared with it, so a
-    huge N never raises 2d to its power."""
-    n, paths = 0, 2 * d
-    while paths <= cap:
-        n, paths = n + 1, paths * 2 * d
-    return n
-
-
 def _mode_at(mode: str, d: int, n: int) -> str:
-    """The identity's mode at (d, N): auto is enum where (2d)^N <= 4096 paths, else mc."""
-    return mode if mode != "auto" else "enum" if n <= enum_steps(d, 4096) else "mc"
+    """The identity's mode at (d, N): auto is enum where (2d)^N <= 4096 paths,
+    else mc.  (2d)^N >= 2^N, so an N past 12 is mc before 2d is raised to it."""
+    return mode if mode != "auto" else "enum" if n <= 12 and (2 * d) ** n <= 4096 else "mc"
 
 
 def _check_ibp_args(beta: float, h: float, mode: str) -> None:
@@ -175,8 +168,7 @@ def _disorder_terms(betas, h: float, params: LatticeParams, n_env: int, master_s
                     mode: str, ns, n_pairs: int | None = None) -> dict:
     """``OverlapSweep`` per (n, beta) of the ladder ``ns`` and the grid ``betas``,
     over ``n_env`` environments (environment 0 at beta = 0), from the passes the
-    module docstring lists; replica pairs only with ``n_pairs``.  The identity's
-    log Z at beta +/- h is enumerated in enum mode, read off the pass in mc."""
+    module docstring lists; replica pairs only with ``n_pairs``."""
     if n_env < 1:
         raise ValueError("need n_disorder >= 1")
     ns = list(dict.fromkeys(int(n) for n in ns))
@@ -189,8 +181,7 @@ def _disorder_terms(betas, h: float, params: LatticeParams, n_env: int, master_s
     for beta in sorted(dict.fromkeys(float(b) for b in betas), key=lambda b: b == 0.0):
         used, pm = (envs, (beta + h, beta - h)) if beta > 0.0 else (envs[:1], ())
         overlaps, rhs = np.empty((len(ns), len(used))), np.empty((len(ns), len(used)))
-        rolled, replicas = np.empty((len(ns), len(used), len(pm))), []
-        logz = np.empty_like(rolled)
+        rolled = np.empty((len(ns), len(used), len(pm)))
         enum = [j for j, m in enumerate(modes) if m == "enum" and beta > 0.0]
         enum_ns = [ns[j] for j in enum]
         for r, env in enumerate(used):
@@ -200,22 +191,15 @@ def _disorder_terms(betas, h: float, params: LatticeParams, n_env: int, master_s
             overlaps[:, r] = sums / ns
             rhs[:, r] = beta * (1.0 - overlaps[:, r])
             rhs[enum, r] = energies / enum_ns
-            for j, n in enumerate(ns):
-                part = fwd.prefix(n)
-                if r == 0:
-                    rng = np.random.default_rng(derive_seed(master_seed, 1))
-                    replicas.append(None if n_pairs is None
-                                    else _replica_overlap(part, n_pairs, rng))
-                if j in enum:
-                    logz[j, r] = [brute_force_log_partition(part.env, BetaProfile.constant(b, n))
-                                  for b in pm]
-            del fwd, part  # before the next table is built
-        mc = [m == "mc" for m in modes]
-        logz[mc] = rolled[mc]
+            if r == 0:
+                replicas = [None if n_pairs is None else _replica_overlap(
+                    fwd.prefix(n), n_pairs, np.random.default_rng(derive_seed(master_seed, 1)))
+                    for n in ns]
+            del fwd  # before the next table is built
         for j, (n, m) in enumerate(zip(ns, modes)):
             ibp = deriv = None
             if beta > 0.0:
-                diffs = (logz[j, :, 0] - logz[j, :, 1]) / (2.0 * h * n)
+                diffs = (rolled[j, :, 0] - rolled[j, :, 1]) / (2.0 * h * n)
                 x = diffs - rhs[j]
                 ibp = IbpEstimate(residual=float(abs(x.mean())), stderr=standard_error(x),
                                   derivative=float(diffs.mean()), overlap_term=float(rhs[j].mean()),
@@ -234,9 +218,10 @@ def ibp_residual(beta: float, h: float, params: LatticeParams, n_disorder: int,
           residual is zero-mean up to O(h^2) with Monte Carlo noise reported
           as ``stderr``.
     enum: checks the pathwise half d/dbeta log Z = <H> per environment, with
-          log Z from full path enumeration and <H> from transfer-matrix
-          marginals; all sampling noise cancels and only the O(h^2)
-          discretization bias remains.
+          log Z(beta +/- h) from the rolling profiles of the forward pass
+          and <H> from the reverse chain's marginals down its table; all
+          sampling noise cancels and only the O(h^2) discretization bias
+          remains.
     """
     _check_ibp_args(beta, h, mode)
     terms = _disorder_terms([beta], h, params, n_disorder, master_seed, mode, [params.N])

@@ -819,13 +819,20 @@ def log_partitions(env: Environment, profiles, dtype=np.float64) -> np.ndarray:
 # Exact sampling and marginals
 # ---------------------------------------------------------------------------
 
+def _uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``rng.random(n)`` with 0.0 read as 2^-53, the smallest positive value it
+    returns: u = 0 would pick a leading zero-weight candidate (a -inf frame
+    row or site), u > 0 never does."""
+    return np.maximum(rng.random(n), 2.0**-53)
+
+
 def _categorical_columns(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One draw per column from unnormalized log-weights, taking one
     ``rng.random`` double per column, in column order."""
     c = np.exp(logits - logits.max(axis=0))
     for row in range(1, len(c)):  # the cumsum over axis 0, a row at a time
         c[row] += c[row - 1]
-    return (rng.random(logits.shape[1]) * c[-1] > c).sum(axis=0)
+    return (_uniforms(rng, logits.shape[1]) * c[-1] > c).sum(axis=0)
 
 
 def sample_paths(table: LayerTable, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -845,7 +852,7 @@ def sample_paths(table: LayerTable, n: int, rng: np.random.Generator) -> np.ndar
     out = np.zeros((n, N + 1, table.d), dtype=np.int64)
     w = table.layer_logw(N)
     cdf = np.cumsum(np.exp(w - w.max()))
-    idx = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="left")
+    idx = np.searchsorted(cdf, _uniforms(rng, n) * cdf[-1], side="left")
     x = out[:, N] = geom.coords(N, idx)
     draws = np.arange(n)
     for i in range(N, 0, -1):

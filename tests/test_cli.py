@@ -190,6 +190,16 @@ class TestOverlapCommand:
         assert by_beta[0.0]["mean_overlap"] != ""
         assert float(by_beta[0.9]["ibp_residual"]) < 1e-6
 
+    def test_enum_past_the_enumeration_cap(self, tmp_path):
+        # 2^30 paths are past any enumeration, but enum mode reads log Z off
+        # the forward pass, so every N the cell budget admits runs
+        assert main(["overlap", "--d", "1", "--n-grid", "8,30", "--mode", "enum",
+                     "--n-disorder", "4", "--n-pairs", "10", "--out", str(tmp_path)]) == 0
+        with (tmp_path / "overlap.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["mode"] == "enum" for r in rows)
+        assert all(float(r["ibp_residual"]) < 1e-6 for r in rows if float(r["beta"]) > 0)
+
     def test_header(self, tmp_path):
         cfg = _cfg(
             command="overlap", seed=3, d=1, n_values=(5,), beta_values=(0.5,),
@@ -241,7 +251,8 @@ class TestOnePassPerEnvironment:
 
     def test_overlap_passes_with_an_enum_rung(self, tmp_path, monkeypatch):
         # auto makes N = 8 an enum rung at d=1 (2^8 <= 4096 paths) and N = 16
-        # an mc one, so the descent gives rung 8 its <H> as well
+        # an mc one, so the descent gives rung 8 its <H> as well, and the pass
+        # its log Z(beta +/- h)
         self._overlap_passes(tmp_path, monkeypatch, "auto", 16)
 
     def _overlap_passes(self, tmp_path, monkeypatch, mode, top):
@@ -259,6 +270,9 @@ class TestOnePassPerEnvironment:
         passes = self._count(monkeypatch, "_transfer", pass_key)
         ladders = self._count(monkeypatch, "log_partition_ladder", lambda *_: "called")
         rolled = self._count(monkeypatch, "log_partitions", lambda env, *_: env.seed)
+        # enumeration is the oracle of verify and the tests, never of a command
+        enumerated = [self._count(monkeypatch, name, lambda *_: "called")
+                      for name in ("brute_force_log_partition", "gibbs_enumeration")]
         ns, betas, h, seed = (8, top, 8), (1.0, 0.0, 2.0), 1e-3, 4
         cmd_overlap(_cfg(
             command="overlap", seed=seed, d=1, n_values=ns, beta_values=betas,
@@ -282,6 +296,7 @@ class TestOnePassPerEnvironment:
         assert sum(passes.values()) == sum(forward.values())
         assert not any(k[0] == "backward" for k in passes)
         assert not fwd and not bwd and not ladders and not rolled
+        assert not any(enumerated)
         with (tmp_path / "overlap.csv").open() as fh:
             rows = [(int(r["N"]), float(r["beta"])) for r in csv.DictReader(fh)]
         assert rows == [(n, b) for n in ns for b in betas]
@@ -471,8 +486,6 @@ MALFORMED = {
     "localize_beta_nan": (["localize", "--beta-grid", "nan"], None),
     "tail_u_nan": (["free-energy", "--tail-u", "nan"], None),
     "json_h_nan": (["overlap"], ("run.json", '{"overlap": {"h": NaN}}')),
-    # N = 8 could run, N = 30 is past the enumeration cap: refused before either
-    "overlap_enum_past_cap": (["overlap", "--n-grid", "8,30", "--mode", "enum"], None),
     # the multi-temperature ladder writes no concentration tails
     "block_betas_with_tail_u": (["free-energy", "--d", "1", "--n-grid", "16", "--blocks", "2",
                                  "--block-betas", "0.5,1.5", "--tail-u", "0.1"], None),

@@ -19,6 +19,7 @@ from polymerlab.lattice import (
     make_subpartition,
 )
 from polymerlab.localization import (
+    DS_MAX_PATHS,
     MODES,
     InfeasibleConnectionError,
     _anchored_path,
@@ -117,7 +118,7 @@ def ref_min_window_overlap(a, b, min_len):
     return best
 
 
-def ref_build_distinguished_sets(d1_paths, p, delta, K=None, max_paths=200_000):
+def ref_build_distinguished_sets(d1_paths, p, delta, K=None, max_paths=DS_MAX_PATHS):
     """The per-candidate induction loop: meeting_time and splice_paths per (ia, ib, k)."""
     K = default_refinement(delta) if K is None else int(K)
     paths, seen, prov = [], set(), []

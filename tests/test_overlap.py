@@ -20,7 +20,9 @@ from polymerlab.overlap import (
     sweep_overlaps,
 )
 from polymerlab.transfer import (BetaProfile, _check_guard, _geometry, backward_layers,
-                                 forward_layers, layer_log_marginals, logsumexp, marginal_sums)
+                                 brute_force_log_partition, forward_layers,
+                                 forward_layers_and_ladder, layer_log_marginals, logsumexp,
+                                 marginal_sums)
 
 
 class TestOverlapFunction:
@@ -241,6 +243,29 @@ class TestIbpResidual:
             ibp_residual(0.0005, 1e-3, params, 2, 0)
         with pytest.raises(ValueError):
             ibp_residual(1.0, 1e-3, params, 2, 0, mode="exact")
+
+    @pytest.mark.parametrize("d, ns", [(1, (12, 5, 8)), (2, (6, 3)), (3, (4, 2)), (4, (4, 1))])
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 50.0])
+    def test_enum_log_z_matches_enumeration(self, d, ns, beta):
+        # an enum rung's log Z(beta +/- h) rides along the kept pass; path
+        # enumeration of the rung's own prefix environment is its oracle
+        params, h, seed, n_env = LatticeParams(d=d, N=max(ns)), 1e-3, 23, 2
+        profs = [BetaProfile.constant(b, params.N) for b in (beta, beta + h, beta - h)]
+        for r in range(n_env):
+            env = gaussian_env(derive_seed(seed, r), params)
+            fwd, rolled = forward_layers_and_ladder(env, profs, ns)
+            for n, got in zip(ns, rolled):
+                part = fwd.prefix(n).env
+                want = [brute_force_log_partition(part, BetaProfile.constant(b, n))
+                        for b in (beta + h, beta - h)]
+                assert got.tolist() == pytest.approx(want, rel=1e-13, abs=0)
+        # and the identity's derivative is their enumerated finite difference
+        n = params.N
+        diffs = [(brute_force_log_partition(env, BetaProfile.constant(beta + h, n))
+                  - brute_force_log_partition(env, BetaProfile.constant(beta - h, n))) / (2 * h * n)
+                 for env in (gaussian_env(derive_seed(seed, r), params) for r in range(n_env))]
+        est = ibp_residual(beta, h, params, n_env, seed, mode="enum")
+        assert est.derivative == pytest.approx(float(np.mean(diffs)), rel=0, abs=1e-10)
 
     @pytest.mark.parametrize("mode", ["mc", "enum"])
     def test_refuses_an_empty_disorder_sample(self, mode):

@@ -337,6 +337,25 @@ class TestSampling:
         paths = sample_paths(table, 64, np.random.default_rng(0))
         assert all(is_valid_path(p) for p in paths)
 
+    @pytest.mark.parametrize("d, N", [(1, 6), (2, 5), (3, 4)])
+    def test_zero_draw_picks_as_the_smallest_positive_one(self, d, N):
+        # Generator.random returns 0.0 with probability 2^-53; it must not pick
+        # a leading zero-weight candidate (the -inf frame of a boundary site)
+        from polymerlab.lattice import is_valid_path
+
+        class Constant:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, n):
+                return np.full(n, self.u)
+
+        table = forward_layers(gaussian_env(3, LatticeParams(d=d, N=N)),
+                               BetaProfile.constant(1.0, N))
+        paths = sample_paths(table, 4, Constant(0.0))
+        assert all(is_valid_path(p) for p in paths)
+        assert np.array_equal(paths, sample_paths(table, 4, Constant(2.0**-53)))
+
     @pytest.mark.parametrize("d,n", [(1, 4), (2, 4), (3, 3), (4, 3)])
     def test_empirical_matches_enumeration_small(self, d, n):
         env = gaussian_env(31, LatticeParams(d=d, N=n))
