@@ -9,6 +9,17 @@ The disorder field is generated counter-style: every value is a pure hash of
 on any number of threads, and the result never changes.  Nothing is stored,
 so an environment costs no cells: the cell budget ``LatticeParams.max_cells``
 is charged by the transfer driver, for the layers a pass actually holds.
+
+The hash of site x at layer i is h = mix(... mix(mix(b ^ x_1 s_1) ^ x_2 s_2)
+... ^ x_d s_d), with mix the SplitMix64 finalizer, b the layer base of
+(seed, i) and s_k an odd salt per axis; the value is the normal quantile of
+its top 53 bits.  ``Environment.values`` hashes any given sites so, d mixes
+per value.  A pass reads its field through ``field_layers``, a block of
+layers at a time: the layer bases of a block come from one vector mix, and
+the layer's geometry hashes its sites from its own structure, with the
+terms x s_k read off salted axis tables and each of the d - 1 leading mixes
+made once per prefix (x_1, ..., x_{d-1}) that sites share, so that a site
+costs one XOR and one mix; the bits are the same.
 """
 
 from __future__ import annotations
@@ -174,20 +185,37 @@ def field_scratch(n: int = FIELD_BLOCK) -> np.ndarray:
     return np.empty((4, n))
 
 
-def _hash(out: np.ndarray, bases: np.ndarray, coords: np.ndarray, t: np.ndarray) -> int:
+def _sites_hash(out: np.ndarray, bases: np.ndarray, coords: np.ndarray, t: np.ndarray) -> int:
     """The hash of each of the uint64 ``bases`` with each of the (n, d)
-    int64 sites ``coords``, a (len(bases), n) block at the head of the flat
-    uint64 ``out``; returns its size."""
+    int64 sites ``coords`` before its last mix, a (len(bases), n) block at
+    the head of the flat uint64 ``out``; returns its size."""
     block = out[:len(bases) * len(coords)]
     rows = block.reshape(len(bases), len(coords))
     np.copyto(rows, bases[:, None])
-    with np.errstate(over="ignore"):
-        for k in range(coords.shape[1]):
-            col = coords[:, k].astype(np.uint64)
-            col *= np.uint64(_coord_salt(k))
-            rows ^= col
+    for k in range(coords.shape[1]):
+        if k:
             _mix64_arr(block, t)
+        col = coords[:, k].astype(np.uint64)
+        col *= np.uint64(_coord_salt(k))
+        rows ^= col
     return block.size
+
+
+def _hash(out: np.ndarray, bases: np.ndarray, coords: np.ndarray, t: np.ndarray) -> int:
+    """The hash of each of the uint64 ``bases`` with each of the (n, d)
+    int64 sites ``coords``, a (len(bases), n) block at the head of the flat
+    uint64 ``out``: h = mix(... mix(mix(base ^ x_1 s_1) ^ x_2 s_2) ... ^
+    x_d s_d) with the odd salt s_k of axis k; returns its size."""
+    n = _sites_hash(out, bases, coords, t)
+    _mix64_arr(out[:n], t)
+    return n
+
+
+def salted_axes(N: int, d: int) -> np.ndarray:
+    """(d, 2N + 1) uint64 table whose row k holds x s_k mod 2^64 at x + N,
+    for x in [-N, N]: the term that site coordinate x_k adds to the hash."""
+    x = np.arange(-N, N + 1).astype(np.uint64)
+    return np.stack([x * np.uint64(_coord_salt(k)) for k in range(d)])
 
 
 def _gaussians(h: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -297,41 +325,88 @@ def _hashes_plain(envs) -> bool:
     return all(type(env).values is Environment.values for env in envs)
 
 
-def field_layers(envs, layers, coords, out: np.ndarray, t: np.ndarray):
-    """g(i, .) of each environment at the sites ``coords(i)``, shape
-    (len(envs), n_i), for each layer i of ``layers`` in turn: views into the
-    flat ``out``, each valid until the next is taken.
+def _layer_bases(envs, t: np.ndarray):
+    """f(layers): the (len(layers), len(envs)) uint64 layer bases, by one
+    ``_mix64_arr`` (scratch t) where every environment keeps
+    ``Environment._layer_base``, else by each environment's own."""
+    if any(type(env)._layer_base is not Environment._layer_base for env in envs):
+        return lambda layers: np.array([[env._layer_base(i) for env in envs] for i in layers],
+                                       dtype=np.uint64)
+    seeds = np.array([env._seed_hash for env in envs], dtype=np.uint64)
+
+    def bases(layers):
+        h = np.bitwise_xor(np.array(layers, dtype=np.uint64)[:, None] * np.uint64(_LAYER_SALT),
+                           seeds)
+        return _mix64_arr(h.reshape(-1), t).reshape(h.shape)
+
+    return bases
+
+
+class PointSites:
+    """The sites of ``field_layers`` given as coordinates: each layer it
+    asks for takes the next (n, d) array of ``sites``, and is hashed per
+    site, as ``Environment.values`` hashes it, so the sites may lie anywhere.
+    A layer geometry serves ``field_layers`` in the same way, from its own
+    structure (``transfer``)."""
+
+    def __init__(self, sites):
+        self._sites = iter(sites)
+
+    def coords(self, i: int) -> np.ndarray:
+        return path_columns(np.asarray(next(self._sites), dtype=np.int64))
+
+    def hasher(self, i: int):
+        sites = self.coords(i)
+        return len(sites), lambda bases, axes, out, t: _sites_hash(out, bases, sites, t)
+
+
+def field_layers(envs, layers, geom, out: np.ndarray, t: np.ndarray):
+    """g(i, .) of each environment at the sites of layer i of ``geom``,
+    shape (len(envs), n_i), for each layer i of ``layers`` in turn: views
+    into the flat ``out``, each valid until the next is taken.
 
     Environments that keep ``Environment.values`` are hashed a block of
     consecutive layers at a time, the fewest that hold FIELD_BLOCK values
     (or all that are left), so ``out`` has room for FIELD_BLOCK values
     besides the largest layer of the batch; the scratch ``t``
-    (``field_scratch``) serves every block.  Each value keeps its own
-    ``_layer_base(i)`` and site, so its bits are those of
-    ``Environment.values``, however the layers fall into blocks.  A batch
-    holding an environment that overrides ``values`` is asked one layer at a
-    time through ``values``, one environment at a time.  ``coords(i)`` is
-    asked once per entry of ``layers``, in their order.
+    (``field_scratch``) serves every block.  ``geom.hasher(i)`` gives the
+    size n_i of layer i, in closed form, and f(bases, axes, out, t), which
+    writes the hash of its sites before the last mix at the head of ``out``,
+    from the salted axis tables ``axes`` (``salted_axes``, built once per
+    call) and the layer's bases.  The block's bases come from one
+    ``_mix64_arr`` and its hashes from one more, before ``_gaussians``.
+    Each value keeps its own ``_layer_base(i)`` and site, so its bits are
+    those of ``Environment.values``, however the layers fall into blocks.
+    A batch holding an environment that overrides ``values`` is asked one
+    layer at a time through ``values``, one environment at a time, at the
+    sites ``geom.coords(i)``.  ``geom`` is asked once per entry of
+    ``layers``, in their order.
     """
-    n_envs, h = len(envs), out.view(np.uint64)
+    n_envs, h, t0 = len(envs), out.view(np.uint64), t[0].view(np.uint64)
     if not _hashes_plain(envs):
         for i in layers:
-            sites = coords(i)
+            sites = geom.coords(i)
             block = out[:n_envs * len(sites)].reshape(n_envs, -1)
             for row, env in zip(block, envs):
                 row[:] = env.values(i, sites)
             yield block
         return
+    p = envs[0].params
+    axes, bases = salted_axes(p.N, p.d), _layer_bases(envs, t0)
     k = 0
     while k < len(layers):
-        ends = [0]
+        lo, ends, hashers = k, [0], []
         while k < len(layers) and ends[-1] < FIELD_BLOCK:
-            i, k = layers[k], k + 1
-            bases = np.array([env._layer_base(i) for env in envs], dtype=np.uint64)
-            ends.append(ends[-1] + _hash(h[ends[-1]:], bases, coords(i), t[0].view(np.uint64)))
+            n, f = geom.hasher(layers[k])
+            ends.append(ends[-1] + n_envs * n)
+            hashers.append(f)
+            k += 1
+        for f, b, at in zip(hashers, bases(layers[lo:k]), ends):
+            f(b, axes, h[at:], t0)
+        _mix64_arr(h[:ends[-1]], t0)
         _gaussians(h[:ends[-1]], t)
-        for lo, hi in zip(ends, ends[1:]):
-            yield out[lo:hi].reshape(n_envs, -1)
+        for a, b in zip(ends, ends[1:]):
+            yield out[a:b].reshape(n_envs, -1)
 
 
 def gaussian_env(seed: int, params: LatticeParams) -> Environment:

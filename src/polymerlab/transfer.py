@@ -31,9 +31,13 @@ backward, over a layer geometry chosen from d:
 log1p(exp(-|x - y|)) on numpy's vector exp and log1p, with its temporary
 in scratch it is handed.
 One pass carries E environments x P profiles as one (E, P, *layer shape)
-array: one hash call makes the E fields of a layer, the dense neighbour sums
-act on the trailing layer axes, and at d >= 3 the index maps serve the
-whole batch.  A pass allocates its buffers once, room for layer N: the
+array: the E fields of a block of layers are hashed together, the dense
+neighbour sums act on the trailing layer axes, and at d >= 3 the index maps
+serve the whole batch.  Each geometry hashes the field of its layer from its
+own structure (``hasher``), with no per-site coordinates: at d = 1 from a
+strided window of a salted axis table, at d = 2 from one prefix mix per x_1
+and sliding windows, and at d >= 3 from one prefix per column, spread over
+the column's sites.  A pass allocates its buffers once, room for layer N: the
 geometry's layer buffers (the layer, its neighbour sum and, dense, the
 kernel's scratch) and one for the field, so a step allocates no array the
 size of a layer (the index maps at d >= 3 excepted).  The driver hands
@@ -60,8 +64,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lattice import (FIELD_BLOCK, FIELD_SCRATCH_CELLS, Environment, MemoryGuardError,
-                      PartitionScheme, field_layers, field_scratch, reachable_cells_total,
-                      reachable_set_size)
+                      PartitionScheme, _mix64_arr, field_layers, field_scratch,
+                      reachable_cells_total, reachable_set_size)
 
 NEG_INF = -np.inf
 
@@ -232,10 +236,12 @@ class _DenseGeometry:
     """
 
     # per environment, profile and site of layer N a pass holds three layer
-    # buffers: the framed layer, the neighbour sum and the kernel's temporary;
-    # per site, for the whole batch, the coordinates and one column of them,
-    # and per environment its layer of the field block
-    layer_cells, shared_cells, work_cells = 3, 3, 1
+    # buffers: the framed layer, the neighbour sum and the kernel's temporary,
+    # and per environment its layer of the field block; per site, for the
+    # whole batch, the two temporaries of a rung's logsumexp
+    # (``_rung_log_zs``).  The field's hash holds no per-site array
+    # (``hasher``)
+    layer_cells, shared_cells, work_cells = 3, 2, 1
     # cells per site of one reverse-chain step besides the kept table: layer
     # i-1 framed and its sum onto layer i (and one more for numpy's buffers of
     # strided operations), and per rung its log marginal, its sum back and
@@ -248,6 +254,7 @@ class _DenseGeometry:
         # ``predecessors``: u' = u + 1 + 2s in d = 1, and in d = 2
         # (x1', x2') = (x1 + s0 + s1 + 1, x2 + s0 - s1)
         self.back_steps = np.array([[-1], [1]] if d == 1 else [[-1, 0], [0, -1], [0, 1], [1, 0]])
+        self.prefix_cells = 2 * N + 1 if d == 2 else 0  # per environment, ``hasher``'s prefixes
 
     def shape(self, i: int) -> tuple:
         return (i + 1,) * self.d
@@ -299,6 +306,31 @@ class _DenseGeometry:
         out[..., 0] -= i
         np.subtract(a0, a1, out=out[..., 1])
         return out.reshape(-1, 2)
+
+    def hasher(self, i: int):
+        """The size of layer i and f(bases, axes, out, t), the field hash of
+        its sites before the last mix, (len(bases), *shape(i)) at the head of
+        the flat ``out`` (``lattice.field_layers``).  In d = 1 that is base ^
+        C_1[x], with C_k the row of axis k of ``axes``, read as a strided
+        window.  In d = 2 the prefix P(x_1) = mix(base ^ C_1[x_1]) is mixed
+        once per x_1 in [-i, i], into an array of its own, and entry (a0, a1)
+        reads P[a0 + a1] ^ C_2[a0 - a1]: two sliding windows, no index array."""
+        return (i + 1) ** self.d, functools.partial(self._hash_layer, i)
+
+    def _hash_layer(self, i: int, bases, axes, out, t):
+        m, n = axes.shape[1] // 2, i + 1
+        rows = out[:len(bases) * n ** self.d].reshape((len(bases),) + self.shape(i))
+        if self.d == 1:
+            np.bitwise_xor(bases[:, None], axes[0, m - i:m + i + 1:2], out=rows)
+            return
+        pre = np.bitwise_xor(bases[:, None], axes[0, m - i:m + i + 1])
+        _mix64_arr(pre.reshape(-1), t)
+        # the windows as arrays over the same memory: [e, a0, a1] = pre[e, a0 + a1]
+        # and [a0, a1] = C_2[a0 - a1] (numpy's sliding_window_view costs more
+        # than a small layer's hash)
+        u = pre.itemsize
+        np.bitwise_xor(np.ndarray(rows.shape, pre.dtype, pre, 0, (pre.strides[0], u, u)),
+                       np.ndarray(rows.shape[1:], pre.dtype, axes[1], m * u, (u, -u)), out=rows)
 
     def framed(self, i: int, layer: np.ndarray) -> np.ndarray:
         """Layer i framed by one -inf cell on both sides of each axis, flat."""
@@ -356,8 +388,12 @@ class _ColumnGeometry:
         spread = -(-(6 * d + 8) * columns // reachable_set_size(N, d))
         # per site, one step holds the 2d rows of its map and the site
         # numbers that build it, and the gather's three rows, for the whole
-        # batch, and per environment its layer of the field block
+        # batch, and per environment its layer of the field block; the
+        # field's hash holds three per-site arrays (``hasher``: two index
+        # arrays and a temporary), never while a map is live, and per
+        # environment the prefix of each column
         self.shared_cells, self.work_cells = 2 * d + 4 + spread, 1
+        self.prefix_cells = columns
         # a reverse-chain step holds one map and the site numbers, layer i-1
         # and its sum onto layer i and the kernel's three rows, and per rung
         # its log marginal and the sum back
@@ -463,6 +499,31 @@ class _ColumnGeometry:
             out[:, t] = np.repeat(a, lens)
         np.subtract(2 * np.arange(start[-1]), np.repeat(2 * start[:-1] + k, lens), out=out[:, -1])
         return out
+
+    def hasher(self, i: int):
+        """The size of layer i and f(bases, axes, out, t), the field hash of
+        its sites before the last mix, (len(bases), |D_i|) at the head of the
+        flat ``out`` (``lattice.field_layers``): the prefix P = mix(...
+        mix(base ^ C_1[x_1]) ... ^ C_{d-1}[x_{d-1}]) of each column of
+        ``_columns(i)``, with C_k the row of axis k of ``axes``, taken over
+        the column's k + 1 sites and XORed with C_d[x_d].  Its two per-site
+        index arrays, each site's column and x_d, are built like ``coords``."""
+        return self.shape(i)[0], functools.partial(self._hash_layer, i)
+
+    def _hash_layer(self, i: int, bases, axes, out, t):
+        pre, k, start = self._columns(i)
+        m, n = axes.shape[1] // 2, start[-1]
+        prefix = np.repeat(bases[:, None], len(k), axis=1)
+        for a, salted in zip(pre, axes):
+            prefix ^= salted.take(a + m)
+            _mix64_arr(prefix.reshape(-1), t)
+        rows = out[:len(bases) * n].reshape(len(bases), n)
+        at = np.repeat(np.arange(len(k)), k + 1)
+        np.take(prefix, at, axis=1, out=rows, mode="clip")
+        del prefix
+        x = np.repeat(m - k - 2 * start[:-1], k + 1)
+        x += np.arange(0, 2 * n, 2)  # x_d + m
+        rows ^= np.take(axes[-1], x, out=at.view(np.uint64), mode="clip")
 
     def _maps(self, src: int, dst: int) -> np.ndarray:
         """(2d, |D_src|) positions in layer dst = src +- 1 of the neighbours of
@@ -574,23 +635,26 @@ def _check_guard(env: Environment, geom, n_profiles: int, keep: int, n_envs: int
     the geometry's ``layer_cells`` per environment and profile (its buffers,
     allocated once), ``shared_cells`` for the whole batch (at d >= 3 with
     the column-level work spread over the sites) and ``work_cells`` per
-    environment, and once the rest of the field block, FIELD_BLOCK values,
-    and its scratch.  An
-    environment that overrides ``Environment.values`` is charged as one that
-    keeps it.  With ``rungs``, the charge is of a reverse-chain
-    descent down one kept table (``marginal_sums``): that cone, and per site
-    of layer N the geometry's ``chain_shared_cells`` and
+    environment, and once the field's fixed cells: the rest of the field
+    block, FIELD_BLOCK values, its scratch, the hash's salted axis tables,
+    2N + 1 cells per axis, and per environment the geometry's
+    ``prefix_cells``.  An environment that overrides ``Environment.values``
+    is charged as one that keeps it.  With ``rungs``, the charge is of a
+    reverse-chain descent down one kept table (``marginal_sums``): that
+    cone, and per site of layer N the geometry's ``chain_shared_cells`` and
     ``chain_rung_cells`` per rung; with ``energy``, the last layer whose
-    field the descent reads, also the field block and its scratch, and per
-    site of that layer its field, its coordinates and one column of them."""
+    field the descent reads, also the field's fixed cells and, per site of
+    that layer, its field (the hash's per-site arrays at d >= 3 are never
+    live with the chain's maps, which are charged more)."""
     p = env.params
     width = reachable_set_size(p.N, p.d)
     held = reachable_cells_total(p.N, p.d) * n_envs * keep if keep else 0
     step = (geom.chain_shared_cells + rungs * geom.chain_rung_cells if rungs
             else geom.shared_cells + n_envs * (geom.work_cells + n_profiles * geom.layer_cells))
-    field = 0 if rungs and not energy else FIELD_BLOCK + FIELD_SCRATCH_CELLS
-    if energy:
-        field += (p.d + 2) * reachable_set_size(energy, p.d)
+    field = 0
+    if energy or not rungs:
+        field = (FIELD_BLOCK + FIELD_SCRATCH_CELLS + p.d * (2 * p.N + 1)
+                 + n_envs * geom.prefix_cells + reachable_set_size(energy, p.d) * bool(energy))
     cells = held + width * step + field
     if cells > p.max_cells:
         what = (f"a descent of {rungs} rung(s) down a kept layer table" if rungs
@@ -664,7 +728,7 @@ def _transfer(envs, profiles, direction, dtype, keep, consume=lambda i, layers: 
     betas = betas.reshape(betas.shape + (1,) * len(geom.shape(0)))
     order = range(1, N + 1) if forward else range(N, 0, -1)
     if any(read):
-        fields = field_layers(envs, [i for i in order if read[i - 1]], geom.coords,
+        fields = field_layers(envs, [i for i in order if read[i - 1]], geom,
                               np.empty(len(envs) * reachable_set_size(N, d) + FIELD_BLOCK),
                               field_scratch())
 
@@ -920,7 +984,7 @@ def marginal_sums(fwd: LayerTable, ns=None, energy=None):
     below = np.empty((2, reachable_set_size(fwd.N, fwd.d)), dtype=layers[0].dtype)
     read = [i for i in range(last, 0, -1) if fwd.profile.values[i - 1]]
     if read:
-        fields = field_layers([fwd.env], read, geom.coords,
+        fields = field_layers([fwd.env], read, geom,
                               np.empty(reachable_set_size(last, fwd.d) + FIELD_BLOCK),
                               field_scratch())
     rungs = 0

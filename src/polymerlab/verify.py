@@ -23,6 +23,7 @@ from .free_energy import concentration_profile
 from .lattice import (
     FIELD_BLOCK,
     LatticeParams,
+    PointSites,
     derive_seed,
     field_layers,
     field_scratch,
@@ -103,8 +104,8 @@ def suite_env_determinism(seed: int, inject_fault: bool = False) -> dict:
     batch = (env2, gaussian_env(derive_seed(seed, 1), params))
     pieces = [(c, coords[c][a:b]) for c in reversed(range(100))
               for a, b in itertools.pairwise((0, 1 + c % 7, 37 + c % 23, 100))]
-    sites = iter([piece for _, piece in pieces])
-    fields = field_layers(batch, [int(layers[c]) for c, _ in pieces], lambda i: next(sites),
+    sites = PointSites([piece for _, piece in pieces])
+    fields = field_layers(batch, [int(layers[c]) for c, _ in pieces], sites,
                           np.empty(2 * 100 + FIELD_BLOCK), field_scratch())
     second = [b""] * 100
     for (c, _), g in zip(pieces, fields):

@@ -16,6 +16,7 @@ from polymerlab.lattice import (
     FIELD_BLOCK,
     LatticeParams,
     MemoryGuardError,
+    PointSites,
     derive_seed,
     field_layers,
     field_scratch,
@@ -57,7 +58,7 @@ def _fields(envs, i, coords):
     """g(i, .) of each environment at the (n, d) sites ``coords``, (len(envs),
     n), through the block hash of a pass (``field_layers``)."""
     out = np.empty(len(envs) * len(coords) + FIELD_BLOCK)
-    return next(field_layers(envs, [i], lambda _: coords, out, field_scratch())).copy()
+    return next(field_layers(envs, [i], PointSites([coords]), out, field_scratch())).copy()
 
 
 def _quantiles(u, chunk=FIELD_BLOCK, order=None):

@@ -313,7 +313,7 @@ class TestSweepOverlaps:
                                       else "mc")
             assert sw == alone
 
-    @pytest.mark.parametrize("d, N", [(2, 655), (3, 140)])
+    @pytest.mark.parametrize("d, N", [(2, 656), (3, 140)])
     def test_refuses_a_too_large_n_before_any_pass(self, d, N, monkeypatch):
         # N fits a plain kept table (beta = 0) but not one with beta +/- h
         # riding along; the betas > 0 run first, so no pass runs at all

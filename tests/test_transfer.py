@@ -23,11 +23,14 @@ from polymerlab.lattice import (
     LatticeParams,
     MemoryGuardError,
     derive_seed,
+    field_layers,
+    field_scratch,
     gaussian_env,
     make_partition,
     perturb_env,
     reachable_set,
     reachable_set_size,
+    salted_axes,
     zero_env,
 )
 from polymerlab.transfer import (
@@ -754,9 +757,9 @@ class TestFieldBlocks:
         read = [i for i in order if not lo <= i <= hi]
         seen, calls, passes = [], [], {}
 
-        def recorded(envs, layers, coords, out, t, _orig=lattice.field_layers):
-            for i, g in zip(layers, _orig(envs, layers, coords, out, t)):
-                seen.append((i, g.copy(), coords(i)))
+        def recorded(envs, layers, geom, out, t, _orig=lattice.field_layers):
+            for i, g in zip(layers, _orig(envs, layers, geom, out, t)):
+                seen.append((i, g.copy(), geom.coords(i)))
                 yield g
 
         def counted(h, t, _orig=lattice._gaussians):
@@ -791,6 +794,90 @@ class TestFieldBlocks:
                 if at >= block:
                     want, at = want + [at], 0
             assert made == want + [at] * (at > 0)
+
+
+def _geometries(d, N):
+    """The pass's geometry and, at d <= 2, the column geometry as well."""
+    return [_geometry(d, N)] + ([_ColumnGeometry(d, N)] if d <= 2 else [])
+
+
+class TestPrefixHash:
+    @pytest.mark.parametrize("d, N", [(1, 40), (2, 24), (3, 10), (4, 6), (5, 5)])
+    def test_geometry_hash_is_the_site_hash(self, d, N):
+        # the hash each geometry builds from its rows or columns, with d - 1
+        # mixes per prefix and one per site, is bit for bit ``_hash`` over
+        # the layer's coordinates, negative ones included, at every layer
+        lattice = importlib.import_module("polymerlab.lattice")
+        bases = np.array([0, 2**64 - 1, 0x0123456789ABCDEF, 7], dtype=np.uint64)
+        axes, t = salted_axes(N, d), np.empty(FIELD_BLOCK, dtype=np.uint64)
+        for geom in _geometries(d, N):
+            for i in range(1, N + 1):
+                sites = geom.coords(i)
+                assert sites.min() == -i
+                n, f = geom.hasher(i)
+                got = np.empty(len(bases) * n + 3, dtype=np.uint64)
+                f(bases, axes, got, t)
+                lattice._mix64_arr(got[:-3], t)
+                want = np.empty(len(bases) * len(sites), dtype=np.uint64)
+                assert lattice._hash(want, bases, sites, t) == len(bases) * n
+                assert got[:-3].tobytes() == want.tobytes(), (type(geom).__name__, i)
+
+    @pytest.mark.parametrize("d, N", [(1, 30), (2, 12), (3, 7), (4, 5), (5, 4)])
+    @pytest.mark.parametrize("kind", ["three", "concat", "perturbed"])
+    def test_fields_at_geometry_sites(self, d, N, kind):
+        # plain environments, block concatenations (their own ``_layer_base``,
+        # called per layer) and a batch with an environment that overrides
+        # ``values`` (asked at ``coords``) give ``Environment.values`` at the
+        # geometry's sites; only the last asks for coordinates
+        envs = _field_envs(kind, d, N)
+        for geom in _geometries(d, N):
+            asked = []
+            geom.coords = lambda i, _orig=geom.coords: asked.append(i) or _orig(i)
+            layers = list(range(N, 0, -1))
+            out = np.empty(len(envs) * reachable_set_size(N, d) + FIELD_BLOCK)
+            got = [g.copy() for g in field_layers(envs, layers, geom, out, field_scratch())]
+            assert asked == (layers if kind == "perturbed" else [])
+            del geom.coords
+            for i, g in zip(layers, got):
+                sites = geom.coords(i)
+                assert g.tobytes() == np.stack([env.values(i, sites) for env in envs]).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_plain_passes_ask_no_coordinates(self, d, monkeypatch):
+        # kept, backward and rolling passes and a descent that reads the
+        # field never ask a geometry for the coordinates of a layer
+        def refuse(*_):
+            raise AssertionError("a pass asked for coordinates")
+
+        for cls in (_DenseGeometry, _ColumnGeometry):
+            monkeypatch.setattr(cls, "coords", refuse)
+        N = 9
+        envs = _ladder_envs(d, N, 2)
+        profs = [BetaProfile.constant(b, N) for b in (0.7, 1.9)]
+        fwd = forward_layers(envs[0], profs[0])
+        backward_layers(envs[0], profs[1])
+        forward_layers_and_ladder(envs[1], profs, [N, 4])
+        log_partition_ladder(envs, profs, [N, 3])
+        marginal_sums(fwd, [N, 5], energy=[5, N])
+
+    @pytest.mark.parametrize("d, N, n_envs", [(1, 1024, 4), (1, 4000, 1), (2, 128, 3),
+                                              (2, 300, 1), (3, 32, 2), (3, 48, 1)])
+    def test_field_peak_within_charge(self, d, N, n_envs):
+        # reading every layer's field, its output and scratch included,
+        # stays within the cells a rolling pass of the batch is charged
+        # besides its profiles' layer buffers
+        envs = _ladder_envs(d, N, n_envs)
+        charged = _check_guard(envs[0], _geometry(d, N), 0, False, n_envs)
+        tracemalloc.start()
+        try:
+            geom = _geometry(d, N)
+            out = np.empty(n_envs * reachable_set_size(N, d) + FIELD_BLOCK)
+            for _ in field_layers(envs, list(range(1, N + 1)), geom, out, field_scratch()):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * charged
 
 
 class TestReverseChain:
@@ -924,9 +1011,10 @@ class TestLadder:
     def test_batch_size_bounded_by_the_cell_budget(self):
         # each environment of a rolling pass over four profiles at d=1 N=1024
         # is charged 1025 * (3 * 4 + 1) cells (three layer buffers per profile
-        # and its layer of the field block) and the batch 1025 * 3 for its
-        # coordinates and the field block's 196,608 fixed cells; 50,000 cells
-        # besides these leave room for three
+        # and its layer of the field block) and the batch 1025 * 2 for a
+        # rung's logsumexp, the field block's 196,608 fixed cells and the
+        # hash's 2,049-cell axis table; 50,000 cells besides the field block's
+        # leave room for three
         field = FIELD_BLOCK + FIELD_SCRATCH_CELLS
         env = gaussian_env(1, LatticeParams(d=1, N=1024, max_cells=50_000 + field))
         assert _batch_size(env, 4, 100) == 3
@@ -943,7 +1031,8 @@ class TestLadder:
         # admits: E environments pass it and E + 1 are refused.  At d >= 3 the
         # cells a step shares are charged once per pass, not once per
         # environment: d=3 N=32 on one profile under 2,000,000 cells, besides
-        # the field block's fixed cells, takes 23
+        # the field block's fixed cells, takes 22 (each environment is also
+        # charged the field's prefix of each of the 2,113 columns of layer N)
         monkeypatch.setattr(importlib.import_module("polymerlab.transfer"), "BATCH_CELLS",
                             1 << 40)
         geom = _geometry(d, N)
@@ -955,7 +1044,7 @@ class TestLadder:
         with pytest.raises(MemoryGuardError, match="a rolling pass"):
             _check_guard(env, geom, n_profiles, False, size + 1)
         if (d, N, max_cells, n_profiles) == (3, 32, 2_000_000, 1):
-            assert size == 23
+            assert size == 22
 
     def test_refuses_an_empty_batch(self):
         with pytest.raises(ValueError, match="at least one environment"):
@@ -1026,7 +1115,8 @@ def test_gather_holds_one_row():
 
 def test_rolling_pass_not_charged_for_the_cone():
     # the cone is 2,003,001 cells; a rolling pass with four profiles is charged
-    # 2001 * (3 * 4 + 3 + 1) = 32,016 and the field block's 196,608 fixed cells
+    # 2001 * (3 * 4 + 2 + 1) = 30,015, the hash's 4,001-cell axis table and
+    # the field block's 196,608 fixed cells
     small = LatticeParams(d=1, N=2000, max_cells=40_000 + FIELD_BLOCK + FIELD_SCRATCH_CELLS)
     full = LatticeParams(d=1, N=2000)
     betas = (0.5, 1.0, 2.0, 3.0)
@@ -1120,7 +1210,7 @@ def test_kept_tables_own_their_layers(d, N, monkeypatch):
         bufs.clear()
 
 
-@pytest.mark.parametrize("d, last", [(2, 660), (3, 142)])
+@pytest.mark.parametrize("d, last", [(2, 661), (3, 142)])
 def test_kept_table_limits_at_default_cap(d, last):
     # a kept table is charged its cone for the layer values, per site of
     # layer N the pass's layer buffers and one step's shared and work cells,
@@ -1132,7 +1222,7 @@ def test_kept_table_limits_at_default_cap(d, last):
         _check_guard(env, _geometry(d, last + 1), 1, keep=True)
 
 
-@pytest.mark.parametrize("d, last", [(2, 2496), (3, 194)])
+@pytest.mark.parametrize("d, last", [(2, 2578), (3, 194)])
 def test_rolling_limits_at_default_cap(d, last):
     # free-energy on four betas rolls one environment at a time at its
     # limit: per site of layer N four profiles' layer buffers and one step's
@@ -1185,10 +1275,10 @@ class TestRideAlong:
             tracemalloc.stop()
         assert peak <= 8 * charged
 
-    @pytest.mark.parametrize("d, last", [(2, 654), (3, 139)])
+    @pytest.mark.parametrize("d, last", [(2, 655), (3, 139)])
     def test_limits_at_default_cap(self, d, last):
         # with beta +/- h riding along, the sweep's pass at beta > 0 reaches
-        # N = 654 at d=2 and 139 at d=3; a plain kept table reaches 660 and
+        # N = 655 at d=2 and 139 at d=3; a plain kept table reaches 661 and
         # 142 (test_kept_table_limits_at_default_cap)
         _check_guard(gaussian_env(1, LatticeParams(d=d, N=last)), _geometry(d, last), 3, 1)
         env = gaussian_env(1, LatticeParams(d=d, N=last + 1))
