@@ -296,7 +296,7 @@ def cmd_overlap(cfg: ExperimentConfig) -> RunRecord:
                              cfg.seed, cfg.n_pairs, cfg.mode, ns):
         # the identity columns divide by beta: blank at beta = 0
         ibp = (("", "", "") if sw.ibp is None
-               else (sw.ibp.residual, sw.ibp.stderr, 1.0 - sw.derivative / sw.beta))
+               else (sw.ibp.residual, sw.ibp.stderr, 1.0 - sw.ibp.derivative / sw.beta))
         rows.append((sw.beta, sw.N, cfg.d, sw.mode, sw.replica.mean, sw.replica.stderr,
                      sw.exact, *ibp, cfg.n_disorder, cfg.seed))
     write_csv(

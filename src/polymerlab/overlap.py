@@ -125,7 +125,9 @@ class IbpEstimate:
 
     residual: float
     stderr: float
-    derivative: float  # centered difference of per-step log Z, off the pass's rolling profiles
+    # (1/N) d/dbeta E log Z by the centered difference of per-step log Z,
+    # off the pass's rolling profiles: bit for bit ``estimate_derivative``
+    derivative: float
     overlap_term: float  # beta * (1 - E<R>) in mc mode; <H>/N in enum mode
     beta: float
     h: float
@@ -161,7 +163,6 @@ class OverlapSweep:
     replica: OverlapEstimate | None  # sampled pairs on environment 0
     exact: float  # exact <R>, mean over all n_disorder environments
     ibp: IbpEstimate | None  # all n_disorder environments; None at beta = 0
-    derivative: float | None  # (1/N) d/dbeta E log Z, central difference; None at beta = 0
 
 
 def _disorder_terms(betas, h: float, params: LatticeParams, n_env: int, master_seed: int,
@@ -197,16 +198,16 @@ def _disorder_terms(betas, h: float, params: LatticeParams, n_env: int, master_s
                     for n in ns]
             del fwd  # before the next table is built
         for j, (n, m) in enumerate(zip(ns, modes)):
-            ibp = deriv = None
+            ibp = None
             if beta > 0.0:
-                diffs = (rolled[j, :, 0] - rolled[j, :, 1]) / (2.0 * h * n)
-                x = diffs - rhs[j]
-                ibp = IbpEstimate(residual=float(abs(x.mean())), stderr=standard_error(x),
-                                  derivative=float(diffs.mean()), overlap_term=float(rhs[j].mean()),
-                                  beta=beta, h=h, n_disorder=len(x), mode=m)
-                deriv = difference_quotient(rolled[j, :, 1] / n, rolled[j, :, 0] / n, 2 * h)
-            terms[n, beta] = OverlapSweep(beta, n, m, replicas[j], float(overlaps[j].mean()),
-                                          ibp, deriv)
+                # the residual is a statistic of the per-environment differences
+                x = (rolled[j, :, 0] - rolled[j, :, 1]) / (2.0 * h * n) - rhs[j]
+                ibp = IbpEstimate(
+                    residual=float(abs(x.mean())), stderr=standard_error(x),
+                    derivative=difference_quotient(rolled[j, :, 1] / n, rolled[j, :, 0] / n,
+                                                   2 * h),
+                    overlap_term=float(rhs[j].mean()), beta=beta, h=h, n_disorder=len(x), mode=m)
+            terms[n, beta] = OverlapSweep(beta, n, m, replicas[j], float(overlaps[j].mean()), ibp)
     return terms
 
 
@@ -234,8 +235,8 @@ def sweep_overlaps(betas, h: float, params: LatticeParams, n_disorder: int, mast
     beta of ``betas`` (a lone beta is a grid of one), N-major in the order given:
     per (N, beta) those of ``mean_replica_overlap`` on environment 0 with the
     generator seeded by ``derive_seed(master_seed, 1)``, the mean of
-    ``exact_two_replica_overlap`` over all ``n_disorder`` environments,
-    ``ibp_residual`` and ``estimate_derivative``."""
+    ``exact_two_replica_overlap`` over all ``n_disorder`` environments and
+    ``ibp_residual``, whose derivative is ``estimate_derivative``'s."""
     betas = np.atleast_1d(betas).astype(float).tolist()
     for beta in filter(None, betas):  # beta = 0 has no identity to check
         _check_ibp_args(beta, h, mode)

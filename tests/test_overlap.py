@@ -292,11 +292,11 @@ class TestSweepOverlaps:
         if beta == 0.0:
             # no field is read, so every environment gives environment 0's value
             assert exact == exact[:1] * n_disorder and sw.exact == exact[0]
-            assert sw.ibp is None and sw.derivative is None
+            assert sw.ibp is None
         else:
             assert sw.exact == float(np.mean(exact))
             assert sw.ibp == ibp_residual(beta, h, params, n_disorder, seed, mode=mode)
-            assert sw.derivative == estimate_derivative(beta, h, params, n_disorder, seed)
+            assert sw.ibp.derivative == estimate_derivative(beta, h, params, n_disorder, seed)
 
     @pytest.mark.parametrize("d, ns, mode", [(1, (14, 5, 14, 7), "auto"), (2, (7, 3, 5), "auto"),
                                              (3, (4, 6, 4), "auto"), (2, (7, 4), "mc")])
