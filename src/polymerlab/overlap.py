@@ -21,8 +21,7 @@ samples at every n, and one descent of the reverse chain down the table
 (``marginal_sums``) gives every n its exact <R> and each enum rung its <H>,
 sum_x g(i, x) mu_i(x) added up layer by layer with numpy sums, reading the
 field of the enum rungs' layers only.  One forward table is kept at a time,
-and no backward one; no path is enumerated but by the test oracle
-``enumerated_two_replica_overlap``.
+and no backward one, and no path is enumerated.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .transfer import (
     BetaProfile,
     forward_layers,
     forward_layers_and_ladder,
-    gibbs_enumeration,
     marginal_sums,
     sample_paths,
 )
@@ -243,12 +241,3 @@ def sweep_overlaps(betas, h: float, params: LatticeParams, n_disorder: int, mast
     ns = [params.N] if ns is None else ns
     terms = _disorder_terms(betas, h, params, n_disorder, master_seed, mode, ns, n_pairs)
     return [terms[int(n), beta] for n in ns for beta in betas]
-
-
-def enumerated_two_replica_overlap(env: Environment, profile: BetaProfile) -> float:
-    """<R> by the full double sum over enumerated paths (test oracle)."""
-    paths, probs = gibbs_enumeration(env, profile)
-    n = profile.N
-    eq = np.all(paths[:, None, 1:, :] == paths[None, :, 1:, :], axis=3)
-    r = eq.sum(axis=2) / n
-    return float(probs @ r @ probs)

@@ -11,7 +11,6 @@ from polymerlab.lattice import (LatticeParams, MemoryGuardError, as_path, derive
                                 gaussian_env, make_partition)
 from polymerlab.overlap import (
     block_overlap,
-    enumerated_two_replica_overlap,
     exact_two_replica_overlap,
     ibp_residual,
     mean_replica_overlap,
@@ -21,8 +20,18 @@ from polymerlab.overlap import (
 )
 from polymerlab.transfer import (BetaProfile, _check_guard, _geometry, backward_layers,
                                  brute_force_log_partition, forward_layers,
-                                 forward_layers_and_ladder, layer_log_marginals, logsumexp,
-                                 marginal_sums)
+                                 forward_layers_and_ladder, gibbs_enumeration,
+                                 layer_log_marginals, logsumexp, marginal_sums)
+
+
+def enumerated_two_replica_overlap(env, profile: BetaProfile) -> float:
+    """<R> by the full double sum over enumerated paths (the oracle of the
+    exact overlap)."""
+    paths, probs = gibbs_enumeration(env, profile)
+    n = profile.N
+    eq = np.all(paths[:, None, 1:, :] == paths[None, :, 1:, :], axis=3)
+    r = eq.sum(axis=2) / n
+    return float(probs @ r @ probs)
 
 
 class TestOverlapFunction:
