@@ -37,22 +37,25 @@ absolute on ``overlap_d1_mixed`` and 4.7e-15 and 3.3e-14 on ``overlap_d2``.
 The digests also depend on the CPU: numpy dispatches float64 ``exp``,
 ``log`` and ``log1p`` to AVX-512 loops (target ``X86_V4``) where the CPU has
 them, and those round differently in the last bit from the AVX2 and
-baseline loops; the field's tail runs through that ``log``.  They were
-recorded on an AVX-512 machine.  With
-``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` set on that
-machine, every free-energy and overlap case but ``free_energy_d3`` fails
-here, and so does the verify digest of ``test_c10`` (before the field's
-inverse normal moved: ``free_energy_d3``, ``free_energy_tail_d1``,
-``overlap_d1_mixed``, ``overlap_d2``, ``overlap_d3_ladder`` and
-``test_c10``; before the kernel change: ``free_energy_tail_d1``,
-``multi_temp_d1``, ``overlap_d1_mixed``, ``overlap_d3_ladder`` and
-``test_c10``).  So a mismatch on another runner is first checked against
-the targets that ``run_record.json`` and ``numpy.show_runtime()`` report.
+baseline loops; the field's tail runs through that ``log``.  ``CASES``
+holds the digests of an AVX-512 machine.  ``OFF_AVX512`` holds those that
+differ where numpy runs ``exp`` and ``log`` on ``X86_V3`` and ``log1p`` on
+baseline (the same machine with
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``) or all three
+on baseline (with AVX2 disabled as well): every free-energy and overlap
+case but ``free_energy_d3``, one digest for both targets.  Their values
+agree with the AVX-512 ones to within 1e-15 relative, but for the
+differences of near-equal terms (``ibp_residual``, ``ibp_stderr`` and
+``one_minus_deriv_over_beta``), which agree to within 1.5e-14 absolute.
+A test picks its
+digests by the targets ``run_record.json`` reports for the process, and a
+target with none recorded fails, naming it.
 """
 
 import hashlib
 
 import pytest
+from conftest import AVX2, AVX512, BASELINE
 
 from polymerlab.cli import main
 
@@ -141,9 +144,38 @@ CASES = {
 }
 
 
+FREE_ENERGY_D1_OFF_AVX512 = "0fc4a6c951f2132dee6d84f6a2d75e9a4352f609bae19e976dc4346bccf89bef"
+OFF_AVX512 = {
+    "free_energy_d1": {"free_energy.csv": FREE_ENERGY_D1_OFF_AVX512},
+    "free_energy_d1_threads4": {"free_energy.csv": FREE_ENERGY_D1_OFF_AVX512},
+    "free_energy_tail_d1": {
+        "free_energy.csv": "1ff618a4a2a268f49d16d9d6e5889514d95eb9633b9f942edd52512b3508ae5c",
+    },
+    "overlap_d1_mixed": {
+        "overlap.csv": "4a178d5407d4674f8ee99330fe1c4e4d532ac06568524b1a68495fc11f60af15",
+    },
+    "overlap_d2": {"overlap.csv": "40610a3ddf8bbee8eee69e44d9e0f844ec2e127e9efa545310a2ea2c7f09b0c7"},
+    "overlap_d3_ladder": {
+        "overlap.csv": "809ba0825d9ac0c0b513ce1761c0aefab962993772d22183a4df56c94426881b",
+    },
+    "multi_temp_d1": {
+        "multi_temp.csv": "06eb6d5e0b7557ca0e9320f167c92940bb41537d6fe72ee3501d795a85bebbbe",
+    },
+}
+CHANGED = {AVX512: {}, AVX2: OFF_AVX512, BASELINE: OFF_AVX512}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_metric_files_match_golden_digests(name, tmp_path):
+def test_metric_files_match_golden_digests(name, tmp_path, recorded_for_targets):
     argv, digests = CASES[name]
+    digests = {**digests, **recorded_for_targets(CHANGED).get(name, {})}
     assert main(argv + ["--out", str(tmp_path)]) == 0
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests}
     assert got == digests
+
+
+def test_unrecorded_targets_fail_naming_them(recorded_for_targets):
+    # a runner whose targets have no digests fails the golden tests; it
+    # does not skip them
+    with pytest.raises(pytest.fail.Exception, match=r"targets \('"):
+        recorded_for_targets({})
