@@ -325,21 +325,15 @@ def _hashes_plain(envs) -> bool:
     return all(type(env).values is Environment.values for env in envs)
 
 
-def _layer_bases(envs, t: np.ndarray):
-    """f(layers): the (len(layers), len(envs)) uint64 layer bases, by one
-    ``_mix64_arr`` (scratch t) where every environment keeps
-    ``Environment._layer_base``, else by each environment's own."""
+def _layer_bases(envs, layers, t: np.ndarray) -> np.ndarray:
+    """The (len(layers), len(envs)) uint64 layer bases, by one ``_mix64_arr``
+    (scratch t) where every environment keeps ``Environment._layer_base``,
+    else by each environment's own."""
     if any(type(env)._layer_base is not Environment._layer_base for env in envs):
-        return lambda layers: np.array([[env._layer_base(i) for env in envs] for i in layers],
-                                       dtype=np.uint64)
-    seeds = np.array([env._seed_hash for env in envs], dtype=np.uint64)
-
-    def bases(layers):
-        h = np.bitwise_xor(np.array(layers, dtype=np.uint64)[:, None] * np.uint64(_LAYER_SALT),
-                           seeds)
-        return _mix64_arr(h.reshape(-1), t).reshape(h.shape)
-
-    return bases
+        return np.array([[env._layer_base(i) for env in envs] for i in layers], dtype=np.uint64)
+    h = np.bitwise_xor(np.array(layers, dtype=np.uint64)[:, None] * np.uint64(_LAYER_SALT),
+                       np.array([env._seed_hash for env in envs], dtype=np.uint64))
+    return _mix64_arr(h.reshape(-1), t).reshape(h.shape)
 
 
 class PointSites:
@@ -391,8 +385,7 @@ def field_layers(envs, layers, geom, out: np.ndarray, t: np.ndarray):
                 row[:] = env.values(i, sites)
             yield block
         return
-    p = envs[0].params
-    axes, bases = salted_axes(p.N, p.d), _layer_bases(envs, t0)
+    axes = salted_axes(envs[0].params.N, envs[0].params.d)
     k = 0
     while k < len(layers):
         lo, ends, hashers = k, [0], []
@@ -401,7 +394,7 @@ def field_layers(envs, layers, geom, out: np.ndarray, t: np.ndarray):
             ends.append(ends[-1] + n_envs * n)
             hashers.append(f)
             k += 1
-        for f, b, at in zip(hashers, bases(layers[lo:k]), ends):
+        for f, b, at in zip(hashers, _layer_bases(envs, layers[lo:k], t0), ends):
             f(b, axes, h[at:], t0)
         _mix64_arr(h[:ends[-1]], t0)
         _gaussians(h[:ends[-1]], t)

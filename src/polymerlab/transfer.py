@@ -653,8 +653,9 @@ def _check_guard(env: Environment, geom, n_profiles: int, keep: int, n_envs: int
             else geom.shared_cells + n_envs * (geom.work_cells + n_profiles * geom.layer_cells))
     field = 0
     if energy or not rungs:
-        field = (FIELD_BLOCK + FIELD_SCRATCH_CELLS + p.d * (2 * p.N + 1)
-                 + n_envs * geom.prefix_cells + reachable_set_size(energy, p.d) * bool(energy))
+        field = FIELD_BLOCK + FIELD_SCRATCH_CELLS + p.d * (2 * p.N + 1) + n_envs * geom.prefix_cells
+    if energy:
+        field += reachable_set_size(energy, p.d)
     cells = held + width * step + field
     if cells > p.max_cells:
         what = (f"a descent of {rungs} rung(s) down a kept layer table" if rungs

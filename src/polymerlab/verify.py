@@ -7,7 +7,8 @@ index order on one thread, and no suite calls a threaded library (BLAS):
 sums of products are numpy sums.  ``suite_env_determinism`` checks on every
 run that field values do not depend on how they are evaluated: one chunk
 at a time, or through the block hash of the estimators' passes
-(``lattice.field_layers``), in other pieces and another order.
+(``lattice.field_layers``, at given sites), in other pieces and another
+order.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def suite_partition_arithmetic(seed: int, n_max: int = 10_000, l_max: int = 32,
 
 def suite_env_determinism(seed: int, inject_fault: bool = False) -> dict:
     """Hash of 1e4 field values, computed one chunk at a time and again through
-    the estimators' block hash ``field_layers``, in uneven pieces, last chunk first."""
+    the estimators' block hash ``field_layers`` at the same sites
+    (``PointSites``), in uneven pieces, last chunk first."""
     params = LatticeParams(d=2, N=64)
     env = gaussian_env(seed, params)
     rng = np.random.default_rng(seed)

@@ -38,7 +38,8 @@ def recorded_for_targets():
 
     def pick(by_targets):
         if targets not in by_targets:
-            pytest.fail(f"no digests recorded for numpy float64 (exp, log, log1p) targets {targets}")
+            pytest.fail(f"no digests recorded for numpy's float64 (exp, log, log1p) "
+                        f"targets {targets}")
         return by_targets[targets]
 
     return pick
