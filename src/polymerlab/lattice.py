@@ -146,17 +146,18 @@ def _poly(c, r: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _ndtri(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The standard normal quantile of each u in (0, 1), in place, by AS241
+    """The standard normal quantile of each u in (0, 1], in place, by AS241
     (within 2e-15 relative of ``scipy.special.ndtri``): the central rational
     over all of u, then the tail |u - 0.5| > 0.425, gathered through its own
-    index array.  Each value's arithmetic is its own, so its bits do not
-    depend on the chunk.  ``t`` is (4, >= len(u)) float64 scratch; its last
-    row holds the tail's mask, then the tail."""
+    index array, where u = 1 reads as the largest float64 below 1.  Each
+    value's arithmetic is its own, so its bits do not depend on the chunk.
+    ``t`` is (4, >= len(u)) float64 scratch; its last row holds the tail's
+    mask, then the tail."""
     n = len(u)
     q, r, den = t[0, :n], t[1, :n], t[2, :n]
     np.subtract(u, 0.5, out=q)
     at = np.flatnonzero(np.greater(np.abs(q, out=r), 0.425, out=t[3].view(np.bool_)[:n]))
-    v = np.take(u, at, out=t[3, :len(at)], mode="clip")
+    v = np.minimum(np.take(u, at, out=t[3, :len(at)], mode="clip"), _U_MAX, out=t[3, :len(at)])
     np.multiply(q, q, out=r)
     np.subtract(0.180625, r, out=r)
     _poly(_CENTRAL[0], r, u)
@@ -220,19 +221,20 @@ def salted_axes(N: int, d: int) -> np.ndarray:
 
 def _gaussians(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The flat hashes h, float64 memory viewed as uint64, turned in place
-    into standard normals a chunk of t at a time: u = (top 53 bits + 0.5)
-    2^-53, then its quantile; returns them as float64."""
+    into standard normals in even chunks of at most t's width: u = (top 53
+    bits + 0.5) 2^-53, then its quantile; returns them as float64."""
     out = h.view(np.float64)
-    for lo in range(0, len(h), t.shape[1]):
-        u = out[lo:lo + t.shape[1]]
+    step = -(-len(h) // -(-len(h) // t.shape[1])) if len(h) else 1
+    for lo in range(0, len(h), step):
+        u = out[lo:lo + step]
         top = t[0].view(np.uint64)[:len(u)]
         # u holds the hash, so the shifted bits go through scratch: numpy
-        # copies an input that overlaps its output with another dtype
-        np.add(np.right_shift(h[lo:lo + len(u)], 11, out=top), 0.5, out=u)
+        # copies an input that overlaps its output with another dtype; they
+        # are below 2^53, so int64 (cast faster than uint64) holds them
+        np.add(np.right_shift(h[lo:lo + len(u)], 11, out=top).view(np.int64), 0.5, out=u)
         u *= 2.0**-53
-        # (2^53 - 1) + 0.5 rounds to 2^53, so the all-ones hash gives u = 1 and an
-        # infinite normal; every other u is at most 1 - 2^-52 and keeps its bits
-        np.minimum(u, _U_MAX, out=u)
+        # (2^53 - 1) + 0.5 rounds to 2^53, so the all-ones hash gives u = 1,
+        # which _ndtri reads as 1 - 2^-53; every other u is at most 1 - 2^-52
         _ndtri(u, t)
     return out
 
@@ -360,9 +362,10 @@ def field_layers(envs, layers, geom, out: np.ndarray, t: np.ndarray):
     into the flat ``out``, each valid until the next is taken.
 
     Environments that keep ``Environment.values`` are hashed a block of
-    consecutive layers at a time, the fewest that hold FIELD_BLOCK values
-    (or all that are left), so ``out`` has room for FIELD_BLOCK values
-    besides the largest layer of the batch; the scratch ``t``
+    consecutive layers at a time, the most that hold at most FIELD_BLOCK
+    values, or one layer alone that holds more, so that ``_gaussians`` takes
+    a block in one chunk, or in even ones; ``out`` has room for FIELD_BLOCK
+    values or the largest layer of the batch, and the scratch ``t``
     (``field_scratch``) serves every block.  ``geom.hasher(i)`` gives the
     size n_i of layer i, in closed form, and f(bases, axes, out, t), which
     writes the hash of its sites before the last mix at the head of ``out``,
@@ -386,14 +389,14 @@ def field_layers(envs, layers, geom, out: np.ndarray, t: np.ndarray):
             yield block
         return
     axes = salted_axes(envs[0].params.N, envs[0].params.d)
-    k = 0
-    while k < len(layers):
+    plan = (geom.hasher(i) for i in layers)  # lazily: N hashers held at once outgrow the charge
+    k, nxt = 0, next(plan, None)
+    while nxt is not None:
         lo, ends, hashers = k, [0], []
-        while k < len(layers) and ends[-1] < FIELD_BLOCK:
-            n, f = geom.hasher(layers[k])
-            ends.append(ends[-1] + n_envs * n)
-            hashers.append(f)
-            k += 1
+        while nxt is not None and (not hashers or ends[-1] + n_envs * nxt[0] <= FIELD_BLOCK):
+            ends.append(ends[-1] + n_envs * nxt[0])
+            hashers.append(nxt[1])
+            k, nxt = k + 1, next(plan, None)
         for f, b, at in zip(hashers, _layer_bases(envs, layers[lo:k], t0), ends):
             f(b, axes, h[at:], t0)
         _mix64_arr(h[:ends[-1]], t0)

@@ -786,13 +786,14 @@ class TestFieldBlocks:
                 assert g.tobytes() == np.stack([env.values(i, sites) for env in envs]).tobytes()
             if kind == "perturbed":
                 continue
-            # a call per block: the fewest read layers in pass order that hold
-            # ``block`` values, or all that are left
+            # a call per block: the most read layers in pass order that hold
+            # at most ``block`` values, or one layer alone that holds more
             want, at = [], 0
             for i in read:
-                at += len(envs) * reachable_set_size(i, d)
-                if at >= block:
+                n = len(envs) * reachable_set_size(i, d)
+                if at and at + n > block:
                     want, at = want + [at], 0
+                at += n
             assert made == want + [at] * (at > 0)
 
 
