@@ -35,7 +35,6 @@ from .lattice import (
     zero_env,
 )
 from .localization import (
-    ClaimRecord,
     DistinguishedSet,
     InfeasibleConnectionError,
     LocalizationReport,
@@ -50,10 +49,8 @@ from .localization import (
     greedy_favorite_paths,
     meeting_time,
     min_window_overlap,
-    plant_overlap_instance,
     splice_paths,
     step_feasible,
-    verify_claim_reduction,
 )
 from .overlap import (
     IbpEstimate,
@@ -72,11 +69,8 @@ from .transfer import (
     BetaProfile,
     LayerTable,
     backward_layers,
-    brute_force_log_partition,
-    enumerate_paths,
     forward_layers,
     forward_layers_and_ladder,
-    gibbs_enumeration,
     layer_log_marginals,
     log_partition,
     log_partition_ladder,

@@ -142,7 +142,8 @@ class RunRecord:
 
 def _read(key: str, kind, raw):
     """``raw`` as a value of ``kind``; ValidationError when it cannot be read,
-    or when it is a float that is not finite (no setting takes nan or inf)."""
+    when it is a bool (a JSON true or false) for a setting of another kind, or
+    when it is a float that is not finite (no setting takes nan or inf)."""
     try:
         if kind is bool:
             if isinstance(raw, bool):
@@ -150,7 +151,8 @@ def _read(key: str, kind, raw):
             import configparser  # only a value spelt as a string pays for it
 
             return configparser.ConfigParser.BOOLEAN_STATES[str(raw).strip().lower()]
-        if kind is int and isinstance(raw, float) and not raw.is_integer():
+        if isinstance(raw, bool) or (kind is int and isinstance(raw, float)
+                                     and not raw.is_integer()):
             raise ValueError
         value = kind(raw)
     except (KeyError, TypeError, ValueError):

@@ -2,16 +2,17 @@
 
 Implements the concatenation toolkit (feasibility, deterministic connecting
 paths, meeting times, path splicing), the distinguished-set induction with
-its cardinality bounds, a runtime verifier for the inductive overlap-transfer
-claim, and greedy favorite-path extraction over sampled Gibbs trajectories
-together with coverage reports for the union/intersection localization events
-and the sliding-window statistic.
+its cardinality bounds, and greedy favorite-path extraction over sampled
+Gibbs trajectories together with coverage reports for the union/intersection
+localization events and the sliding-window statistic.  The runtime verifier
+of the inductive overlap-transfer claim and its planted instances live in
+``polymerlab.verify``, beside the suites that use them.
 
 Each rule has one owner, and every caller goes through it:
 
 - bridge: ``_bridge``, behind ``connecting_path`` (which ``splice_paths``
-  calls), the induction's ``_splice_codes`` and the planted instances'
-  ``_anchored_path``;
+  calls), the induction's ``_splice_codes`` and verify's planted instances
+  (``verify._anchored_path``);
 - step code: ``_step_codes`` (-e_k -> k, +e_k -> d + k), behind
   ``encode_path`` and the induction's paths; ``_decode`` turns codes back
   into sites, behind ``decode_path`` and the induction;
@@ -309,109 +310,6 @@ def cardinality_bound(J: int, delta: float, L: int) -> float:
     """Closed-form growth cap (13/delta)^(2^(L-1)-1) * J^(2^(L-1))."""
     e = 2 ** (L - 1)
     return (13.0 / delta) ** (e - 1) * float(J) ** e
-
-
-# ---------------------------------------------------------------------------
-# Inductive overlap-transfer verifier
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClaimRecord:
-    """Outcome of one inductive overlap-transfer check.
-
-    Hypotheses: the test path sigma overlaps sigma1 at density >= delta on
-    block ell and sigma2 at density >= delta on block ell+1.  The verifier
-    reconstructs the concatenated witness and checks the three conclusions:
-    earlier-block overlaps unchanged, block-ell overlap >= delta^2/104, and
-    block-(ell+1) overlap >= delta.
-    """
-
-    hypotheses_hold: bool
-    ell: int
-    delta: float
-    k_candidates: tuple = ()
-    k1: int | None = None
-    k2: int | None = None
-    meeting: int | None = None
-    witness: np.ndarray | None = None
-    prefix_overlaps_equal: bool | None = None
-    ell_overlap: float | None = None
-    next_overlap: float | None = None
-    ok: bool = False
-
-
-def _coincidence_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c with c[hi + 1] - c[lo] sites of a and b coinciding on the closed window [lo, hi]."""
-    return np.concatenate([[0], np.cumsum(np.all(a == b, axis=1))])
-
-
-def _window_counts(c: np.ndarray, boundaries) -> np.ndarray:
-    """Coincidences per window boundaries[w]+1 .. boundaries[w+1] (as ``pairwise_counts``)."""
-    return np.diff(c[np.asarray(boundaries) + 1])
-
-
-def verify_claim_reduction(
-    sigma: np.ndarray,
-    sigma1: np.ndarray,
-    sigma2: np.ndarray,
-    ell: int,
-    delta: float,
-    p: PartitionScheme,
-    K: int | None = None,
-) -> ClaimRecord:
-    """Check the overlap-transfer step on one concrete instance."""
-    K = default_refinement(delta) if K is None else int(K)
-    if not 1 <= ell <= p.L - 1:
-        raise ValueError(f"need 1 <= ell <= L-1, got ell={ell}")
-    sig, s1, s2 = map(path_columns, (sigma, sigma1, sigma2))
-
-    lo, hi = p.block_window(ell)
-    nlo, nhi = p.block_window(ell + 1)
-    size_ell = hi - lo + 1
-    size_next = nhi - nlo + 1
-    c1 = _coincidence_prefix(s1, sig)
-    blocks1 = _window_counts(c1, p.boundaries)
-    r1 = int(blocks1[ell - 1]) / size_ell
-    r2 = int(_window_counts(_coincidence_prefix(s2, sig), p.boundaries)[ell]) / size_next
-    if r1 < delta or r2 < delta:
-        return ClaimRecord(hypotheses_hold=False, ell=ell, delta=delta)
-
-    eps = 1e-12
-    if np.array_equal(s1, s2):
-        cands, k1, k2, t, witness = (), None, None, None, s1
-    else:
-        sub = make_subpartition(p, ell, K)
-        threshold = delta * p.N / (4.0 * p.L * K)
-        counts = _window_counts(c1, sub.boundaries)
-        cands = tuple(int(k) for k in np.flatnonzero(counts + eps >= threshold) + 1)
-        if len(cands) < 2:
-            return ClaimRecord(
-                hypotheses_hold=True, ell=ell, delta=delta, k_candidates=cands, ok=False
-            )
-        k1, k2 = cands[0], cands[1]
-        m = sub.boundaries[k1]
-        t = meeting_time(s1, s2, m, (nlo, nhi))
-        if t is None:
-            return ClaimRecord(
-                hypotheses_hold=True, ell=ell, delta=delta,
-                k_candidates=cands, k1=k1, k2=k2, ok=False,
-            )
-        witness = splice_paths(s1, s2, m, t)
-
-    blocks_w = _window_counts(_coincidence_prefix(witness, sig), p.boundaries)
-    pre_ok = bool(np.array_equal(blocks_w[: ell - 1], blocks1[: ell - 1]))
-    r_ell = int(blocks_w[ell - 1]) / size_ell
-    r_next = int(blocks_w[ell]) / size_next
-    ok = (
-        pre_ok
-        and r_ell + eps >= delta * delta / 104.0
-        and r_next + eps >= delta
-    )
-    return ClaimRecord(
-        hypotheses_hold=True, ell=ell, delta=delta, k_candidates=cands,
-        k1=k1, k2=k2, meeting=t, witness=witness,
-        prefix_overlaps_equal=pre_ok, ell_overlap=r_ell, next_overlap=r_next, ok=ok,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -752,86 +650,6 @@ def coverage_report(
 def min_window_overlap(a, b, min_len: int) -> float:
     """Minimum restricted overlap of paths a and b over all windows of length >= min_len."""
     return float(window_minima([a], [b], min_len)[0, 0])
-
-
-# ---------------------------------------------------------------------------
-# Planted instances
-# ---------------------------------------------------------------------------
-
-def _random_walk(rng: np.random.Generator, n: int, d: int, start=None) -> np.ndarray:
-    axes = rng.integers(0, d, size=n)
-    signs = rng.choice((-1, 1), size=n)
-    steps = np.zeros((n, d), dtype=np.int64)
-    steps[np.arange(n), axes] = signs
-    out = np.zeros((n + 1, d), dtype=np.int64)
-    if start is not None:
-        out[0] = start
-    out[1:] = out[0] + np.cumsum(steps, axis=0)
-    return out
-
-
-def _anchored_path(rng: np.random.Generator, sig: np.ndarray, anchors) -> np.ndarray:
-    """Valid path that coincides with ``sig`` at the given sorted times.
-
-    Consecutive anchors are joined by the deterministic connecting rule
-    (feasible because sig itself joins them), all gaps in one ``_bridge``
-    call; after the last anchor the path continues as a fresh random walk.
-    """
-    n, d = sig.shape[0] - 1, sig.shape[1]
-    ends = np.asarray(anchors, dtype=np.int64)
-    starts = np.concatenate([[0], ends])[:-1]
-    gap = sig[ends] - sig[starts]
-    slack = ends - starts - np.abs(gap).sum(axis=1)
-    bad = np.flatnonzero((slack < 0) | (slack % 2 != 0))
-    if bad.size:  # raises for the first gap that cannot be joined
-        k = bad[0]
-        _require_path(sig[starts[k]], sig[ends[k]], int(ends[k] - starts[k]))
-    last = int(ends[-1]) if ends.size else 0
-    out = np.empty((n + 1, d), dtype=np.int64)
-    out[0] = sig[0]
-    j = np.arange(1, last + 1)
-    g = np.searchsorted(ends, j)  # gap that time j lies in: starts[g] < j <= ends[g]
-    out[1 : last + 1] = _bridge(sig[starts[g]], gap[g], j - starts[g])
-    if last < n:
-        out[last:] = _random_walk(rng, n - last, d, start=sig[last])
-    return out
-
-
-def plant_overlap_instance(
-    rng: np.random.Generator,
-    p: PartitionScheme,
-    ell: int | None,
-    delta: float,
-    d: int = 1,
-):
-    """Random (sigma, sigma1, sigma2) with overlap >= delta planted by block.
-
-    With ``ell`` set, sigma1 coincides with sigma at density >= delta inside
-    block ell and sigma2 inside block ell+1 (the claim-verifier hypotheses).
-    With ``ell`` None, both overlap sigma at density >= delta in every block.
-    """
-    sig = _random_walk(rng, p.N, d)
-
-    def anchors_for(blocks) -> np.ndarray:
-        times = []
-        for b in blocks:
-            lo, hi = p.block_window(b)
-            size = hi - lo + 1
-            n_anchor = int(math.ceil(delta * size))
-            times.extend(
-                rng.choice(np.arange(lo, hi + 1), size=n_anchor, replace=False)
-            )
-        return np.sort(np.asarray(times, dtype=np.int64))
-
-    if ell is None:
-        s1 = _anchored_path(rng, sig, anchors_for(range(1, p.L + 1)))
-        s2 = _anchored_path(rng, sig, anchors_for(range(1, p.L + 1)))
-    else:
-        if not 1 <= ell <= p.L - 1:
-            raise ValueError("ell must leave room for the following block")
-        s1 = _anchored_path(rng, sig, anchors_for([ell]))
-        s2 = _anchored_path(rng, sig, anchors_for([ell + 1]))
-    return sig, s1, s2
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 The overlap of two equal-length paths counts coinciding sites over i = 1..N
 (the shared origin is excluded).  Replica estimates come from exact Gibbs
-sampling; the exact quenched two-replica overlap comes from forward/backward
-marginals, <R> = (1/N) sum_i sum_x mu(sigma_i = x)^2, which also powers the
-finite-N derivative identity from Gaussian integration by parts,
+sampling; the exact quenched two-replica overlap comes from the site
+marginals that the reverse chain walks down a kept forward table
+(``transfer.marginal_sums``), <R> = (1/N) sum_i sum_x mu(sigma_i = x)^2,
+which also powers the finite-N derivative identity from Gaussian
+integration by parts,
 
     (1/N) d/dbeta E log Z_N(beta) = beta * (1 - E<R>_beta).
 

@@ -5,15 +5,17 @@ A forward transfer-matrix recursion computes, entirely in log-space,
     W(0, origin) = 1,
     W(i, x) = exp(beta_i * g(i, x)) * (1/2d) * sum_{y ~ x} W(i-1, y),
 
-so that log Z = logsumexp_x log W(N, x).  A matching backward recursion gives
-the conditional partition function from (i, x) onward; combining the two
-yields exact site marginals and a Markov split of log Z at any time.  Paths
-are sampled exactly (not approximately) by drawing the endpoint proportional
-to W(N, .) and walking backwards, every path's step drawn at once from
-candidates the geometry finds by index arithmetic (d <= 2) or its column maps.
+so that log Z = logsumexp_x log W(N, x).  Paths are sampled exactly (not
+approximately) by drawing the endpoint proportional to W(N, .) and walking
+backwards, every path's step drawn at once from candidates the geometry
+finds by index arithmetic (d <= 2) or its column maps.  ``backward_layers``
+runs no pass: it is an oracle of verify and the tests, a plain recursion of
+the conditional partition function from (i, x) onward on the dense box
+[-N, N]^d that shares no code with the kernels it checks; with a forward
+table it gives exact site marginals and a Markov split of log Z.
 
-One private driver, ``_transfer``, runs this recursion, forward or
-backward, over a layer geometry chosen from d:
+``_transfer`` alone runs the forward recursion, over a layer geometry
+chosen from d:
   d<=2  dense (i+1)^d array per layer in rotated coordinates (x in d=1;
         s = x1+x2, t = x1-x2 in d=2), where the walk factorizes into
         independent one-dimensional walks and the reachable cone is a full
@@ -21,7 +23,8 @@ backward, over a layer geometry chosen from d:
         an axis of flat stride s as one contiguous ``_logaddexp`` of the
         layer with itself shifted by s, over the whole batch: onto the next
         layer from a layer framed by one -inf cell past the end of each
-        axis, back onto the last one read through its leading window;
+        axis, and, for the reverse chain, back onto the last one read
+        through its leading window;
   d>=3  the sites of a layer in lexicographic order, as a run of columns
         that share x_1..x_{d-1}: a step moves a column's sites to one
         column of the next layer, shifted by 0 or 1, so a pass builds its
@@ -40,7 +43,7 @@ and sliding windows, and at d >= 3 from one prefix per column, spread over
 the column's sites.  A pass allocates its buffers once, room for layer N: the
 geometry's layer buffers (the layer, its neighbour sum and, dense, the
 kernel's scratch) and one for the field, so a step allocates no array the
-size of a layer (the index maps at d >= 3 excepted).  The driver hands
+size of a layer (the index maps at d >= 3 excepted).  ``_transfer`` hands
 each layer, and nothing else, to a per-layer consumer, as a view into a pass
 buffer that is valid only until the consumer returns: the kept tables copy
 it, and log Z at each N of a ladder (``log_partition_ladder``) reads it; no
@@ -49,7 +52,7 @@ the site marginals down a kept forward table by the reverse chain of
 forward-filtering/backward-smoothing, on the geometry's neighbour sums, and
 reads the field of its first layers only where <H> of a short rung is asked.
 A kept table may carry further profiles that roll along it, read for log Z
-at each N of a ladder (``forward_layers_and_ladder``).  The driver alone
+at each N of a ladder (``forward_layers_and_ladder``).  ``_transfer`` alone
 charges the cell budget ``LatticeParams.max_cells``, for what each pass
 holds, and the budget and ``BATCH_CELLS`` alone set how many environments
 share a rolling pass.
@@ -285,14 +288,11 @@ class _DenseGeometry:
         framed in x as ``lay`` leaves them, into y, shape lead + shape(i)."""
         return functools.partial(self._sums, i, False)
 
-    def sum_from(self, i: int):
-        """f(x, y, t, lead): the neighbour log-sum back onto layers i-1 of layers
-        i laid in x, into y, read through the leading window of shape(i)."""
-        return functools.partial(self._sums, i, True)
-
     def chain_sums(self, i: int):
-        """``sum_into(i)`` and ``sum_from(i)``, for one step of the reverse chain."""
-        return self.sum_into(i), self.sum_from(i)
+        """``sum_into(i)`` and the neighbour log-sum back onto layers i-1 of
+        layers i laid in x, into y, read through the leading window of
+        shape(i): one step of the reverse chain."""
+        return self.sum_into(i), functools.partial(self._sums, i, True)
 
     def coords(self, i: int, idx=None) -> np.ndarray:
         """Coordinates of the sites of layer i, or of its flat sites ``idx`` only.
@@ -547,13 +547,10 @@ class _ColumnGeometry:
     def sum_into(self, i: int):
         return functools.partial(_gather_logsum, self._maps(i, i - 1), self.shape(i - 1)[0])
 
-    def sum_from(self, i: int):
-        return self.chain_sums(i)[1]
-
     def chain_sums(self, i: int):
-        """``sum_into(i)`` for one layer and ``sum_from(i)`` off the one map
-        of ``sum_from``: each of its rows takes layer i-1 injectively into
-        layer i, the set of the neighbours of layer i-1."""
+        """``sum_into(i)`` for one layer and the gather back onto layer i-1,
+        both off one map set: each of its rows takes layer i-1 injectively
+        into layer i, the set of the neighbours of layer i-1."""
         maps, size = self._maps(i - 1, i), self.shape(i)[0]
         return (functools.partial(_scatter_logsum, maps, size),
                 functools.partial(_gather_logsum, maps, size))
@@ -589,7 +586,7 @@ def _geometry(d: int, N: int):
 
 @dataclass
 class LayerTable:
-    """All layers of one forward or backward pass, in log-space.
+    """All layers log W(0..N) of one forward pass.
 
     ``layers[i]`` has the geometry's shape for layer i; ``layer_logw`` and
     ``layer_coords`` give a flat view with matching site order.
@@ -597,7 +594,6 @@ class LayerTable:
 
     env: Environment
     profile: BetaProfile
-    direction: str  # "forward" | "backward"
     geometry: object = field(repr=False)
     layers: list = field(repr=False)
 
@@ -616,14 +612,14 @@ class LayerTable:
         return self.geometry.coords(i)
 
     def prefix(self, n: int) -> "LayerTable":
-        """Layers 0..n of a forward table, over the first n betas and the
+        """Layers 0..n of the table, over the first n betas and the
         environment with N = n: bit for bit the table of a pass that stops at n
         (layer i reads g(1..i, .) only, and its site order does not depend on N)."""
-        if self.direction != "forward" or not 1 <= n <= self.N:
-            raise ValueError(f"a prefix needs a forward table and 1 <= n <= {self.N}")
+        if not 1 <= n <= self.N:
+            raise ValueError(f"a prefix needs 1 <= n <= {self.N}")
         env = replace(self.env, params=replace(self.env.params, N=n))
-        return LayerTable(env, BetaProfile(self.profile.values[:n]), "forward",
-                          self.geometry, self.layers[:n + 1])
+        return LayerTable(env, BetaProfile(self.profile.values[:n]), self.geometry,
+                          self.layers[:n + 1])
 
 
 def _check_guard(env: Environment, geom, n_profiles: int, keep: int, n_envs: int = 1,
@@ -688,28 +684,24 @@ def _check_forward_args(env: Environment, profile: BetaProfile):
         )
 
 
-def _transfer(envs, profiles, direction, dtype, keep, consume=lambda i, layers: None,
-              geometry=_geometry):
-    """Run one recursion for several profiles over the fields of several
-    environments that share their ``LatticeParams``.
+def _transfer(envs, profiles, dtype, keep, consume=lambda i, layers: None, geometry=_geometry):
+    """Run the forward recursion for several profiles over the fields of
+    several environments that share their ``LatticeParams``:
 
-    forward:  log W(i)   = drive_i + log sum_nbr W(i-1) - log 2d,  i = 1..N
-    backward: log B(i-1) = log sum_nbr exp(drive_i + log B(i)) - log 2d,  i = N..1
+        log W(i) = beta_i g(i, .) + log sum_nbr W(i-1) - log 2d,  i = 1..N.
 
-    with drive_i = beta_i g(i, .).  Each layer's field is generated once per
-    environment and fed to every profile, and not at all where every beta_i
-    is 0.  The E environments x P profiles step as one (E, P, *layer shape)
-    array, and the neighbour sums act on its trailing layer axes, so each
-    entry gets the arithmetic of a pass of its own.  Every step works in
-    buffers the pass allocates once: the geometry's (the layer, its neighbour
-    sum and the kernels' scratch) and the field block and its scratch, which
-    ``lattice.field_layers`` fills a block of layers ahead of the step, in
-    pass order.  Layers 0..N (forward)
-    or N..0 (backward) go in that order to ``consume(i, layers)``: layer i as
-    that array, a view into a pass buffer that is valid only until
-    ``consume`` returns.  ``keep`` is how many leading profiles the consumer
-    copies every layer of, for the geometry and the guard.  Returns the
-    geometry and the last layers.
+    Each layer's field is generated once per environment and fed to every
+    profile, and not at all where every beta_i is 0.  The E environments x P
+    profiles step as one (E, P, *layer shape) array, and the neighbour sums
+    act on its trailing layer axes, so each entry gets the arithmetic of a
+    pass of its own.  Every step works in buffers the pass allocates once:
+    the geometry's (the layer, its neighbour sum and the kernels' scratch)
+    and the field block and its scratch, which ``lattice.field_layers`` fills
+    a block of layers ahead of the step, in pass order.  Layers 0..N go in
+    that order to ``consume(i, layers)``: layer i as that array, a view into
+    a pass buffer that is valid only until ``consume`` returns.  ``keep`` is
+    how many leading profiles the consumer copies every layer of, for the
+    guard.  Returns the geometry and the last layers.
     """
     env = envs[0]
     if any(other.params != env.params for other in envs):
@@ -720,53 +712,38 @@ def _transfer(envs, profiles, direction, dtype, keep, consume=lambda i, layers: 
     geom = geometry(d, N)
     _check_guard(env, geom, len(profiles), keep, len(envs))
     log2d = np.log(dtype(2.0 * d))
-    forward = direction == "forward"
     lead = (len(envs), len(profiles))
     bufs = geom.buffers(math.prod(lead), dtype)
     # betas[i - 1] is step i's beta per profile, shaped to scale an (E, 1, ...) field
     betas = np.array([pr.values for pr in profiles]).reshape(len(profiles), N).T
     read = betas.any(axis=1).tolist()
     betas = betas.reshape(betas.shape + (1,) * len(geom.shape(0)))
-    order = range(1, N + 1) if forward else range(N, 0, -1)
     if any(read):
-        fields = field_layers(envs, [i for i in order if read[i - 1]], geom,
+        fields = field_layers(envs, [i for i in range(1, N + 1) if read[i - 1]], geom,
                               np.empty(len(envs) * reachable_set_size(N, d) + FIELD_BLOCK),
                               field_scratch())
 
-    def field(i):  # g(i, .) of each environment, shaped to scale an (E, 1, ...) layer
-        return next(fields).reshape((len(envs), 1) + geom.shape(i))
-
-    # forward, layer i sits framed in bufs[0] and its sum lands in bufs[1];
-    # backward, layer i plus its drive sits in bufs[0] and layer i-1 lands in
-    # bufs[1]; bufs[2] is the kernels' scratch
-    layers = geom.lay(0 if forward else N, bufs[0 if forward else 1], lead, framed=forward)
+    # layer i sits framed in bufs[0] and its sum lands in bufs[1]; bufs[2] is
+    # the kernels' scratch
+    layers = geom.lay(0, bufs[0], lead, framed=True)
     layers.fill(0.0)
-    consume(0 if forward else N, layers)
-    for i in order:
-        if forward:
-            # the sum is built and its index maps dropped in one statement, so
-            # this step's maps go before the next step's are built.  The drive
-            # runs on the sum, which is contiguous (sum + beta g is beta g +
-            # sum, bit for bit), and is then copied to layer i's place in
-            # bufs[0]: a framed window at d <= 2, which numpy would run each
-            # pass of the drive through its iteration buffers
-            total = geom.sum_into(i)(*bufs, lead)
-            if read[i - 1]:
-                total += np.multiply(betas[i - 1], field(i), out=geom.lay(i, bufs[0], lead),
-                                     dtype=dtype)
-            total -= log2d
-            layers = geom.lay(i, bufs[0], lead, framed=i < N)
-            np.copyto(layers, total)
-        else:
-            total, layers = layers, geom.lay(i, bufs[0], lead)
-            if read[i - 1]:
-                np.multiply(betas[i - 1], field(i), out=layers, dtype=dtype)
-                layers += total
-            else:
-                layers[...] = total
-            layers = geom.sum_from(i)(*bufs, lead)
-            layers -= log2d
-        consume(i if forward else i - 1, layers)
+    consume(0, layers)
+    for i in range(1, N + 1):
+        # the sum is built and its index maps dropped in one statement, so
+        # this step's maps go before the next step's are built.  The drive
+        # runs on the sum, which is contiguous (sum + beta g is beta g + sum,
+        # bit for bit), and is then copied to layer i's place in bufs[0]: a
+        # framed window at d <= 2, which numpy would run each pass of the
+        # drive through its iteration buffers
+        total = geom.sum_into(i)(*bufs, lead)
+        if read[i - 1]:
+            # g(i, .) of each environment, shaped to scale an (E, 1, ...) layer
+            g = next(fields).reshape((len(envs), 1) + geom.shape(i))
+            total += np.multiply(betas[i - 1], g, out=geom.lay(i, bufs[0], lead), dtype=dtype)
+        total -= log2d
+        layers = geom.lay(i, bufs[0], lead, framed=i < N)
+        np.copyto(layers, total)
+        consume(i, layers)
     return geom, layers
 
 
@@ -778,10 +755,10 @@ def _rung_log_zs(layers: np.ndarray, profiles, n: int) -> list:
             for by_env in layers]
 
 
-def _kept_table(env: Environment, profiles, direction: str, dtype, ns=()):
-    """The table of ``profiles[0]`` and, for a forward pass, log Z_n of the
-    other profiles at each n of ``ns``, from one pass that keeps the first
-    profile only; the others roll along with it."""
+def _kept_table(env: Environment, profiles, dtype, ns=()):
+    """The table of ``profiles[0]`` and log Z_n of the other profiles at each
+    n of ``ns``, from one pass that keeps the first profile only; the others
+    roll along with it."""
     kept, rungs = [None] * (profiles[0].N + 1), _rungs(ns)
     rode = np.empty((len(ns), len(profiles) - 1))
 
@@ -790,13 +767,13 @@ def _kept_table(env: Environment, profiles, direction: str, dtype, ns=()):
         if i in rungs:
             rode[rungs[i]] = _rung_log_zs(layers[:, 1:], profiles[1:], i)[0]
 
-    geom, _ = _transfer([env], profiles, direction, dtype, 1, consume)
-    return LayerTable(env, profiles[0], direction, geom, kept), rode
+    geom, _ = _transfer([env], profiles, dtype, 1, consume)
+    return LayerTable(env, profiles[0], geom, kept), rode
 
 
 def forward_layers(env: Environment, profile: BetaProfile, dtype=np.float64) -> LayerTable:
     """Run the full forward recursion and keep every layer."""
-    return _kept_table(env, [profile], "forward", dtype)[0]
+    return _kept_table(env, [profile], dtype)[0]
 
 
 def forward_layers_and_ladder(env: Environment, profiles, ns,
@@ -808,12 +785,7 @@ def forward_layers_and_ladder(env: Environment, profiles, ns,
     layer's field once for all of them."""
     ns = [int(n) for n in ns]
     _check_ladder(env.params.N, ns)
-    return _kept_table(env, list(profiles), "forward", dtype, ns)
-
-
-def backward_layers(env: Environment, profile: BetaProfile, dtype=np.float64) -> LayerTable:
-    """Conditional partition functions B(i, x) from (i, x) onward, log-space."""
-    return _kept_table(env, [profile], "backward", dtype)[0]
+    return _kept_table(env, list(profiles), dtype, ns)
 
 
 # ---------------------------------------------------------------------------
@@ -821,16 +793,14 @@ def backward_layers(env: Environment, profile: BetaProfile, dtype=np.float64) ->
 # ---------------------------------------------------------------------------
 
 def log_partition(table: LayerTable) -> float:
-    """logsumexp over the final layer (forward) or the root cell (backward).
+    """logsumexp over the final layer.
 
     An identically-zero profile short-circuits to exactly 0.0: the Gibbs
     weight is then 1 for every path regardless of the disorder.
     """
     if table.profile.is_zero:
         return 0.0
-    if table.direction == "forward":
-        return float(logsumexp(table.layer_logw(table.N)))
-    return float(table.layer_logw(0)[0])
+    return float(logsumexp(table.layer_logw(table.N)))
 
 
 def _rungs(ns) -> dict:
@@ -866,7 +836,7 @@ def log_partition_ladder(envs, profiles, ns, dtype=np.float64) -> np.ndarray:
             if i in rungs:
                 out[rungs[i], lo:lo + len(layers)] = _rung_log_zs(layers, profiles, i)
 
-        _transfer(envs[lo:lo + size], profiles, "forward", dtype, 0, consume)
+        _transfer(envs[lo:lo + size], profiles, dtype, 0, consume)
     return out
 
 
@@ -911,8 +881,6 @@ def sample_paths(table: LayerTable, n: int, rng: np.random.Generator) -> np.ndar
     endpoints are decoded, and each earlier site is the later one plus the
     chosen row's step.  Returns (n, N+1, d) int64.
     """
-    if table.direction != "forward":
-        raise ValueError("sampling requires a forward table")
     N, geom = table.N, table.geometry
     out = np.zeros((n, N + 1, table.d), dtype=np.int64)
     w = table.layer_logw(N)
@@ -926,13 +894,6 @@ def sample_paths(table: LayerTable, n: int, rng: np.random.Generator) -> np.ndar
         idx = flat[pick, draws]
         x = out[:, i - 1] = x + geom.back_steps.take(pick, axis=0)
     return out
-
-
-def layer_log_marginals(fwd: LayerTable, bwd: LayerTable, i: int) -> np.ndarray:
-    """log mu(sigma_i = x) over layer i, flat, normalized within the layer,
-    from log A(i) + log B(i)."""
-    s = fwd.layer_logw(i) + bwd.layers[i].ravel()
-    return s - logsumexp(s)
 
 
 def _renormalise(lm: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -968,8 +929,6 @@ def marginal_sums(fwd: LayerTable, ns=None, energy=None):
     renormalized row, in descent order.  Only then is a field read: the
     layers up to the largest n of ``energy``, a block of layers per hash
     call as a pass reads them (``lattice.field_layers``)."""
-    if fwd.direction != "forward":
-        raise ValueError("the reverse chain needs a forward table")
     ns = [fwd.N] if ns is None else [int(n) for n in ns]
     asked = [] if energy is None else [int(n) for n in energy]
     _check_ladder(fwd.N, ns + asked)
@@ -1013,66 +972,50 @@ def marginal_sums(fwd: LayerTable, ns=None, energy=None):
     return sums if energy is None else (sums, energies[rows])
 
 
-def markov_split_logz(fwd: LayerTable, bwd: LayerTable, i: int) -> float:
-    """log Z reassembled at split time i: logsumexp_x [log A + log B]."""
-    return float(logsumexp(fwd.layer_logw(i) + bwd.layer_logw(i)))
-
-
 # ---------------------------------------------------------------------------
-# Enumeration oracles
+# The backward oracle
 # ---------------------------------------------------------------------------
 
-BRUTE_FORCE_CAP = 10_000_000
+def backward_layers(env: Environment, profile: BetaProfile, dtype=np.float64) -> list:
+    """log B(i, .), the conditional partition function from (i, x) onward, for
+    i = 0..N: an oracle of verify and the tests, sharing no code with the
+    passes it checks.  It runs on the dense box [-N, N]^d, entry x + N of
+    each (2N+1, ..., 2N+1) layer, with B_N = 0 and
 
+        B_{i-1}(y) = log sum_{x ~ y} exp(beta_i g(i, x) + B_i(x)) - log 2d
 
-def _digit_positions(digits: np.ndarray, d: int) -> np.ndarray:
-    """(M, N) step digits in base 2d -> (M, N+1, d) lattice positions."""
-    steps = _offsets(d)[digits]  # (M, N, d)
-    pos = np.zeros((digits.shape[0], digits.shape[1] + 1, d), dtype=np.int64)
-    pos[:, 1:] = np.cumsum(steps, axis=1)
-    return pos
-
-
-def enumerate_paths(N: int, d: int) -> np.ndarray:
-    """All (2d)^N nearest-neighbor paths from the origin, (M, N+1, d)."""
-    M = (2 * d) ** N
-    if M > 2_000_000:
-        raise ValueError(f"(2d)^N = {M} too large to materialize")
-    idx = np.arange(M)
-    digits = (idx[:, None] // (2 * d) ** np.arange(N)[None, :]) % (2 * d)
-    return _digit_positions(digits.astype(np.int64), d)
-
-
-def _path_log_weights(env: Environment, profile: BetaProfile, paths: np.ndarray) -> np.ndarray:
-    """Unnormalized log Gibbs weight beta.H - N log 2d per enumerated path."""
-    N, d = profile.N, env.params.d
-    h = np.zeros(paths.shape[0])
-    for i in range(1, N + 1):
-        b = profile.values[i - 1]
-        if b != 0.0:
-            h += b * env.values(i, paths[:, i, :])
-    return h - N * math.log(2 * d)
-
-
-def brute_force_log_partition(env: Environment, profile: BetaProfile) -> float:
-    """Reference log Z by direct enumeration of every path."""
+    on ``np.pad``, ``np.logaddexp`` and ``Environment.values``.  It is exact on
+    the cone D_i; past the box's edge it reads -inf.  It is charged its box,
+    (N+1)(2N+1)^d cells and one layer of field, against ``max_cells``."""
     _check_forward_args(env, profile)
-    N, d = profile.N, env.params.d
-    M = (2 * d) ** N
-    if M > BRUTE_FORCE_CAP:
-        raise ValueError(f"(2d)^N = {M} exceeds the enumeration cap {BRUTE_FORCE_CAP}")
-    chunk = 1 << 18
-    pows = (2 * d) ** np.arange(N)[None, :]
-    parts = []
-    for lo in range(0, M, chunk):
-        idx = np.arange(lo, min(lo + chunk, M))
-        digits = ((idx[:, None] // pows) % (2 * d)).astype(np.int64)
-        parts.append(logsumexp(_path_log_weights(env, profile, _digit_positions(digits, d))))
-    return float(logsumexp(np.array(parts)))
+    d, N, cap = env.params.d, profile.N, env.params.max_cells
+    box = (2 * N + 1,) * d
+    if (N + 2) * math.prod(box) > cap:
+        raise MemoryGuardError(f"d={d}, N={N}: the backward oracle's box needs more than "
+                               f"{cap} cells")
+    sites = np.indices(box).reshape(d, -1).T - N
+    log2d, out = np.log(dtype(2 * d)), [np.zeros(box, dtype=dtype)]
+    for i in range(N, 0, -1):
+        beta, w = profile.values[i - 1], out[-1]
+        if beta:
+            w = w + beta * env.values(i, sites).reshape(box)
+        w = np.pad(w, 1, constant_values=NEG_INF)
+        acc = np.full(box, NEG_INF, dtype=dtype)
+        for k in range(d):
+            for s in (0, 2):  # the neighbours y - e_k and y + e_k
+                acc = np.logaddexp(acc, w[tuple(slice(s, s + 2 * N + 1) if j == k
+                                                else slice(1, -1) for j in range(d))])
+        out.append(acc - log2d)
+    return out[::-1]
 
 
-def gibbs_enumeration(env: Environment, profile: BetaProfile):
-    """(paths, probabilities) of the exact Gibbs law, by enumeration."""
-    paths = enumerate_paths(profile.N, env.params.d)
-    logw = _path_log_weights(env, profile, paths)
-    return paths, np.exp(logw - logsumexp(logw))
+def layer_log_marginals(fwd: LayerTable, bwd: list, i: int) -> np.ndarray:
+    """log mu(sigma_i = x) over layer i, flat, normalized within the layer,
+    from log A(i) + log B(i), B from ``backward_layers`` at the table's sites."""
+    s = fwd.layer_logw(i) + bwd[i][tuple((fwd.layer_coords(i) + fwd.N).T)]
+    return s - logsumexp(s)
+
+
+def markov_split_logz(fwd: LayerTable, bwd: list, i: int) -> float:
+    """log Z reassembled at split time i: logsumexp_x [log A + log B]."""
+    return float(logsumexp(fwd.layer_logw(i) + bwd[i][tuple((fwd.layer_coords(i) + fwd.N).T)]))

@@ -1,4 +1,9 @@
-"""Self-contained verification suites behind the ``verify`` CLI command.
+"""Self-contained verification suites behind the ``verify`` CLI command, and
+the oracles that only they and the tests use: path enumeration
+(``brute_force_log_partition``, ``gibbs_enumeration``), the planted overlap
+instances and the verifier of the inductive overlap-transfer claim.  No
+command but ``verify`` imports this module, so none of it, and none of
+scipy, loads on a command path.
 
 Each suite returns a dict with a boolean ``pass`` plus the metrics it
 measured.  Every number is a pure function of the master seed, so the
@@ -16,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtrc
@@ -23,7 +29,9 @@ from scipy.special import chdtrc
 from .free_energy import concentration_profile
 from .lattice import (
     FIELD_BLOCK,
+    Environment,
     LatticeParams,
+    PartitionScheme,
     PointSites,
     derive_seed,
     field_layers,
@@ -31,22 +39,249 @@ from .lattice import (
     gaussian_env,
     make_partition,
     make_subpartition,
+    path_columns,
     perturb_env,
 )
-from .localization import plant_overlap_instance, verify_claim_reduction
+from .localization import (_bridge, _require_path, default_refinement, meeting_time,
+                           splice_paths)
 from .overlap import block_overlap, ibp_residual, overlap, restricted_overlap
 from .transfer import (
     BetaProfile,
+    _check_forward_args,
+    _offsets,
     backward_layers,
-    brute_force_log_partition,
     forward_layers,
-    gibbs_enumeration,
     log_partition,
     log_partitions,
+    logsumexp,
     markov_split_logz,
     sample_paths,
 )
 
+
+# ---------------------------------------------------------------------------
+# Enumeration oracles
+# ---------------------------------------------------------------------------
+
+def enumerate_paths(N: int, d: int) -> np.ndarray:
+    """All (2d)^N nearest-neighbor paths from the origin, (M, N+1, d): path m
+    takes its step k along the row of ``transfer._offsets`` that is digit k
+    of m in base 2d."""
+    M = (2 * d) ** N
+    if M > 2_000_000:
+        raise ValueError(f"(2d)^N = {M} too large to materialize")
+    digits = (np.arange(M)[:, None] // (2 * d) ** np.arange(N)) % (2 * d)
+    out = np.zeros((M, N + 1, d), dtype=np.int64)
+    out[:, 1:] = np.cumsum(_offsets(d)[digits], axis=1)
+    return out
+
+
+def _path_log_weights(env: Environment, profile: BetaProfile, paths: np.ndarray) -> np.ndarray:
+    """Unnormalized log Gibbs weight beta.H - N log 2d per enumerated path."""
+    N, d = profile.N, env.params.d
+    h = np.zeros(paths.shape[0])
+    for i in range(1, N + 1):
+        b = profile.values[i - 1]
+        if b != 0.0:
+            h += b * env.values(i, paths[:, i, :])
+    return h - N * math.log(2 * d)
+
+
+def brute_force_log_partition(env: Environment, profile: BetaProfile) -> float:
+    """Reference log Z by direct enumeration of every path."""
+    _check_forward_args(env, profile)
+    paths = enumerate_paths(profile.N, env.params.d)
+    return float(logsumexp(_path_log_weights(env, profile, paths)))
+
+
+def gibbs_enumeration(env: Environment, profile: BetaProfile):
+    """(paths, probabilities) of the exact Gibbs law, by enumeration."""
+    paths = enumerate_paths(profile.N, env.params.d)
+    logw = _path_log_weights(env, profile, paths)
+    return paths, np.exp(logw - logsumexp(logw))
+
+
+# ---------------------------------------------------------------------------
+# The inductive overlap-transfer verifier and its planted instances
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ClaimRecord:
+    """Outcome of one inductive overlap-transfer check.
+
+    Hypotheses: the test path sigma overlaps sigma1 at density >= delta on
+    block ell and sigma2 at density >= delta on block ell+1.  The verifier
+    reconstructs the concatenated witness and checks the three conclusions:
+    earlier-block overlaps unchanged, block-ell overlap >= delta^2/104, and
+    block-(ell+1) overlap >= delta.
+    """
+
+    hypotheses_hold: bool
+    ell: int
+    delta: float
+    k_candidates: tuple = ()
+    k1: int | None = None
+    k2: int | None = None
+    meeting: int | None = None
+    witness: np.ndarray | None = None
+    prefix_overlaps_equal: bool | None = None
+    ell_overlap: float | None = None
+    next_overlap: float | None = None
+    ok: bool = False
+
+
+def _coincidence_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c with c[hi + 1] - c[lo] sites of a and b coinciding on the closed window [lo, hi]."""
+    return np.concatenate([[0], np.cumsum(np.all(a == b, axis=1))])
+
+
+def _window_counts(c: np.ndarray, boundaries) -> np.ndarray:
+    """Coincidences per window boundaries[w]+1 .. boundaries[w+1] (as ``pairwise_counts``)."""
+    return np.diff(c[np.asarray(boundaries) + 1])
+
+
+def verify_claim_reduction(
+    sigma: np.ndarray,
+    sigma1: np.ndarray,
+    sigma2: np.ndarray,
+    ell: int,
+    delta: float,
+    p: PartitionScheme,
+    K: int | None = None,
+) -> ClaimRecord:
+    """Check the overlap-transfer step on one concrete instance."""
+    K = default_refinement(delta) if K is None else int(K)
+    if not 1 <= ell <= p.L - 1:
+        raise ValueError(f"need 1 <= ell <= L-1, got ell={ell}")
+    sig, s1, s2 = map(path_columns, (sigma, sigma1, sigma2))
+
+    lo, hi = p.block_window(ell)
+    nlo, nhi = p.block_window(ell + 1)
+    size_ell = hi - lo + 1
+    size_next = nhi - nlo + 1
+    c1 = _coincidence_prefix(s1, sig)
+    blocks1 = _window_counts(c1, p.boundaries)
+    r1 = int(blocks1[ell - 1]) / size_ell
+    r2 = int(_window_counts(_coincidence_prefix(s2, sig), p.boundaries)[ell]) / size_next
+    if r1 < delta or r2 < delta:
+        return ClaimRecord(hypotheses_hold=False, ell=ell, delta=delta)
+
+    eps = 1e-12
+    if np.array_equal(s1, s2):
+        cands, k1, k2, t, witness = (), None, None, None, s1
+    else:
+        sub = make_subpartition(p, ell, K)
+        threshold = delta * p.N / (4.0 * p.L * K)
+        counts = _window_counts(c1, sub.boundaries)
+        cands = tuple(int(k) for k in np.flatnonzero(counts + eps >= threshold) + 1)
+        if len(cands) < 2:
+            return ClaimRecord(
+                hypotheses_hold=True, ell=ell, delta=delta, k_candidates=cands, ok=False
+            )
+        k1, k2 = cands[0], cands[1]
+        m = sub.boundaries[k1]
+        t = meeting_time(s1, s2, m, (nlo, nhi))
+        if t is None:
+            return ClaimRecord(
+                hypotheses_hold=True, ell=ell, delta=delta,
+                k_candidates=cands, k1=k1, k2=k2, ok=False,
+            )
+        witness = splice_paths(s1, s2, m, t)
+
+    blocks_w = _window_counts(_coincidence_prefix(witness, sig), p.boundaries)
+    pre_ok = bool(np.array_equal(blocks_w[: ell - 1], blocks1[: ell - 1]))
+    r_ell = int(blocks_w[ell - 1]) / size_ell
+    r_next = int(blocks_w[ell]) / size_next
+    ok = (
+        pre_ok
+        and r_ell + eps >= delta * delta / 104.0
+        and r_next + eps >= delta
+    )
+    return ClaimRecord(
+        hypotheses_hold=True, ell=ell, delta=delta, k_candidates=cands,
+        k1=k1, k2=k2, meeting=t, witness=witness,
+        prefix_overlaps_equal=pre_ok, ell_overlap=r_ell, next_overlap=r_next, ok=ok,
+    )
+
+def _random_walk(rng: np.random.Generator, n: int, d: int, start=None) -> np.ndarray:
+    axes = rng.integers(0, d, size=n)
+    signs = rng.choice((-1, 1), size=n)
+    steps = np.zeros((n, d), dtype=np.int64)
+    steps[np.arange(n), axes] = signs
+    out = np.zeros((n + 1, d), dtype=np.int64)
+    if start is not None:
+        out[0] = start
+    out[1:] = out[0] + np.cumsum(steps, axis=0)
+    return out
+
+
+def _anchored_path(rng: np.random.Generator, sig: np.ndarray, anchors) -> np.ndarray:
+    """Valid path that coincides with ``sig`` at the given sorted times.
+
+    Consecutive anchors are joined by the deterministic connecting rule
+    (feasible because sig itself joins them), all gaps in one ``_bridge``
+    call; after the last anchor the path continues as a fresh random walk.
+    """
+    n, d = sig.shape[0] - 1, sig.shape[1]
+    ends = np.asarray(anchors, dtype=np.int64)
+    starts = np.concatenate([[0], ends])[:-1]
+    gap = sig[ends] - sig[starts]
+    slack = ends - starts - np.abs(gap).sum(axis=1)
+    bad = np.flatnonzero((slack < 0) | (slack % 2 != 0))
+    if bad.size:  # raises for the first gap that cannot be joined
+        k = bad[0]
+        _require_path(sig[starts[k]], sig[ends[k]], int(ends[k] - starts[k]))
+    last = int(ends[-1]) if ends.size else 0
+    out = np.empty((n + 1, d), dtype=np.int64)
+    out[0] = sig[0]
+    j = np.arange(1, last + 1)
+    g = np.searchsorted(ends, j)  # gap that time j lies in: starts[g] < j <= ends[g]
+    out[1 : last + 1] = _bridge(sig[starts[g]], gap[g], j - starts[g])
+    if last < n:
+        out[last:] = _random_walk(rng, n - last, d, start=sig[last])
+    return out
+
+
+def plant_overlap_instance(
+    rng: np.random.Generator,
+    p: PartitionScheme,
+    ell: int | None,
+    delta: float,
+    d: int = 1,
+):
+    """Random (sigma, sigma1, sigma2) with overlap >= delta planted by block.
+
+    With ``ell`` set, sigma1 coincides with sigma at density >= delta inside
+    block ell and sigma2 inside block ell+1 (the claim-verifier hypotheses).
+    With ``ell`` None, both overlap sigma at density >= delta in every block.
+    """
+    sig = _random_walk(rng, p.N, d)
+
+    def anchors_for(blocks) -> np.ndarray:
+        times = []
+        for b in blocks:
+            lo, hi = p.block_window(b)
+            size = hi - lo + 1
+            n_anchor = int(math.ceil(delta * size))
+            times.extend(
+                rng.choice(np.arange(lo, hi + 1), size=n_anchor, replace=False)
+            )
+        return np.sort(np.asarray(times, dtype=np.int64))
+
+    if ell is None:
+        s1 = _anchored_path(rng, sig, anchors_for(range(1, p.L + 1)))
+        s2 = _anchored_path(rng, sig, anchors_for(range(1, p.L + 1)))
+    else:
+        if not 1 <= ell <= p.L - 1:
+            raise ValueError("ell must leave room for the following block")
+        s1 = _anchored_path(rng, sig, anchors_for([ell]))
+        s2 = _anchored_path(rng, sig, anchors_for([ell + 1]))
+    return sig, s1, s2
+
+
+# ---------------------------------------------------------------------------
+# Suites
+# ---------------------------------------------------------------------------
 
 def _rw_paths(rng: np.random.Generator, n: int, N: int) -> np.ndarray:
     steps = rng.choice((-1, 1), size=(n, N))

@@ -23,31 +23,20 @@ from polymerlab.transfer import BetaProfile, forward_layers, sample_paths
 
 SEED = 20240831
 
-# sha256 of verify_summary.json, recorded before the planted instances were
-# built in one array pass; the suites' results must not move by a bit.  The
-# seed-734 digest was taken again when the neighbour sums moved to
-# ``transfer._logaddexp``: one difference of two log Z values moved in its
-# last bits (excluding_block_max_diff 8.9e-16 -> 1.1e-15).  Both were taken
-# again when the field's inverse normal moved from scipy's ``ndtri`` to the
-# package's AS241 (``lattice._ndtri``): every suite passes as before, the
-# field hashes of env_determinism are new, and the other values that moved
-# did so in their last bits (CHANGES.md lists them).  Both were taken again
-# when env_moments' lag-1 correlation moved from ``np.corrcoef`` (a BLAS
-# dot) to numpy sums, and ibp_enum's <H> from a backward table to the
-# reverse chain: lag1_corr moved by at most 3.5e-18 and the seed-734
-# ibp_enum residual by 1.7e-17, both absolute.  Both were taken again when
-# ibp_enum's log Z(beta +/- h) moved from path enumeration to the forward
-# pass's rolling profiles: only the ibp_enum residual moved, by 1.9e-14 at
-# seed 734 and 9.3e-14 at seed 11, absolute
+# sha256 of verify_summary.json; the suites' results must not move by a bit.
+# CHANGES.md lists each re-recording with every value that moved and by how
+# much; the last moved markov_splitting's max_abs_diff at seed 734 from
+# 3.55e-15 to 1.78e-15, when its backward tables moved from a transfer
+# pass to the box recursion of ``backward_layers``
 VERIFY_DIGESTS = {
-    "734": "b8c04b59ae0e10c1bb7afe0f4561bf3fd718837f889b1ddeb4cf5f76cca30376",
+    "734": "65106b794ee84f9fa887dfc6960b895ace07b9b92c49fdd88d37aad49c3461bb",
     "11 --inject-fault": "a418ed7f9c3826a8bfe7cbf6afc33577a3fe8bc198c4bc3980f663f328699548",
 }
 # the same where numpy runs float64 exp and log on X86_V3 and log1p on
-# baseline, or all three on baseline (tests/test_golden_outputs.py): three
-# values move, sampler_tv's tv_distance by 7.8e-14 relative, and two that
-# are rounding-level differences by at most 1.1e-13 absolute (ibp_enum's
-# residual, about 5e-10, and markov_splitting's max_abs_diff, about 3e-15)
+# baseline, or all three on baseline (tests/test_golden_outputs.py): two
+# values move, sampler_tv's tv_distance by 7.8e-14 relative, and ibp_enum's
+# residual, about 5e-10, a rounding-level difference, by at most 1.1e-13
+# absolute
 VERIFY_DIGESTS_OFF_AVX512 = {
     "734": "49bc0664b467cb27370e29b8a19a96e6e077407900039d23d3c87942d87c2230",
     "11 --inject-fault": "1142b52e354f39713508241f65f01880a8f585b3ec2b01677db2a9ea9f3a5ddc",

@@ -109,6 +109,12 @@ class TestConfig:
         (tmp_path / "run.json").write_text('{"overlap": {"h": NaN}}')
         with pytest.raises(ValidationError, match="h: nan is not a finite number"):
             load_config_file(str(tmp_path / "run.json"), "overlap")
+        # a JSON true or false is a bool, which int() and float() would read as 1 or 0
+        for blob in ('{"run": {"seed": true}}', '{"overlap": {"h": true}}',
+                     '{"overlap": {"n_values": [8, false]}}'):
+            (tmp_path / "run.json").write_text(blob)
+            with pytest.raises(ValidationError, match=r"cannot read (True|False) as"):
+                load_config_file(str(tmp_path / "run.json"), "overlap")
 
 
 def _cfg(**kw):
@@ -238,7 +244,7 @@ class TestOnePassPerEnvironment:
         calls = collections.Counter()
         # the package re-exports a function named ``overlap``, so import by name
         mods = [importlib.import_module(f"polymerlab.{m}")
-                for m in ("transfer", "free_energy", "overlap")]
+                for m in ("transfer", "free_energy", "overlap", "verify")]
         for mod in (m for m in mods if hasattr(m, name)):
             def counted(*args, _orig=getattr(mod, name), **kw):
                 calls[key(*args)] += 1
@@ -259,8 +265,8 @@ class TestOnePassPerEnvironment:
         def table_key(env, prof):
             return env.params.N, float(prof.values[0]), env.seed
 
-        def pass_key(envs, profs, direction, dtype, keep, *_):
-            return (direction, keep, envs[0].params.N, tuple(env.seed for env in envs),
+        def pass_key(envs, profs, dtype, keep, *_):
+            return (keep, envs[0].params.N, tuple(env.seed for env in envs),
                     tuple(float(p.values[0]) for p in profs))
 
         fwd = self._count(monkeypatch, "forward_layers", table_key)
@@ -284,17 +290,14 @@ class TestOnePassPerEnvironment:
         # one forward pass per (beta, environment used), at the largest N,
         # keeping the table at beta; at beta > 0, beta +/- h ride along it, so
         # the whole ladder's log Z comes from the same pass
-        forward = {k[1:]: c for k, c in passes.items() if k[0] == "forward"}
-        assert forward == {(1, top, (s,), (b, b + h, b - h) if b > 0 else (b,)): 1
-                           for b in betas for s in used[b]}
+        assert passes == {(1, top, (s,), (b, b + h, b - h) if b > 0 else (b,)): 1
+                          for b in betas for s in used[b]}
         # one reverse-chain descent per (beta, environment used), down the
         # table at the largest N, for the whole ladder and an enum rung's
         # <H>; a repeated N is not run again
         assert reduced == {(top, b, s, (8, top)): 1 for b in betas for s in used[b]}
         # and those are all the passes: the chain runs none, and no mode runs
-        # a backward pass
-        assert sum(passes.values()) == sum(forward.values())
-        assert not any(k[0] == "backward" for k in passes)
+        # the backward oracle
         assert not fwd and not bwd and not ladders and not rolled
         assert not any(enumerated)
         with (tmp_path / "overlap.csv").open() as fh:
@@ -659,8 +662,9 @@ def test_platform_records_scipy_once_verify_loads_it():
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
-    # only the verify command uses scipy (its chi-square); importing the CLI
-    # and running free-energy, overlap and localize must not load any of it
+    # only the verify command uses scipy (its chi-square) and the oracles of
+    # ``polymerlab.verify`` (path enumeration, planted instances); importing
+    # the CLI and running free-energy, overlap and localize loads none of them
     src = str(Path(polymerlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     runs = [["free-energy", "--d", "1", "--n-grid", "8", "--beta-grid", "1", "--n-disorder", "2"],
@@ -671,7 +675,8 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     code = ("import json, sys, polymerlab.cli\n"
             f"for k, argv in enumerate({runs!r}):\n"
             f"    assert polymerlab.cli.main(argv + ['--out', {str(tmp_path)!r} + f'/{{k}}']) == 0\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] == 'scipy' or m == 'polymerlab.verify')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert json.loads(out.stdout.splitlines()[-1]) == []

@@ -31,7 +31,7 @@ from polymerlab.lattice import (
     zero_env,
 )
 from polymerlab.free_energy import BlockConcatEnvironment
-from polymerlab.transfer import BetaProfile, backward_layers, forward_layers, log_partitions
+from polymerlab.transfer import BetaProfile, forward_layers, log_partitions
 
 lattice = importlib.import_module("polymerlab.lattice")
 
@@ -49,8 +49,6 @@ def test_memory_guard_at_construction():
     prof = BetaProfile.constant(1.0, 512)
     with pytest.raises(MemoryGuardError):
         forward_layers(env, prof)
-    with pytest.raises(MemoryGuardError):
-        backward_layers(env, prof)
     gaussian_env(1, LatticeParams(d=1, N=512))  # well under the default cap
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polymerlab import localization
+from polymerlab import localization, verify
 from polymerlab.lattice import (
     LatticeParams,
     MemoryGuardError,
@@ -22,8 +22,6 @@ from polymerlab.localization import (
     DS_MAX_PATHS,
     MODES,
     InfeasibleConnectionError,
-    _anchored_path,
-    _random_walk,
     _site_keys,
     build_distinguished_sets,
     cardinality_bound,
@@ -37,14 +35,14 @@ from polymerlab.localization import (
     meeting_time,
     min_window_overlap,
     pairwise_counts,
-    plant_overlap_instance,
     splice_paths,
     step_feasible,
-    verify_claim_reduction,
     window_minima,
 )
 from polymerlab.overlap import block_overlap, overlap, overlap_count, restricted_overlap
 from polymerlab.transfer import BetaProfile, forward_layers, sample_paths
+from polymerlab.verify import (_anchored_path, _random_walk, plant_overlap_instance,
+                               verify_claim_reduction)
 
 
 def bfs_reachable(x, y, s, d):
@@ -546,7 +544,7 @@ class TestClaimReduction:
             return out
 
         got = plant_all(d)
-        monkeypatch.setattr(localization, "_anchored_path", ref_anchored_path)
+        monkeypatch.setattr(verify, "_anchored_path", ref_anchored_path)
         want = plant_all(d)
         assert len(got) == len(want)
         for a, b in zip(got, want):

@@ -19,9 +19,9 @@ from polymerlab.overlap import (
     sweep_overlaps,
 )
 from polymerlab.transfer import (BetaProfile, _check_guard, _geometry, backward_layers,
-                                 brute_force_log_partition, forward_layers,
-                                 forward_layers_and_ladder, gibbs_enumeration,
+                                 forward_layers, forward_layers_and_ladder,
                                  layer_log_marginals, logsumexp, marginal_sums)
+from polymerlab.verify import brute_force_log_partition, gibbs_enumeration
 
 
 def enumerated_two_replica_overlap(env, profile: BetaProfile) -> float:

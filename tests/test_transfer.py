@@ -43,12 +43,11 @@ from polymerlab.transfer import (
     _gather_logsum,
     _geometry,
     _logaddexp,
+    _offsets,
     _transfer,
     backward_layers,
-    brute_force_log_partition,
     forward_layers,
     forward_layers_and_ladder,
-    gibbs_enumeration,
     layer_log_marginals,
     log_partition,
     log_partition_ladder,
@@ -58,6 +57,7 @@ from polymerlab.transfer import (
     markov_split_logz,
     sample_paths,
 )
+from polymerlab.verify import brute_force_log_partition, gibbs_enumeration
 
 
 class TestBetaProfile:
@@ -192,16 +192,17 @@ class TestLargeBeta:
 
     @pytest.mark.parametrize("d, N", [(1, 1024), (2, 128), (3, 24)])
     def test_log_z_matches_numpy_logaddexp(self, d, N, monkeypatch):
-        # the rolling ladder pass and the kept forward and backward tables
-        # cover every site of the kernel: forward and backward at d <= 2 and
-        # the gather at d >= 3
+        # the rolling ladder pass, the kept forward tables and the reverse
+        # chain down them cover every site of the kernel: the sums onto the
+        # next layer and back at d <= 2, and the gather and the scatter at
+        # d >= 3
         envs, betas = _ladder_envs(d, N, 2), (10.0, 50.0)
 
         def log_zs():
             ladder = log_partition_ladder(envs, [BetaProfile.constant(b, N) for b in betas], [N])
-            kept = [log_partition(build(env, BetaProfile.constant(b, N)))
-                    for build in (forward_layers, backward_layers) for env in envs for b in betas]
-            return np.concatenate([ladder.ravel(), kept])
+            kept = [forward_layers(env, BetaProfile.constant(b, N)) for env in envs for b in betas]
+            return np.concatenate([ladder.ravel(), [log_partition(t) for t in kept],
+                                   [marginal_sums(t)[0] for t in kept]])
 
         got = log_zs()
         monkeypatch.setattr(importlib.import_module("polymerlab.transfer"), "_logaddexp",
@@ -551,29 +552,40 @@ class TestPrefix:
         for n in (0, 7):
             with pytest.raises(ValueError, match="1 <= n <= 6"):
                 fwd.prefix(n)
-        with pytest.raises(ValueError, match="forward table"):
-            backward_layers(env, BetaProfile.constant(1.0, 6)).prefix(3)
 
 
 class TestMarkovSplitting:
-    @pytest.mark.parametrize("d,n", [(1, 8), (2, 6), (3, 4)])
+    @pytest.mark.parametrize("d,n", [(1, 8), (2, 6), (3, 4), (3, 6)])
     def test_split_at_every_time(self, d, n):
+        # the forward table against the backward oracle, whose B_0 at the
+        # origin is log Z by enumeration, from the box recursion alone
         rng = np.random.default_rng(d)
         env = gaussian_env(int(rng.integers(0, 2**62)), LatticeParams(d=d, N=n))
-        prof = BetaProfile(rng.uniform(0, 2, size=n))
-        fwd = forward_layers(env, prof)
-        bwd = backward_layers(env, prof)
-        lz = log_partition(fwd)
-        for i in range(n + 1):
-            assert abs(markov_split_logz(fwd, bwd, i) - lz) < 1e-10
+        for prof in (BetaProfile(rng.uniform(0, 2, size=n)), BetaProfile.constant(50.0, n)):
+            fwd = forward_layers(env, prof)
+            bwd = backward_layers(env, prof)
+            lz = log_partition(fwd)
+            for i in range(n + 1):
+                assert abs(markov_split_logz(fwd, bwd, i) - lz) < 1e-10
+            assert abs(bwd[0][(n,) * d] - brute_force_log_partition(env, prof)) < 1e-12
+
+    @pytest.mark.parametrize("d, N", [(1, 30), (2, 9), (3, 5)])
+    def test_oracle_charged_its_box(self, d, N):
+        # the oracle is charged (N+1)(2N+1)^d cells for its layers and one
+        # layer of field, and refused one cell short of that
+        charge, prof = (N + 2) * (2 * N + 1) ** d, BetaProfile.constant(1.0, N)
+        backward_layers(gaussian_env(1, LatticeParams(d=d, N=N, max_cells=charge)), prof)
+        env = gaussian_env(1, LatticeParams(d=d, N=N, max_cells=charge - 1))
+        with pytest.raises(MemoryGuardError, match=f"d={d}, N={N}: the backward oracle"):
+            backward_layers(env, prof)
 
 
-def _pass(env, profiles, direction, keep, geometry=_geometry):
+def _pass(env, profiles, keep, geometry=_geometry):
     """Run ``_transfer``; return its geometry, a copy of what it handed its
     consumer as (i, per-profile layers) in pass order (a handed layer is valid
     only until the consumer returns), and its last layers."""
     handed = []
-    geom, last = _transfer([env], profiles, direction, np.float64, keep,
+    geom, last = _transfer([env], profiles, np.float64, keep,
                            lambda i, layers: handed.append((i, layers[0].copy())), geometry)
     return geom, handed, last[0]
 
@@ -590,28 +602,31 @@ def _sum(geom, kernel, i, layers, onto):
 class TestGeometries:
     @pytest.mark.parametrize("d,n", [(1, 12), (2, 7)])
     def test_packed_matches_dense(self, d, n):
-        # the column geometry is only used for d >= 3; run it at d <= 2 too
+        # the column geometry is only used for d >= 3; run it at d <= 2 too:
+        # each geometry's forward table with the one backward oracle, and the
+        # reverse chain down it (at the column geometry, its scatter onto
+        # layer i and its gather back)
         rng = np.random.default_rng(40 + d)
         env = gaussian_env(int(rng.integers(0, 2**62)), LatticeParams(d=d, N=n))
         prof = BetaProfile(rng.uniform(0.0, 2.0, size=n))
-        out = {}
+        bwd, out = backward_layers(env, prof), {}
         for geometry in (_geometry, _ColumnGeometry):
-            geom, fh, _ = _pass(env, [prof], "forward", True, geometry)
-            _, bh, _ = _pass(env, [prof], "backward", True, geometry)
-            _, _, rolled = _pass(env, [prof], "forward", False, geometry)
-            fwd = LayerTable(env, prof, "forward", geom, [layers[0] for _, layers in fh])
-            bwd = LayerTable(env, prof, "backward", geom, [layers[0] for _, layers in bh[::-1]])
+            geom, fh, _ = _pass(env, [prof], True, geometry)
+            _, _, rolled = _pass(env, [prof], False, geometry)
+            fwd = LayerTable(env, prof, geom, [layers[0] for _, layers in fh])
             marginals = []
             for i in range(n + 1):
                 order = np.lexsort(fwd.layer_coords(i).T)  # same site order in both
                 marginals.append(layer_log_marginals(fwd, bwd, i)[order])
-            out[geometry] = (log_partition(fwd), float(logsumexp(rolled[0])), marginals)
-        (lz_d, roll_d, m_d), (lz_p, roll_p, m_p) = out.values()
+            out[geometry] = (log_partition(fwd), float(logsumexp(rolled[0])), marginals,
+                             marginal_sums(fwd, range(1, n + 1)))
+        (lz_d, roll_d, m_d, s_d), (lz_p, roll_p, m_p, s_p) = out.values()
         assert roll_d == lz_d
         assert abs(lz_d - lz_p) < 1e-12 and abs(roll_d - roll_p) < 1e-12
         for a, b in zip(m_d, m_p):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) < 1e-12
+        assert np.max(np.abs(s_d - s_p)) < 1e-12
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_packed_coords_decode_in_lexicographic_order(self, d):
@@ -654,9 +669,10 @@ class TestGeometries:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_chain_sums_are_the_pass_sums(self, d):
-        # the reverse chain's two neighbour sums are the passes' sums bit for
-        # bit; at d >= 3 both come off one map set, the sum onto layer i by
-        # scattering layer i-1 through its rows
+        # the reverse chain's sum onto layer i is the pass's sum bit for bit,
+        # at d >= 3 by scattering layer i-1 through the rows of the one map
+        # set whose gather is its sum back; that sum back is, within rounding,
+        # each site's 2d neighbours looked up by their coordinates
         rng = np.random.default_rng(d)
         for geom in (_geometry(d, 6), _ColumnGeometry(d, 6)):
             for i in (1, 4, 6):
@@ -665,8 +681,12 @@ class TestGeometries:
                 into, back = geom.chain_sums(i)
                 assert (_sum(geom, into, i - 1, below, True).tobytes()
                         == _sum(geom, geom.sum_into(i), i - 1, below, True).tobytes())
-                assert (_sum(geom, back, i, above, False).tobytes()
-                        == _sum(geom, geom.sum_from(i), i, above, False).tobytes())
+                at = {x: k for k, x in enumerate(map(tuple, geom.coords(i).tolist()))}
+                nbrs = [[at[tuple(y)] for y in x + _offsets(d)] for x in geom.coords(i - 1)]
+                rows = above.reshape(2, -1)[:, nbrs]
+                _within_ulps(_sum(geom, back, i, above, False).reshape(2, -1),
+                             np.logaddexp.reduce(rows, axis=-1), np.abs(rows).max(axis=-1),
+                             n=2 * d)
 
     def test_packed_keys_wider_than_62_bits_refused(self):
         # d=8, N=256, whose sorted int64 site keys would need 8 log2(513) > 62
@@ -698,23 +718,22 @@ class TestFieldSkipping:
         assert env.layers == []
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("direction,keep", [("forward", True), ("forward", False),
-                                                ("backward", True)])
-    def test_mixed_zero_blocks_identical_layers(self, d, direction, keep):
+    @pytest.mark.parametrize("keep", [True, False], ids=["forward-True", "forward-False"])
+    def test_mixed_zero_blocks_identical_layers(self, d, keep):
         n = 12
         p = make_partition(n, 3)
         prof = BetaProfile.from_blocks(p, [0.0, 1.3, 0.0])
         env = CountingEnvironment(seed=5, params=LatticeParams(d=d, N=n))
-        _, skipped, last = _pass(env, [prof], direction, keep)
+        _, skipped, last = _pass(env, [prof], keep)
         lo, hi = p.block_window(2)
         # every layer goes to the consumer in pass order, and the field is read
         # in that order on the layers with beta_i != 0 only
-        order = list(range(n + 1)) if direction == "forward" else list(range(n, -1, -1))
+        order = list(range(n + 1))
         assert [i for i, _ in skipped] == order
         assert env.layers == [i for i in order if lo <= i <= hi]
         assert last.tobytes() == skipped[-1][1].tobytes()
         # a constant profile alongside makes every layer's field be generated
-        _, full, _ = _pass(env, [prof, BetaProfile.constant(0.4, n)], direction, keep)
+        _, full, _ = _pass(env, [prof, BetaProfile.constant(0.4, n)], keep)
         assert len(skipped) == len(full)
         for (_, a), (_, b) in zip(skipped, full):
             assert a[0].tobytes() == b[0].tobytes()
@@ -739,10 +758,9 @@ def _field_envs(kind, d, N):
 
 class TestFieldBlocks:
     @pytest.mark.parametrize("d, N", [(1, 30), (2, 12), (3, 7)])
-    @pytest.mark.parametrize("direction, keep", [("forward", 0), ("forward", 1),
-                                                 ("backward", 0), ("backward", 1)])
+    @pytest.mark.parametrize("keep", [0, 1], ids=["forward-0", "forward-1"])
     @pytest.mark.parametrize("kind", ["one", "three", "concat", "perturbed"])
-    def test_every_layer_is_hashed_as_alone(self, d, N, direction, keep, kind, monkeypatch):
+    def test_every_layer_is_hashed_as_alone(self, d, N, keep, kind, monkeypatch):
         # a pass hashes the field of a block of consecutive layers per call;
         # each layer's field is bit for bit that of hashing the layer alone,
         # one environment at a time, and the layers the pass hands over do not
@@ -752,9 +770,8 @@ class TestFieldBlocks:
         envs, p = _field_envs(kind, d, N), make_partition(N, 3)
         profs = [BetaProfile.from_blocks(p, [1.3, 0.0, 0.9]),
                  BetaProfile.from_blocks(p, [0.4, 0.0, 2.0])]
-        order = range(1, N + 1) if direction == "forward" else range(N, 0, -1)
         lo, hi = p.block_window(2)
-        read = [i for i in order if not lo <= i <= hi]
+        read = [i for i in range(1, N + 1) if not lo <= i <= hi]
         seen, calls, passes = [], [], {}
 
         def recorded(envs, layers, geom, out, t, _orig=lattice.field_layers):
@@ -775,7 +792,7 @@ class TestFieldBlocks:
             monkeypatch.setattr(lattice, "FIELD_BLOCK", block)
             seen.clear(), calls.clear()
             handed = []
-            _transfer(envs, profs, direction, np.float64, keep,
+            _transfer(envs, profs, np.float64, keep,
                       lambda i, layers: handed.append((i, layers.tobytes())))
             passes[block] = handed, list(seen), list(calls)
         monkeypatch.setattr(lattice, "FIELD_BLOCK", FIELD_BLOCK)
@@ -845,8 +862,8 @@ class TestPrefixHash:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_plain_passes_ask_no_coordinates(self, d, monkeypatch):
-        # kept, backward and rolling passes and a descent that reads the
-        # field never ask a geometry for the coordinates of a layer
+        # kept and rolling passes and a descent that reads the field never
+        # ask a geometry for the coordinates of a layer
         def refuse(*_):
             raise AssertionError("a pass asked for coordinates")
 
@@ -856,7 +873,6 @@ class TestPrefixHash:
         envs = _ladder_envs(d, N, 2)
         profs = [BetaProfile.constant(b, N) for b in (0.7, 1.9)]
         fwd = forward_layers(envs[0], profs[0])
-        backward_layers(envs[0], profs[1])
         forward_layers_and_ladder(envs[1], profs, [N, 4])
         log_partition_ladder(envs, profs, [N, 3])
         marginal_sums(fwd, [N, 5], energy=[5, N])
@@ -919,8 +935,6 @@ class TestReverseChain:
         fwd = forward_layers(env, BetaProfile.constant(1.0, 6))
         with pytest.raises(ValueError, match="1..6"):
             marginal_sums(fwd, [3, 7])
-        with pytest.raises(ValueError, match="forward table"):
-            marginal_sums(backward_layers(env, BetaProfile.constant(1.0, 6)))
 
     @pytest.mark.parametrize("d, N", [(2, 256), (3, 24)])
     def test_descent_peak_within_charge(self, d, N):
@@ -1133,8 +1147,6 @@ def test_rolling_pass_not_charged_for_the_cone():
     env = gaussian_env(5, small)
     with pytest.raises(MemoryGuardError, match="d=1, N=2000"):
         forward_layers(env, profs[0])
-    with pytest.raises(MemoryGuardError, match="d=1, N=2000"):
-        backward_layers(env, profs[0])
 
 
 @pytest.mark.parametrize("d, N", [(2, 7000), (3, 300)])
@@ -1151,15 +1163,14 @@ def test_rolling_pass_charged_working_cells(d, N):
 
 
 @pytest.mark.parametrize("d, N", [(2, 200), (3, 30)])
-@pytest.mark.parametrize("build", [forward_layers, backward_layers])
-def test_kept_table_peak_within_charge(d, N, build):
+def test_kept_table_peak_within_charge(d, N):
     # everything a kept pass allocates, its returned table included, stays
     # within the float64 cells it is charged
     env = gaussian_env(2, LatticeParams(d=d, N=N))
     charged = _check_guard(env, _geometry(d, N), 1, keep=True)
     tracemalloc.start()
     try:
-        build(env, BetaProfile.constant(0.8, N))
+        forward_layers(env, BetaProfile.constant(0.8, N))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1179,7 +1190,7 @@ def test_rolling_steps_allocate_nothing(d, N):
 
     tracemalloc.start()
     try:
-        _transfer(envs, profs, "forward", np.float64, 0, consume)
+        _transfer(envs, profs, np.float64, 0, consume)
     finally:
         tracemalloc.stop()
     assert np.all(sizes[2:] == sizes[2]), sizes
@@ -1200,7 +1211,7 @@ def test_kept_tables_own_their_layers(d, N, monkeypatch):
         monkeypatch.setattr(cls, "buffers", recorded)
     env = gaussian_env(derive_seed(9, d), LatticeParams(d=d, N=N))
     profs = [BetaProfile.constant(b, N) for b in (0.7, 0.701, 0.699)]
-    for build in (lambda: forward_layers(env, profs[0]), lambda: backward_layers(env, profs[0]),
+    for build in (lambda: forward_layers(env, profs[0]),
                   lambda: forward_layers_and_ladder(env, profs, [N])[0]):
         table = build()
         assert bufs
@@ -1248,7 +1259,7 @@ class TestRideAlong:
             profs = [BetaProfile.constant(b, N) for b in betas] + [block]
             table, rode = forward_layers_and_ladder(env, profs, ns)
             alone = forward_layers(env, profs[0])
-            assert (table.env, table.profile, table.direction) == (env, profs[0], "forward")
+            assert (table.env, table.profile) == (env, profs[0])
             assert len(table.layers) == len(alone.layers)
             for a, b in zip(table.layers, alone.layers):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
